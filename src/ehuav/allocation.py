@@ -14,6 +14,14 @@ Four allocators share the same max-min-rate objective:
 
 Every allocator reports an abstract operation tally (``op_count``) so the
 complexity claims can be compared empirically.
+
+The two-phase scheme, the nested baseline and the equal split also come in
+batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
+replay the per-draw algorithm on every row at once: the same brackets,
+stopping tests, operation order and tallies, so row ``t`` of the result
+equals the per-draw call on ``gains[t]`` bit for bit.  The per-draw forms
+serve one draw at a time (a batch of one costs more than a per-draw call)
+and are the reference the batch forms are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, NumericError
+from .errors import CapabilityError, ConfigError, EhuavError, NumericError
 from .outage import Allocation
 from .specfun import lambert_w0
 
@@ -67,6 +75,54 @@ class AllocationResult:
         return Allocation(tau=self.tau, beta=self.beta, nu_r=nu_r)
 
 
+@dataclass(frozen=True)
+class BatchAllocation:
+    """Per-draw allocations of a ``(T, K)`` draw matrix, one row per draw.
+
+    ``tau`` and the four tallies have shape ``(T,)`` (tallies as int64),
+    ``beta`` has shape ``(T, K)``.  Every row passed the checks of
+    :class:`AllocationResult`; :meth:`row` rebuilds that per-draw result.
+    """
+
+    tau: np.ndarray
+    beta: np.ndarray
+    iters_tau: np.ndarray
+    iters_beta: np.ndarray
+    inner_iters_beta: np.ndarray
+    op_count: np.ndarray
+
+    @property
+    def iterations(self) -> np.ndarray:
+        """Every loop pass per draw: both phases plus the inner bisections."""
+        return self.iters_tau + self.iters_beta + self.inner_iters_beta
+
+    def row(self, t: int) -> AllocationResult:
+        return AllocationResult(
+            tau=float(self.tau[t]),
+            beta=tuple(float(b) for b in self.beta[t]),
+            iters_tau=int(self.iters_tau[t]),
+            iters_beta=int(self.iters_beta[t]),
+            inner_iters_beta=int(self.inner_iters_beta[t]),
+            op_count=int(self.op_count[t]),
+        )
+
+    @classmethod
+    def stack(cls, results: list[AllocationResult]) -> "BatchAllocation":
+        """The batch whose rows are the given per-draw results."""
+
+        def tally(name: str) -> np.ndarray:
+            return np.array([getattr(r, name) for r in results], dtype=np.int64)
+
+        return cls(
+            tau=np.array([r.tau for r in results]),
+            beta=np.array([r.beta for r in results]),
+            iters_tau=tally("iters_tau"),
+            iters_beta=tally("iters_beta"),
+            inner_iters_beta=tally("inner_iters_beta"),
+            op_count=tally("op_count"),
+        )
+
+
 def _as_gamma(gamma) -> np.ndarray:
     arr = np.asarray(gamma, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -85,6 +141,55 @@ def _as_beta(beta, K: int) -> np.ndarray:
     if abs(math.fsum(arr) - 1.0) > 1e-12:
         raise ConfigError(f"beta must sum to 1 within 1e-12, got {math.fsum(arr)!r}")
     return arr
+
+
+def _as_matrix(gains) -> np.ndarray:
+    arr = np.asarray(gains, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ConfigError(f"gains must be a non-empty (T, K) matrix, got shape {arr.shape}")
+    return arr
+
+
+def _as_gain_matrix(gains, nu_c: float, epsilon: float) -> tuple[np.ndarray, dict]:
+    """The ``(T, K)`` gain matrix and the per-draw errors of its bad rows.
+
+    Bad rows are replaced by ones so the batch arithmetic stays finite;
+    their draws fail with the per-draw call's message.  The argument checks
+    run where the per-draw call runs them, after draw 0's own gain check.
+    """
+    arr = _as_matrix(gains)
+    bad = ~np.all(np.isfinite(arr) & (arr > 0.0), axis=1)
+    if bad[0]:
+        _as_gamma(arr[0])
+    _check_scalars(nu_c, epsilon)
+    errors = {int(t): _error_of(_as_gamma, arr[t]) for t in np.flatnonzero(bad)}
+    return np.where(bad[:, np.newaxis], 1.0, arr), errors
+
+
+def _error_of(fn, *args) -> EhuavError:
+    """The error a per-draw call raises (it must raise one)."""
+    try:
+        fn(*args)
+    except EhuavError as exc:
+        return exc
+    raise AssertionError(f"{fn.__name__} accepted a draw the batch rejected")
+
+
+def _live(T: int, errors: dict) -> np.ndarray:
+    """Mask of the draws that have not failed."""
+    live = np.ones(T, dtype=bool)
+    live[list(errors)] = False
+    return live
+
+
+def _log2_exact(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` elementwise.
+
+    ``np.log2`` may use a SIMD routine that differs from the C library's
+    ``log2`` (which ``math.log2`` calls) in the last bit, so the places where
+    the per-draw code calls ``math.log2`` use this to stay bit-identical.
+    """
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _check_scalars(nu_c: float, epsilon: float) -> None:
@@ -143,6 +248,20 @@ def min_rate_tau_derivative(alloc: Allocation, gamma, tau: float) -> float:
     return _dmin_rate_dtau(np.asarray(alloc.beta), arr, alloc.nu_c, tau)
 
 
+def _bracket_error(lo: float, hi: float, d_lo: float, d_hi: float) -> NumericError:
+    return NumericError(
+        "min-rate derivative does not bracket a maximum on "
+        f"[{lo}, {hi}]: d(lo)={d_lo!r}, d(hi)={d_hi!r}"
+    )
+
+
+def _cap_error(cap: int, gap: float, epsilon: float, K: int, tau: float) -> NumericError:
+    return NumericError(
+        f"bandwidth equalization did not converge in {cap} updates: "
+        f"gap={gap!r} > epsilon={epsilon} (K={K}, tau={tau})"
+    )
+
+
 def phase1_taf(beta, gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
     """Bisection for the time split on the sign of the min-rate derivative.
 
@@ -156,10 +275,7 @@ def phase1_taf(beta, gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
     d_lo = _dmin_rate_dtau(bet, gam, nu_c, lo)
     d_hi = _dmin_rate_dtau(bet, gam, nu_c, hi)
     if not (d_lo > 0.0 and d_hi < 0.0):
-        raise NumericError(
-            "min-rate derivative does not bracket a maximum on "
-            f"[{lo}, {hi}]: d(lo)={d_lo!r}, d(hi)={d_hi!r}"
-        )
+        raise _bracket_error(lo, hi, d_lo, d_hi)
     iters = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
@@ -209,10 +325,7 @@ def phase2_baf(
         if gap <= epsilon:
             return beta, iters
         if iters >= cap:
-            raise NumericError(
-                f"bandwidth equalization did not converge in {cap} updates: "
-                f"gap={gap!r} > epsilon={epsilon} (K={gam.size}, tau={tau_o})"
-            )
+            raise _cap_error(cap, gap, epsilon, gam.size, tau_o)
         step = float(beta[k_hat]) * gap / (2.0 * float(rates[k_hat]))
         beta[k_check] += step
         beta[k_hat] -= step
@@ -312,6 +425,195 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
         iters_beta=iters_beta,
         inner_iters_beta=inner_total,
         op_count=iters_tau * K + inner_total,
+    )
+
+
+def _dmin_rate_dtau_batch(b: float, gam: np.ndarray, nu_c: float, tau: np.ndarray) -> np.ndarray:
+    """:func:`_dmin_rate_dtau` at the equal split ``b = 1/K``, one tau per row."""
+    eff = b * (1.0 - tau)
+    rates = eff[:, np.newaxis] * nu_c * np.log2(
+        1.0 + tau[:, np.newaxis] * gam / eff[:, np.newaxis]
+    )
+    g = gam[np.arange(gam.shape[0]), np.argmin(rates, axis=1)]
+    return -b * nu_c * _log2_exact(1.0 + tau * g / eff) + nu_c * b * g / (
+        _LN2 * (eff + tau * g)
+    )
+
+
+def _phase1_batch(
+    gam: np.ndarray, nu_c: float, epsilon: float, errors: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`phase1_taf` at the equal split for every row not yet in ``errors``.
+
+    Rows that cannot bracket a maximum get their NumericError in ``errors``.
+    """
+    T, K = gam.shape
+    b = 1.0 / K
+    lo = np.full(T, epsilon)
+    hi = np.full(T, 1.0 - epsilon)
+    d_lo = _dmin_rate_dtau_batch(b, gam, nu_c, lo)
+    d_hi = _dmin_rate_dtau_batch(b, gam, nu_c, hi)
+    active = (d_lo > 0.0) & (d_hi < 0.0)
+    for t in np.flatnonzero(~active):
+        errors.setdefault(
+            int(t), _bracket_error(epsilon, 1.0 - epsilon, float(d_lo[t]), float(d_hi[t]))
+        )
+    active &= _live(T, errors)
+    iters = np.zeros(T, dtype=np.int64)
+    while True:
+        active &= hi - lo > epsilon
+        if not active.any():
+            return 0.5 * (lo + hi), iters
+        mid = 0.5 * (lo + hi)
+        rising = _dmin_rate_dtau_batch(b, gam, nu_c, mid) > 0.0
+        lo = np.where(active & rising, mid, lo)
+        hi = np.where(active & ~rising, mid, hi)
+        iters += active
+
+
+def _checked_batch(
+    tau, beta, iters_tau, iters_beta, inner_iters_beta, op_count, errors: dict
+) -> BatchAllocation:
+    """Apply the :class:`AllocationResult` checks row by row, then raise the
+    error of the first failing draw, if any."""
+    batch = BatchAllocation(tau, beta, iters_tau, iters_beta, inner_iters_beta, op_count)
+    sums = np.array([math.fsum(row) for row in beta.tolist()])
+    bad = ~((tau > 0.0) & (tau < 1.0)) | (np.abs(sums - 1.0) > 1e-12)
+    for t in np.flatnonzero(bad):
+        errors.setdefault(int(t), _error_of(batch.row, t))
+    if errors:
+        raise errors[min(errors)]
+    return batch
+
+
+def proposed_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocation:
+    """:func:`proposed_allocate` on every row of a ``(T, K)`` draw matrix.
+
+    Phase 2 updates only the draws whose rates still spread by more than
+    epsilon.  A failing draw does not stop the others; the error of the
+    first failing draw in row order is raised at the end.
+    """
+    gam, errors = _as_gain_matrix(gains, nu_c, epsilon)
+    T, K = gam.shape
+    tau, iters_tau = _phase1_batch(gam, nu_c, epsilon, errors)
+    beta = np.full((T, K), 1.0 / K)
+    iters_beta = np.zeros(T, dtype=np.int64)
+    cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
+    rows = np.flatnonzero(_live(T, errors))
+    while rows.size:
+        t_col = tau[rows, np.newaxis]
+        eff = beta[rows] * (1.0 - t_col)
+        rates = eff * nu_c * np.log2(1.0 + t_col * gam[rows] / eff)
+        pick = np.arange(rows.size)
+        k_hat = np.argmax(rates, axis=1)
+        k_check = np.argmin(rates, axis=1)
+        r_hat = rates[pick, k_hat]
+        gap = r_hat - rates[pick, k_check]
+        spread = ~(gap <= epsilon)  # as the per-draw test, so a NaN gap keeps going
+        capped = iters_beta[rows] >= cap
+        for i in np.flatnonzero(spread & capped):
+            t = int(rows[i])
+            errors[t] = _cap_error(cap, float(gap[i]), epsilon, K, float(tau[t]))
+        go = spread & ~capped
+        rows, k_hat, k_check = rows[go], k_hat[go], k_check[go]
+        step = beta[rows, k_hat] * gap[go] / (2.0 * r_hat[go])
+        beta[rows, k_check] += step
+        beta[rows, k_hat] -= step
+        iters_beta[rows] += 1
+    zeros = np.zeros(T, dtype=np.int64)
+    return _checked_batch(
+        tau, beta, iters_tau, iters_beta, zeros, K + iters_tau + iters_beta * K, errors
+    )
+
+
+def _reaches(share, tau_col, gam, nu_c: float, target_col) -> np.ndarray:
+    """``rate >= target`` elementwise, decided exactly as the baseline's
+    per-draw ``rate_k`` (``math.log2``) decides it.
+
+    ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
+    1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
+    """
+    eff = share * (1.0 - tau_col)
+    scale = eff * nu_c
+    arg = 1.0 + tau_col * gam / eff
+    rates = scale * np.log2(arg)
+    near = np.abs(rates - target_col) <= 1e-12 * target_col
+    if near.any():
+        rates[near] = scale[near] * _log2_exact(arg[near])
+    return rates >= target_col
+
+
+def conventional_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocation:
+    """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
+
+    The outer target bisection runs on the draws still bracketing, the
+    inner share bisections on every (draw, UAV) pair the per-draw loop
+    reaches: the UAVs before the first one that cannot reach the target
+    with the whole band.  Errors as in :func:`proposed_allocate_batch`.
+    """
+    gam, errors = _as_gain_matrix(gains, nu_c, epsilon)
+    T, K = gam.shape
+    tau, iters_tau = _phase1_batch(gam, nu_c, epsilon, errors)
+    zeros = np.zeros(T, dtype=np.int64)
+    if K == 1:
+        return _checked_batch(tau, np.ones((T, 1)), iters_tau, zeros, zeros, iters_tau, errors)
+
+    tau_col = tau[:, np.newaxis]
+    eff = (1.0 - epsilon) * (1.0 - tau_col)
+    whole_band = eff * nu_c * _log2_exact(1.0 + tau_col * gam / eff)
+    target_lo = np.zeros(T)
+    target_hi = whole_band.min(axis=1)
+    best = np.full((T, K), epsilon)
+    iters_beta = zeros.copy()
+    inner_total = zeros.copy()
+    outer = _live(T, errors)
+    uav = np.arange(K)
+    while True:
+        outer &= target_hi - target_lo > epsilon
+        rows = np.flatnonzero(outer)
+        if not rows.size:
+            break
+        target = 0.5 * (target_lo[rows] + target_hi[rows])
+        target_col = target[:, np.newaxis]
+        short = whole_band[rows] < target_col
+        first_short = np.where(short.any(axis=1), np.argmax(short, axis=1), K)
+        lo = np.full((rows.size, K), epsilon)
+        hi = np.full((rows.size, K), 1.0 - epsilon)
+        bisecting = uav < first_short[:, np.newaxis]
+        g, t_col = gam[rows], tau_col[rows]
+        inner = np.zeros(rows.size, dtype=np.int64)
+        while True:
+            bisecting &= hi - lo > epsilon
+            if not bisecting.any():
+                break
+            mid = 0.5 * (lo + hi)
+            up = _reaches(mid, t_col, g, nu_c, target_col)
+            hi = np.where(bisecting & up, mid, hi)
+            lo = np.where(bisecting & ~up, mid, lo)
+            inner += bisecting.sum(axis=1)
+        inner_total[rows] += inner
+        iters_beta[rows] += 1
+        feasible = (first_short == K) & (hi.sum(axis=1) <= 1.0)
+        target_lo[rows[feasible]] = target[feasible]
+        best[rows[feasible]] = hi[feasible]
+        target_hi[rows[~feasible]] = target[~feasible]
+    beta = best / best.sum(axis=1, keepdims=True)
+    return _checked_batch(
+        tau, beta, iters_tau, iters_beta, inner_total, iters_tau * K + inner_total, errors
+    )
+
+
+def equal_bandwidth_batch(gains, R_a: float) -> BatchAllocation:
+    """The equal split with its closed-form time split, for every draw.
+
+    Only the matrix shape is used: the split does not depend on the gains.
+    """
+    T, K = _as_matrix(gains).shape
+    zeros = np.zeros(T, dtype=np.int64)
+    return _checked_batch(
+        np.full(T, equal_bandwidth_taf(K, R_a)),
+        np.full((T, K), 1.0 / K),
+        zeros, zeros, zeros, zeros, {},
     )
 
 

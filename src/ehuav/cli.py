@@ -41,8 +41,8 @@ from .experiments import (
     ExperimentSpec,
     allocate_by_name,
     block_time,
+    overhead_share,
     place_nodes,
-    rap_fraction,
     run_iterations_and_minrate_sweep,
     run_outage_altitude_sweep,
     write_rows,
@@ -64,6 +64,12 @@ def _configure_logging() -> None:
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _check_seed(seed: int) -> None:
+    """numpy seeds must be non-negative; say so instead of a traceback."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
 
 
 def _budgets(loaded: LoadedConfig) -> list[LinkBudget]:
@@ -113,6 +119,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
                 f"--gamma needs exactly K={net.K} values, got {gamma.size}"
             )
     else:
+        _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         gamma = sample_realization(_budgets(loaded), net, rng).gamma
         print(f"channel draw: seed={args.seed}")
@@ -120,8 +127,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     res = allocate_by_name(args.algorithm, gamma, net)
     value, worst = min_rate(res.as_allocation(), gamma)
     T = block_time(net.V_hat, net.f_c, net.c_light)
-    charged_ops = 0 if args.algorithm == "optimal" else res.op_count
-    nu_r = rap_fraction(charged_ops, loaded.t_op, T)
+    nu_r = overhead_share(args.algorithm, res.op_count, loaded.t_op, T)
     adjusted, _ = min_rate(res.as_allocation(nu_r=nu_r), gamma)
 
     print(f"algorithm: {args.algorithm}")
@@ -141,6 +147,9 @@ def cmd_outage(args: argparse.Namespace) -> int:
     loaded = load_config(args.config)
     net = loaded.network
     K = net.K
+    _check_seed(args.seed)
+    if args.rate is not None and not (math.isfinite(args.rate) and args.rate >= 0.0):
+        raise ConfigError(f"--rate must be a finite number >= 0, got {args.rate}")
     if args.beta is not None:
         if len(args.beta) != K:
             raise ConfigError(

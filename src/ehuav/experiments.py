@@ -1,4 +1,4 @@
-"""Scenario placement, timing model, and the sweep runners behind the CLI.
+"""Scenario placement, the charging rule, and the sweep runners behind the CLI.
 
 Both runners follow the same evaluation protocol: every algorithm sees the
 same channel draws at a sweep point, allocations are computed on the full
@@ -7,7 +7,13 @@ signalling: ``op_count`` abstract operations at ``t_op`` seconds each out
 of the block time ``T``, giving the overhead share ``nu_r`` that shrinks
 the data phase to ``nu_c = 1 - nu_r``.  The grid benchmark is charged
 nothing (it stands for an offline optimum), and the closed-form equal
-split converges without iterating, so both keep ``nu_r = 0``.
+split converges without iterating, so both keep ``nu_r = 0``
+(:func:`overhead_share`).
+
+The runners allocate a whole sweep point at once: one batch call per
+(point, algorithm) over the ``(trials, K)`` draw matrix, then the charge
+and the min-rate as array expressions.  :func:`allocate_by_name` is the
+per-draw path of the ``allocate`` subcommand.
 
 ``DEFAULT_T_OP`` is calibrated so that at 20 m/s and six pairs the
 nested-bisection baseline loses a visible but non-saturating slice of the
@@ -25,14 +31,18 @@ import numpy as np
 
 from .allocation import (
     AllocationResult,
+    BatchAllocation,
     conventional_allocate,
+    conventional_allocate_batch,
+    equal_bandwidth_batch,
     equal_bandwidth_taf,
     exhaustive_optimal,
     proposed_allocate,
+    proposed_allocate_batch,
 )
 from .channel import LinkBudget, LinkGeometry, NetworkConfig, make_link_budget, sample_gamma_matrix
 from .errors import ConfigError, EhuavError
-from .outage import Allocation, min_rate, outage_closed_form
+from .outage import Allocation, outage_closed_form, rate
 
 log = logging.getLogger(__name__)
 
@@ -66,40 +76,31 @@ def block_time(V_hat: float, f_c: float, c_light: float) -> float:
     return c_light / (V_hat * f_c)
 
 
-def rap_fraction(op_count: int, t_op: float, T: float) -> float:
-    """Share of the block spent signalling: min(op_count*t_op/T, 1-1e-6)."""
+def rap_fraction(op_count, t_op: float, T: float):
+    """Share of the block spent signalling: min(op_count*t_op/T, 1-1e-6).
+
+    Elementwise over an array of operation counts; a single count gives a
+    float.
+    """
     if not T > 0.0:
         raise ConfigError(f"block time must be positive, got {T}")
-    if op_count < 0:
-        raise ConfigError(f"op_count must be >= 0, got {op_count}")
+    ops = np.asarray(op_count)
+    if np.any(ops < 0):
+        raise ConfigError(f"op_count must be >= 0, got {ops.min()}")
     if t_op < 0.0:
         raise ConfigError(f"t_op must be >= 0, got {t_op}")
-    return min(op_count * t_op / T, _SATURATION_GUARD)
+    share = np.minimum(ops * t_op / T, _SATURATION_GUARD)
+    return float(share) if share.ndim == 0 else share
 
 
-@dataclass(frozen=True)
-class TimingModel:
-    """Block length plus the per-operation signalling cost and its result."""
+def overhead_share(algorithm: str, op_count, t_op: float, T: float):
+    """The ``nu_r`` an algorithm is charged for its operation tally(ies).
 
-    block_time: float
-    t_op: float
-    nu_r: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.block_time > 0.0:
-            raise ConfigError(f"block_time must be positive, got {self.block_time}")
-        if self.t_op < 0.0:
-            raise ConfigError(f"t_op must be >= 0, got {self.t_op}")
-        if not 0.0 <= self.nu_r < 1.0:
-            raise ConfigError(f"nu_r must lie in [0,1), got {self.nu_r}")
-
-    @classmethod
-    def for_config(cls, config: NetworkConfig, t_op: float = DEFAULT_T_OP) -> "TimingModel":
-        return cls(block_time(config.V_hat, config.f_c, config.c_light), t_op)
-
-    def charged(self, op_count: int) -> "TimingModel":
-        """The same model with nu_r set from an operation tally."""
-        return replace(self, nu_r=rap_fraction(op_count, self.t_op, self.block_time))
+    The grid benchmark models an offline optimum and is charged nothing.
+    """
+    if algorithm == "optimal":
+        op_count = np.zeros_like(op_count)
+    return rap_fraction(op_count, t_op, T)
 
 
 @dataclass(frozen=True)
@@ -236,9 +237,35 @@ def allocate_by_name(
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
-def _charged_ops(name: str, result: AllocationResult) -> int:
-    # The grid benchmark models an offline optimum: no online signalling.
-    return 0 if name == "optimal" else result.op_count
+def allocate_batch_by_name(
+    name: str,
+    gains: np.ndarray,
+    config: NetworkConfig,
+    grid: tuple[int, int] = (200, 100),
+) -> BatchAllocation:
+    """Run the named allocator on every row of a ``(T, K)`` draw matrix.
+
+    Row t equals ``allocate_by_name(name, gains[t], config, grid)``; a
+    failing draw raises the error of the first failing row.
+    """
+    if name == "proposed":
+        return proposed_allocate_batch(gains, 1.0, config.epsilon)
+    if name == "conventional":
+        return conventional_allocate_batch(gains, 1.0, config.epsilon)
+    if name == "equal_bandwidth":
+        return equal_bandwidth_batch(gains, config.R_a)
+    if name == "optimal":
+        # Still one grid search per draw; an exact solver is to replace it.
+        return BatchAllocation.stack(
+            [allocate_by_name(name, gamma, config, grid) for gamma in gains]
+        )
+    raise ConfigError(f"unknown algorithm {name!r}")
+
+
+def _charged_min_rates(batch: BatchAllocation, gains: np.ndarray, nu_r: np.ndarray) -> np.ndarray:
+    """Per-draw ``min_rate`` of each allocation with overhead share ``nu_r``."""
+    nu_c = 1.0 - nu_r
+    return rate(batch.beta, batch.tau[:, np.newaxis], gains, nu_c[:, np.newaxis]).min(axis=1)
 
 
 def _diagnostic_row(spec: ExperimentSpec, value: float, algorithm: str) -> ExperimentRow:
@@ -267,7 +294,8 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     """
     if spec.sweep_param != "K":
         raise ConfigError(f"this sweep runs over K, got {spec.sweep_param!r}")
-    timing = TimingModel.for_config(spec.scenario, spec.t_op)
+    scenario = spec.scenario
+    T = block_time(scenario.V_hat, scenario.f_c, scenario.c_light)
     rows: list[ExperimentRow] = []
     for point, raw_k in enumerate(spec.sweep_values):
         K = int(raw_k)
@@ -277,16 +305,9 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
         gam = _point_draws(_budgets(config), config, spec, point)
         for name in spec.algorithms:
             try:
-                iters = np.empty(spec.trials)
-                rates = np.empty(spec.trials)
-                for t in range(spec.trials):
-                    res = allocate_by_name(name, gam[t], config, spec.optimal_grid)
-                    nu_r = rap_fraction(
-                        _charged_ops(name, res), timing.t_op, timing.block_time
-                    )
-                    value, _ = min_rate(res.as_allocation(nu_r=nu_r), gam[t])
-                    iters[t] = res.iters_tau + res.iters_beta + res.inner_iters_beta
-                    rates[t] = value
+                batch = allocate_batch_by_name(name, gam, config, spec.optimal_grid)
+                nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
+                rates = _charged_min_rates(batch, gam, nu_r)
             except EhuavError as exc:
                 log.warning("K=%d %s aborted: %s", K, name, exc)
                 rows.append(_diagnostic_row(spec, float(K), name))
@@ -301,7 +322,7 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
                     sweep_param="K",
                     sweep_value=float(K),
                     algorithm=name,
-                    mean_iters=float(iters.mean()),
+                    mean_iters=float(batch.iterations.mean()),
                     mean_min_rate_bpshz=float(rates.mean()),
                     outage_analytic=None,
                     outage_empirical=None,
@@ -353,10 +374,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
 
         for name in spec.algorithms:
             try:
-                results = [
-                    allocate_by_name(name, gam[t], config, spec.optimal_grid)
-                    for t in range(spec.trials)
-                ]
+                batch = allocate_batch_by_name(name, gam, config, spec.optimal_grid)
             except EhuavError as exc:
                 log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
                 for velocity in velocities:
@@ -366,24 +384,18 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                         )
                     )
                 continue
+            mean_iters = float(batch.iterations.mean())
             for velocity in velocities:
                 T = block_time(velocity, config.f_c, config.c_light)
-                iters = np.empty(spec.trials)
-                rates = np.empty(spec.trials)
-                failures = 0
-                for t, res in enumerate(results):
-                    nu_r = rap_fraction(_charged_ops(name, res), spec.t_op, T)
-                    value, _ = min_rate(res.as_allocation(nu_r=nu_r), gam[t])
-                    iters[t] = res.iters_tau + res.iters_beta + res.inner_iters_beta
-                    rates[t] = value
-                    failures += value < config.R_a
-                p_hat = failures / spec.trials
+                nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
+                rates = _charged_min_rates(batch, gam, nu_r)
+                p_hat = int(np.count_nonzero(rates < config.R_a)) / spec.trials
                 rows.append(
                     ExperimentRow(
                         sweep_param="altitude",
                         sweep_value=float(altitude),
                         algorithm=f"{name}@v{velocity:g}",
-                        mean_iters=float(iters.mean()),
+                        mean_iters=mean_iters,
                         mean_min_rate_bpshz=float(rates.mean()),
                         outage_analytic=None,
                         outage_empirical=p_hat,

@@ -8,6 +8,7 @@ estimator that serves as the simulation oracle for the analysis.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -86,12 +87,14 @@ class OutageEstimate:
             )
 
 
-def rate(beta_k, tau: float, gamma_k, nu_c: float):
+def rate(beta_k, tau, gamma_k, nu_c):
     """Per-UAV spectral efficiency beta*(1-tau)*nu_c*log2(1 + tau*gamma/(beta*(1-tau))).
 
-    Accepts scalars or numpy arrays for beta_k/gamma_k.
+    Accepts scalars or numpy arrays for every argument; arrays broadcast
+    (e.g. one row per draw with a ``(T, 1)`` column of tau and nu_c).
     """
-    if not 0.0 < tau < 1.0:
+    tau_arr = np.asarray(tau)
+    if not np.all((tau_arr > 0.0) & (tau_arr < 1.0)):
         raise ConfigError(f"tau must lie in (0,1), got {tau}")
     beta_k = np.asarray(beta_k, dtype=float)
     gamma_k = np.asarray(gamma_k, dtype=float)
@@ -220,6 +223,15 @@ def outage_closed_form(
     return 1.0 - survival
 
 
+def worker_threads(requested: int | None, n_blocks: int, cpus: int | None) -> int:
+    """Sampler threads to start: ``min(requested, n_blocks, cpus)``, at least 1.
+
+    ``None`` means single-threaded; an unknown CPU count (``None``) counts
+    as one CPU.
+    """
+    return max(1, min(requested or 1, n_blocks, cpus or 1))
+
+
 def outage_monte_carlo(
     alloc: Allocation,
     budgets: list[LinkBudget],
@@ -234,7 +246,8 @@ def outage_monte_carlo(
     Trials are partitioned into fixed 65536-draw blocks, each with its own
     child stream SeedSequence(seed, spawn_key=(block,)); block counts are
     integers summed independent of execution order, so the estimate is
-    identical for any thread count.
+    identical for any thread count.  At most one thread per block and per
+    CPU is started (:func:`worker_threads`).
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -253,8 +266,9 @@ def outage_monte_carlo(
         return int(np.count_nonzero(rates.min(axis=1) < R_a))
 
     n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = worker_threads(threads, n_blocks, os.cpu_count())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outages = sum(pool.map(count_block, range(n_blocks)))
     else:
         outages = sum(count_block(b) for b in range(n_blocks))

@@ -20,14 +20,16 @@ from scipy.optimize import brentq, golden
 from ehuav.allocation import (
     AllocationResult,
     conventional_allocate,
+    conventional_allocate_batch,
     equal_bandwidth_taf,
     exhaustive_optimal,
     min_rate_tau_derivative,
     phase1_taf,
     phase2_baf,
     proposed_allocate,
+    proposed_allocate_batch,
 )
-from ehuav.errors import CapabilityError, ConfigError, NumericError
+from ehuav.errors import CapabilityError, ConfigError, EhuavError, NumericError
 from ehuav.outage import Allocation, min_rate, rate
 
 EPS = 1e-4
@@ -449,3 +451,116 @@ class TestAllocationResult:
         alloc = res.as_allocation(nu_r=0.25)
         assert alloc.nu_r == 0.25
         assert alloc.nu_c == 0.75
+
+
+def bits(res: AllocationResult) -> tuple:
+    """Every field of a result, floats by their exact bit pattern."""
+    return (
+        res.tau.hex(),
+        tuple(b.hex() for b in res.beta),
+        res.iters_tau,
+        res.iters_beta,
+        res.inner_iters_beta,
+        res.op_count,
+    )
+
+
+def assert_batch_replays_scalar(scalar, batch, gains, nu_c, epsilon):
+    """The batch equals the per-draw calls row by row, or raises the error
+    of the first failing draw (class and message)."""
+    expected = []
+    for gamma in gains:
+        try:
+            expected.append(bits(scalar(gamma, nu_c, epsilon)))
+        except EhuavError as exc:
+            with pytest.raises(EhuavError) as info:
+                batch(gains, nu_c, epsilon)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            return
+    result = batch(gains, nu_c, epsilon)
+    assert [bits(result.row(t)) for t in range(len(gains))] == expected
+
+
+@st.composite
+def draw_matrices(draw):
+    """1-4 draws of K = 1..10 gains; each draw spans up to three decades
+    somewhere in 1e-13..1e6, so some draws sit in the low-SNR regime where
+    the time-split bisection cannot bracket."""
+    K = draw(st.integers(1, 10))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.floats(-13.0, 3.0))
+        rows.append([10.0 ** draw(st.floats(low, low + 3.0)) for _ in range(K)])
+    return np.array(rows)
+
+
+epsilons = st.floats(-6.0, -2.0).map(lambda e: 10.0**e)
+data_shares = st.sampled_from([1.0, 0.37])
+
+
+class TestBatchAllocators:
+    # With nu_c = 1e12 the rates are so large that their gap stalls one ulp
+    # above epsilon, so phase 2 runs into its update cap.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gains=draw_matrices(),
+        nu_c=st.sampled_from([1.0, 0.37, 1e12]),
+        epsilon=epsilons,
+    )
+    def test_proposed_batch_replays_per_draw_calls(self, gains, nu_c, epsilon):
+        assert_batch_replays_scalar(
+            proposed_allocate, proposed_allocate_batch, gains, nu_c, epsilon
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(gains=draw_matrices(), nu_c=data_shares, epsilon=epsilons)
+    def test_conventional_batch_replays_per_draw_calls(self, gains, nu_c, epsilon):
+        assert_batch_replays_scalar(
+            conventional_allocate, conventional_allocate_batch, gains, nu_c, epsilon
+        )
+
+    def test_sweep_sized_batches_replay_per_draw_calls(self):
+        rng = np.random.default_rng(17)
+        for K in (2, 6, 10):
+            gains = 10.0 ** rng.uniform(-1.0, 3.0, size=(60, K))
+            for scalar, batch in (
+                (proposed_allocate, proposed_allocate_batch),
+                (conventional_allocate, conventional_allocate_batch),
+            ):
+                assert_batch_replays_scalar(scalar, batch, gains, 1.0, EPS)
+
+    def test_first_failing_draw_wins_over_earlier_phases(self):
+        settled, capped, unbracketed = [5.0, 5.0, 5.0], [0.5, 5.0, 50.0], [1e-12] * 3
+        with pytest.raises(NumericError, match="did not converge in 120 updates"):
+            proposed_allocate_batch(np.array([settled, capped, unbracketed]), 1e12, EPS)
+        with pytest.raises(NumericError, match="bracket"):
+            proposed_allocate_batch(np.array([settled, unbracketed, capped]), 1e12, EPS)
+
+    def test_bad_gains_fail_their_own_draw(self):
+        for batch in (proposed_allocate_batch, conventional_allocate_batch):
+            with pytest.raises(ConfigError, match="strictly positive"):
+                batch(np.array([[2.0, 3.0], [0.0, 1.0]]), 1.0, EPS)
+            with pytest.raises(NumericError, match="bracket"):
+                batch(np.array([[1e-12, 1e-12], [np.nan, 1.0]]), 1.0, EPS)
+
+    def test_rejects_bad_arguments(self):
+        for batch in (proposed_allocate_batch, conventional_allocate_batch):
+            with pytest.raises(ConfigError, match="epsilon"):
+                batch(np.ones((2, 2)), 1.0, 0.6)
+            with pytest.raises(ConfigError, match="strictly positive"):
+                batch(np.array([[-1.0, 1.0]]), 1.0, 0.6)
+            with pytest.raises(ConfigError, match=r"\(T, K\) matrix"):
+                batch(np.ones(3), 1.0, EPS)
+            with pytest.raises(ConfigError, match=r"\(T, K\) matrix"):
+                batch(np.ones((0, 3)), 1.0, EPS)
+
+    def test_tallies_and_iterations(self):
+        gains = 10.0 ** np.random.default_rng(3).uniform(-1.0, 3.0, size=(8, 4))
+        prop = proposed_allocate_batch(gains, 1.0, EPS)
+        assert prop.op_count.tolist() == (4 + prop.iters_tau + 4 * prop.iters_beta).tolist()
+        conv = conventional_allocate_batch(gains, 1.0, EPS)
+        assert conv.iterations.tolist() == [
+            r.iters_tau + r.iters_beta + r.inner_iters_beta
+            for r in (conv.row(t) for t in range(8))
+        ]

@@ -134,6 +134,10 @@ class TestAllocate:
         assert rc == EXIT_NUMERIC
         assert "bracket" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["allocate", TABLE1, "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
 
 class TestOutage:
     def test_saturated_defaults_agree(self, capsys):
@@ -158,6 +162,16 @@ class TestOutage:
         assert main(args + ["--threads", "3"]) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_rate_must_be_finite_and_non_negative(self, value, capsys):
+        assert main(["outage", TABLE1, "--trials", "500", f"--rate={value}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --rate must be a finite number >= 0, got {float(value)}\n"
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["outage", TABLE1, "--trials", "500", "--seed", "-3"]) == EXIT_CONFIG
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_beta_sum_validated(self, capsys):
         rc = main(["outage", TABLE1, "--beta"] + ["0.3"] * 6)
@@ -388,3 +402,31 @@ class TestLoggingEnv:
         monkeypatch.setenv("EHUAV_LOG", "NOISY")
         assert main(["validate", TABLE1]) == EXIT_OK
         capsys.readouterr()
+
+
+# sha256 of the committed results/fig3.csv and results/fig4.csv.  The
+# figure scripts rewrite results/, so the hashes are pinned here instead of
+# being read from there.
+FIG3_SHA256 = "561bd236d5d3a61951d113fa90764c8eaee3a46d051016616c59e3f0949084a8"
+FIG4_SHA256 = "5d540fd110a6cc1405a8b22c55d52505c5187bae27b2a0cd40d85362d0a421fb"
+
+
+class TestDeliverables:
+    """The two sweep CSVs on the shipped scenario, byte for byte."""
+
+    def test_fig3_reproduces_the_committed_csv(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", TABLE1, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert sha256(out) == FIG3_SHA256
+
+    def test_fig4_reproduces_the_committed_csv(self, tmp_path, capsys):
+        # Exit 4 on the known gap alone: the analytic minimum sits on the
+        # sweep boundary (see README, "Known gaps").
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", TABLE1, "--out", str(out)]) == EXIT_TREND
+        assert capsys.readouterr().err == (
+            "error: trend assertion failed:\n"
+            "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
+        )
+        assert sha256(out) == FIG4_SHA256

@@ -1,4 +1,4 @@
-"""Tests for the timing model, node placement, and the sweep runners."""
+"""Tests for the charging rule, node placement, and the sweep runners."""
 
 from __future__ import annotations
 
@@ -12,11 +12,12 @@ from ehuav.errors import ConfigError
 from ehuav.experiments import (
     ALGORITHMS,
     CSV_HEADER,
-    DEFAULT_T_OP,
     ExperimentRow,
     ExperimentSpec,
-    TimingModel,
+    allocate_batch_by_name,
+    allocate_by_name,
     block_time,
+    overhead_share,
     place_nodes,
     rap_fraction,
     run_iterations_and_minrate_sweep,
@@ -96,25 +97,26 @@ class TestRapFraction:
         with pytest.raises(ConfigError, match="t_op"):
             rap_fraction(1, -1.0, 1.0)
 
+    def test_elementwise_over_a_tally_array(self):
+        ops = np.array([0, 1000, 12500, 10**15])
+        shares = rap_fraction(ops, 2.5e-7, 6.25e-3)
+        assert shares.tolist() == [rap_fraction(int(n), 2.5e-7, 6.25e-3) for n in ops]
+        assert shares[-1] == 1.0 - 1e-6
+        with pytest.raises(ConfigError, match="op_count must be >= 0, got -3"):
+            rap_fraction(np.array([4, -3, 2]), 2.5e-7, 6.25e-3)
 
-class TestTimingModel:
-    def test_for_config_uses_scenario_velocity(self):
-        tm = TimingModel.for_config(make_config(2))
-        assert tm.block_time == 6.25e-3
-        assert tm.t_op == DEFAULT_T_OP
-        assert tm.nu_r == 0.0
 
-    def test_charging_sets_the_overhead_share(self):
-        tm = TimingModel(6.25e-3, 2.5e-7).charged(1000)
-        assert tm.nu_r == pytest.approx(1000 * 2.5e-7 / 6.25e-3, rel=1e-12)
+class TestOverheadShare:
+    def test_online_algorithms_pay_for_their_operations(self):
+        for name in ("proposed", "conventional", "equal_bandwidth"):
+            assert overhead_share(name, 1000, 2.5e-7, 6.25e-3) == rap_fraction(
+                1000, 2.5e-7, 6.25e-3
+            )
 
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ConfigError, match="block_time"):
-            TimingModel(0.0, 1e-7)
-        with pytest.raises(ConfigError, match="t_op"):
-            TimingModel(1e-3, -1e-7)
-        with pytest.raises(ConfigError, match="nu_r"):
-            TimingModel(1e-3, 1e-7, 1.0)
+    def test_the_offline_optimum_is_free(self):
+        assert overhead_share("optimal", 10**9, 2.5e-7, 6.25e-3) == 0.0
+        shares = overhead_share("optimal", np.array([5, 10**9]), 2.5e-7, 6.25e-3)
+        assert shares.tolist() == [0.0, 0.0]
 
 
 class TestPlaceNodes:
@@ -193,6 +195,20 @@ class TestExperimentRow:
         assert cells[5] == ""  # None renders empty
         assert cells[6] == "0.969414682266"  # 12 significant digits
         assert cells[-2:] == ["100", "1"]
+
+
+class TestAllocateBatchByName:
+    def test_rows_equal_per_draw_calls(self):
+        config = make_config(2)
+        gains = 10.0 ** np.random.default_rng(8).uniform(-1.0, 3.0, size=(5, 2))
+        for name in ALGORITHMS:
+            batch = allocate_batch_by_name(name, gains, config, grid=(40, 20))
+            for t in range(len(gains)):
+                assert batch.row(t) == allocate_by_name(name, gains[t], config, (40, 20))
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            allocate_batch_by_name("greedy", np.ones((1, 2)), make_config(2))
 
 
 @pytest.fixture(scope="module")

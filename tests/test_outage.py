@@ -23,6 +23,7 @@ from ehuav.outage import (
     outage_monte_carlo,
     rate,
     snr_threshold,
+    worker_threads,
 )
 from ehuav.specfun import bessel_k_int
 
@@ -144,6 +145,17 @@ class TestRate:
         out = rate(0.5, 0.5, gam, 1.0)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.25 * math.log2(3.0), rel=1e-15)
+
+    def test_per_row_tau_and_nu_c(self):
+        beta = np.array([[0.5, 0.5], [0.2, 0.8]])
+        gam = np.array([[1.0, 4.0], [9.0, 0.3]])
+        tau = np.array([[0.3], [0.6]])
+        nu_c = np.array([[1.0], [0.8]])
+        out = rate(beta, tau, gam, nu_c)
+        for t in range(2):
+            assert out[t].tolist() == rate(beta[t], float(tau[t, 0]), gam[t], nu_c[t, 0]).tolist()
+        with pytest.raises(ConfigError, match="tau"):
+            rate(beta, np.array([[0.3], [1.0]]), gam, nu_c)
 
     def test_scalar_returns_float(self):
         assert isinstance(rate(0.5, 0.5, 1.0, 1.0), float)
@@ -398,6 +410,17 @@ class TestMonteCarlo:
             self.alloc(), [self.BUDGET] * 2, cfg, trials=200_000, seed=42
         )
         assert abs(analytic - est.p_out) <= 3.0 * est.std_err
+
+    def test_worker_threads_are_clamped(self):
+        # Pure arithmetic: no thread is started here.
+        assert worker_threads(None, 16, 8) == 1
+        assert worker_threads(1, 16, 8) == 1
+        assert worker_threads(0, 16, 8) == 1
+        assert worker_threads(-4, 16, 8) == 1
+        assert worker_threads(4, 16, 8) == 4
+        assert worker_threads(10**6, 16, 8) == 8  # no more threads than CPUs
+        assert worker_threads(10**6, 2, 8) == 2  # nor than blocks
+        assert worker_threads(3, 16, None) == 1  # unknown CPU count
 
     def test_trials_validated(self):
         with pytest.raises(ConfigError):
