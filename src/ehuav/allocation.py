@@ -9,8 +9,11 @@ Four allocators share the same max-min-rate objective:
   transfers from the fastest to the slowest UAV;
 * :func:`conventional_allocate` - nested-bisection baseline (outer
   bisection on a common target rate, inner per-UAV bisections);
-* :func:`exhaustive_optimal` - brute-force grid search over the time
-  split and the bandwidth simplex (small K only).
+* :func:`exhaustive_optimal` - optimum over a grid of time splits and
+  the simplex of equal-step bandwidth shares (small K only).  It returns
+  what visiting every grid point would, without visiting them: where each
+  UAV's rate is non-decreasing in its share, the best worst-case rate at
+  a time split is an order statistic of the K per-UAV rate tables.
 
 Every allocator reports an abstract operation tally (``op_count``) so the
 complexity claims can be compared empirically.
@@ -31,11 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import EPSILON_MIN
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
 from .outage import Allocation
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
+
+# Tau rows of the grid search are evaluated in blocks of at most this many
+# rate-table entries (rows x K x share steps), which bounds its memory.
+_GRID_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,8 @@ def _log2_exact(x: np.ndarray) -> np.ndarray:
 def _check_scalars(nu_c: float, epsilon: float) -> None:
     if not nu_c > 0.0:
         raise ConfigError(f"nu_c must be > 0, got {nu_c}")
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+    if not EPSILON_MIN <= epsilon < 0.5:
+        raise ConfigError(f"epsilon must lie in [{EPSILON_MIN:g}, 0.5), got {epsilon}")
 
 
 def _rates(beta: np.ndarray, tau: float, gamma: np.ndarray, nu_c: float) -> np.ndarray:
@@ -259,6 +267,13 @@ def _cap_error(cap: int, gap: float, epsilon: float, K: int, tau: float) -> Nume
     return NumericError(
         f"bandwidth equalization did not converge in {cap} updates: "
         f"gap={gap!r} > epsilon={epsilon} (K={K}, tau={tau})"
+    )
+
+
+def _stall_error(lo: float, hi: float, epsilon: float) -> NumericError:
+    return NumericError(
+        f"target-rate bisection stalled at [{lo!r}, {hi!r}]: the midpoint equals "
+        f"an endpoint, so the bracket cannot shrink to epsilon={epsilon}"
     )
 
 
@@ -412,7 +427,10 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
         shares, inner = shares_for_target(target)
         inner_total += inner
         iters_beta += 1
-        if shares is not None and float(shares.sum()) <= 1.0:
+        feasible = shares is not None and float(shares.sum()) <= 1.0
+        if target == (target_lo if feasible else target_hi):
+            raise _stall_error(target_lo, target_hi, epsilon)
+        if feasible:
             target_lo = target
             best = shares
         else:
@@ -594,6 +612,10 @@ def conventional_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllo
         inner_total[rows] += inner
         iters_beta[rows] += 1
         feasible = (first_short == K) & (hi.sum(axis=1) <= 1.0)
+        stalled = target == np.where(feasible, target_lo[rows], target_hi[rows])
+        for t in rows[stalled]:
+            errors[int(t)] = _stall_error(float(target_lo[t]), float(target_hi[t]), epsilon)
+        outer[rows[stalled]] = False
         target_lo[rows[feasible]] = target[feasible]
         best[rows[feasible]] = hi[feasible]
         target_hi[rows[~feasible]] = target[~feasible]
@@ -617,16 +639,41 @@ def equal_bandwidth_batch(gains, R_a: float) -> BatchAllocation:
     )
 
 
+def _compositions(grid_beta: int, K: int) -> np.ndarray:
+    """Every composition of grid_beta steps into K positive parts (K <= 3)
+    in lexicographic order, as a ``(K, count)`` array: part k of each."""
+    if K == 1:
+        return np.array([[grid_beta]])
+    if K == 2:
+        first = np.arange(1, grid_beta)
+        return np.stack([first, grid_beta - first])
+    # Pairs i < c of 0..grid_beta-2, row-major: the first two parts are
+    # i+1 and c-i, so the first part, then the second, ascend.
+    i, c = np.triu_indices(grid_beta - 1, k=1)
+    return np.stack([i + 1, c - i, grid_beta - 1 - c])
+
+
 def exhaustive_optimal(
     gamma, nu_c: float, grid_tau: int, grid_beta: int
 ) -> AllocationResult:
-    """Max-min rate by brute force over a tau grid and a share simplex.
+    """Max-min rate over a tau grid and a share simplex.
 
     Tau takes the grid_tau evenly spaced interior points j/(grid_tau+1);
     shares are all compositions of grid_beta equal steps into K positive
-    parts.  Guarded to K <= 3 (the simplex grid grows combinatorially).
-    Ties keep the first point visited (tau ascending, compositions in
-    lexicographic order).
+    parts.  Guarded to K <= 3.  Ties keep the first point in the order
+    tau ascending, compositions in lexicographic order, and ``op_count``
+    counts every (tau, composition, UAV) rate of that enumeration.
+
+    The simplex is not enumerated.  At each tau, UAV k's rates over
+    s = 1..grid_beta-K+1 steps form a table; where every table is
+    non-decreasing in s, a worst-case rate v is reachable iff
+    ``K + #(table entries < v) <= grid_beta``, so the best one is the
+    (grid_beta-K)-th smallest entry (0-indexed) of the K tables together,
+    and the first composition reaching it takes ``1 + #(table_k < v)``
+    steps for every UAV but the last.  Rounding in ``log2`` can make a
+    table decrease where its true slope is tiny (low SNR); such tau rows
+    take the minimum over the enumerated simplex instead.  Either way the
+    answer is the enumeration's, bit for bit.
     """
     gam = _as_gamma(gamma)
     K = gam.size
@@ -643,42 +690,57 @@ def exhaustive_optimal(
             f"grid_beta must be an integer >= K={K}, got {grid_beta!r}"
         )
 
-    if K == 1:
-        comps = [(grid_beta,)]
-    elif K == 2:
-        comps = [(i, grid_beta - i) for i in range(1, grid_beta)]
-    else:
-        comps = [
-            (i, j, grid_beta - i - j)
-            for i in range(1, grid_beta - 1)
-            for j in range(1, grid_beta - i)
-        ]
-    steps = np.array(comps, dtype=np.int64)
-    # Rates depend on a composition only through each UAV's own step count,
-    # so per-tau work is K small rate tables plus gathers over the simplex.
-    gathers = [steps[:, k] - 1 for k in range(K)]
-    share_axis = np.arange(1, grid_beta + 1, dtype=float) / grid_beta
+    rank = grid_beta - K  # steps beyond one per UAV; no UAV holds more than rank + 1
+    share_axis = np.arange(1, rank + 2, dtype=float) / grid_beta
+    taus = np.arange(1, grid_tau + 1) / (grid_tau + 1)
+    rows = max(1, _GRID_BLOCK_ELEMENTS // (K * share_axis.size))
+    index = None  # table positions of the enumerated simplex, built on first use
 
     best_rate = -math.inf
-    best_tau = math.nan
-    best_idx = -1
-    for j in range(1, grid_tau + 1):
-        tau = j / (grid_tau + 1)
+    best_tau = math.nan  # stays NaN (rejected below) if every grid value is NaN
+    best_steps = (1,) * K
+    for start in range(0, grid_tau, rows):
+        tau = taus[start : start + rows, np.newaxis, np.newaxis]
         eff = share_axis * (1.0 - tau)
-        tables = [eff * nu_c * np.log2(1.0 + tau * g / eff) for g in gam]
-        worst = tables[0][gathers[0]]
-        for k in range(1, K):
-            np.minimum(worst, tables[k][gathers[k]], out=worst)
-        value = float(worst.max())
-        if value > best_rate:
-            best_rate = value
-            best_tau = tau
-            best_idx = int(worst.argmax())
+        # eff * nu_c * log2(1 + tau * g / eff), in place
+        tables = np.divide(tau * gam[:, np.newaxis], eff)
+        tables += 1.0
+        np.log2(tables, out=tables)
+        tables *= eff * nu_c
+        values = np.partition(tables.reshape(tau.shape[0], -1), rank, axis=1)[:, rank]
+        # rising[i]: every table of row i is non-decreasing.  Neighbours are
+        # compared along the whole block, and each pair that starts at a
+        # table's last entry is then ignored.  A NaN rate fails its
+        # comparisons, so its row is enumerated (and, as there, never wins);
+        # with one share step per UAV nothing is compared, hence rank > 0.
+        flat = tables.reshape(-1)
+        step_up = np.empty(flat.size, dtype=bool)
+        np.greater_equal(flat[1:], flat[:-1], out=step_up[:-1])
+        step_up.reshape(tables.shape)[..., -1] = True
+        rising = step_up.reshape(tau.shape[0], -1).all(axis=1) & (rank > 0)
+        pick = {}  # row -> first composition with the row's worst-case rate
+        for i in np.flatnonzero(~rising).tolist():
+            if index is None:
+                index = _compositions(grid_beta, K) - 1
+            worst = tables[i, 0][index[0]]
+            for k in range(1, K):
+                np.minimum(worst, tables[i, k][index[k]], out=worst)
+            pick[i] = int(worst.argmax())
+            values[i] = worst[pick[i]]  # NaN if any composition's is
+        i = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        if values[i] > best_rate:
+            best_rate = float(values[i])
+            best_tau = float(taus[start + i])
+            if rising[i]:
+                head = 1 + np.count_nonzero(tables[i, :-1] < values[i], axis=1)
+                best_steps = (*head.tolist(), grid_beta - int(head.sum()))
+            else:
+                best_steps = tuple(1 + index[:, pick[i]])
     return AllocationResult(
         tau=best_tau,
-        beta=tuple(float(s) / grid_beta for s in steps[best_idx]),
+        beta=tuple(float(s) / grid_beta for s in best_steps),
         iters_tau=0,
         iters_beta=0,
         inner_iters_beta=0,
-        op_count=grid_tau * len(comps) * K,
+        op_count=grid_tau * math.comb(grid_beta - 1, K - 1) * K,
     )

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Smallest allocator tolerance ``epsilon``.  The bisections stop once a
+# bracket is at most epsilon wide, so epsilon must exceed the spacing of
+# doubles across each bracket: 2.2e-16 for the time split and the shares
+# in (0, 1), 1.1e-13 for rate targets up to 1000 bit/s/Hz at nu_c = 1.
+EPSILON_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class EnvironmentParams:
@@ -96,8 +102,8 @@ class NetworkConfig:
             raise ConfigError(f"V_hat must be > 0, got {self.V_hat}")
         if not self.R_a > 0:
             raise ConfigError(f"R_a must be > 0, got {self.R_a}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.epsilon >= EPSILON_MIN:
+            raise ConfigError(f"epsilon must be >= {EPSILON_MIN:g}, got {self.epsilon}")
         for name in ("p_c", "m_h", "m_g"):
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)

@@ -255,7 +255,8 @@ def allocate_batch_by_name(
     if name == "equal_bandwidth":
         return equal_bandwidth_batch(gains, config.R_a)
     if name == "optimal":
-        # Still one grid search per draw; an exact solver is to replace it.
+        # One grid search per draw; each is already array code over the
+        # whole tau grid (about 1 ms at the default 200 x 100 grid).
         return BatchAllocation.stack(
             [allocate_by_name(name, gamma, config, grid) for gamma in gains]
         )

@@ -10,6 +10,7 @@ phases.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, golden
 
+from ehuav import allocation
 from ehuav.allocation import (
     AllocationResult,
     conventional_allocate,
@@ -29,6 +31,7 @@ from ehuav.allocation import (
     proposed_allocate,
     proposed_allocate_batch,
 )
+from ehuav.channel import EPSILON_MIN
 from ehuav.errors import CapabilityError, ConfigError, EhuavError, NumericError
 from ehuav.outage import Allocation, min_rate, rate
 
@@ -376,7 +379,128 @@ class TestConventionalAllocate:
             assert np.mean(it_prop) < np.mean(it_conv)
 
 
+def bits(res: AllocationResult) -> tuple:
+    """Every field of a result, floats by their exact bit pattern."""
+    return (
+        res.tau.hex(),
+        tuple(b.hex() for b in res.beta),
+        res.iters_tau,
+        res.iters_beta,
+        res.inner_iters_beta,
+        res.op_count,
+    )
+
+
+def simplex_enumeration_optimal(
+    gam: np.ndarray, nu_c: float, grid_tau: int, grid_beta: int
+) -> AllocationResult:
+    """Oracle for :func:`exhaustive_optimal`: its earlier brute force, which
+    visits every (tau, composition) point, kept verbatim minus the argument
+    checks."""
+    K = gam.size
+    if K == 1:
+        comps = [(grid_beta,)]
+    elif K == 2:
+        comps = [(i, grid_beta - i) for i in range(1, grid_beta)]
+    else:
+        comps = [
+            (i, j, grid_beta - i - j)
+            for i in range(1, grid_beta - 1)
+            for j in range(1, grid_beta - i)
+        ]
+    steps = np.array(comps, dtype=np.int64)
+    # Rates depend on a composition only through each UAV's own step count,
+    # so per-tau work is K small rate tables plus gathers over the simplex.
+    gathers = [steps[:, k] - 1 for k in range(K)]
+    share_axis = np.arange(1, grid_beta + 1, dtype=float) / grid_beta
+
+    best_rate = -math.inf
+    best_tau = math.nan
+    best_idx = -1
+    for j in range(1, grid_tau + 1):
+        tau = j / (grid_tau + 1)
+        eff = share_axis * (1.0 - tau)
+        tables = [eff * nu_c * np.log2(1.0 + tau * g / eff) for g in gam]
+        worst = tables[0][gathers[0]]
+        for k in range(1, K):
+            np.minimum(worst, tables[k][gathers[k]], out=worst)
+        value = float(worst.max())
+        if value > best_rate:
+            best_rate = value
+            best_tau = tau
+            best_idx = int(worst.argmax())
+    return AllocationResult(
+        tau=best_tau,
+        beta=tuple(float(s) / grid_beta for s in steps[best_idx]),
+        iters_tau=0,
+        iters_beta=0,
+        inner_iters_beta=0,
+        op_count=grid_tau * len(comps) * K,
+    )
+
+
+@st.composite
+def grid_problems(draw):
+    """K = 1..3 gains log-uniform in 1e-13..1e4 (sometimes all equal),
+    nu_c log-uniform in 1e-3..1e3, and a small tau x share grid."""
+    K = draw(st.integers(1, 3))
+    exponent = st.floats(-13.0, 4.0)
+    if draw(st.booleans()):
+        gains = [10.0 ** draw(exponent)] * K
+    else:
+        gains = [10.0 ** draw(exponent) for _ in range(K)]
+    nu_c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return np.array(gains), nu_c, draw(st.integers(1, 40)), draw(st.integers(K, 60))
+
+
 class TestExhaustiveOptimal:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=grid_problems())
+    def test_equals_the_simplex_enumeration(self, problem):
+        gam, nu_c, grid_tau, grid_beta = problem
+        want = bits(simplex_enumeration_optimal(gam, nu_c, grid_tau, grid_beta))
+        assert bits(exhaustive_optimal(gam, nu_c, grid_tau=grid_tau, grid_beta=grid_beta)) == want
+        # Blocks of a few tau rows each: the best row must win across blocks.
+        with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 100):
+            assert bits(exhaustive_optimal(gam, nu_c, grid_tau=grid_tau, grid_beta=grid_beta)) == want
+
+    @pytest.mark.parametrize(
+        "gains,grid",
+        [([3.0, 40.0, 900.0], (200, 100)), ([5.0, 7.0], (300, 150)), ([7.0, 7.0, 7.0], (50, 30))],
+    )
+    def test_equals_the_simplex_enumeration_on_finer_grids(self, gains, grid):
+        gam = np.array(gains)
+        got = exhaustive_optimal(gam, 1.0, grid_tau=grid[0], grid_beta=grid[1])
+        assert bits(got) == bits(simplex_enumeration_optimal(gam, 1.0, *grid))
+
+    @pytest.mark.parametrize(
+        "gains,nu_c,grid_beta",
+        [([1e4, 2e4, 3e4], 1e308, 10), ([1e-17, 2.0], math.inf, 10), ([1e-17, 2.0], math.inf, 2)],
+    )
+    def test_overflowing_and_undefined_rates_match_the_enumeration(self, gains, nu_c, grid_beta):
+        # Rates that overflow to inf tie across tau rows (the first row
+        # wins); inf * log2(1) is NaN, which the enumeration never picks.
+        gam = np.array(gains)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = bits(simplex_enumeration_optimal(gam, nu_c, 20, grid_beta))
+            with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 10):
+                got = exhaustive_optimal(gam, nu_c, grid_tau=20, grid_beta=grid_beta)
+        assert bits(got) == want
+
+    def test_low_snr_tables_that_decrease_match_the_enumeration(self):
+        # At this SNR, rounding in log2(1 + x) makes the share tables
+        # decrease in places, so the order statistic does not apply and
+        # every tau row is searched over the enumerated simplex.
+        gam = np.array([1e-11, 3e-12, 5e-12])
+        grid_tau, grid_beta = 200, 100
+        tau = 100 / (grid_tau + 1)
+        eff = np.arange(1, grid_beta - 1, dtype=float) / grid_beta * (1.0 - tau)
+        tables = eff * np.log2(1.0 + tau * gam[:, np.newaxis] / eff)
+        assert np.any(np.diff(tables, axis=1) < 0.0)
+        got = exhaustive_optimal(gam, 1.0, grid_tau=grid_tau, grid_beta=grid_beta)
+        want = simplex_enumeration_optimal(gam, 1.0, grid_tau, grid_beta)
+        assert bits(got) == bits(want)
+
     def test_large_k_is_refused(self):
         with pytest.raises(CapabilityError, match="K <= 3"):
             exhaustive_optimal([1.0, 2.0, 3.0, 4.0], 1.0, grid_tau=10, grid_beta=10)
@@ -453,18 +577,6 @@ class TestAllocationResult:
         assert alloc.nu_c == 0.75
 
 
-def bits(res: AllocationResult) -> tuple:
-    """Every field of a result, floats by their exact bit pattern."""
-    return (
-        res.tau.hex(),
-        tuple(b.hex() for b in res.beta),
-        res.iters_tau,
-        res.iters_beta,
-        res.inner_iters_beta,
-        res.op_count,
-    )
-
-
 def assert_batch_replays_scalar(scalar, batch, gains, nu_c, epsilon):
     """The batch equals the per-draw calls row by row, or raises the error
     of the first failing draw (class and message)."""
@@ -496,18 +608,15 @@ def draw_matrices(draw):
 
 
 epsilons = st.floats(-6.0, -2.0).map(lambda e: 10.0**e)
-data_shares = st.sampled_from([1.0, 0.37])
+# With nu_c = 1e12 the rates are so large that they are far apart as
+# doubles: phase 2's rate gap stalls one ulp above epsilon (so it runs into
+# its update cap), and the baseline's target bisection stalls one ulp apart.
+data_shares = st.sampled_from([1.0, 0.37, 1e12])
 
 
 class TestBatchAllocators:
-    # With nu_c = 1e12 the rates are so large that their gap stalls one ulp
-    # above epsilon, so phase 2 runs into its update cap.
     @settings(max_examples=150, deadline=None)
-    @given(
-        gains=draw_matrices(),
-        nu_c=st.sampled_from([1.0, 0.37, 1e12]),
-        epsilon=epsilons,
-    )
+    @given(gains=draw_matrices(), nu_c=data_shares, epsilon=epsilons)
     def test_proposed_batch_replays_per_draw_calls(self, gains, nu_c, epsilon):
         assert_batch_replays_scalar(
             proposed_allocate, proposed_allocate_batch, gains, nu_c, epsilon
@@ -554,6 +663,31 @@ class TestBatchAllocators:
                 batch(np.ones(3), 1.0, EPS)
             with pytest.raises(ConfigError, match=r"\(T, K\) matrix"):
                 batch(np.ones((0, 3)), 1.0, EPS)
+
+    def test_epsilon_below_the_floor_is_refused(self):
+        # Below the floor the target bisection stalled one ulp apart and
+        # 1 - epsilon rounded to 1 (phase 1 divided by zero).
+        cases = (
+            (conventional_allocate, conventional_allocate_batch, [10.0, 100.0, 50.0], 1e-16),
+            (proposed_allocate, proposed_allocate_batch, [10.0, 100.0], 1e-20),
+        )
+        for scalar, batch, gamma, epsilon in cases:
+            with pytest.raises(ConfigError, match=r"epsilon must lie in \[1e-12, 0.5\)"):
+                scalar(gamma, 1.0, epsilon)
+            with pytest.raises(ConfigError, match=r"epsilon must lie in \[1e-12, 0.5\)"):
+                batch(np.array([gamma]), 1.0, epsilon)
+        result = conventional_allocate([10.0, 100.0, 50.0], 1.0, EPSILON_MIN)
+        assert abs(math.fsum(result.beta) - 1.0) <= 1e-12
+
+    def test_stalled_target_bisection_raises(self):
+        # Target rates near 1e12 are 2.4e-4 apart as doubles, so a bracket
+        # of epsilon = 1e-6 can never be reached.
+        gamma = [10.0, 100.0, 50.0]
+        with pytest.raises(NumericError, match="target-rate bisection stalled") as info:
+            conventional_allocate(gamma, 1e12, 1e-6)
+        with pytest.raises(NumericError) as batch_info:
+            conventional_allocate_batch(np.array([gamma, [5.0, 5.0, 5.0]]), 1e12, 1e-6)
+        assert str(batch_info.value) == str(info.value)
 
     def test_tallies_and_iterations(self):
         gains = 10.0 ** np.random.default_rng(3).uniform(-1.0, 3.0, size=(8, 4))

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehuav.channel import (
+    EPSILON_MIN,
     ChannelRealization,
     EnvironmentParams,
     LinkBudget,
@@ -217,6 +218,12 @@ class TestConfigValidation:
             default_config(K=0, p_c=(), m_h=(), m_g=())
         with pytest.raises(ConfigError):
             default_config(N_c=0)
+
+    def test_epsilon_floor(self):
+        assert default_config(epsilon=EPSILON_MIN).epsilon == EPSILON_MIN
+        for epsilon in (0.0, 1e-16, EPSILON_MIN / 2):
+            with pytest.raises(ConfigError, match="epsilon must be >= 1e-12"):
+                default_config(epsilon=epsilon)
 
     def test_environment_validation(self):
         with pytest.raises(ConfigError):

@@ -128,6 +128,15 @@ class TestAllocate:
         assert rc == EXIT_OK
         assert "min_rate_bpshz:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
+    def test_epsilon_below_floor_maps_to_config_exit(self, tmp_path, capsys, algorithm):
+        # Below the floor the conventional target bisection never ended and
+        # phase 1 divided by zero; the config now refuses such a tolerance.
+        path = config_file(tmp_path, network={"K": 3, "epsilon": 1.0e-16})
+        rc = main(["allocate", path, "--gamma", "10", "100", "50", "--algorithm", algorithm])
+        assert rc == EXIT_CONFIG
+        assert "network.epsilon" in capsys.readouterr().err
+
     def test_unbracketable_derivative_maps_to_numeric_exit(self, tmp_path, capsys):
         path = config_file(tmp_path)
         rc = main(["allocate", path, "--gamma", "1e-12", "1e-12"])

@@ -220,6 +220,11 @@ class TestErrorListing:
         with pytest.raises(ConfigError, match=r"experiment\.trials"):
             load_config(dump(tmp_path, data))
 
+    def test_epsilon_below_floor_rejected(self, tmp_path):
+        data = deep_merge(BASE, {"network": {"epsilon": 1.0e-16}})
+        with pytest.raises(ConfigError, match=r"network\.epsilon: must be >= 1e-12, got 1e-16"):
+            load_config(dump(tmp_path, data))
+
     def test_negative_t_op_rejected(self, tmp_path):
         data = deep_merge(BASE, {"timing": {"t_op": -1.0e-7}})
         with pytest.raises(ConfigError, match=r"timing\.t_op"):
