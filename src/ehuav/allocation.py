@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EPSILON_MIN
+from .channel import epsilon_range_error
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
 from .outage import Allocation
 from .specfun import lambert_w0
@@ -200,11 +200,16 @@ def _log2_exact(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _check_nu_c(nu_c: float) -> None:
+    if not 0.0 < nu_c < math.inf:
+        raise ConfigError(f"nu_c must be finite and > 0, got {nu_c}")
+
+
 def _check_scalars(nu_c: float, epsilon: float) -> None:
-    if not nu_c > 0.0:
-        raise ConfigError(f"nu_c must be > 0, got {nu_c}")
-    if not EPSILON_MIN <= epsilon < 0.5:
-        raise ConfigError(f"epsilon must lie in [{EPSILON_MIN:g}, 0.5), got {epsilon}")
+    _check_nu_c(nu_c)
+    epsilon_error = epsilon_range_error(epsilon)
+    if epsilon_error is not None:
+        raise ConfigError(f"epsilon {epsilon_error}")
 
 
 def _rates(beta: np.ndarray, tau: float, gamma: np.ndarray, nu_c: float) -> np.ndarray:
@@ -681,8 +686,7 @@ def exhaustive_optimal(
         raise CapabilityError(
             f"exhaustive search supports K <= 3 (the share grid explodes), got K={K}"
         )
-    if not nu_c > 0.0:
-        raise ConfigError(f"nu_c must be > 0, got {nu_c}")
+    _check_nu_c(nu_c)
     if not (isinstance(grid_tau, int) and grid_tau >= 1):
         raise ConfigError(f"grid_tau must be an integer >= 1, got {grid_tau!r}")
     if not (isinstance(grid_beta, int) and grid_beta >= K):

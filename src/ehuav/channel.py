@@ -23,6 +23,17 @@ from .errors import ConfigError
 EPSILON_MIN = 1e-12
 
 
+def epsilon_range_error(epsilon: float) -> str | None:
+    """Why an allocator tolerance is out of range, or None when it is fine.
+
+    The range is [EPSILON_MIN, 0.5): the bisections start from the bracket
+    [epsilon, 1 - epsilon], which is empty from 0.5 up.
+    """
+    if EPSILON_MIN <= epsilon < 0.5:
+        return None
+    return f"must lie in [{EPSILON_MIN:g}, 0.5), got {epsilon}"
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Sigmoid LoS/NLoS mixing constants of the air-to-ground loss model."""
@@ -102,8 +113,9 @@ class NetworkConfig:
             raise ConfigError(f"V_hat must be > 0, got {self.V_hat}")
         if not self.R_a > 0:
             raise ConfigError(f"R_a must be > 0, got {self.R_a}")
-        if not self.epsilon >= EPSILON_MIN:
-            raise ConfigError(f"epsilon must be >= {EPSILON_MIN:g}, got {self.epsilon}")
+        epsilon_error = epsilon_range_error(self.epsilon)
+        if epsilon_error is not None:
+            raise ConfigError(f"epsilon {epsilon_error}")
         for name in ("p_c", "m_h", "m_g"):
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)

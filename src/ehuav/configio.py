@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .channel import EPSILON_MIN, EnvironmentParams, NetworkConfig
+from .channel import EnvironmentParams, NetworkConfig, epsilon_range_error
 from .errors import ConfigError
 from .experiments import ALGORITHMS, DEFAULT_T_OP
 
@@ -195,8 +195,9 @@ def load_config(path) -> LoadedConfig:
     if zeta is not None and not 0.0 < zeta <= 1.0:
         report.add("network.zeta", f"must lie in (0,1], got {zeta}")
     epsilon = _get_float(network, "epsilon", "network.epsilon", report)
-    if epsilon is not None and not epsilon >= EPSILON_MIN:
-        report.add("network.epsilon", f"must be >= {EPSILON_MIN:g}, got {epsilon}")
+    epsilon_error = None if epsilon is None else epsilon_range_error(epsilon)
+    if epsilon_error is not None:
+        report.add("network.epsilon", epsilon_error)
 
     per_uav: dict[str, tuple] = {}
     if K is not None:

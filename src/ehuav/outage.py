@@ -139,6 +139,19 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     return eff / tau * (2.0 ** exponent - 1.0)
 
 
+# Below this normalised threshold u the product-gamma CDF is summed as its
+# all-positive lower-tail series; at and above it as one minus the finite
+# survival sum, whose cancellation there costs at most ~4e-12 relative for
+# shapes up to 12 (worst at u = 60, shapes 12 and 12, where F = 0.034).
+# Every fig4 analytic point has u >= 73.
+_U_SERIES = 60.0
+# Every series term carries the factor K0 or K1, so their relative error
+# passes straight into F; the default 1e-12 stopping tolerance of the K0/K1
+# evaluation leaves up to ~2e-12 there.  The survival branch keeps the
+# default: its K error enters only as absolute error on 1 - F.
+_SERIES_ACC = specfun.SpecFunAccuracy(rel_tol=1e-16)
+
+
 def gamma_product_cdf(
     x: float,
     budget: LinkBudget,
@@ -146,16 +159,29 @@ def gamma_product_cdf(
     N_c: int,
     m_g: int,
     N_r: int,
-    acc: specfun.SpecFunAccuracy | None = None,
 ) -> float:
     """CDF of the composite gain gamma = rho * G_h * G_g at x.
 
-    G_h ~ Gamma(m_h*N_c, lam), G_g ~ Gamma(m_g*N_r, mu).  Evaluates the
-    finite Bessel-K sum over ascending term index with compensated
-    summation.  Values drifting past [0,1] by less than 1e-9 are clamped;
-    larger violations raise :class:`NumericError`.  For u = x/(rho*lam*mu)
-    below 1e-30 the mass is far below double resolution and 0.0 is returned
-    outright (avoids 0*inf in the underflow/overflow corner).
+    G_h ~ Gamma(n_h = m_h*N_c, lam), G_g ~ Gamma(n_g = m_g*N_r, mu), and
+    u = x/(rho*lam*mu).  Two branches, both from one Bessel pass
+    (:func:`specfun.bessel_k_orders`) at 2*sqrt(u):
+
+    * ``u >= _U_SERIES`` (60): one minus the finite survival sum
+      (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!,
+      with compensated summation; 1.0 outright for u >= 1e6.
+    * ``u < _U_SERIES``: the all-positive lower-tail series, summed to a
+      bounded index J plus its closed-form remainder R_J
+      (:func:`_lower_tail_series`).  It keeps full relative accuracy however
+      small F is and underflows to 0.0 only where F itself does.  The larger
+      shape plays n_g there, so both shapes must be at most 170 (the range
+      of :func:`specfun.gamma_int`); above that the survival sum is used,
+      which needs only n_g <= 170.
+
+    Relative error <= 1e-9 against mpmath (>= 140 correct digits) for
+    shapes 1..12 and u in [1e-6, 1e3], a Hypothesis property in the test
+    suite; measured worst 4e-12, at the switch on the survival side.  Values
+    drifting past [0,1] by less than 1e-9 are clamped; larger violations
+    raise :class:`NumericError`.
     """
     if x < 0.0:
         raise DomainError(f"gamma_product_cdf requires x >= 0, got {x}")
@@ -173,25 +199,79 @@ def gamma_product_cdf(
         # survival sum is far below double resolution, but its power-of-u
         # prefactors would overflow if evaluated.
         return 1.0
-    if u <= 1e-30:
+    if u == 0.0:
         return 0.0
-    sqrt_u = math.sqrt(u)
-    arg = 2.0 * sqrt_u
-    gamma_ng = specfun.gamma_int(n_g)
-    terms = []
-    factorial_m = 1.0
-    for m in range(n_h):
-        if m > 0:
-            factorial_m *= m
-        bessel = specfun.bessel_k_int(abs(n_g - m), arg, acc)
-        terms.append(2.0 / (factorial_m * gamma_ng) * sqrt_u ** (m + n_g) * bessel)
-    survival = math.fsum(terms)
-    value = 1.0 - survival
-    if value < -1e-9 or value > 1.0 + 1e-9:
+    if u < _U_SERIES and max(n_h, n_g) <= specfun.GAMMA_INT_MAX:
+        value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
+    else:
+        sqrt_u = math.sqrt(u)
+        gamma_ng = specfun.gamma_int(n_g)
+        bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
+        terms = []
+        factorial_m = 1.0
+        for m in range(n_h):
+            if m > 0:
+                factorial_m *= m
+            terms.append(
+                2.0 / (factorial_m * gamma_ng) * sqrt_u ** (m + n_g) * bessel[abs(n_g - m)]
+            )
+        value = 1.0 - math.fsum(terms)
+    if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(
             f"product-gamma CDF left [0,1] by more than 1e-9: {value!r} at x={x}"
         )
     return min(1.0, max(0.0, value))
+
+
+def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
+    """F(u) = sum_{j>=n_h} T_j for shapes n_h <= n_g, all terms positive.
+
+    T_j = (2/Gamma(n_g)) u^((j+n_g)/2) K_{|j-n_g|}(2 sqrt u) / j! is the
+    probability that a Gamma(n_g)-mixed Poisson count equals j.  With
+    s_v = u^(v/2) K_v(2 sqrt u), which obeys s_{v+1} = u s_{v-1} + v s_v and
+    stays below Gamma(v)/2 (no overflow for shapes up to 170),
+    T_j = (2/Gamma(n_g)) u^j s_{n_g-j} / j! for j <= n_g.
+    Above n_g the Bessel recurrence becomes the term recurrence
+    T_{j+1} = T_{j-1} u/(j(j+1)) + T_j (j-n_g)/(j+1), run to
+    J = ceil(2u) + n_g + 40.  Past J the terms decay only like j^-(n_g+1),
+    so their sum is added in closed form: the leading (finite) part of the
+    ascending series of K_v (DLMF 10.31.1) telescopes to
+    R_J = (u^n_g/Gamma(n_g)) sum_k (-u)^k Gamma(J+1-n_g-k) / (k! (n_g+k) Gamma(J+1)),
+    and the rest of those terms is below u^j/((j-n_g)! j!), negligible.
+    """
+    gamma_ng = specfun.gamma_int(n_g)
+    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u), _SERIES_ACC)
+    s_prev, s_cur = k0, math.sqrt(u) * k1  # s_0, s_1
+    scaled = [s_prev, s_cur]  # scaled[v] = s_v for v <= n_g - n_h
+    for v in range(1, n_g - n_h):
+        s_prev, s_cur = s_cur, u * s_prev + v * s_cur
+        scaled.append(s_cur)
+
+    def low_term(j: int) -> float:  # T_j for j <= n_g
+        return 2.0 * scaled[n_g - j] / gamma_ng * (u ** j / math.factorial(j))
+
+    total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
+    t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
+    J = math.ceil(2.0 * u) + n_g + 40
+    for j in range(n_g, J):
+        t_prev, t_cur = t_cur, t_prev * u / (j * (j + 1)) + t_cur * (j - n_g) / (j + 1)
+        total += t_cur
+
+    # R_J = sum_{j>J} T_j as the alternating sum over k; its terms shrink
+    # at least like 1/k! because J - n_g >= 2u + 40.
+    a_k = math.exp(
+        n_g * math.log(u) - math.lgamma(n_g) - math.lgamma(J + 1) + math.lgamma(J + 1 - n_g)
+    )
+    remainder = 0.0
+    for k in range(J - n_g):
+        term = a_k / (n_g + k)
+        remainder += term
+        if abs(term) <= 1e-17 * remainder:
+            break
+        a_k *= -u / ((k + 1) * (J - n_g - k))
+    else:
+        raise NumericError(f"lower-tail remainder did not converge at u={u}")
+    return total + remainder
 
 
 def outage_closed_form(
@@ -202,16 +282,21 @@ def outage_closed_form(
 ) -> float:
     """Closed-form network outage 1 - prod_k (1 - F_gamma_k(X_k)).
 
-    Exact for channel-independent allocations.  rate_requirement overrides
-    config.R_a when given (the config invariant keeps R_a > 0; the limit
-    R_a -> 0 is still well-defined here and returns 0).
+    Exact for channel-independent allocations.  Composed as
+    -expm1(sum_k log1p(-F_k)), which keeps the relative accuracy of small
+    F_k (1 - prod loses every digit below 1e-16); each F_k comes from
+    :func:`gamma_product_cdf`.  Relative error <= 1e-9 on the benchmark's
+    325 reference outages (110-digit mpmath, outages down to ~4e-31).
+    An infinite threshold or any F_k == 1 gives 1.0.  rate_requirement
+    overrides config.R_a when given (the config invariant keeps R_a > 0;
+    the limit R_a -> 0 is still well-defined here and returns 0).
     """
     if alloc.K != config.K or len(budgets) != config.K:
         raise ConfigError(
             f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"
         )
     R_a = config.R_a if rate_requirement is None else rate_requirement
-    survival = 1.0
+    log_survival = 0.0
     for k in range(config.K):
         x_k = snr_threshold(alloc.beta[k], alloc.tau, R_a, alloc.nu_c)
         if math.isinf(x_k):
@@ -219,8 +304,10 @@ def outage_closed_form(
         f_k = gamma_product_cdf(
             x_k, budgets[k], config.m_h[k], config.N_c, config.m_g[k], config.N_r
         )
-        survival *= 1.0 - f_k
-    return 1.0 - survival
+        if f_k == 1.0:
+            return 1.0
+        log_survival += math.log1p(-f_k)
+    return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
 def worker_threads(requested: int | None, n_blocks: int, cpus: int | None) -> int:

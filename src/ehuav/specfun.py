@@ -1,10 +1,10 @@
 """Self-contained special functions used by the closed-form outage analysis.
 
 Three functions are needed: the gamma function at positive integers, the
-modified Bessel function of the second kind at integer order, and the
-principal branch of the Lambert-W function.  All are pure Python with an
-explicit error budget; the test suite checks them against independent
-quadrature / defining-identity oracles.
+modified Bessel function of the second kind at integer order (singly, or
+every order up to n in one pass), and the principal branch of the Lambert-W
+function.  All are pure Python with an explicit error budget; the test suite
+checks them against independent quadrature / defining-identity oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import ConfigError, DomainError, NumericError
 
 _EULER_GAMMA = 0.5772156649015328606
 _LAMBERT_BRANCH_X = -math.exp(-1.0)  # -1/e, the left edge of W0's domain
+GAMMA_INT_MAX = 170  # largest n for which gamma_int(n) is computed
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ def gamma_int(n: int) -> float:
     if n != int(n):
         raise DomainError(f"gamma_int requires an integer argument, got {n!r}")
     n = int(n)
-    if n < 1 or n > 170:
-        raise DomainError(f"gamma_int requires 1 <= n <= 170, got {n}")
+    if n < 1 or n > GAMMA_INT_MAX:
+        raise DomainError(f"gamma_int requires 1 <= n <= {GAMMA_INT_MAX}, got {n}")
     return float(math.factorial(n - 1))
 
 
@@ -128,42 +129,53 @@ def _bessel_k01_cf(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
     return k0, k1
 
 
+def bessel_k_orders(n: int, x: float, acc: SpecFunAccuracy | None = None) -> list[float]:
+    """``[K_0(x), K_1(x), ..., K_n(x)]`` from one K0/K1 evaluation, integer n >= 0.
+
+    Higher orders come from the upward recurrence K_{v+1} = K_{v-1} +
+    (2v/x) K_v, which is stable because K grows with order.  Where it
+    overflows (tiny x at high order) that entry and every higher one
+    saturate at the largest finite double rather than raising.
+    """
+    if acc is None:
+        acc = _DEFAULT_ACC
+    if n != int(n):
+        raise DomainError(f"Bessel K requires an integer order, got {n!r}")
+    n = int(n)
+    if n < 0:
+        raise DomainError(
+            "Bessel K requires order >= 0; fold negative orders with the "
+            f"K_-n = K_n symmetry first (got {n})"
+        )
+    if not x > 0.0:
+        raise DomainError(f"Bessel K requires x > 0, got {x}")
+
+    if x <= 2.0:
+        k_prev, k_cur = _bessel_k01_series(x, acc)
+    else:
+        k_prev, k_cur = _bessel_k01_cf(x, acc)
+    if n == 0:
+        return [k_prev]
+    values = [k_prev, k_cur]
+    for v in range(1, n):
+        k_prev, k_cur = k_cur, k_prev + (2.0 * v / x) * k_cur
+        if math.isinf(k_cur):
+            values.extend([sys.float_info.max] * (n - v))
+            break
+        values.append(k_cur)
+    return values
+
+
 def bessel_k_int(order: int, x: float, acc: SpecFunAccuracy | None = None) -> float:
     """Modified Bessel function of the second kind K_n(x), integer n >= 0.
 
     Relative error <= 1e-9 against the integral representation
     integral_0^inf exp(-x cosh t) cosh(n t) dt on the tested range.
     Negative orders are rejected; callers should fold them with the
-    K_{-n} = K_n symmetry first.  Where the upward recurrence overflows
-    (tiny x at high order) the result saturates at the largest finite
-    double rather than raising.
+    K_{-n} = K_n symmetry first.  This is the last entry of
+    :func:`bessel_k_orders`, so it saturates at high order the same way.
     """
-    if acc is None:
-        acc = _DEFAULT_ACC
-    if order != int(order):
-        raise DomainError(f"bessel_k_int requires an integer order, got {order!r}")
-    order = int(order)
-    if order < 0:
-        raise DomainError(
-            "bessel_k_int requires order >= 0; fold negative orders with the "
-            f"K_-n = K_n symmetry first (got {order})"
-        )
-    if not x > 0.0:
-        raise DomainError(f"bessel_k_int requires x > 0, got {x}")
-
-    if x <= 2.0:
-        k_prev, k_cur = _bessel_k01_series(x, acc)
-    else:
-        k_prev, k_cur = _bessel_k01_cf(x, acc)
-    if order == 0:
-        return k_prev
-    # Upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v is stable (K grows
-    # with order); saturate instead of overflowing.
-    for v in range(1, order):
-        k_prev, k_cur = k_cur, k_prev + (2.0 * v / x) * k_cur
-        if math.isinf(k_cur):
-            return sys.float_info.max
-    return k_cur
+    return bessel_k_orders(order, x, acc)[-1]
 
 
 def _lambert_branch_series(p: float) -> float:

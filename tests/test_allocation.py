@@ -475,13 +475,14 @@ class TestExhaustiveOptimal:
 
     @pytest.mark.parametrize(
         "gains,nu_c,grid_beta",
-        [([1e4, 2e4, 3e4], 1e308, 10), ([1e-17, 2.0], math.inf, 10), ([1e-17, 2.0], math.inf, 2)],
+        [([1e4, 2e4, 3e4], 1e308, 10), ([1.7e308, 2.0], 5e-324, 10), ([1.7e308, 2.0], 5e-324, 2)],
     )
     def test_overflowing_and_undefined_rates_match_the_enumeration(self, gains, nu_c, grid_beta):
         # Rates that overflow to inf tie across tau rows (the first row
-        # wins); inf * log2(1) is NaN, which the enumeration never picks.
+        # wins).  Where eff * nu_c underflows to 0 and log2 overflows, the
+        # rate is 0 * inf = NaN, which the enumeration never picks.
         gam = np.array(gains)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             want = bits(simplex_enumeration_optimal(gam, nu_c, 20, grid_beta))
             with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 10):
                 got = exhaustive_optimal(gam, nu_c, grid_tau=20, grid_beta=grid_beta)
@@ -678,6 +679,22 @@ class TestBatchAllocators:
                 batch(np.array([gamma]), 1.0, epsilon)
         result = conventional_allocate([10.0, 100.0, 50.0], 1.0, EPSILON_MIN)
         assert abs(math.fsum(result.beta) - 1.0) <= 1e-12
+
+    def test_infinite_nu_c_is_refused(self):
+        # With nu_c = inf the rates are inf or NaN (inf * log2(1)): the grid
+        # used to return an answer chosen among them, the bisections a
+        # bracket error on NaN derivatives.
+        message = r"nu_c must be finite and > 0, got inf"
+        with pytest.raises(ConfigError, match=message):
+            exhaustive_optimal([10.0, 100.0], math.inf, 20, 10)
+        for scalar, batch in (
+            (proposed_allocate, proposed_allocate_batch),
+            (conventional_allocate, conventional_allocate_batch),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                scalar([10.0, 100.0], math.inf, EPS)
+            with pytest.raises(ConfigError, match=message):
+                batch(np.array([[10.0, 100.0]]), math.inf, EPS)
 
     def test_stalled_target_bisection_raises(self):
         # Target rates near 1e12 are 2.4e-4 apart as doubles, so a bracket

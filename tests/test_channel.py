@@ -222,7 +222,14 @@ class TestConfigValidation:
     def test_epsilon_floor(self):
         assert default_config(epsilon=EPSILON_MIN).epsilon == EPSILON_MIN
         for epsilon in (0.0, 1e-16, EPSILON_MIN / 2):
-            with pytest.raises(ConfigError, match="epsilon must be >= 1e-12"):
+            with pytest.raises(ConfigError, match=r"epsilon must lie in \[1e-12, 0.5\)"):
+                default_config(epsilon=epsilon)
+
+    def test_epsilon_ceiling(self):
+        # Every allocator requires epsilon < 0.5.
+        assert default_config(epsilon=0.49).epsilon == 0.49
+        for epsilon in (0.5, 0.7, math.inf):
+            with pytest.raises(ConfigError, match=r"epsilon must lie in \[1e-12, 0.5\)"):
                 default_config(epsilon=epsilon)
 
     def test_environment_validation(self):

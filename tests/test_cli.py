@@ -79,6 +79,11 @@ class TestValidate:
         assert "network.m_h" in err
         assert "network.oops" in err
 
+    def test_epsilon_above_half_is_a_config_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, network={"epsilon": 0.7})
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert "network.epsilon: must lie in [1e-12, 0.5), got 0.7" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/does/not/exist.yaml"]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err

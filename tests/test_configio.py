@@ -222,7 +222,17 @@ class TestErrorListing:
 
     def test_epsilon_below_floor_rejected(self, tmp_path):
         data = deep_merge(BASE, {"network": {"epsilon": 1.0e-16}})
-        with pytest.raises(ConfigError, match=r"network\.epsilon: must be >= 1e-12, got 1e-16"):
+        with pytest.raises(
+            ConfigError, match=r"network\.epsilon: must lie in \[1e-12, 0.5\), got 1e-16"
+        ):
+            load_config(dump(tmp_path, data))
+
+    def test_epsilon_above_half_rejected(self, tmp_path):
+        # Every allocator requires epsilon < 0.5; the loader says so up front.
+        data = deep_merge(BASE, {"network": {"epsilon": 0.7}})
+        with pytest.raises(
+            ConfigError, match=r"network\.epsilon: must lie in \[1e-12, 0.5\), got 0.7"
+        ):
             load_config(dump(tmp_path, data))
 
     def test_negative_t_op_rejected(self, tmp_path):

@@ -2,14 +2,16 @@
 
 The closed-form outage is cross-checked against the Monte-Carlo estimator
 (the two share nothing but the channel statistics), and the product-gamma
-CDF is pinned to its single-term reduction and to sampled quantiles.
+CDF is pinned to its single-term reduction, to sampled quantiles and to a
+high-precision mpmath evaluation of the finite survival sum.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav.channel import EnvironmentParams, LinkBudget, NetworkConfig
@@ -63,6 +65,49 @@ def budget_from_losses(pl_h_db: float, pl_g_db: float, rho: float) -> LinkBudget
         pl_h_db=pl_h_db,
         pl_g_db=pl_g_db,
     )
+
+
+UNIT_BUDGET = LinkBudget(lam=1.0, mu=1.0, rho=1.0, pl_h_db=0.0, pl_g_db=0.0)  # x == u
+
+
+def mp_bessel_k01(z):
+    """K0(z), K1(z) by the ascending series, with the digits it cancels added."""
+    with mp.workdps(mp.mp.dps + int(0.87 * float(z)) + 20):
+        t = z * z / 4
+        i0 = i1 = term0 = term1 = mp.mpf(1)
+        k0_sum = harmonic = mp.mpf(0)
+        tol = mp.mpf(10) ** (-mp.mp.dps)
+        k = 0
+        while harmonic * term0 >= tol * i0 or term1 >= tol * i1:
+            k += 1
+            term0 *= t / (k * k)
+            term1 *= t / (k * (k + 1))
+            harmonic += mp.mpf(1) / k
+            i0 += term0
+            i1 += term1
+            k0_sum += harmonic * term0
+        i1 *= z / 2
+        k0 = -(mp.log(z / 2) + mp.euler) * i0 + k0_sum
+        k1 = (1 / z - i1 * k0) / i0
+    return +k0, +k1
+
+
+def mp_gamma_product_cdf(u: float, n_h: int, n_g: int, dps: int):
+    """1 - (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m! in mpmath.
+
+    The difference cancels about -log10(F) digits, so ``dps`` must exceed
+    the digits wanted by that much.
+    """
+    with mp.workdps(dps):
+        u = mp.mpf(u)
+        z = 2 * mp.sqrt(u)
+        k = list(mp_bessel_k01(z))
+        for v in range(1, max(n_g, n_h)):
+            k.append(k[v - 1] + (2 * v / z) * k[v])
+        survival = mp.fsum(
+            u ** (mp.mpf(m + n_g) / 2) * k[abs(n_g - m)] / mp.factorial(m) for m in range(n_h)
+        )
+        return 1 - 2 * survival / mp.factorial(n_g - 1)
 
 
 class TestAllocation:
@@ -248,6 +293,13 @@ class TestGammaProductCdf:
         x = 1e-31 * self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu
         assert gamma_product_cdf(x, self.BUDGET, 3, 4, 3, 4) == 0.0
 
+    @pytest.mark.parametrize("u", [1e-31, 1e-100, 1e-300, 5e-324])
+    def test_tiny_argument_unit_shapes(self, u):
+        # F(u) ~ u*log(1/u) is representable here, so it must not be cut to 0.
+        oracle = float(mp_gamma_product_cdf(u, 1, 1, dps=130 - int(math.log10(u))))
+        rel = 1e-9 if u > 1e-300 else 1e-3  # F(5e-324) is subnormal
+        assert abs(gamma_product_cdf(u, UNIT_BUDGET, 1, 1, 1, 1) - oracle) <= rel * oracle
+
     def test_shapes_validated(self):
         with pytest.raises(ConfigError):
             gamma_product_cdf(1.0, self.BUDGET, 0, 4, 3, 4)
@@ -265,14 +317,48 @@ class TestGammaProductCdf:
         )
 
     def test_monotone_nondecreasing(self):
-        # The deep lower tail is below double resolution (pure cancellation
-        # noise around 0), so monotonicity is asserted to absolute 1e-12.
+        # The lower tail keeps full relative accuracy, so it must rise
+        # strictly from step to step (each step multiplies u by 1.1); near
+        # 1 the values may round to equal.
         scale = self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu
         xs = np.geomspace(1e-4, 1e4, 200) * scale
         vals = [gamma_product_cdf(float(x), self.BUDGET, 3, 4, 3, 4) for x in xs]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[0] < 1e-12
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert all(b > a * 1.1 for a, b in zip(vals, vals[1:]) if b < 1e-3)
+        assert 0.0 < vals[0] < 1e-12
         assert vals[-1] > 1.0 - 1e-12
+
+    def test_large_shapes(self):
+        # Up to gamma_int's range (170) the series serves u < 60 for any
+        # shapes; the survival sum gives 1.0 and 0.0 on these two.
+        for n_h, n_g, u in ((1, 170, 1e-3), (100, 100, 59.0)):
+            oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=400))
+            value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
+            assert abs(value - oracle) <= 1e-9 * oracle
+        # Beyond it the survival sum still serves n_h > 170, as long as
+        # n_g <= 170; it cancels (F is 1.3e-18 here), but it does not raise.
+        assert 0.0 <= gamma_product_cdf(30.0, UNIT_BUDGET, 180, 1, 12, 1) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=-6.0, max_value=3.0),
+        n_h=st.integers(min_value=1, max_value=12),
+        n_g=st.integers(min_value=1, max_value=12),
+    )
+    @example(log10_u=-6.0, n_h=12, n_g=12)
+    @example(log10_u=-6.0, n_h=1, n_g=1)
+    @example(log10_u=math.log10(59.99), n_h=12, n_g=12)
+    @example(log10_u=math.log10(60.0), n_h=12, n_g=12)
+    @example(log10_u=math.log10(60.0), n_h=1, n_g=12)
+    @example(log10_u=3.0, n_h=12, n_g=1)
+    def test_relative_error_against_mpmath(self, log10_u, n_h, n_g):
+        # Both branches (series below u = 60, survival sum above) against
+        # the survival sum at 230 digits: F >= 6e-88 on this range, so at
+        # least 140 digits survive the oracle's cancellation.
+        u = 10.0 ** log10_u
+        oracle = mp_gamma_product_cdf(u, n_h, n_g, dps=230)
+        value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
+        assert abs(value - float(oracle)) <= 1e-9 * float(oracle)
 
     def test_range(self):
         scale = self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu
@@ -293,10 +379,34 @@ class TestClosedForm:
     def test_zero_requirement(self):
         cfg = make_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
-        assert (
-            outage_closed_form(alloc, [self.BUDGET] * 2, cfg, rate_requirement=0.0)
-            == 0.0
-        )
+        value = outage_closed_form(alloc, [self.BUDGET] * 2, cfg, rate_requirement=0.0)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0  # not -0.0
+
+    def test_far_tail_keeps_relative_accuracy(self):
+        # 1 - prod(1 - F_k) would round these outages to 0.
+        cfg = make_config(K=3)
+        alloc = Allocation(tau=0.35, beta=(0.2, 0.3, 0.5))
+        for req in (1e-5, 1e-4, 4e-4):
+            cdfs = [
+                gamma_product_cdf(
+                    snr_threshold(b, alloc.tau, req, alloc.nu_c), self.BUDGET, 3, 4, 3, 4
+                )
+                for b in alloc.beta
+            ]
+            assert 0.0 < max(cdfs) < 1e-17
+            value = outage_closed_form(alloc, [self.BUDGET] * 3, cfg, rate_requirement=req)
+            assert value == pytest.approx(math.fsum(cdfs), rel=1e-15, abs=0.0)
+
+    def test_certain_link_gives_certain_outage(self):
+        # A threshold past u = 1e6 makes F_k exactly 1, where log1p(-F_k)
+        # is undefined.
+        cfg = make_config(K=2)
+        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
+        budget = budget_from_losses(60.0, 62.0, 1e3)
+        x = snr_threshold(0.5, 0.3, cfg.R_a, alloc.nu_c)
+        assert gamma_product_cdf(x, budget, 3, 4, 3, 4) == 1.0
+        assert outage_closed_form(alloc, [budget] * 2, cfg) == 1.0
 
     def test_single_uav_is_plain_cdf(self):
         cfg = make_config(K=1)
@@ -308,7 +418,8 @@ class TestClosedForm:
         )
 
     def test_product_identity(self):
-        # Network outage is exactly 1 - prod_k (1 - F_k(X_k)).
+        # Network outage is 1 - prod_k (1 - F_k(X_k)); it is composed as
+        # -expm1(sum_k log1p(-F_k)), so it agrees to rounding, not bit for bit.
         cfg = make_config(K=3)
         budgets = [
             budget_from_losses(60.0, 62.0, 1e11),

@@ -6,6 +6,7 @@ through its defining identity w * e^w = x.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ehuav.errors import ConfigError, DomainError
-from ehuav.specfun import SpecFunAccuracy, bessel_k_int, gamma_int, lambert_w0
+from ehuav import specfun
+from ehuav.specfun import (
+    SpecFunAccuracy,
+    bessel_k_int,
+    bessel_k_orders,
+    gamma_int,
+    lambert_w0,
+)
 
 
 def bessel_k_quadrature(n: int, x: float) -> float:
@@ -95,6 +103,33 @@ class TestBesselK:
             bessel_k_int(0, 0.0)
         with pytest.raises(DomainError):
             bessel_k_int(2, -1.0)
+
+    def test_orders_list_matches_single_orders_bitwise(self):
+        # Each entry is what a separate run of the upward recurrence to that
+        # order gives (the loop bessel_k_int ran per call before it became
+        # the last entry of the list), saturation included.
+        def single_order(order, x):
+            k01 = specfun._bessel_k01_series if x <= 2.0 else specfun._bessel_k01_cf
+            k_prev, k_cur = k01(x, SpecFunAccuracy())
+            if order == 0:
+                return k_prev
+            for v in range(1, order):
+                k_prev, k_cur = k_cur, k_prev + (2.0 * v / x) * k_cur
+                if math.isinf(k_cur):
+                    return sys.float_info.max
+            return k_cur
+
+        xs = (1e-12, 1e-3, 0.5, 1.999, 2.0, 2.001, 7.5, 60.0, 700.0)
+        for x in xs:
+            orders = bessel_k_orders(30, x)
+            assert len(orders) == 31
+            for order in range(31):
+                assert orders[order] == single_order(order, x) == bessel_k_int(order, x)
+                assert bessel_k_orders(order, x) == orders[: order + 1]
+        saturated = bessel_k_orders(30, 1e-12)
+        first = saturated.index(sys.float_info.max)
+        assert 1 < first < 30
+        assert saturated[first:] == [sys.float_info.max] * (31 - first)
 
     def test_overflow_saturates(self):
         value = bessel_k_int(24, 1e-12)
