@@ -4,8 +4,8 @@ energy-harvesting UAV identification networks.
 Library layout:
 
 - :mod:`ehuav.specfun` — gamma at integers, integer-order Bessel K, Lambert W0.
-- :mod:`ehuav.channel` — geometry, air-to-ground path loss, link budgets,
-  composite channel-gain sampling.
+- :mod:`ehuav.channel` — scenario bounds, geometry, air-to-ground path loss,
+  link budgets, composite channel-gain sampling.
 - :mod:`ehuav.outage` — per-UAV rate, SNR threshold, closed-form and
   Monte-Carlo outage.
 - :mod:`ehuav.allocation` — equal-bandwidth closed form, the two-phase

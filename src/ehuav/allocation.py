@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import epsilon_range_error
+from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import Allocation
+from .outage import Allocation, _rate
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
@@ -207,19 +207,12 @@ def _check_nu_c(nu_c: float) -> None:
 
 def _check_scalars(nu_c: float, epsilon: float) -> None:
     _check_nu_c(nu_c)
-    epsilon_error = epsilon_range_error(epsilon)
-    if epsilon_error is not None:
-        raise ConfigError(f"epsilon {epsilon_error}")
-
-
-def _rates(beta: np.ndarray, tau: float, gamma: np.ndarray, nu_c: float) -> np.ndarray:
-    eff = beta * (1.0 - tau)
-    return eff * nu_c * np.log2(1.0 + tau * gamma / eff)
+    check((EPSILON_RULE,), {"epsilon": epsilon})
 
 
 def _dmin_rate_dtau(beta: np.ndarray, gamma: np.ndarray, nu_c: float, tau: float) -> float:
     """Derivative of the min rate w.r.t. tau, at the current weakest UAV."""
-    k = int(np.argmin(_rates(beta, tau, gamma, nu_c)))
+    k = int(np.argmin(_rate(beta, tau, gamma, nu_c)))
     b = float(beta[k])
     g = float(gamma[k])
     eff = b * (1.0 - tau)
@@ -308,40 +301,27 @@ def phase1_taf(beta, gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
 
 
 def phase2_baf(
-    tau_o: float,
-    gamma,
-    nu_c: float,
-    epsilon: float,
-    beta_init,
-    max_updates: int | None = None,
-    gap_trace: list[float] | None = None,
+    tau_o: float, gamma, nu_c: float, epsilon: float, beta_init
 ) -> tuple[np.ndarray, int]:
     """Pairwise bandwidth transfers until all rates agree within epsilon.
 
     Each update moves ``beta_hat * gap / (2 * R_hat)`` of bandwidth from
     the fastest UAV to the slowest, so the share vector's sum is
-    conserved.  Returns the converged shares and the update count.
-    ``gap_trace``, if given, collects the max-min rate gap seen at each
-    check (including the final one at convergence).
+    conserved.  Returns the converged shares and the update count; more
+    than ``10 * K * ceil(log10(1/epsilon))`` updates raise NumericError.
     """
     if not 0.0 < tau_o < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau_o}")
     _check_scalars(nu_c, epsilon)
     gam = _as_gamma(gamma)
     beta = _as_beta(beta_init, gam.size).copy()
-    cap = (
-        max_updates
-        if max_updates is not None
-        else 10 * gam.size * math.ceil(math.log10(1.0 / epsilon))
-    )
+    cap = 10 * gam.size * math.ceil(math.log10(1.0 / epsilon))
     iters = 0
     while True:
-        rates = _rates(beta, tau_o, gam, nu_c)
+        rates = _rate(beta, tau_o, gam, nu_c)
         k_hat = int(np.argmax(rates))
         k_check = int(np.argmin(rates))
         gap = float(rates[k_hat] - rates[k_check])
-        if gap_trace is not None:
-            gap_trace.append(gap)
         if gap <= epsilon:
             return beta, iters
         if iters >= cap:

@@ -1,4 +1,5 @@
-"""Scenario geometry, air-to-ground path loss, link budgets and channel sampling.
+"""Scenario bounds, geometry, air-to-ground path loss, link budgets and
+channel sampling.
 
 The composite per-UAV channel gain is gamma_k = rho_k * G_h * G_g where G_h
 and G_g are independent gamma variates (integer Nakagami shape times antenna
@@ -10,11 +11,14 @@ convention makes the sampler exactly consistent with the closed-form CDF in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .specfun import GAMMA_INT_MAX
 
 # Smallest allocator tolerance ``epsilon``.  The bisections stop once a
 # bracket is at most epsilon wide, so epsilon must exceed the spacing of
@@ -22,16 +26,100 @@ from .errors import ConfigError
 # in (0, 1), 1.1e-13 for rate targets up to 1000 bit/s/Hz at nu_c = 1.
 EPSILON_MIN = 1e-12
 
+# A bound is a rule (field, test, message): the values satisfy it when
+# test(values) is true, and otherwise `field` gets message.format(**values).
+# The dataclasses below and the config loader read the same tables, so each
+# bound is written once.
+Rule = tuple[str, Callable[[Mapping], bool], str]
 
-def epsilon_range_error(epsilon: float) -> str | None:
-    """Why an allocator tolerance is out of range, or None when it is fine.
 
-    The range is [EPSILON_MIN, 0.5): the bisections start from the bracket
-    [epsilon, 1 - epsilon], which is empty from 0.5 up.
+def violations(rules: Sequence[Rule], values: Mapping) -> list[tuple[str, str]]:
+    """Every ``(field, message)`` of ``rules`` that ``values`` violates.
+
+    A rule is skipped when a value it reads is absent, so the config loader
+    can check whatever it managed to parse (it reports the rest itself).
     """
-    if EPSILON_MIN <= epsilon < 0.5:
-        return None
-    return f"must lie in [{EPSILON_MIN:g}, 0.5), got {epsilon}"
+    found = []
+    for field, test, message in rules:
+        if field not in values:
+            continue
+        try:
+            if not test(values):
+                found.append((field, message.format(**values)))
+        except KeyError:  # the rule also reads another, absent value
+            continue
+    return found
+
+
+def check(rules: Sequence[Rule], values: Mapping) -> None:
+    """Raise ``ConfigError("<field> <message>")`` for the first violated rule."""
+    found = violations(rules, values)
+    if found:
+        field, message = found[0]
+        raise ConfigError(f"{field} {message}")
+
+
+def integer_at_least(x, minimum: int) -> bool:
+    """Whether x is an integer (3.0 counts) no smaller than minimum."""
+    whole = isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer())
+    return whole and x >= minimum
+
+
+def _count_rule(name: str) -> Rule:
+    return (name, lambda v: integer_at_least(v[name], 1), f"must be an integer >= 1, got {{{name}}}")
+
+
+def _positive_rule(name: str) -> Rule:
+    return (name, lambda v: v[name] > 0, f"must be > 0, got {{{name}}}")
+
+
+def _per_uav_rules(name: str, test: Callable, requirement: str) -> tuple[Rule, Rule]:
+    return (
+        (name, lambda v: len(v[name]) == v["K"],
+         f"must have one entry per UAV (K={{K}}), got {{{name}}}"),
+        (name, lambda v: all(test(x) for x in v[name]), f"{requirement}, got {{{name}}}"),
+    )
+
+
+# The bisections start from the bracket [epsilon, 1 - epsilon], which is
+# empty from 0.5 up.  The allocators check this rule on their own.
+EPSILON_RULE: Rule = (
+    "epsilon",
+    lambda v: EPSILON_MIN <= v["epsilon"] < 0.5,
+    f"must lie in [{EPSILON_MIN:g}, 0.5), got {{epsilon}}",
+)
+
+_NAKAGAMI = "Nakagami parameter must be integer >= 1 (the finite-sum CDF requires it)"
+
+NETWORK_RULES: tuple[Rule, ...] = (
+    *(_count_rule(name) for name in ("K", "N_c", "N_r", "N_s")),
+    *(
+        _positive_rule(name)
+        for name in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a")
+    ),
+    ("zeta", lambda v: 0 < v["zeta"] <= 1, "must lie in (0,1], got {zeta}"),
+    EPSILON_RULE,
+    *_per_uav_rules("p_c", lambda p: p > 0, "entries must be > 0"),
+    *_per_uav_rules("m_h", lambda m: integer_at_least(m, 1), _NAKAGAMI),
+    *_per_uav_rules("m_g", lambda m: integer_at_least(m, 1), _NAKAGAMI),
+    # The closed-form CDF needs Gamma(m_g * N_r) from specfun.gamma_int.
+    (
+        "N_r",
+        lambda v: all(m * v["N_r"] <= GAMMA_INT_MAX for m in v["m_g"]),
+        f"must satisfy m_g * N_r <= {GAMMA_INT_MAX} for every UAV "
+        "(the closed-form CDF needs Gamma(m_g * N_r)), got N_r={N_r}, m_g={m_g}",
+    ),
+)
+
+ENVIRONMENT_RULES: tuple[Rule, ...] = (
+    _positive_rule("a"),
+    _positive_rule("b"),
+    (
+        "eta_los",
+        lambda v: v["eta_nlos"] >= v["eta_los"] >= 0,
+        "must satisfy eta_nlos >= eta_los >= 0, got eta_los={eta_los}, eta_nlos={eta_nlos}",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -44,38 +132,23 @@ class EnvironmentParams:
     eta_nlos: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ConfigError(f"environment a must be > 0, got {self.a}")
-        if not self.b > 0:
-            raise ConfigError(f"environment b must be > 0, got {self.b}")
-        if not (self.eta_nlos >= self.eta_los >= 0):
-            raise ConfigError(
-                "environment excess losses must satisfy eta_nlos >= eta_los >= 0, "
-                f"got eta_los={self.eta_los}, eta_nlos={self.eta_nlos}"
-            )
+        check(ENVIRONMENT_RULES, vars(self))
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, float(value))
 
 
-def _check_int(name: str, value, minimum: int) -> int:
-    if value != int(value):
-        if name.startswith("m_"):
-            raise ConfigError(
-                f"{name}: Nakagami parameter must be integer "
-                f"(the finite-sum CDF requires it), got {value}"
-            )
-        raise ConfigError(f"{name} must be an integer, got {value}")
-    value = int(value)
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
+_COUNTS = ("K", "N_c", "N_r", "N_s")
+PER_UAV = ("p_c", "m_h", "m_g")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """All static scenario parameters.
+    """All static scenario parameters, checked against :data:`NETWORK_RULES`.
 
     Per-UAV vectors (p_c, m_h, m_g) have length K.  Shapes m_h, m_g must be
     integers: the closed-form CDF is a finite sum only for integer Nakagami
-    parameters.
+    parameters.  Counts and shapes are stored as ints, the other scalars as
+    floats.
     """
 
     K: int
@@ -98,39 +171,19 @@ class NetworkConfig:
     env: EnvironmentParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K", _check_int("K", self.K, 1))
-        object.__setattr__(self, "N_c", _check_int("N_c", self.N_c, 1))
-        object.__setattr__(self, "N_r", _check_int("N_r", self.N_r, 1))
-        object.__setattr__(self, "N_s", _check_int("N_s", self.N_s, 1))
-        for name in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (0 < self.zeta <= 1):
-            raise ConfigError(
-                f"zeta must lie in (0,1] (energy-conversion efficiency), got {self.zeta}"
-            )
-        if not self.V_hat > 0:
-            raise ConfigError(f"V_hat must be > 0, got {self.V_hat}")
-        if not self.R_a > 0:
-            raise ConfigError(f"R_a must be > 0, got {self.R_a}")
-        epsilon_error = epsilon_range_error(self.epsilon)
-        if epsilon_error is not None:
-            raise ConfigError(f"epsilon {epsilon_error}")
-        for name in ("p_c", "m_h", "m_g"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
-            if len(values) != self.K:
-                raise ConfigError(
-                    f"{name} must have one entry per UAV (K={self.K}), got {len(values)}"
-                )
-        if any(p <= 0 for p in self.p_c):
-            raise ConfigError(f"p_c entries must be > 0, got {self.p_c}")
-        object.__setattr__(
-            self, "m_h", tuple(_check_int("m_h", m, 1) for m in self.m_h)
-        )
-        object.__setattr__(
-            self, "m_g", tuple(_check_int("m_g", m, 1) for m in self.m_g)
-        )
+        for name in PER_UAV:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check(NETWORK_RULES, vars(self))
+        for name, value in list(vars(self).items()):
+            if name in _COUNTS:
+                value = int(value)
+            elif name == "p_c":
+                value = tuple(float(p) for p in value)
+            elif name in ("m_h", "m_g"):
+                value = tuple(int(m) for m in value)
+            elif name != "env":
+                value = float(value)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -174,21 +227,6 @@ class LinkBudget:
             raise ConfigError("lam must equal 10**(-pl_h_db/10) exactly")
         if self.mu != 10.0 ** (-self.pl_g_db / 10.0):
             raise ConfigError("mu must equal 10**(-pl_g_db/10) exactly")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading block's vector of composite channel gains."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "gamma", gamma)
-        if gamma.ndim != 1 or gamma.size < 1:
-            raise ConfigError("gamma must be a non-empty vector")
-        if not np.all(np.isfinite(gamma) & (gamma > 0)):
-            raise ConfigError("all channel gains must be strictly positive and finite")
 
 
 def elevation_angle_deg(d: float, A: float) -> float:
@@ -261,47 +299,3 @@ def sample_gamma_matrix(
         g_g = rng.gamma(shape=config.m_g[k] * config.N_r, scale=budget.mu, size=trials)
         out[:, k] = budget.rho * g_h * g_g
     return out
-
-
-def sample_realization(
-    budgets: list[LinkBudget], config: NetworkConfig, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw one block's composite gains gamma_k = rho_k * G_h * G_g."""
-    return ChannelRealization(gamma=sample_gamma_matrix(budgets, config, rng, 1)[0])
-
-
-def harvested_energy(
-    budget: LinkBudget, h_norm_sq: float, config: NetworkConfig, T_p: float
-) -> float:
-    """Energy harvested over a power-transfer phase of duration T_p seconds.
-
-    E = zeta * p_c * |h|^2 * (B/N_s) * T_p, computed through the identity
-    zeta * p_c = rho * N_s * sigma^2 so the per-UAV power rides on the budget.
-    """
-    if not T_p > 0:
-        raise ConfigError(f"T_p must be > 0, got {T_p}")
-    if h_norm_sq < 0:
-        raise ConfigError(f"|h|^2 must be >= 0, got {h_norm_sq}")
-    return budget.rho * config.noise_power * h_norm_sq * config.B * T_p
-
-
-def uav_tx_power(
-    budget: LinkBudget,
-    h_norm_sq: float,
-    config: NetworkConfig,
-    tau: float,
-    beta_k: float,
-) -> float:
-    """Average UAV transmit power: tau/(beta_k*(1-tau)*N_s) * zeta*p_c*|h|^2.
-
-    Spends exactly the harvested energy over the data phase; beta_k = 1 is
-    allowed (single-UAV networks use the whole band).
-    """
-    if not 0 < tau < 1:
-        raise ConfigError(f"tau must lie in (0,1), got {tau}")
-    if not 0 < beta_k <= 1:
-        raise ConfigError(f"beta_k must lie in (0,1], got {beta_k}")
-    if h_norm_sq < 0:
-        raise ConfigError(f"|h|^2 must be >= 0, got {h_norm_sq}")
-    zeta_pc_h = budget.rho * config.N_s * config.noise_power * h_norm_sq
-    return tau / (beta_k * (1.0 - tau) * config.N_s) * zeta_pc_h

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import equal_bandwidth_taf
-from .channel import LinkBudget, make_link_budget, sample_realization
-from .configio import LoadedConfig, load_config
+from .channel import sample_gamma_matrix
+from .configio import load_config
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -41,6 +41,7 @@ from .experiments import (
     ExperimentSpec,
     allocate_by_name,
     block_time,
+    link_budgets,
     overhead_share,
     place_nodes,
     run_iterations_and_minrate_sweep,
@@ -72,11 +73,6 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
 
 
-def _budgets(loaded: LoadedConfig) -> list[LinkBudget]:
-    net = loaded.network
-    return [make_link_budget(k, net, geom) for k, geom in enumerate(place_nodes(net))]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -99,8 +95,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"{'k':>3} {'d_h_m':>9} {'d_g_m':>9} {'alt_m':>8} "
         f"{'pl_h_db':>9} {'pl_g_db':>9} {'lam':>12} {'mu':>12} {'rho':>12}"
     )
-    for k, geom in enumerate(place_nodes(net)):
-        b = make_link_budget(k, net, geom)
+    for k, (geom, b) in enumerate(zip(place_nodes(net), link_budgets(net))):
         print(
             f"{k:>3} {geom.d_h:>9.3f} {geom.d_g:>9.3f} {geom.altitude:>8.2f} "
             f"{b.pl_h_db:>9.3f} {b.pl_g_db:>9.3f} "
@@ -121,7 +116,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     else:
         _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
-        gamma = sample_realization(_budgets(loaded), net, rng).gamma
+        gamma = sample_gamma_matrix(link_budgets(net), net, rng, 1)[0]
         print(f"channel draw: seed={args.seed}")
 
     res = allocate_by_name(args.algorithm, gamma, net)
@@ -160,7 +155,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
         beta = (1.0 / K,) * K
     tau = args.tau if args.tau is not None else equal_bandwidth_taf(K, net.R_a)
     alloc = Allocation(tau=tau, beta=beta)
-    budgets = _budgets(loaded)
+    budgets = link_budgets(net)
 
     analytic = outage_closed_form(alloc, budgets, net, rate_requirement=args.rate)
     est = outage_monte_carlo(

@@ -3,51 +3,40 @@
 One document, four sections — ``network``, ``environment``, ``timing``,
 ``experiment`` — mirroring :class:`~ehuav.channel.NetworkConfig`,
 :class:`~ehuav.channel.EnvironmentParams`, the per-operation signalling
-cost, and the sweep settings.  Unknown keys anywhere are rejected, the
-per-UAV vectors accept a scalar that broadcasts to every UAV, and *all*
-violated bounds are reported at once, each prefixed with its dotted key
-path.
+cost, and the sweep settings.  This module checks only the file's shape:
+unknown sections and keys, required keys, numbers (a YAML bool is not one),
+lists, and the per-UAV scalars that broadcast to every UAV.  The bounds are
+the rule tables :data:`~ehuav.channel.NETWORK_RULES`,
+:data:`~ehuav.channel.ENVIRONMENT_RULES` and
+:data:`~ehuav.experiments.EXPERIMENT_RULES`, which the dataclasses check
+too.  *All* problems are reported at once, each prefixed with its dotted
+key path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
-from .channel import EnvironmentParams, NetworkConfig, epsilon_range_error
+from .channel import (
+    ENVIRONMENT_RULES,
+    NETWORK_RULES,
+    PER_UAV,
+    EnvironmentParams,
+    NetworkConfig,
+    violations,
+)
 from .errors import ConfigError
-from .experiments import ALGORITHMS, DEFAULT_T_OP
+from .experiments import DEFAULT_T_OP, EXPERIMENT_RULES
 
-_NETWORK_KEYS = (
-    "K",
-    "N_c",
-    "N_r",
-    "N_s",
-    "B",
-    "f_c",
-    "c_light",
-    "noise_power",
-    "zeta",
-    "p_c",
-    "m_h",
-    "m_g",
-    "d_hat",
-    "A_hat",
-    "V_hat",
-    "R_a",
-    "epsilon",
-)
-_ENVIRONMENT_KEYS = ("a", "b", "eta_los", "eta_nlos")
+_NETWORK_KEYS = tuple(f.name for f in fields(NetworkConfig) if f.name != "env")
+_NETWORK_SCALARS = tuple(key for key in _NETWORK_KEYS if key not in PER_UAV)
+_ENVIRONMENT_KEYS = tuple(f.name for f in fields(EnvironmentParams))
 _TIMING_KEYS = ("t_op",)
-_EXPERIMENT_KEYS = (
-    "trials",
-    "seed",
-    "k_values",
-    "altitudes",
-    "velocities",
-    "algorithms",
-)
+_EXPERIMENT_SCALARS = ("trials", "seed")
+_EXPERIMENT_LISTS = ("k_values", "altitudes", "velocities", "algorithms")
+_EXPERIMENT_KEYS = _EXPERIMENT_SCALARS + _EXPERIMENT_LISTS
 
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 2024
@@ -93,39 +82,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get_float(section: dict, key: str, path: str, report: _Report) -> float | None:
-    if key not in section:
-        report.add(path, "missing required key")
-        return None
-    value = section[key]
-    if not _is_number(value):
-        report.add(path, f"must be a number, got {value!r}")
-        return None
-    return float(value)
+def _numbers(
+    section: dict, name: str, keys: tuple[str, ...], report: _Report, required: bool = True
+) -> dict:
+    """The given keys that hold numbers; the others are reported."""
+    values = {}
+    for key in keys:
+        if key not in section:
+            if required:
+                report.add(f"{name}.{key}", "missing required key")
+        elif _is_number(section[key]):
+            values[key] = section[key]
+        else:
+            report.add(f"{name}.{key}", f"must be a number, got {section[key]!r}")
+    return values
 
 
-def _get_int(section: dict, key: str, path: str, report: _Report) -> int | None:
-    value = _get_float(section, key, path, report)
-    if value is None:
-        return None
-    if value != int(value):
-        report.add(path, f"must be an integer, got {section[key]!r}")
-        return None
-    return int(value)
-
-
-def _per_uav_floats(value, K: int, path: str, report: _Report) -> tuple[float, ...] | None:
-    """A scalar broadcasts to all K UAVs; a list must have exactly K entries."""
+def _per_uav(value, K: int, path: str, report: _Report) -> tuple | None:
+    """A scalar broadcasts to all K UAVs; a list passes through as a tuple."""
     if _is_number(value):
-        return (float(value),) * K
+        return (value,) * K
     if isinstance(value, list):
-        if len(value) != K:
-            report.add(path, f"must have one entry per UAV (K={K}), got {len(value)}")
-            return None
-        if not all(_is_number(v) for v in value):
-            report.add(path, f"entries must be numbers, got {value!r}")
-            return None
-        return tuple(float(v) for v in value)
+        if all(_is_number(v) for v in value):
+            return tuple(value)
+        report.add(path, f"entries must be numbers, got {value!r}")
+        return None
     report.add(path, f"must be a number or a list of K numbers, got {value!r}")
     return None
 
@@ -178,162 +159,56 @@ def load_config(path) -> LoadedConfig:
     if structural:
         report.raise_if_any()
 
-    # -- network ------------------------------------------------------------
-    K = _get_int(network, "K", "network.K", report)
-    if K is not None and K < 1:
-        report.add("network.K", f"must be >= 1, got {K}")
-        K = None
-    for key in ("N_c", "N_r", "N_s"):
-        value = _get_int(network, key, f"network.{key}", report)
-        if value is not None and value < 1:
-            report.add(f"network.{key}", f"must be >= 1, got {value}")
-    for key in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a"):
-        value = _get_float(network, key, f"network.{key}", report)
-        if value is not None and not value > 0.0:
-            report.add(f"network.{key}", f"must be > 0, got {value}")
-    zeta = _get_float(network, "zeta", "network.zeta", report)
-    if zeta is not None and not 0.0 < zeta <= 1.0:
-        report.add("network.zeta", f"must lie in (0,1], got {zeta}")
-    epsilon = _get_float(network, "epsilon", "network.epsilon", report)
-    epsilon_error = None if epsilon is None else epsilon_range_error(epsilon)
-    if epsilon_error is not None:
-        report.add("network.epsilon", epsilon_error)
-
-    per_uav: dict[str, tuple] = {}
-    if K is not None:
-        for key in ("p_c", "m_h", "m_g"):
+    net = _numbers(network, "network", _NETWORK_SCALARS, report)
+    # The per-UAV vectors are read only once K is valid: a scalar broadcasts to K.
+    if "K" in net and not violations(NETWORK_RULES, {"K": net["K"]}):
+        for key in PER_UAV:
             if key not in network:
                 report.add(f"network.{key}", "missing required key")
                 continue
-            values = _per_uav_floats(network[key], K, f"network.{key}", report)
-            if values is None:
-                continue
-            if key == "p_c":
-                if any(not v > 0.0 for v in values):
-                    report.add("network.p_c", f"entries must be > 0, got {list(values)}")
-            else:
-                for v in values:
-                    if v != int(v) or int(v) < 1:
-                        report.add(
-                            f"network.{key}",
-                            "Nakagami parameter must be integer >= 1 "
-                            f"(the finite-sum CDF requires it), got {v}",
-                        )
-                        break
-                else:
-                    values = tuple(int(v) for v in values)
-            per_uav[key] = values
+            values = _per_uav(network[key], int(net["K"]), f"network.{key}", report)
+            if values is not None:
+                net[key] = values
+    env = _numbers(environment, "environment", _ENVIRONMENT_KEYS, report)
 
-    # -- environment ----------------------------------------------------------
-    env_values = {
-        key: _get_float(environment, key, f"environment.{key}", report)
-        for key in _ENVIRONMENT_KEYS
+    exp = {
+        "t_op": DEFAULT_T_OP,
+        "trials": DEFAULT_TRIALS,
+        "seed": DEFAULT_SEED,
+        "k_values": DEFAULT_K_VALUES,
+        "altitudes": DEFAULT_ALTITUDES,
+        "velocities": DEFAULT_VELOCITIES,
+        "algorithms": DEFAULT_ALGORITHMS,
     }
-    if env_values["a"] is not None and not env_values["a"] > 0.0:
-        report.add("environment.a", f"must be > 0, got {env_values['a']}")
-    if env_values["b"] is not None and not env_values["b"] > 0.0:
-        report.add("environment.b", f"must be > 0, got {env_values['b']}")
-    if (
-        env_values["eta_los"] is not None
-        and env_values["eta_nlos"] is not None
-        and not env_values["eta_nlos"] >= env_values["eta_los"] >= 0.0
-    ):
-        report.add(
-            "environment.eta_los",
-            "must satisfy eta_nlos >= eta_los >= 0, got "
-            f"eta_los={env_values['eta_los']}, eta_nlos={env_values['eta_nlos']}",
-        )
-
-    # -- timing ---------------------------------------------------------------
-    if "t_op" in timing:
-        t_op = _get_float(timing, "t_op", "timing.t_op", report)
-        if t_op is not None and t_op < 0.0:
-            report.add("timing.t_op", f"must be >= 0, got {t_op}")
-    else:
-        t_op = DEFAULT_T_OP
-
-    # -- experiment -----------------------------------------------------------
-    trials = DEFAULT_TRIALS
-    if "trials" in experiment:
-        trials = _get_int(experiment, "trials", "experiment.trials", report)
-        if trials is not None and trials < 1:
-            report.add("experiment.trials", f"must be >= 1, got {trials}")
-    seed = DEFAULT_SEED
-    if "seed" in experiment:
-        seed = _get_int(experiment, "seed", "experiment.seed", report)
-        if seed is not None and seed < 0:
-            report.add("experiment.seed", f"must be >= 0, got {seed}")
-
-    def _number_list(key: str, default: tuple, want_int: bool) -> tuple:
+    exp.update(_numbers(timing, "timing", _TIMING_KEYS, report, required=False))
+    exp.update(_numbers(experiment, "experiment", _EXPERIMENT_SCALARS, report, required=False))
+    for key in _EXPERIMENT_LISTS:
         if key not in experiment:
-            return default
-        raw = experiment[key]
-        if not isinstance(raw, list) or not raw or not all(_is_number(v) for v in raw):
-            report.add(f"experiment.{key}", f"must be a non-empty list of numbers, got {raw!r}")
-            return default
-        if want_int:
-            if any(v != int(v) or int(v) < 1 for v in raw):
-                report.add(f"experiment.{key}", f"entries must be integers >= 1, got {raw!r}")
-                return default
-            return tuple(int(v) for v in raw)
-        if any(not v > 0 for v in raw):
-            report.add(f"experiment.{key}", f"entries must be > 0, got {raw!r}")
-            return default
-        return tuple(float(v) for v in raw)
-
-    k_values = _number_list("k_values", DEFAULT_K_VALUES, want_int=True)
-    altitudes = _number_list("altitudes", DEFAULT_ALTITUDES, want_int=False)
-    velocities = _number_list("velocities", DEFAULT_VELOCITIES, want_int=False)
-
-    algorithms = DEFAULT_ALGORITHMS
-    if "algorithms" in experiment:
-        raw = experiment["algorithms"]
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or any(not isinstance(v, str) or v not in ALGORITHMS for v in raw)
-        ):
-            report.add(
-                "experiment.algorithms",
-                f"must be a non-empty list drawn from {list(ALGORITHMS)}, got {raw!r}",
-            )
+            continue
+        raw, names = experiment[key], key == "algorithms"
+        if isinstance(raw, list) and all(isinstance(v, str) if names else _is_number(v) for v in raw):
+            exp[key] = raw
         else:
-            algorithms = tuple(raw)
+            kind = "names" if names else "numbers"
+            report.add(f"experiment.{key}", f"must be a list of {kind}, got {raw!r}")
 
+    for section, rules, values in (
+        ("network", NETWORK_RULES, net),
+        ("environment", ENVIRONMENT_RULES, env),
+        ("timing", EXPERIMENT_RULES, {"t_op": exp["t_op"]}),
+        ("experiment", EXPERIMENT_RULES, {k: v for k, v in exp.items() if k != "t_op"}),
+    ):
+        for field, message in violations(rules, values):
+            report.add(f"{section}.{field}", message)
     report.raise_if_any()
 
-    try:
-        env = EnvironmentParams(**env_values)
-        net = NetworkConfig(
-            K=K,
-            N_c=int(network["N_c"]),
-            N_r=int(network["N_r"]),
-            N_s=int(network["N_s"]),
-            B=float(network["B"]),
-            f_c=float(network["f_c"]),
-            c_light=float(network["c_light"]),
-            noise_power=float(network["noise_power"]),
-            zeta=zeta,
-            p_c=per_uav["p_c"],
-            m_h=per_uav["m_h"],
-            m_g=per_uav["m_g"],
-            d_hat=float(network["d_hat"]),
-            A_hat=float(network["A_hat"]),
-            V_hat=float(network["V_hat"]),
-            R_a=float(network["R_a"]),
-            epsilon=epsilon,
-            env=env,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
     return LoadedConfig(
-        network=net,
-        t_op=t_op,
-        trials=trials,
-        seed=seed,
-        k_values=k_values,
-        altitudes=altitudes,
-        velocities=velocities,
-        algorithms=algorithms,
+        network=NetworkConfig(**net, env=EnvironmentParams(**env)),
+        t_op=float(exp["t_op"]),
+        trials=int(exp["trials"]),
+        seed=int(exp["seed"]),
+        k_values=tuple(int(k) for k in exp["k_values"]),
+        altitudes=tuple(float(a) for a in exp["altitudes"]),
+        velocities=tuple(float(v) for v in exp["velocities"]),
+        algorithms=tuple(exp["algorithms"]),
     )

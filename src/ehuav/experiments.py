@@ -40,7 +40,16 @@ from .allocation import (
     proposed_allocate,
     proposed_allocate_batch,
 )
-from .channel import LinkBudget, LinkGeometry, NetworkConfig, make_link_budget, sample_gamma_matrix
+from .channel import (
+    LinkBudget,
+    LinkGeometry,
+    NetworkConfig,
+    Rule,
+    check,
+    integer_at_least,
+    make_link_budget,
+    sample_gamma_matrix,
+)
 from .errors import ConfigError, EhuavError
 from .outage import Allocation, outage_closed_form, rate
 
@@ -66,6 +75,39 @@ DEFAULT_T_OP = 2.5e-7
 
 _SATURATION_GUARD = 1.0 - 1e-6
 
+# Time-split and share-step counts of the grid behind ``optimal``.
+OPTIMAL_GRID = (200, 100)
+
+
+def _positive_list_rule(name: str) -> Rule:
+    return (
+        name,
+        lambda v: len(v[name]) > 0 and all(x > 0 for x in v[name]),
+        f"must be a non-empty list of numbers > 0, got {{{name}}}",
+    )
+
+
+# Bounds of the sweep settings, read by ExperimentSpec, rap_fraction and the
+# config loader's timing and experiment sections; rules as in
+# :data:`ehuav.channel.NETWORK_RULES`.
+EXPERIMENT_RULES: tuple[Rule, ...] = (
+    ("t_op", lambda v: v["t_op"] >= 0.0, "must be >= 0, got {t_op}"),
+    ("trials", lambda v: integer_at_least(v["trials"], 1), "must be an integer >= 1, got {trials}"),
+    ("seed", lambda v: integer_at_least(v["seed"], 0), "must be an integer >= 0, got {seed}"),
+    (
+        "k_values",
+        lambda v: len(v["k_values"]) > 0 and all(integer_at_least(k, 1) for k in v["k_values"]),
+        "must be a non-empty list of integers >= 1, got {k_values}",
+    ),
+    _positive_list_rule("altitudes"),
+    _positive_list_rule("velocities"),
+    (
+        "algorithms",
+        lambda v: len(v["algorithms"]) > 0 and all(a in ALGORITHMS for a in v["algorithms"]),
+        f"must be a non-empty list drawn from {list(ALGORITHMS)}, got {{algorithms}}",
+    ),
+)
+
 
 def block_time(V_hat: float, f_c: float, c_light: float) -> float:
     """Coherence block length c/(V_hat*f_c) in seconds."""
@@ -87,8 +129,7 @@ def rap_fraction(op_count, t_op: float, T: float):
     ops = np.asarray(op_count)
     if np.any(ops < 0):
         raise ConfigError(f"op_count must be >= 0, got {ops.min()}")
-    if t_op < 0.0:
-        raise ConfigError(f"t_op must be >= 0, got {t_op}")
+    check(EXPERIMENT_RULES, {"t_op": t_op})
     share = np.minimum(ops * t_op / T, _SATURATION_GUARD)
     return float(share) if share.ndim == 0 else share
 
@@ -105,7 +146,11 @@ def overhead_share(algorithm: str, op_count, t_op: float, T: float):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep request: scenario, sweep axis, draw count, seeding, algorithms."""
+    """One sweep request: scenario, sweep axis, draw count, seeding, algorithms.
+
+    The sweep values are checked as ``k_values`` or ``altitudes`` of
+    :data:`EXPERIMENT_RULES`, by the sweep axis.
+    """
 
     scenario: NetworkConfig
     sweep_param: str
@@ -115,26 +160,23 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ("proposed", "conventional", "equal_bandwidth")
     velocities: tuple[float, ...] | None = None
     t_op: float = DEFAULT_T_OP
-    optimal_grid: tuple[int, int] = (200, 100)
 
     def __post_init__(self) -> None:
-        if self.sweep_param not in ("K", "altitude"):
+        sweep_key = {"K": "k_values", "altitude": "altitudes"}.get(self.sweep_param)
+        if sweep_key is None:
             raise ConfigError(
                 f"sweep_param must be 'K' or 'altitude', got {self.sweep_param!r}"
             )
-        if len(self.sweep_values) == 0:
-            raise ConfigError("sweep_values must be non-empty")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown or not self.algorithms:
-            raise ConfigError(
-                f"algorithms must be a non-empty subset of {ALGORITHMS}, got {self.algorithms}"
-            )
-        if self.velocities is not None and len(self.velocities) == 0:
-            raise ConfigError("velocities, if given, must be non-empty")
-        if self.t_op < 0.0:
-            raise ConfigError(f"t_op must be >= 0, got {self.t_op}")
+        values = {
+            "t_op": self.t_op,
+            "trials": self.trials,
+            "seed": self.seed,
+            sweep_key: self.sweep_values,
+            "algorithms": self.algorithms,
+        }
+        if self.velocities is not None:
+            values["velocities"] = self.velocities
+        check(EXPERIMENT_RULES, values)
 
 
 @dataclass(frozen=True)
@@ -200,7 +242,8 @@ def _config_for_k(scenario: NetworkConfig, K: int) -> NetworkConfig:
     )
 
 
-def _budgets(config: NetworkConfig) -> list[LinkBudget]:
+def link_budgets(config: NetworkConfig) -> list[LinkBudget]:
+    """Per-UAV link budgets at the :func:`place_nodes` geometry."""
     return [make_link_budget(k, config, geom) for k, geom in enumerate(place_nodes(config))]
 
 
@@ -211,12 +254,7 @@ def _point_draws(
     return sample_gamma_matrix(budgets, config, rng, spec.trials)
 
 
-def allocate_by_name(
-    name: str,
-    gamma: np.ndarray,
-    config: NetworkConfig,
-    grid: tuple[int, int] = (200, 100),
-) -> AllocationResult:
+def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> AllocationResult:
     """Run the named allocator on one channel draw (full block, nu_c = 1)."""
     if name == "proposed":
         return proposed_allocate(gamma, 1.0, config.epsilon)
@@ -233,19 +271,14 @@ def allocate_by_name(
             op_count=0,
         )
     if name == "optimal":
-        return exhaustive_optimal(gamma, 1.0, grid_tau=grid[0], grid_beta=grid[1])
+        return exhaustive_optimal(gamma, 1.0, *OPTIMAL_GRID)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
-def allocate_batch_by_name(
-    name: str,
-    gains: np.ndarray,
-    config: NetworkConfig,
-    grid: tuple[int, int] = (200, 100),
-) -> BatchAllocation:
+def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) -> BatchAllocation:
     """Run the named allocator on every row of a ``(T, K)`` draw matrix.
 
-    Row t equals ``allocate_by_name(name, gains[t], config, grid)``; a
+    Row t equals ``allocate_by_name(name, gains[t], config)``; a
     failing draw raises the error of the first failing row.
     """
     if name == "proposed":
@@ -258,7 +291,7 @@ def allocate_batch_by_name(
         # One grid search per draw; each is already array code over the
         # whole tau grid (about 1 ms at the default 200 x 100 grid).
         return BatchAllocation.stack(
-            [allocate_by_name(name, gamma, config, grid) for gamma in gains]
+            [allocate_by_name(name, gamma, config) for gamma in gains]
         )
     raise ConfigError(f"unknown algorithm {name!r}")
 
@@ -300,13 +333,11 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     rows: list[ExperimentRow] = []
     for point, raw_k in enumerate(spec.sweep_values):
         K = int(raw_k)
-        if K != raw_k or K < 1:
-            raise ConfigError(f"K sweep values must be positive integers, got {raw_k!r}")
         config = _config_for_k(spec.scenario, K)
-        gam = _point_draws(_budgets(config), config, spec, point)
+        gam = _point_draws(link_budgets(config), config, spec, point)
         for name in spec.algorithms:
             try:
-                batch = allocate_batch_by_name(name, gam, config, spec.optimal_grid)
+                batch = allocate_batch_by_name(name, gam, config)
                 nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
                 rates = _charged_min_rates(batch, gam, nu_r)
             except EhuavError as exc:
@@ -351,7 +382,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     rows: list[ExperimentRow] = []
     for point, altitude in enumerate(spec.sweep_values):
         config = replace(spec.scenario, A_hat=float(altitude))
-        budgets = _budgets(config)
+        budgets = link_budgets(config)
         gam = _point_draws(budgets, config, spec, point)
         K = config.K
 
@@ -375,7 +406,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
 
         for name in spec.algorithms:
             try:
-                batch = allocate_batch_by_name(name, gam, config, spec.optimal_grid)
+                batch = allocate_batch_by_name(name, gam, config)
             except EhuavError as exc:
                 log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
                 for velocity in velocities:

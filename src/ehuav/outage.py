@@ -23,17 +23,16 @@ _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
 
 @dataclass(frozen=True)
 class Allocation:
-    """A (tau, beta-vector) resource split plus the block timing fractions.
+    """A (tau, beta-vector) resource split plus the signalling share nu_r.
 
     beta entries must be strictly inside (0,1) for K >= 2; the single-UAV
-    case necessarily uses beta = (1,).  nu_c is derived as 1 - nu_r when not
-    given and must equal it exactly when it is.
+    case necessarily uses beta = (1,).  The data phase keeps the share
+    nu_c = 1 - nu_r of the block.
     """
 
     tau: float
     beta: tuple[float, ...]
     nu_r: float = 0.0
-    nu_c: float | None = None
 
     def __post_init__(self) -> None:
         beta = tuple(float(b) for b in self.beta)
@@ -53,13 +52,10 @@ class Allocation:
             )
         if not 0.0 <= self.nu_r < 1.0:
             raise ConfigError(f"nu_r must lie in [0,1), got {self.nu_r}")
-        derived = 1.0 - self.nu_r
-        if self.nu_c is None:
-            object.__setattr__(self, "nu_c", derived)
-        elif self.nu_c != derived:
-            raise ConfigError(
-                f"nu_c must equal 1 - nu_r exactly ({derived!r}), got {self.nu_c!r}"
-            )
+
+    @property
+    def nu_c(self) -> float:
+        return 1.0 - self.nu_r
 
     @property
     def K(self) -> int:
@@ -102,9 +98,14 @@ def rate(beta_k, tau, gamma_k, nu_c):
         raise ConfigError("beta_k must lie in (0,1]")
     if np.any(gamma_k < 0.0):
         raise ConfigError("gamma_k must be >= 0")
-    eff = beta_k * (1.0 - tau)
-    result = eff * nu_c * np.log2(1.0 + tau * gamma_k / eff)
+    result = _rate(beta_k, tau, gamma_k, nu_c)
     return float(result) if result.ndim == 0 else result
+
+
+def _rate(beta_k, tau, gamma_k, nu_c):
+    """:func:`rate` without its argument checks, for the allocators' loops."""
+    eff = beta_k * (1.0 - tau)
+    return eff * nu_c * np.log2(1.0 + tau * gamma_k / eff)
 
 
 def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:

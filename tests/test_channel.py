@@ -14,18 +14,14 @@ from hypothesis import strategies as st
 
 from ehuav.channel import (
     EPSILON_MIN,
-    ChannelRealization,
     EnvironmentParams,
     LinkBudget,
     LinkGeometry,
     NetworkConfig,
     a2g_path_loss_db,
     elevation_angle_deg,
-    harvested_energy,
     make_link_budget,
     sample_gamma_matrix,
-    sample_realization,
-    uav_tx_power,
 )
 from ehuav.errors import ConfigError
 from ehuav.outage import gamma_product_cdf
@@ -232,6 +228,21 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=r"epsilon must lie in \[1e-12, 0.5\)"):
                 default_config(epsilon=epsilon)
 
+    def test_counts_and_shapes_become_ints_the_rest_floats(self):
+        cfg = default_config(K=2, N_c=4.0, B=1000000, p_c=(1, 2), m_h=(3.0, 2), m_g=[1, 1])
+        assert type(cfg.N_c) is int and type(cfg.B) is float
+        assert cfg.p_c == (1.0, 2.0) and all(type(p) is float for p in cfg.p_c)
+        assert cfg.m_h == (3, 2) and all(type(m) is int for m in cfg.m_h)
+        assert cfg.m_g == (1, 1)
+        env = EnvironmentParams(a=9, b=1, eta_los=0, eta_nlos=20)
+        assert all(type(value) is float for value in vars(env).values())
+
+    def test_shape_limit(self):
+        # The closed-form CDF needs Gamma(m_g * N_r) from gamma_int (n <= 170).
+        assert default_config(K=1, p_c=(0.1,), m_h=(3,), m_g=(5,), N_r=34).N_r == 34
+        with pytest.raises(ConfigError, match=r"N_r must satisfy m_g \* N_r <= 170"):
+            default_config(K=1, p_c=(0.1,), m_h=(3,), m_g=(5,), N_r=35)
+
     def test_environment_validation(self):
         with pytest.raises(ConfigError):
             EnvironmentParams(a=-1.0, b=0.16, eta_los=1.0, eta_nlos=20.0)
@@ -243,12 +254,6 @@ class TestConfigValidation:
             LinkGeometry(d_h=-1.0, d_g=0.0, altitude=60.0)
         with pytest.raises(ConfigError):
             LinkGeometry(d_h=1.0, d_g=0.0, altitude=0.0)
-
-    def test_realization_validation(self):
-        with pytest.raises(ConfigError):
-            ChannelRealization(gamma=np.array([1.0, 0.0]))
-        with pytest.raises(ConfigError):
-            ChannelRealization(gamma=np.array([1.0, math.nan]))
 
 
 class TestSampling:
@@ -305,63 +310,8 @@ class TestSampling:
         a = sample_gamma_matrix(budgets, cfg, np.random.default_rng(123), 1000)
         b = sample_gamma_matrix(budgets, cfg, np.random.default_rng(123), 1000)
         assert np.array_equal(a, b)
-        one = sample_realization(budgets, cfg, np.random.default_rng(123))
-        two = sample_realization(budgets, cfg, np.random.default_rng(123))
-        assert np.array_equal(one.gamma, two.gamma)
 
     def test_budget_count_checked(self):
         cfg = default_config(K=2, p_c=(0.1, 0.1), m_h=(3, 3), m_g=(3, 3))
         with pytest.raises(ConfigError):
             sample_gamma_matrix([self.BUDGET], cfg, np.random.default_rng(0), 10)
-
-
-class TestEnergy:
-    GEOM = LinkGeometry(d_h=50.0, d_g=50.0, altitude=60.0)
-
-    def test_zero_channel(self):
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        assert harvested_energy(budget, 0.0, cfg, 1e-3) == 0.0
-
-    def test_linear_in_duration(self):
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        one = harvested_energy(budget, 1e-6, cfg, 1e-3)
-        two = harvested_energy(budget, 1e-6, cfg, 2e-3)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_default_numbers(self):
-        # 0.7 * 0.1 W * 1e-6 * (1e6/10) Hz * 1e-3 s = 7e-6 J.
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        assert harvested_energy(budget, 1e-6, cfg, 1e-3) == pytest.approx(
-            7e-6, rel=1e-12
-        )
-
-    def test_tx_power_balanced_split(self):
-        # tau = 0.5 makes tau/(1-tau) = 1; with the whole band the average
-        # transmit power is zeta*p_c*|h|^2/N_s.
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        p_i = uav_tx_power(budget, 1e-6, cfg, tau=0.5, beta_k=1.0)
-        assert p_i == pytest.approx(0.7 * 0.1 * 1e-6 / 10.0, rel=1e-12)
-
-    def test_tx_power_inverse_in_bandwidth_share(self):
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        wide = uav_tx_power(budget, 1e-6, cfg, tau=0.4, beta_k=0.5)
-        narrow = uav_tx_power(budget, 1e-6, cfg, tau=0.4, beta_k=0.25)
-        assert narrow == pytest.approx(2.0 * wide, rel=1e-12)
-
-    def test_energy_balance(self):
-        # Transmitting at uav_tx_power over the data phase spends exactly
-        # the energy harvested over the power-transfer phase.
-        cfg = default_config()
-        budget = make_link_budget(0, cfg, self.GEOM)
-        tau, beta_k, nu_r, block = 0.37, 0.3, 0.1, 6.25e-3
-        h_sq = 2.3e-7
-        t_transfer = tau * (1.0 - nu_r) * block
-        t_data = (1.0 - tau) * (1.0 - nu_r) * block
-        spent = uav_tx_power(budget, h_sq, cfg, tau, beta_k) * beta_k * cfg.B * t_data
-        harvested = harvested_energy(budget, h_sq, cfg, t_transfer)
-        assert spent == pytest.approx(harvested, rel=1e-12)

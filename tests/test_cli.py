@@ -84,6 +84,16 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_CONFIG
         assert "network.epsilon: must lie in [1e-12, 0.5), got 0.7" in capsys.readouterr().err
 
+    def test_shape_beyond_the_closed_form_is_a_config_error(self, tmp_path, capsys):
+        # m_g * N_r = 3 * 60 = 180 > 170: refused by validate, with its path,
+        # instead of passing here and failing later inside gamma_int.
+        path = config_file(tmp_path, network={"N_r": 60})
+        assert main(["validate", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "network.N_r: must satisfy m_g * N_r <= 170" in err
+        assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
+        assert "network.N_r" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/does/not/exist.yaml"]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err

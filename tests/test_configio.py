@@ -5,6 +5,14 @@ import math
 import pytest
 import yaml
 
+from ehuav.channel import (
+    ENVIRONMENT_RULES,
+    NETWORK_RULES,
+    PER_UAV,
+    EnvironmentParams,
+    NetworkConfig,
+    violations,
+)
 from ehuav.configio import (
     DEFAULT_ALGORITHMS,
     DEFAULT_ALTITUDES,
@@ -16,6 +24,7 @@ from ehuav.configio import (
     load_config,
 )
 from ehuav.errors import ConfigError
+from ehuav.experiments import EXPERIMENT_RULES, ExperimentSpec
 
 BASE = {
     "network": {
@@ -250,3 +259,100 @@ class TestErrorListing:
         path = dump(tmp_path, data, name="scenario.yaml")
         with pytest.raises(ConfigError, match="scenario.yaml"):
             load_config(path)
+
+    def test_shape_above_gamma_int_range_rejected(self, tmp_path):
+        # m_g * N_r = 3 * 60 = 180: the closed-form CDF needs Gamma(180),
+        # beyond a double, so the file is refused before any subcommand runs.
+        data = deep_merge(BASE, {"network": {"N_r": 60}})
+        with pytest.raises(ConfigError, match=r"network\.N_r: must satisfy m_g \* N_r <= 170"):
+            load_config(dump(tmp_path, data))
+
+
+# One rule table feeds both the dataclasses and the loader.  For every rule,
+# a value of its field that breaks it first must give the same message
+# through both: ``<field> <message>`` from the dataclass and
+# ``<section>.<field>: <message>`` from load_config.
+SCALAR_CANDIDATES = (0, -1.0, 2.5, 1.5, 0.7, 60)
+LIST_CANDIDATES = ((), (0.1,), (-1.0, -1.0), (2.5, 2.5))
+
+
+def first_breaking(rules, values, rule):
+    """``values`` with the rule's field set to a candidate that breaks the rule
+    before any other, and the rule's message there."""
+    field, test, message = rule
+    kind = type(values[field])  # a list candidate takes the kind of the good value
+    listed = kind in (tuple, list)
+    for bad in LIST_CANDIDATES if listed else SCALAR_CANDIDATES:
+        trial = {**values, field: kind(bad) if listed else bad}
+        found = violations(rules, trial)
+        if not test(trial) and found[0] == (field, message.format(**trial)):
+            return trial, found[0][1]
+    pytest.fail(f"no candidate breaks {field!r} ({message}) first; add one")
+
+
+def as_yaml(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+NETWORK_VALUES = {**BASE["network"], **{key: (BASE["network"][key],) * 2 for key in PER_UAV}}
+
+
+@pytest.mark.parametrize(
+    "section, rule",
+    [
+        pytest.param(section, rule, id=f"{section}.{rule[0]}#{i}")
+        for section, rules in (("network", NETWORK_RULES), ("environment", ENVIRONMENT_RULES))
+        for i, rule in enumerate(rules)
+    ],
+)
+def test_dataclass_and_loader_report_each_rule_alike(tmp_path, section, rule):
+    env = dict(BASE["environment"])
+    if section == "network":
+        trial, message = first_breaking(NETWORK_RULES, NETWORK_VALUES, rule)
+        build, kwargs = NetworkConfig, {**trial, "env": EnvironmentParams(**env)}
+    else:
+        trial, message = first_breaking(ENVIRONMENT_RULES, env, rule)
+        build, kwargs = EnvironmentParams, trial
+    field = rule[0]
+    with pytest.raises(ConfigError) as direct:
+        build(**kwargs)
+    assert str(direct.value) == f"{field} {message}"
+    data = deep_merge(BASE, {section: {field: as_yaml(trial[field])}})
+    with pytest.raises(ConfigError) as loaded:
+        load_config(dump(tmp_path, data))
+    assert f"\n  {section}.{field}: {message}\n" in f"{loaded.value}\n"
+
+
+EXPERIMENT_VALUES = {
+    "t_op": DEFAULT_T_OP,
+    "trials": 3,
+    "seed": 1,
+    "k_values": [2],
+    "altitudes": [90.0],
+    "velocities": [20.0],
+    "algorithms": ["proposed"],
+}
+
+
+@pytest.mark.parametrize("rule", EXPERIMENT_RULES, ids=lambda rule: rule[0])
+def test_experiment_spec_and_loader_report_each_rule_alike(tmp_path, rule):
+    trial, message = first_breaking(EXPERIMENT_RULES, EXPERIMENT_VALUES, rule)
+    sweep = ("altitude", "altitudes") if rule[0] == "altitudes" else ("K", "k_values")
+    with pytest.raises(ConfigError) as direct:
+        ExperimentSpec(
+            scenario=load_config(dump(tmp_path, BASE)).network,
+            sweep_param=sweep[0],
+            sweep_values=trial[sweep[1]],
+            trials=trial["trials"],
+            seed=trial["seed"],
+            algorithms=trial["algorithms"],
+            velocities=trial["velocities"],
+            t_op=trial["t_op"],
+        )
+    field = rule[0]
+    assert str(direct.value) == f"{field} {message}"
+    section = "timing" if field == "t_op" else "experiment"
+    data = deep_merge(BASE, {section: {field: trial[field]}})
+    with pytest.raises(ConfigError) as loaded:
+        load_config(dump(tmp_path, data))
+    assert f"\n  {section}.{field}: {message}\n" in f"{loaded.value}\n"

@@ -202,9 +202,9 @@ class TestAllocateBatchByName:
         config = make_config(2)
         gains = 10.0 ** np.random.default_rng(8).uniform(-1.0, 3.0, size=(5, 2))
         for name in ALGORITHMS:
-            batch = allocate_batch_by_name(name, gains, config, grid=(40, 20))
+            batch = allocate_batch_by_name(name, gains, config)
             for t in range(len(gains)):
-                assert batch.row(t) == allocate_by_name(name, gains[t], config, (40, 20))
+                assert batch.row(t) == allocate_by_name(name, gains[t], config)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):

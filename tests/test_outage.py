@@ -121,10 +121,6 @@ class TestAllocation:
         alloc = Allocation(tau=0.4, beta=(0.5, 0.5), nu_r=0.3)
         assert alloc.nu_c == 1.0 - 0.3
 
-    def test_nu_c_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="nu_c"):
-            Allocation(tau=0.4, beta=(0.5, 0.5), nu_r=0.3, nu_c=0.69)
-
     def test_beta_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sum"):
             Allocation(tau=0.4, beta=(0.25, 0.74))
