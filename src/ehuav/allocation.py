@@ -24,7 +24,11 @@ replay the per-draw algorithm on every row at once: the same brackets,
 stopping tests, operation order and tallies, so row ``t`` of the result
 equals the per-draw call on ``gains[t]`` bit for bit.  The per-draw forms
 serve one draw at a time (a batch of one costs more than a per-draw call)
-and are the reference the batch forms are tested against.
+and are the reference the batch forms are tested against.  They do their
+scalar work on Python floats: phase 1 bisects the rate slope of the one
+UAV with the smallest gain, phase 2 recomputes only the two rates an
+update changes, and the baseline's inner bisections read the gains from a
+list.
 """
 
 from __future__ import annotations
@@ -210,11 +214,8 @@ def _check_scalars(nu_c: float, epsilon: float) -> None:
     check((EPSILON_RULE,), {"epsilon": epsilon})
 
 
-def _dmin_rate_dtau(beta: np.ndarray, gamma: np.ndarray, nu_c: float, tau: float) -> float:
-    """Derivative of the min rate w.r.t. tau, at the current weakest UAV."""
-    k = int(np.argmin(_rate(beta, tau, gamma, nu_c)))
-    b = float(beta[k])
-    g = float(gamma[k])
+def _rate_slope(b: float, g: float, nu_c: float, tau: float) -> float:
+    """d(rate)/d(tau) of one UAV with share b and gain g."""
     eff = b * (1.0 - tau)
     return (
         -b * nu_c * math.log2(1.0 + tau * g / eff)
@@ -251,7 +252,9 @@ def min_rate_tau_derivative(alloc: Allocation, gamma, tau: float) -> float:
     arr = _as_gamma(gamma)
     if arr.size != alloc.K:
         raise ConfigError(f"gamma must have length K={alloc.K}, got {arr.size}")
-    return _dmin_rate_dtau(np.asarray(alloc.beta), arr, alloc.nu_c, tau)
+    beta = np.asarray(alloc.beta)
+    k = int(np.argmin(_rate(beta, tau, arr, alloc.nu_c)))
+    return _rate_slope(float(beta[k]), float(arr[k]), alloc.nu_c, tau)
 
 
 def _bracket_error(lo: float, hi: float, d_lo: float, d_hi: float) -> NumericError:
@@ -275,24 +278,32 @@ def _stall_error(lo: float, hi: float, epsilon: float) -> NumericError:
     )
 
 
-def phase1_taf(beta, gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
-    """Bisection for the time split on the sign of the min-rate derivative.
+def phase1_taf(gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
+    """Bisection for the time split on the sign of the min-rate derivative,
+    at the equal bandwidth split.
 
     Bracket starts at [epsilon, 1-epsilon] and halves until its width is
     at most epsilon; returns the final midpoint and the iteration count.
+    At the equal split every UAV has the same share 1/K, and its rate
+    increases with its gain, so the weakest UAV at every tau is the one
+    with the smallest gain (the lowest index among equal gains): the
+    bisection follows that UAV's rate slope.  Where ``log2(1 + x)`` rounds
+    distinct small gains to equal rates, the smallest gain still decides,
+    not the lowest index among the equal rates.
     """
     _check_scalars(nu_c, epsilon)
     gam = _as_gamma(gamma)
-    bet = _as_beta(beta, gam.size)
+    b = 1.0 / gam.size
+    g = float(gam.min())
     lo, hi = epsilon, 1.0 - epsilon
-    d_lo = _dmin_rate_dtau(bet, gam, nu_c, lo)
-    d_hi = _dmin_rate_dtau(bet, gam, nu_c, hi)
+    d_lo = _rate_slope(b, g, nu_c, lo)
+    d_hi = _rate_slope(b, g, nu_c, hi)
     if not (d_lo > 0.0 and d_hi < 0.0):
         raise _bracket_error(lo, hi, d_lo, d_hi)
     iters = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
-        if _dmin_rate_dtau(bet, gam, nu_c, mid) > 0.0:
+        if _rate_slope(b, g, nu_c, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -309,26 +320,45 @@ def phase2_baf(
     the fastest UAV to the slowest, so the share vector's sum is
     conserved.  Returns the converged shares and the update count; more
     than ``10 * K * ceil(log10(1/epsilon))`` updates raise NumericError.
+
+    An update changes two shares, so only their two rates are recomputed,
+    with ``np.log2`` as in the batch form.  A NaN rate would be both the
+    fastest and the slowest (as ``np.argmax`` and ``np.argmin`` pick it)
+    and keep the gap NaN until the update cap, so it raises that error at
+    once.
     """
     if not 0.0 < tau_o < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau_o}")
     _check_scalars(nu_c, epsilon)
     gam = _as_gamma(gamma)
-    beta = _as_beta(beta_init, gam.size).copy()
-    cap = 10 * gam.size * math.ceil(math.log10(1.0 / epsilon))
+    beta = _as_beta(beta_init, gam.size).tolist()
+    K = len(beta)
+    cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
+    one_minus_tau = 1.0 - tau_o
+    tau_gam = (tau_o * gam).tolist()
+
+    def rate_of(k: int) -> float:
+        eff = beta[k] * one_minus_tau
+        # eff == 0 is 0 * log2(inf) in the array form: NaN.
+        r = float(eff * nu_c * np.log2(1.0 + tau_gam[k] / eff)) if eff else math.nan
+        if r != r:
+            raise _cap_error(cap, r, epsilon, K, tau_o)
+        return r
+
+    rates = [rate_of(k) for k in range(K)]
     iters = 0
     while True:
-        rates = _rate(beta, tau_o, gam, nu_c)
-        k_hat = int(np.argmax(rates))
-        k_check = int(np.argmin(rates))
-        gap = float(rates[k_hat] - rates[k_check])
+        r_hat, r_check = max(rates), min(rates)
+        gap = r_hat - r_check
         if gap <= epsilon:
-            return beta, iters
+            return np.array(beta), iters
         if iters >= cap:
-            raise _cap_error(cap, gap, epsilon, gam.size, tau_o)
-        step = float(beta[k_hat]) * gap / (2.0 * float(rates[k_hat]))
+            raise _cap_error(cap, gap, epsilon, K, tau_o)
+        k_hat, k_check = rates.index(r_hat), rates.index(r_check)
+        step = beta[k_hat] * gap / (2.0 * r_hat)
         beta[k_check] += step
         beta[k_hat] -= step
+        rates[k_hat], rates[k_check] = rate_of(k_hat), rate_of(k_check)
         iters += 1
 
 
@@ -340,12 +370,11 @@ def proposed_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResult:
     """
     gam = _as_gamma(gamma)
     K = gam.size
-    equal = np.full(K, 1.0 / K)
-    tau_o, iters_tau = phase1_taf(equal, gam, nu_c, epsilon)
-    beta_o, iters_beta = phase2_baf(tau_o, gam, nu_c, epsilon, equal)
+    tau_o, iters_tau = phase1_taf(gam, nu_c, epsilon)
+    beta_o, iters_beta = phase2_baf(tau_o, gam, nu_c, epsilon, np.full(K, 1.0 / K))
     return AllocationResult(
         tau=tau_o,
-        beta=tuple(float(b) for b in beta_o),
+        beta=tuple(beta_o.tolist()),
         iters_tau=iters_tau,
         iters_beta=iters_beta,
         inner_iters_beta=0,
@@ -366,8 +395,7 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
     gam = _as_gamma(gamma)
     K = gam.size
     _check_scalars(nu_c, epsilon)
-    equal = np.full(K, 1.0 / K)
-    tau_o, iters_tau = phase1_taf(equal, gam, nu_c, epsilon)
+    tau_o, iters_tau = phase1_taf(gam, nu_c, epsilon)
     if K == 1:
         return AllocationResult(
             tau=tau_o,
@@ -377,17 +405,19 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
             inner_iters_beta=0,
             op_count=iters_tau,
         )
+    one_minus_tau = 1.0 - tau_o
+    tau_gam = (tau_o * gam).tolist()
 
     def rate_k(beta_k: float, k: int) -> float:
-        eff = beta_k * (1.0 - tau_o)
-        return eff * nu_c * math.log2(1.0 + tau_o * gam[k] / eff)
+        eff = beta_k * one_minus_tau
+        return eff * nu_c * math.log2(1.0 + tau_gam[k] / eff)
 
-    def shares_for_target(target: float) -> tuple[np.ndarray | None, int]:
+    def shares_for_target(target: float) -> tuple[list | None, int]:
         """Smallest per-UAV share reaching the target, or None if any UAV
         cannot reach it with nearly the whole band.  Second value is the
         inner bisection count consumed."""
         inner = 0
-        shares = np.empty(K)
+        shares = []
         for k in range(K):
             if rate_k(1.0 - epsilon, k) < target:
                 return None, inner
@@ -399,12 +429,12 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
                 else:
                     lo = mid
                 inner += 1
-            shares[k] = hi
+            shares.append(hi)
         return shares, inner
 
     target_lo = 0.0
     target_hi = min(rate_k(1.0 - epsilon, k) for k in range(K))
-    best = np.full(K, epsilon)  # the trivially feasible zero-rate shares
+    best = [epsilon] * K  # the trivially feasible zero-rate shares
     iters_beta = 0
     inner_total = 0
     while target_hi - target_lo > epsilon:
@@ -412,7 +442,8 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
         shares, inner = shares_for_target(target)
         inner_total += inner
         iters_beta += 1
-        feasible = shares is not None and float(shares.sum()) <= 1.0
+        # np.sum, not sum: numpy adds eight or more terms pairwise.
+        feasible = shares is not None and float(np.sum(shares)) <= 1.0
         if target == (target_lo if feasible else target_hi):
             raise _stall_error(target_lo, target_hi, epsilon)
         if feasible:
@@ -420,10 +451,11 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
             best = shares
         else:
             target_hi = target
+    best = np.array(best)
     best = best / best.sum()
     return AllocationResult(
         tau=tau_o,
-        beta=tuple(float(b) for b in best),
+        beta=tuple(best.tolist()),
         iters_tau=iters_tau,
         iters_beta=iters_beta,
         inner_iters_beta=inner_total,
@@ -431,13 +463,9 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
     )
 
 
-def _dmin_rate_dtau_batch(b: float, gam: np.ndarray, nu_c: float, tau: np.ndarray) -> np.ndarray:
-    """:func:`_dmin_rate_dtau` at the equal split ``b = 1/K``, one tau per row."""
+def _rate_slope_batch(b: float, g: np.ndarray, nu_c: float, tau: np.ndarray) -> np.ndarray:
+    """:func:`_rate_slope` at the equal split ``b = 1/K``, one (gain, tau) per row."""
     eff = b * (1.0 - tau)
-    rates = eff[:, np.newaxis] * nu_c * np.log2(
-        1.0 + tau[:, np.newaxis] * gam / eff[:, np.newaxis]
-    )
-    g = gam[np.arange(gam.shape[0]), np.argmin(rates, axis=1)]
     return -b * nu_c * _log2_exact(1.0 + tau * g / eff) + nu_c * b * g / (
         _LN2 * (eff + tau * g)
     )
@@ -452,10 +480,11 @@ def _phase1_batch(
     """
     T, K = gam.shape
     b = 1.0 / K
+    g = gam.min(axis=1)  # each row's weakest UAV at every tau
     lo = np.full(T, epsilon)
     hi = np.full(T, 1.0 - epsilon)
-    d_lo = _dmin_rate_dtau_batch(b, gam, nu_c, lo)
-    d_hi = _dmin_rate_dtau_batch(b, gam, nu_c, hi)
+    d_lo = _rate_slope_batch(b, g, nu_c, lo)
+    d_hi = _rate_slope_batch(b, g, nu_c, hi)
     active = (d_lo > 0.0) & (d_hi < 0.0)
     for t in np.flatnonzero(~active):
         errors.setdefault(
@@ -468,7 +497,7 @@ def _phase1_batch(
         if not active.any():
             return 0.5 * (lo + hi), iters
         mid = 0.5 * (lo + hi)
-        rising = _dmin_rate_dtau_batch(b, gam, nu_c, mid) > 0.0
+        rising = _rate_slope_batch(b, g, nu_c, mid) > 0.0
         lo = np.where(active & rising, mid, lo)
         hi = np.where(active & ~rising, mid, hi)
         iters += active

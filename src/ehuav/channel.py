@@ -70,7 +70,9 @@ def _count_rule(name: str) -> Rule:
 
 
 def _positive_rule(name: str) -> Rule:
-    return (name, lambda v: v[name] > 0, f"must be > 0, got {{{name}}}")
+    return (
+        name, lambda v: 0 < v[name] < math.inf, f"must be finite and > 0, got {{{name}}}"
+    )
 
 
 def _per_uav_rules(name: str, test: Callable, requirement: str) -> tuple[Rule, Rule]:
@@ -99,15 +101,21 @@ NETWORK_RULES: tuple[Rule, ...] = (
     ),
     ("zeta", lambda v: 0 < v["zeta"] <= 1, "must lie in (0,1], got {zeta}"),
     EPSILON_RULE,
-    *_per_uav_rules("p_c", lambda p: p > 0, "entries must be > 0"),
+    *_per_uav_rules("p_c", lambda p: 0 < p < math.inf, "entries must be finite and > 0"),
     *_per_uav_rules("m_h", lambda m: integer_at_least(m, 1), _NAKAGAMI),
     *_per_uav_rules("m_g", lambda m: integer_at_least(m, 1), _NAKAGAMI),
-    # The closed-form CDF needs Gamma(m_g * N_r) from specfun.gamma_int.
+    # The closed-form CDF needs Gamma of both shapes from specfun.gamma_int.
     (
         "N_r",
         lambda v: all(m * v["N_r"] <= GAMMA_INT_MAX for m in v["m_g"]),
         f"must satisfy m_g * N_r <= {GAMMA_INT_MAX} for every UAV "
         "(the closed-form CDF needs Gamma(m_g * N_r)), got N_r={N_r}, m_g={m_g}",
+    ),
+    (
+        "N_c",
+        lambda v: all(m * v["N_c"] <= GAMMA_INT_MAX for m in v["m_h"]),
+        f"must satisfy m_h * N_c <= {GAMMA_INT_MAX} for every UAV "
+        "(the closed-form CDF needs Gamma(m_h * N_c)), got N_c={N_c}, m_h={m_h}",
     ),
 )
 
@@ -116,8 +124,9 @@ ENVIRONMENT_RULES: tuple[Rule, ...] = (
     _positive_rule("b"),
     (
         "eta_los",
-        lambda v: v["eta_nlos"] >= v["eta_los"] >= 0,
-        "must satisfy eta_nlos >= eta_los >= 0, got eta_los={eta_los}, eta_nlos={eta_nlos}",
+        lambda v: math.inf > v["eta_nlos"] >= v["eta_los"] >= 0,
+        "must satisfy eta_nlos >= eta_los >= 0 with eta_nlos finite, "
+        "got eta_los={eta_los}, eta_nlos={eta_nlos}",
     ),
 )
 

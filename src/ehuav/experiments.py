@@ -82,8 +82,8 @@ OPTIMAL_GRID = (200, 100)
 def _positive_list_rule(name: str) -> Rule:
     return (
         name,
-        lambda v: len(v[name]) > 0 and all(x > 0 for x in v[name]),
-        f"must be a non-empty list of numbers > 0, got {{{name}}}",
+        lambda v: len(v[name]) > 0 and all(0 < x < math.inf for x in v[name]),
+        f"must be a non-empty list of finite numbers > 0, got {{{name}}}",
     )
 
 
@@ -91,7 +91,7 @@ def _positive_list_rule(name: str) -> Rule:
 # config loader's timing and experiment sections; rules as in
 # :data:`ehuav.channel.NETWORK_RULES`.
 EXPERIMENT_RULES: tuple[Rule, ...] = (
-    ("t_op", lambda v: v["t_op"] >= 0.0, "must be >= 0, got {t_op}"),
+    ("t_op", lambda v: 0.0 <= v["t_op"] < math.inf, "must be finite and >= 0, got {t_op}"),
     ("trials", lambda v: integer_at_least(v["trials"], 1), "must be an integer >= 1, got {trials}"),
     ("seed", lambda v: integer_at_least(v["seed"], 0), "must be an integer >= 0, got {seed}"),
     (

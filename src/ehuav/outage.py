@@ -109,11 +109,17 @@ def _rate(beta_k, tau, gamma_k, nu_c):
 
 
 def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:
-    """Minimum per-UAV rate and its 0-based index (ties: lowest index)."""
+    """Minimum per-UAV rate and its 0-based index (ties: lowest index).
+
+    The allocation checked tau and beta when it was built, so only the
+    gains are checked here.
+    """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (alloc.K,):
         raise ConfigError(f"gamma must have length K={alloc.K}, got shape {gamma.shape}")
-    rates = rate(np.asarray(alloc.beta), alloc.tau, gamma, alloc.nu_c)
+    if np.any(gamma < 0.0):
+        raise ConfigError("gamma_k must be >= 0")
+    rates = _rate(np.asarray(alloc.beta), alloc.tau, gamma, alloc.nu_c)
     k = int(np.argmin(rates))  # argmin returns the first minimum
     return float(rates[k]), k
 
@@ -169,7 +175,9 @@ def gamma_product_cdf(
 
     * ``u >= _U_SERIES`` (60): one minus the finite survival sum
       (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!,
-      with compensated summation; 1.0 outright for u >= 1e6.
+      with compensated summation; 1.0 outright for u >= 1e6.  Where a
+      power u^((m+n_g)/2) leaves the double range (large shapes at large
+      u), it raises :class:`NumericError`.
     * ``u < _U_SERIES``: the all-positive lower-tail series, summed to a
       bounded index J plus its closed-form remainder R_J
       (:func:`_lower_tail_series`).  It keeps full relative accuracy however
@@ -210,12 +218,18 @@ def gamma_product_cdf(
         bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
         terms = []
         factorial_m = 1.0
-        for m in range(n_h):
-            if m > 0:
-                factorial_m *= m
-            terms.append(
-                2.0 / (factorial_m * gamma_ng) * sqrt_u ** (m + n_g) * bessel[abs(n_g - m)]
-            )
+        try:
+            for m in range(n_h):
+                if m > 0:
+                    factorial_m *= m
+                terms.append(
+                    2.0 / (factorial_m * gamma_ng) * sqrt_u ** (m + n_g) * bessel[abs(n_g - m)]
+                )
+        except OverflowError:  # sqrt_u ** (m + n_g) past the double range
+            raise NumericError(
+                f"product-gamma survival sum overflows at u={u!r} "
+                f"for shapes n_h={n_h}, n_g={n_g}"
+            ) from None
         value = 1.0 - math.fsum(terms)
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(

@@ -10,6 +10,8 @@ phases.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,11 +33,14 @@ from ehuav.allocation import (
     proposed_allocate,
     proposed_allocate_batch,
 )
-from ehuav.channel import EPSILON_MIN
+from ehuav.channel import EPSILON_MIN, make_link_budget, sample_gamma_matrix
+from ehuav.configio import load_config
 from ehuav.errors import CapabilityError, ConfigError, EhuavError, NumericError
-from ehuav.outage import Allocation, min_rate, rate
+from ehuav.experiments import place_nodes
+from ehuav.outage import Allocation, _rate, min_rate, rate
 
 EPS = 1e-4
+TABLE1 = Path(__file__).resolve().parent.parent / "configs" / "table1.yaml"
 
 
 def worst_rate(beta, tau: float, gamma, nu_c: float = 1.0) -> float:
@@ -183,7 +188,7 @@ class TestPhase1Taf:
     @pytest.mark.parametrize("eps,expected", [(1e-3, 10), (1e-4, 14), (1e-5, 17)])
     def test_iteration_count_is_fixed_by_epsilon(self, eps, expected):
         gam = random_gains(3, 7, lo=0.0, hi=2.0)
-        _, iters = phase1_taf(np.full(3, 1 / 3), gam, 1.0, eps)
+        _, iters = phase1_taf(gam, 1.0, eps)
         assert iters == expected == math.ceil(math.log2((1.0 - 2.0 * eps) / eps))
 
     @pytest.mark.parametrize("gains", [[37.0], [0.8, 11.0, 230.0]])
@@ -191,7 +196,7 @@ class TestPhase1Taf:
         gam = np.asarray(gains, dtype=float)
         K = gam.size
         beta = np.full(K, 1.0 / K)
-        tau, _ = phase1_taf(beta, gam, 1.0, EPS)
+        tau, _ = phase1_taf(gam, 1.0, EPS)
         taus = np.linspace(1e-4, 1.0 - 1e-4, 20001)
         eff = np.outer(1.0 - taus, beta)
         rates = eff * np.log2(1.0 + taus[:, None] * gam / eff)
@@ -200,30 +205,43 @@ class TestPhase1Taf:
 
     def test_overhead_share_does_not_move_the_split(self):
         gam = random_gains(4, 3)
-        beta = np.full(4, 0.25)
-        tau_full, iters_full = phase1_taf(beta, gam, 1.0, EPS)
-        tau_part, iters_part = phase1_taf(beta, gam, 0.37, EPS)
+        tau_full, iters_full = phase1_taf(gam, 1.0, EPS)
+        tau_part, iters_part = phase1_taf(gam, 0.37, EPS)
         assert tau_full == tau_part
         assert iters_full == iters_part
 
     def test_vanishing_gains_cannot_bracket(self):
         with pytest.raises(NumericError, match="bracket"):
-            phase1_taf([1.0], [1e-9], 1.0, EPS)
+            phase1_taf([1e-9], 1.0, EPS)
 
     def test_brackets_across_gain_scales(self):
         for exponent in range(-2, 5):
-            tau, _ = phase1_taf([1.0], [10.0**exponent], 1.0, EPS)
+            tau, _ = phase1_taf([10.0**exponent], 1.0, EPS)
             assert 0.0 < tau < 1.0
+
+    def test_weakest_uav_is_the_smallest_gain_even_where_rates_tie(self):
+        # At tau = epsilon, log2(1 + x) rounds the rates of the two smallest
+        # gains to 0.0, so the rate argmin (which min_rate_tau_derivative
+        # uses) picks index 1; phase 1 follows the smallest gain, index 2.
+        gains = [1.37558935e-05, 1.78042568e-13, 1.12371205e-13, 2.59839270e-02]
+        eps = 2.876e-05
+        equal = Allocation(tau=0.5, beta=(0.25,) * 4)
+        rates = rate(np.full(4, 0.25), eps, np.array(gains), 1.0)
+        assert rates[1] == rates[2] == 0.0
+        smallest = min_rate_tau_derivative(equal, [gains[2]] * 4, eps)
+        lowest_index = min_rate_tau_derivative(equal, gains, eps)
+        assert smallest != lowest_index
+        with pytest.raises(NumericError, match="bracket") as info:
+            phase1_taf(gains, 1.0, eps)
+        assert f"d(lo)={smallest!r}," in str(info.value)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError, match="epsilon"):
-            phase1_taf([1.0], [2.0], 1.0, 0.6)
+            phase1_taf([2.0], 1.0, 0.6)
         with pytest.raises(ConfigError, match="nu_c"):
-            phase1_taf([1.0], [2.0], 0.0, EPS)
-        with pytest.raises(ConfigError, match="length"):
-            phase1_taf([0.5, 0.5], [2.0], 1.0, EPS)
+            phase1_taf([2.0], 0.0, EPS)
         with pytest.raises(ConfigError, match="positive"):
-            phase1_taf([1.0], [0.0], 1.0, EPS)
+            phase1_taf([0.0], 1.0, EPS)
 
 
 class TestPhase2Baf:
@@ -266,6 +284,21 @@ class TestPhase2Baf:
         with pytest.raises(ConfigError, match="sum to 1"):
             phase2_baf(0.5, [1.0, 2.0], 1.0, EPS, [0.5, 0.4])
 
+    @pytest.mark.parametrize("beta_init", [[5e-324, 1.0], [1.0, 5e-324]])
+    def test_nan_rate_raises_the_cap_error_at_once(self, beta_init):
+        # A share of 5e-324 times (1 - tau) underflows to 0, so its rate is
+        # 0 * log2(inf) = NaN: the gap could never reach epsilon.
+        with pytest.raises(NumericError) as info:
+            phase2_baf(0.5, [1.0, 2.0], 1.0, EPS, beta_init)
+        assert str(info.value) == (
+            "bandwidth equalization did not converge in 80 updates: "
+            "gap=nan > epsilon=0.0001 (K=2, tau=0.5)"
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as reference:
+                reference_phase2_baf(0.5, np.array([1.0, 2.0]), 1.0, EPS, np.array(beta_init))
+        assert str(reference.value) == str(info.value)
+
     @settings(max_examples=40, deadline=None)
     @given(K=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_random_instances_converge_equalised(self, K, seed):
@@ -274,6 +307,176 @@ class TestPhase2Baf:
         rates = rate(beta, 0.35, gam, 1.0)
         assert float(rates.max() - rates.min()) <= EPS
         assert abs(math.fsum(beta) - 1.0) <= 1e-12
+
+
+# The per-draw allocators as they were before phase 1 followed the smallest
+# gain and phase 2 recomputed two rates per update: kept verbatim, minus
+# the argument checks, as the reference the current ones must equal.
+def reference_dmin_rate_dtau(beta, gamma, nu_c, tau):
+    k = int(np.argmin(_rate(beta, tau, gamma, nu_c)))
+    b = float(beta[k])
+    g = float(gamma[k])
+    eff = b * (1.0 - tau)
+    return (
+        -b * nu_c * math.log2(1.0 + tau * g / eff)
+        + nu_c * b * g / (allocation._LN2 * (eff + tau * g))
+    )
+
+
+def reference_phase1_taf(bet, gam, nu_c, epsilon):
+    lo, hi = epsilon, 1.0 - epsilon
+    d_lo = reference_dmin_rate_dtau(bet, gam, nu_c, lo)
+    d_hi = reference_dmin_rate_dtau(bet, gam, nu_c, hi)
+    if not (d_lo > 0.0 and d_hi < 0.0):
+        raise allocation._bracket_error(lo, hi, d_lo, d_hi)
+    iters = 0
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if reference_dmin_rate_dtau(bet, gam, nu_c, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return 0.5 * (lo + hi), iters
+
+
+def reference_phase2_baf(tau_o, gam, nu_c, epsilon, beta_init):
+    beta = beta_init.copy()
+    cap = 10 * gam.size * math.ceil(math.log10(1.0 / epsilon))
+    iters = 0
+    while True:
+        rates = _rate(beta, tau_o, gam, nu_c)
+        k_hat = int(np.argmax(rates))
+        k_check = int(np.argmin(rates))
+        gap = float(rates[k_hat] - rates[k_check])
+        if gap <= epsilon:
+            return beta, iters
+        if iters >= cap:
+            raise allocation._cap_error(cap, gap, epsilon, gam.size, tau_o)
+        step = float(beta[k_hat]) * gap / (2.0 * float(rates[k_hat]))
+        beta[k_check] += step
+        beta[k_hat] -= step
+        iters += 1
+
+
+def reference_proposed_allocate(gam, nu_c, epsilon):
+    K = gam.size
+    equal = np.full(K, 1.0 / K)
+    tau_o, iters_tau = reference_phase1_taf(equal, gam, nu_c, epsilon)
+    beta_o, iters_beta = reference_phase2_baf(tau_o, gam, nu_c, epsilon, equal)
+    return AllocationResult(
+        tau=tau_o,
+        beta=tuple(float(b) for b in beta_o),
+        iters_tau=iters_tau,
+        iters_beta=iters_beta,
+        inner_iters_beta=0,
+        op_count=K + iters_tau + iters_beta * K,
+    )
+
+
+def reference_conventional_allocate(gam, nu_c, epsilon):
+    K = gam.size
+    equal = np.full(K, 1.0 / K)
+    tau_o, iters_tau = reference_phase1_taf(equal, gam, nu_c, epsilon)
+    if K == 1:
+        return AllocationResult(
+            tau=tau_o,
+            beta=(1.0,),
+            iters_tau=iters_tau,
+            iters_beta=0,
+            inner_iters_beta=0,
+            op_count=iters_tau,
+        )
+
+    def rate_k(beta_k: float, k: int) -> float:
+        eff = beta_k * (1.0 - tau_o)
+        return eff * nu_c * math.log2(1.0 + tau_o * gam[k] / eff)
+
+    def shares_for_target(target: float):
+        inner = 0
+        shares = np.empty(K)
+        for k in range(K):
+            if rate_k(1.0 - epsilon, k) < target:
+                return None, inner
+            lo, hi = epsilon, 1.0 - epsilon
+            while hi - lo > epsilon:
+                mid = 0.5 * (lo + hi)
+                if rate_k(mid, k) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+                inner += 1
+            shares[k] = hi
+        return shares, inner
+
+    target_lo = 0.0
+    target_hi = min(rate_k(1.0 - epsilon, k) for k in range(K))
+    best = np.full(K, epsilon)
+    iters_beta = 0
+    inner_total = 0
+    while target_hi - target_lo > epsilon:
+        target = 0.5 * (target_lo + target_hi)
+        shares, inner = shares_for_target(target)
+        inner_total += inner
+        iters_beta += 1
+        feasible = shares is not None and float(shares.sum()) <= 1.0
+        if target == (target_lo if feasible else target_hi):
+            raise allocation._stall_error(target_lo, target_hi, epsilon)
+        if feasible:
+            target_lo = target
+            best = shares
+        else:
+            target_hi = target
+    best = best / best.sum()
+    return AllocationResult(
+        tau=tau_o,
+        beta=tuple(float(b) for b in best),
+        iters_tau=iters_tau,
+        iters_beta=iters_beta,
+        inner_iters_beta=inner_total,
+        op_count=iters_tau * K + inner_total,
+    )
+
+
+def default_scenario_draws(K: int, trials: int, seed: int) -> np.ndarray:
+    """Channel draws of configs/table1.yaml resized to K UAVs."""
+    net = load_config(TABLE1).network
+    net = replace(net, K=K, p_c=(net.p_c[0],) * K, m_h=(net.m_h[0],) * K, m_g=(net.m_g[0],) * K)
+    budgets = [make_link_budget(k, net, geom) for k, geom in enumerate(place_nodes(net))]
+    return sample_gamma_matrix(budgets, net, np.random.default_rng(seed), trials)
+
+
+@pytest.mark.parametrize("K", range(1, 11))
+def test_per_draw_allocators_equal_the_reference(K):
+    epsilon = load_config(TABLE1).network.epsilon
+    for gam in default_scenario_draws(K, 30, 100 + K):
+        for nu_c in (1.0, 0.95, 0.5):
+            for current, reference in (
+                (proposed_allocate, reference_proposed_allocate),
+                (conventional_allocate, reference_conventional_allocate),
+            ):
+                res = current(gam, nu_c, epsilon)
+                assert bits(res) == bits(reference(gam, nu_c, epsilon))
+                # min_rate as it was: the checked rate() over the shares.
+                alloc = res.as_allocation(1.0 - nu_c)
+                rates = rate(np.asarray(alloc.beta), alloc.tau, gam, alloc.nu_c)
+                value, k = min_rate(alloc, gam)
+                assert (value.hex(), k) == (float(rates.min()).hex(), int(np.argmin(rates)))
+
+
+def test_per_draw_allocators_equal_the_reference_on_random_gains():
+    # Gains over five decades, K = 2..8, several tolerances.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        K = int(rng.integers(2, 9))
+        gam = 10.0 ** rng.uniform(-2.0, 3.0, size=K)
+        epsilon = 10.0 ** rng.uniform(-6.0, -2.0)
+        assert bits(proposed_allocate(gam, 1.0, epsilon)) == bits(
+            reference_proposed_allocate(gam, 1.0, epsilon)
+        )
+        assert bits(conventional_allocate(gam, 1.0, epsilon)) == bits(
+            reference_conventional_allocate(gam, 1.0, epsilon)
+        )
 
 
 class TestProposedAllocate:
@@ -509,7 +712,7 @@ class TestExhaustiveOptimal:
 
     def test_single_pair_matches_phase1(self):
         res = exhaustive_optimal([12.0], 1.0, grid_tau=999, grid_beta=4)
-        tau_ref, _ = phase1_taf([1.0], [12.0], 1.0, 1e-5)
+        tau_ref, _ = phase1_taf([12.0], 1.0, 1e-5)
         assert res.beta == (1.0,)
         assert abs(res.tau - tau_ref) <= 1.0 / 1000.0 + 1e-5
 

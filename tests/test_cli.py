@@ -94,6 +94,24 @@ class TestValidate:
         assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
         assert "network.N_r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m_h", [60, 100])
+    def test_channel_shape_beyond_the_closed_form_is_a_config_error(self, tmp_path, capsys, m_h):
+        # m_h * N_c = 240 or 400 > 170: the survival sum used to overflow in
+        # `outage` with a traceback after `validate` had passed.
+        path = config_file(tmp_path, network={"m_h": m_h})
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert "network.N_c: must satisfy m_h * N_c <= 170" in capsys.readouterr().err
+        assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
+        assert "network.N_c" in capsys.readouterr().err
+
+    def test_infinite_rate_requirement_is_a_config_error(self, tmp_path, capsys):
+        # R_a = inf used to pass and end in a NaN time split (exit 3).
+        path = config_file(tmp_path, network={"R_a": float("inf")})
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert "network.R_a: must be finite and > 0, got inf" in capsys.readouterr().err
+        assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
+        assert "network.R_a" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/does/not/exist.yaml"]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Config-file loading: happy path, defaults, and exhaustive error listing."""
 
 import math
+import re
 
 import pytest
 import yaml
@@ -306,14 +307,20 @@ NETWORK_VALUES = {**BASE["network"], **{key: (BASE["network"][key],) * 2 for key
     ],
 )
 def test_dataclass_and_loader_report_each_rule_alike(tmp_path, section, rule):
-    env = dict(BASE["environment"])
+    values = NETWORK_VALUES if section == "network" else BASE["environment"]
+    rules = NETWORK_RULES if section == "network" else ENVIRONMENT_RULES
+    trial, message = first_breaking(rules, values, rule)
+    assert_both_paths_report(tmp_path, section, trial, rule[0], message)
+
+
+def assert_both_paths_report(tmp_path, section, trial, field, message):
+    """``<field> <message>`` from the dataclass built from ``trial`` and
+    ``<section>.<field>: <message>`` from load_config on the same value."""
     if section == "network":
-        trial, message = first_breaking(NETWORK_RULES, NETWORK_VALUES, rule)
-        build, kwargs = NetworkConfig, {**trial, "env": EnvironmentParams(**env)}
+        env = EnvironmentParams(**BASE["environment"])
+        build, kwargs = NetworkConfig, {**trial, "env": env}
     else:
-        trial, message = first_breaking(ENVIRONMENT_RULES, env, rule)
         build, kwargs = EnvironmentParams, trial
-    field = rule[0]
     with pytest.raises(ConfigError) as direct:
         build(**kwargs)
     assert str(direct.value) == f"{field} {message}"
@@ -321,6 +328,45 @@ def test_dataclass_and_loader_report_each_rule_alike(tmp_path, section, rule):
     with pytest.raises(ConfigError) as loaded:
         load_config(dump(tmp_path, data))
     assert f"\n  {section}.{field}: {message}\n" in f"{loaded.value}\n"
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        *(("network", field) for field in (
+            "B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a", "p_c"
+        )),
+        ("environment", "a"),
+        ("environment", "b"),
+    ],
+)
+def test_infinite_values_are_refused_alike(tmp_path, section, field):
+    # inf passed every "> 0" bound and failed later as a NaN time split.
+    values = NETWORK_VALUES if section == "network" else BASE["environment"]
+    good = values[field]
+    trial = {**values, field: (math.inf,) * len(good) if isinstance(good, tuple) else math.inf}
+    rules = NETWORK_RULES if section == "network" else ENVIRONMENT_RULES
+    (found_field, message), *_ = violations(rules, trial)
+    assert found_field == field
+    assert message.startswith(("must be finite and > 0, got ", "entries must be finite and > 0"))
+    assert_both_paths_report(tmp_path, section, trial, field, message)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, path",
+    [
+        ("environment", "eta_nlos", math.inf, "environment.eta_los"),
+        ("timing", "t_op", math.inf, "timing.t_op"),
+        ("experiment", "altitudes", [90.0, math.inf], "experiment.altitudes"),
+        ("experiment", "velocities", [math.inf], "experiment.velocities"),
+    ],
+)
+def test_other_infinite_values_are_refused_with_their_path(tmp_path, section, key, value, path):
+    # These passed and failed later without a path: a NaN path gain, a NaN
+    # overhead share, or an A_hat message for an altitude.
+    data = deep_merge(BASE, {section: {key: value}})
+    with pytest.raises(ConfigError, match=rf"\n  {re.escape(path)}: must .*finite"):
+        load_config(dump(tmp_path, data))
 
 
 EXPERIMENT_VALUES = {

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav.channel import EnvironmentParams, LinkBudget, NetworkConfig
-from ehuav.errors import ConfigError, DomainError
+from ehuav.errors import ConfigError, DomainError, NumericError
 from ehuav.outage import (
     Allocation,
     OutageEstimate,
@@ -334,6 +334,14 @@ class TestGammaProductCdf:
         # Beyond it the survival sum still serves n_h > 170, as long as
         # n_g <= 170; it cancels (F is 1.3e-18 here), but it does not raise.
         assert 0.0 <= gamma_product_cdf(30.0, UNIT_BUDGET, 180, 1, 12, 1) < 1e-12
+
+    def test_survival_overflow_is_a_numeric_error(self):
+        # Shapes the config rules allow (both <= 170) can still push
+        # u^((m + n_g)/2) past the double range in the survival sum.
+        message = r"overflows at u=10000.0 for shapes n_h=12, n_g=170"
+        with pytest.raises(NumericError, match=message):
+            gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 170, 1)
+        assert 0.0 <= gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 12, 1) <= 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(
