@@ -11,10 +11,10 @@ Library layout:
 - :mod:`ehuav.allocation` — equal-bandwidth closed form, the two-phase
   fast allocator, the conventional nested-bisection baseline, and the
   exhaustive grid search.
-- :mod:`ehuav.experiments` — block/RAP timing, node placement, sweep runners
-  and their CSV output.
-- :mod:`ehuav.configio` / :mod:`ehuav.cli` — config file handling and the
-  command-line front end.
+- :mod:`ehuav.experiments` — the sweep settings (``ExperimentSpec``),
+  block/RAP timing, node placement, sweep runners and their CSV output.
+- :mod:`ehuav.configio` / :mod:`ehuav.cli` — config file loading into an
+  ``ExperimentSpec``, and the command-line front end.
 """
 
 __version__ = "0.1.0"

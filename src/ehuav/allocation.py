@@ -292,7 +292,11 @@ def phase1_taf(gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
     not the lowest index among the equal rates.
     """
     _check_scalars(nu_c, epsilon)
-    gam = _as_gamma(gamma)
+    return _phase1(_as_gamma(gamma), nu_c, epsilon)
+
+
+def _phase1(gam: np.ndarray, nu_c: float, epsilon: float) -> tuple[float, int]:
+    """:func:`phase1_taf` on arguments that passed its checks."""
     b = 1.0 / gam.size
     g = float(gam.min())
     lo, hi = epsilon, 1.0 - epsilon
@@ -331,7 +335,14 @@ def phase2_baf(
         raise ConfigError(f"tau must lie in (0,1), got {tau_o}")
     _check_scalars(nu_c, epsilon)
     gam = _as_gamma(gamma)
-    beta = _as_beta(beta_init, gam.size).tolist()
+    beta, iters = _phase2(tau_o, gam, nu_c, epsilon, _as_beta(beta_init, gam.size).tolist())
+    return np.array(beta), iters
+
+
+def _phase2(
+    tau_o: float, gam: np.ndarray, nu_c: float, epsilon: float, beta: list[float]
+) -> tuple[list[float], int]:
+    """:func:`phase2_baf` on arguments that passed its checks; updates ``beta``."""
     K = len(beta)
     cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
     one_minus_tau = 1.0 - tau_o
@@ -351,7 +362,7 @@ def phase2_baf(
         r_hat, r_check = max(rates), min(rates)
         gap = r_hat - r_check
         if gap <= epsilon:
-            return np.array(beta), iters
+            return beta, iters
         if iters >= cap:
             raise _cap_error(cap, gap, epsilon, K, tau_o)
         k_hat, k_check = rates.index(r_hat), rates.index(r_check)
@@ -369,12 +380,13 @@ def proposed_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResult:
     one derivative per bisection step, K rates per transfer update.
     """
     gam = _as_gamma(gamma)
+    _check_scalars(nu_c, epsilon)
     K = gam.size
-    tau_o, iters_tau = phase1_taf(gam, nu_c, epsilon)
-    beta_o, iters_beta = phase2_baf(tau_o, gam, nu_c, epsilon, np.full(K, 1.0 / K))
+    tau_o, iters_tau = _phase1(gam, nu_c, epsilon)
+    beta_o, iters_beta = _phase2(tau_o, gam, nu_c, epsilon, [1.0 / K] * K)
     return AllocationResult(
         tau=tau_o,
-        beta=tuple(beta_o.tolist()),
+        beta=tuple(beta_o),
         iters_tau=iters_tau,
         iters_beta=iters_beta,
         inner_iters_beta=0,
@@ -395,7 +407,7 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
     gam = _as_gamma(gamma)
     K = gam.size
     _check_scalars(nu_c, epsilon)
-    tau_o, iters_tau = phase1_taf(gam, nu_c, epsilon)
+    tau_o, iters_tau = _phase1(gam, nu_c, epsilon)
     if K == 1:
         return AllocationResult(
             tau=tau_o,

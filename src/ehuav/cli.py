@@ -38,7 +38,6 @@ from .errors import (
 from .experiments import (
     ALGORITHMS,
     ExperimentRow,
-    ExperimentSpec,
     allocate_by_name,
     block_time,
     link_budgets,
@@ -145,6 +144,8 @@ def cmd_outage(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.rate is not None and not (math.isfinite(args.rate) and args.rate >= 0.0):
         raise ConfigError(f"--rate must be a finite number >= 0, got {args.rate}")
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.beta is not None:
         if len(args.beta) != K:
             raise ConfigError(
@@ -324,33 +325,12 @@ def _finish_sweep(rows: Sequence[ExperimentRow], out: str, failures: list[str]) 
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    loaded = load_config(args.config)
-    spec = ExperimentSpec(
-        scenario=loaded.network,
-        sweep_param="K",
-        sweep_values=loaded.k_values,
-        trials=loaded.trials,
-        seed=loaded.seed,
-        algorithms=loaded.algorithms,
-        t_op=loaded.t_op,
-    )
-    rows = run_iterations_and_minrate_sweep(spec)
+    rows = run_iterations_and_minrate_sweep(load_config(args.config))
     return _finish_sweep(rows, args.out, fig3_trend_failures(rows))
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
-    loaded = load_config(args.config)
-    spec = ExperimentSpec(
-        scenario=loaded.network,
-        sweep_param="altitude",
-        sweep_values=loaded.altitudes,
-        trials=loaded.trials,
-        seed=loaded.seed,
-        algorithms=loaded.algorithms,
-        velocities=loaded.velocities,
-        t_op=loaded.t_op,
-    )
-    rows = run_outage_altitude_sweep(spec)
+    rows = run_outage_altitude_sweep(load_config(args.config))
     return _finish_sweep(rows, args.out, fig4_trend_failures(rows))
 
 

@@ -2,20 +2,22 @@
 
 One document, four sections — ``network``, ``environment``, ``timing``,
 ``experiment`` — mirroring :class:`~ehuav.channel.NetworkConfig`,
-:class:`~ehuav.channel.EnvironmentParams`, the per-operation signalling
-cost, and the sweep settings.  This module checks only the file's shape:
-unknown sections and keys, required keys, numbers (a YAML bool is not one),
-lists, and the per-UAV scalars that broadcast to every UAV.  The bounds are
-the rule tables :data:`~ehuav.channel.NETWORK_RULES`,
-:data:`~ehuav.channel.ENVIRONMENT_RULES` and
-:data:`~ehuav.experiments.EXPERIMENT_RULES`, which the dataclasses check
+:class:`~ehuav.channel.EnvironmentParams`, and the per-operation signalling
+cost and sweep settings of :class:`~ehuav.experiments.ExperimentSpec`, which
+:func:`load_config` returns; the last two sections are optional, and what
+they leave out takes the ``ExperimentSpec`` defaults.  This module checks
+only the file's shape: unknown sections and keys, required keys, numbers (a
+YAML bool is not one), lists, and the per-UAV scalars that broadcast to
+every UAV.  The bounds are the rule tables
+:data:`~ehuav.channel.NETWORK_RULES`, :data:`~ehuav.channel.ENVIRONMENT_RULES`
+and :data:`~ehuav.experiments.EXPERIMENT_RULES`, which the dataclasses check
 too.  *All* problems are reported at once, each prefixed with its dotted
 key path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import yaml
 
@@ -28,7 +30,7 @@ from .channel import (
     violations,
 )
 from .errors import ConfigError
-from .experiments import DEFAULT_T_OP, EXPERIMENT_RULES
+from .experiments import EXPERIMENT_RULES, ExperimentSpec
 
 _NETWORK_KEYS = tuple(f.name for f in fields(NetworkConfig) if f.name != "env")
 _NETWORK_SCALARS = tuple(key for key in _NETWORK_KEYS if key not in PER_UAV)
@@ -37,28 +39,6 @@ _TIMING_KEYS = ("t_op",)
 _EXPERIMENT_SCALARS = ("trials", "seed")
 _EXPERIMENT_LISTS = ("k_values", "altitudes", "velocities", "algorithms")
 _EXPERIMENT_KEYS = _EXPERIMENT_SCALARS + _EXPERIMENT_LISTS
-
-DEFAULT_TRIALS = 200
-DEFAULT_SEED = 2024
-DEFAULT_K_VALUES = tuple(range(2, 11))
-DEFAULT_ALTITUDES = tuple(float(a) for a in range(30, 151, 10))
-DEFAULT_VELOCITIES = (10.0, 20.0, 40.0)
-DEFAULT_ALGORITHMS = ("proposed", "conventional", "equal_bandwidth")
-
-
-@dataclass(frozen=True)
-class LoadedConfig:
-    """Everything a subcommand needs: scenario, timing cost, sweep settings."""
-
-    network: NetworkConfig
-    t_op: float
-    trials: int
-    seed: int
-    k_values: tuple[int, ...]
-    altitudes: tuple[float, ...]
-    velocities: tuple[float, ...]
-    algorithms: tuple[str, ...]
-
 
 class _Report:
     """Collects dotted-path problem messages so every violation is listed."""
@@ -124,8 +104,8 @@ def _section(document: dict, name: str, keys: tuple[str, ...], report: _Report) 
     return section
 
 
-def load_config(path) -> LoadedConfig:
-    """Parse and fully validate a scenario file."""
+def load_config(path) -> ExperimentSpec:
+    """Parse and fully validate a scenario file into the sweep settings."""
     source = str(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -171,17 +151,9 @@ def load_config(path) -> LoadedConfig:
                 net[key] = values
     env = _numbers(environment, "environment", _ENVIRONMENT_KEYS, report)
 
-    exp = {
-        "t_op": DEFAULT_T_OP,
-        "trials": DEFAULT_TRIALS,
-        "seed": DEFAULT_SEED,
-        "k_values": DEFAULT_K_VALUES,
-        "altitudes": DEFAULT_ALTITUDES,
-        "velocities": DEFAULT_VELOCITIES,
-        "algorithms": DEFAULT_ALGORITHMS,
-    }
-    exp.update(_numbers(timing, "timing", _TIMING_KEYS, report, required=False))
-    exp.update(_numbers(experiment, "experiment", _EXPERIMENT_SCALARS, report, required=False))
+    # Only the settings the file gives; ExperimentSpec supplies the rest.
+    cost = _numbers(timing, "timing", _TIMING_KEYS, report, required=False)
+    exp = _numbers(experiment, "experiment", _EXPERIMENT_SCALARS, report, required=False)
     for key in _EXPERIMENT_LISTS:
         if key not in experiment:
             continue
@@ -195,20 +167,13 @@ def load_config(path) -> LoadedConfig:
     for section, rules, values in (
         ("network", NETWORK_RULES, net),
         ("environment", ENVIRONMENT_RULES, env),
-        ("timing", EXPERIMENT_RULES, {"t_op": exp["t_op"]}),
-        ("experiment", EXPERIMENT_RULES, {k: v for k, v in exp.items() if k != "t_op"}),
+        ("timing", EXPERIMENT_RULES, cost),
+        ("experiment", EXPERIMENT_RULES, exp),
     ):
         for field, message in violations(rules, values):
             report.add(f"{section}.{field}", message)
     report.raise_if_any()
 
-    return LoadedConfig(
-        network=NetworkConfig(**net, env=EnvironmentParams(**env)),
-        t_op=float(exp["t_op"]),
-        trials=int(exp["trials"]),
-        seed=int(exp["seed"]),
-        k_values=tuple(int(k) for k in exp["k_values"]),
-        altitudes=tuple(float(a) for a in exp["altitudes"]),
-        velocities=tuple(float(v) for v in exp["velocities"]),
-        algorithms=tuple(exp["algorithms"]),
+    return ExperimentSpec(
+        network=NetworkConfig(**net, env=EnvironmentParams(**env)), **cost, **exp
     )

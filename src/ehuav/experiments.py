@@ -1,4 +1,11 @@
-"""Scenario placement, the charging rule, and the sweep runners behind the CLI.
+"""Sweep settings, scenario placement, the charging rule, and the sweep runners.
+
+:class:`ExperimentSpec` holds one config file's sweep settings (what
+:func:`ehuav.configio.load_config` returns): the scenario, ``t_op``, the
+draw count and seed, both sweep axes and the algorithms.
+:func:`run_iterations_and_minrate_sweep` (``fig3``) runs over its
+``k_values``, :func:`run_outage_altitude_sweep` (``fig4``) over its
+``altitudes`` at each of its ``velocities``.
 
 Both runners follow the same evaluation protocol: every algorithm sees the
 same channel draws at a sweep point, allocations are computed on the full
@@ -146,37 +153,35 @@ def overhead_share(algorithm: str, op_count, t_op: float, T: float):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep request: scenario, sweep axis, draw count, seeding, algorithms.
+    """The sweep settings of a config file: what ``fig3`` and ``fig4`` run.
 
-    The sweep values are checked as ``k_values`` or ``altitudes`` of
-    :data:`EXPERIMENT_RULES`, by the sweep axis.
+    The field defaults are the defaults of the file's ``timing`` and
+    ``experiment`` sections.  The settings are checked against
+    :data:`EXPERIMENT_RULES`, then stored as ints, floats and tuples.
     """
 
-    scenario: NetworkConfig
-    sweep_param: str
-    sweep_values: tuple
-    trials: int
-    seed: int
-    algorithms: tuple[str, ...] = ("proposed", "conventional", "equal_bandwidth")
-    velocities: tuple[float, ...] | None = None
+    network: NetworkConfig
     t_op: float = DEFAULT_T_OP
+    trials: int = 200
+    seed: int = 2024
+    k_values: tuple[int, ...] = tuple(range(2, 11))
+    altitudes: tuple[float, ...] = tuple(float(a) for a in range(30, 151, 10))
+    velocities: tuple[float, ...] = (10.0, 20.0, 40.0)
+    algorithms: tuple[str, ...] = ("proposed", "conventional", "equal_bandwidth")
 
     def __post_init__(self) -> None:
-        sweep_key = {"K": "k_values", "altitude": "altitudes"}.get(self.sweep_param)
-        if sweep_key is None:
-            raise ConfigError(
-                f"sweep_param must be 'K' or 'altitude', got {self.sweep_param!r}"
-            )
-        values = {
-            "t_op": self.t_op,
-            "trials": self.trials,
-            "seed": self.seed,
-            sweep_key: self.sweep_values,
-            "algorithms": self.algorithms,
+        check(EXPERIMENT_RULES, vars(self))
+        stored = {
+            "t_op": float(self.t_op),
+            "trials": int(self.trials),
+            "seed": int(self.seed),
+            "k_values": tuple(int(k) for k in self.k_values),
+            "altitudes": tuple(float(a) for a in self.altitudes),
+            "velocities": tuple(float(v) for v in self.velocities),
+            "algorithms": tuple(self.algorithms),
         }
-        if self.velocities is not None:
-            values["velocities"] = self.velocities
-        check(EXPERIMENT_RULES, values)
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -302,9 +307,11 @@ def _charged_min_rates(batch: BatchAllocation, gains: np.ndarray, nu_r: np.ndarr
     return rate(batch.beta, batch.tau[:, np.newaxis], gains, nu_c[:, np.newaxis]).min(axis=1)
 
 
-def _diagnostic_row(spec: ExperimentSpec, value: float, algorithm: str) -> ExperimentRow:
+def _diagnostic_row(
+    spec: ExperimentSpec, sweep_param: str, value: float, algorithm: str
+) -> ExperimentRow:
     return ExperimentRow(
-        sweep_param=spec.sweep_param,
+        sweep_param=sweep_param,
         sweep_value=value,
         algorithm=algorithm,
         mean_iters=None,
@@ -326,14 +333,11 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     phases for the two-phase scheme, outer plus inner bisections for the
     nested baseline, zero for the closed-form equal split.
     """
-    if spec.sweep_param != "K":
-        raise ConfigError(f"this sweep runs over K, got {spec.sweep_param!r}")
-    scenario = spec.scenario
-    T = block_time(scenario.V_hat, scenario.f_c, scenario.c_light)
+    network = spec.network
+    T = block_time(network.V_hat, network.f_c, network.c_light)
     rows: list[ExperimentRow] = []
-    for point, raw_k in enumerate(spec.sweep_values):
-        K = int(raw_k)
-        config = _config_for_k(spec.scenario, K)
+    for point, K in enumerate(spec.k_values):
+        config = _config_for_k(network, K)
         gam = _point_draws(link_budgets(config), config, spec, point)
         for name in spec.algorithms:
             try:
@@ -342,7 +346,7 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
                 rates = _charged_min_rates(batch, gam, nu_r)
             except EhuavError as exc:
                 log.warning("K=%d %s aborted: %s", K, name, exc)
-                rows.append(_diagnostic_row(spec, float(K), name))
+                rows.append(_diagnostic_row(spec, "K", float(K), name))
                 continue
             std_err = (
                 float(rates.std(ddof=1) / math.sqrt(spec.trials))
@@ -376,12 +380,9 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     outage of the equal split at zero overhead is emitted once per
     altitude under the algorithm name ``equal_bandwidth_analytic``.
     """
-    if spec.sweep_param != "altitude":
-        raise ConfigError(f"this sweep runs over altitude, got {spec.sweep_param!r}")
-    velocities = spec.velocities or (spec.scenario.V_hat,)
     rows: list[ExperimentRow] = []
-    for point, altitude in enumerate(spec.sweep_values):
-        config = replace(spec.scenario, A_hat=float(altitude))
+    for point, altitude in enumerate(spec.altitudes):
+        config = replace(spec.network, A_hat=altitude)
         budgets = link_budgets(config)
         gam = _point_draws(budgets, config, spec, point)
         K = config.K
@@ -392,7 +393,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
         rows.append(
             ExperimentRow(
                 sweep_param="altitude",
-                sweep_value=float(altitude),
+                sweep_value=altitude,
                 algorithm="equal_bandwidth_analytic",
                 mean_iters=None,
                 mean_min_rate_bpshz=None,
@@ -409,15 +410,13 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                 batch = allocate_batch_by_name(name, gam, config)
             except EhuavError as exc:
                 log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
-                for velocity in velocities:
+                for velocity in spec.velocities:
                     rows.append(
-                        _diagnostic_row(
-                            spec, float(altitude), f"{name}@v{velocity:g}"
-                        )
+                        _diagnostic_row(spec, "altitude", altitude, f"{name}@v{velocity:g}")
                     )
                 continue
             mean_iters = float(batch.iterations.mean())
-            for velocity in velocities:
+            for velocity in spec.velocities:
                 T = block_time(velocity, config.f_c, config.c_light)
                 nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
                 rates = _charged_min_rates(batch, gam, nu_r)
@@ -425,7 +424,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                 rows.append(
                     ExperimentRow(
                         sweep_param="altitude",
-                        sweep_value=float(altitude),
+                        sweep_value=altitude,
                         algorithm=f"{name}@v{velocity:g}",
                         mean_iters=mean_iters,
                         mean_min_rate_bpshz=float(rates.mean()),

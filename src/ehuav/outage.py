@@ -156,7 +156,7 @@ _U_SERIES = 60.0
 # passes straight into F; the default 1e-12 stopping tolerance of the K0/K1
 # evaluation leaves up to ~2e-12 there.  The survival branch keeps the
 # default: its K error enters only as absolute error on 1 - F.
-_SERIES_ACC = specfun.SpecFunAccuracy(rel_tol=1e-16)
+_SERIES_REL_TOL = 1e-16
 
 
 def gamma_product_cdf(
@@ -222,9 +222,13 @@ def gamma_product_cdf(
             for m in range(n_h):
                 if m > 0:
                     factorial_m *= m
-                terms.append(
-                    2.0 / (factorial_m * gamma_ng) * sqrt_u ** (m + n_g) * bessel[abs(n_g - m)]
-                )
+                power = sqrt_u ** (m + n_g)
+                denominator = factorial_m * gamma_ng
+                if denominator < math.inf:
+                    term = 2.0 / denominator * power * bessel[abs(n_g - m)]
+                else:  # m! * Gamma(n_g) past the double range (n_g near 170)
+                    term = 2.0 / factorial_m * (power / gamma_ng) * bessel[abs(n_g - m)]
+                terms.append(term)
         except OverflowError:  # sqrt_u ** (m + n_g) past the double range
             raise NumericError(
                 f"product-gamma survival sum overflows at u={u!r} "
@@ -255,7 +259,7 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
     and the rest of those terms is below u^j/((j-n_g)! j!), negligible.
     """
     gamma_ng = specfun.gamma_int(n_g)
-    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u), _SERIES_ACC)
+    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u), _SERIES_REL_TOL)
     s_prev, s_cur = k0, math.sqrt(u) * k1  # s_0, s_1
     scaled = [s_prev, s_cur]  # scaled[v] = s_v for v <= n_g - n_h
     for v in range(1, n_g - n_h):

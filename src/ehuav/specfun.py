@@ -11,32 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 _EULER_GAMMA = 0.5772156649015328606
 _LAMBERT_BRANCH_X = -math.exp(-1.0)  # -1/e, the left edge of W0's domain
 GAMMA_INT_MAX = 170  # largest n for which gamma_int(n) is computed
-
-
-@dataclass(frozen=True)
-class SpecFunAccuracy:
-    """Accuracy knobs for iterative/series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1e-3):
-            raise ConfigError(
-                f"rel_tol must lie in (0, 1e-3), got {self.rel_tol}"
-            )
-        if self.max_iter < 10:
-            raise ConfigError(f"max_iter must be >= 10, got {self.max_iter}")
-
-
-_DEFAULT_ACC = SpecFunAccuracy()
+_MAX_ITER = 200  # cap on every series, continued-fraction and Halley loop
+_REL_TOL = 1e-12  # stopping tolerance of those loops unless a caller asks for less
 
 
 def gamma_int(n: int) -> float:
@@ -53,7 +35,7 @@ def gamma_int(n: int) -> float:
     return float(math.factorial(n - 1))
 
 
-def _bessel_k01_series(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
+def _bessel_k01_series(x: float, rel_tol: float) -> tuple[float, float]:
     """K0 and K1 for 0 < x <= 2 via the ascending series.
 
     K0 from its log-series; K1 recovered from the Wronskian
@@ -69,14 +51,14 @@ def _bessel_k01_series(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
     term_i0 = 1.0
     term_i1 = 1.0
     harmonic = 0.0
-    for k in range(1, acc.max_iter):
+    for k in range(1, _MAX_ITER):
         term_i0 *= t / (k * k)
         term_i1 *= t / (k * (k + 1))
         harmonic += 1.0 / k
         i0 += term_i0
         i1_sum += term_i1
         k0_sum += harmonic * term_i0
-        if term_i0 < acc.rel_tol * i0 and term_i1 < acc.rel_tol * i1_sum:
+        if term_i0 < rel_tol * i0 and term_i1 < rel_tol * i1_sum:
             break
     else:
         raise NumericError(f"bessel K series did not converge at x={x}")
@@ -87,7 +69,7 @@ def _bessel_k01_series(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
     return k0, k1
 
 
-def _bessel_k01_cf(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
+def _bessel_k01_cf(x: float, rel_tol: float) -> tuple[float, float]:
     """K0 and K1 for x > 2 via the Thompson-Barnett continued fraction.
 
     Evaluates the steepest-descent form K0 = sqrt(pi/2x) e^{-x} / S where S
@@ -106,7 +88,7 @@ def _bessel_k01_cf(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
     c = a1
     a = -a1
     s = 1.0 + q * delh
-    for i in range(2, acc.max_iter + 1):
+    for i in range(2, _MAX_ITER + 1):
         a -= 2.0 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
@@ -119,7 +101,7 @@ def _bessel_k01_cf(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
         h += delh
         dels = q * delh
         s += dels
-        if abs(dels / s) < acc.rel_tol:
+        if abs(dels / s) < rel_tol:
             break
     else:
         raise NumericError(f"bessel K continued fraction stalled at x={x}")
@@ -129,16 +111,15 @@ def _bessel_k01_cf(x: float, acc: SpecFunAccuracy) -> tuple[float, float]:
     return k0, k1
 
 
-def bessel_k_orders(n: int, x: float, acc: SpecFunAccuracy | None = None) -> list[float]:
+def bessel_k_orders(n: int, x: float, rel_tol: float = _REL_TOL) -> list[float]:
     """``[K_0(x), K_1(x), ..., K_n(x)]`` from one K0/K1 evaluation, integer n >= 0.
 
     Higher orders come from the upward recurrence K_{v+1} = K_{v-1} +
     (2v/x) K_v, which is stable because K grows with order.  Where it
     overflows (tiny x at high order) that entry and every higher one
-    saturate at the largest finite double rather than raising.
+    saturate at the largest finite double rather than raising.  ``rel_tol``
+    is the stopping tolerance of the K0/K1 evaluation.
     """
-    if acc is None:
-        acc = _DEFAULT_ACC
     if n != int(n):
         raise DomainError(f"Bessel K requires an integer order, got {n!r}")
     n = int(n)
@@ -151,9 +132,9 @@ def bessel_k_orders(n: int, x: float, acc: SpecFunAccuracy | None = None) -> lis
         raise DomainError(f"Bessel K requires x > 0, got {x}")
 
     if x <= 2.0:
-        k_prev, k_cur = _bessel_k01_series(x, acc)
+        k_prev, k_cur = _bessel_k01_series(x, rel_tol)
     else:
-        k_prev, k_cur = _bessel_k01_cf(x, acc)
+        k_prev, k_cur = _bessel_k01_cf(x, rel_tol)
     if n == 0:
         return [k_prev]
     values = [k_prev, k_cur]
@@ -166,7 +147,7 @@ def bessel_k_orders(n: int, x: float, acc: SpecFunAccuracy | None = None) -> lis
     return values
 
 
-def bessel_k_int(order: int, x: float, acc: SpecFunAccuracy | None = None) -> float:
+def bessel_k_int(order: int, x: float) -> float:
     """Modified Bessel function of the second kind K_n(x), integer n >= 0.
 
     Relative error <= 1e-9 against the integral representation
@@ -175,7 +156,7 @@ def bessel_k_int(order: int, x: float, acc: SpecFunAccuracy | None = None) -> fl
     K_{-n} = K_n symmetry first.  This is the last entry of
     :func:`bessel_k_orders`, so it saturates at high order the same way.
     """
-    return bessel_k_orders(order, x, acc)[-1]
+    return bessel_k_orders(order, x)[-1]
 
 
 def _lambert_branch_series(p: float) -> float:
@@ -183,14 +164,12 @@ def _lambert_branch_series(p: float) -> float:
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
 
 
-def lambert_w0(x: float, acc: SpecFunAccuracy | None = None) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert-W function: w >= -1 with w*e^w = x.
 
     Defined for x >= -1/e.  Halley iteration from a branch-aware initial
-    guess; residual |w e^w - x| <= rel_tol * max(1, |x|).
+    guess; residual |w e^w - x| <= 1e-12 * max(1, |x|).
     """
-    if acc is None:
-        acc = _DEFAULT_ACC
     if x < _LAMBERT_BRANCH_X:
         raise DomainError(
             f"lambert_w0 requires x >= -1/e ~ {_LAMBERT_BRANCH_X:.17g}, got {x}"
@@ -206,20 +185,20 @@ def lambert_w0(x: float, acc: SpecFunAccuracy | None = None) -> float:
         return _lambert_branch_series(p)
 
     w = _lambert_branch_series(p) if x < -0.25 else math.log1p(x)
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= acc.rel_tol * max(abs(w), 1e-12):
+        if abs(step) <= _REL_TOL * max(abs(w), 1e-12):
             break
     else:
         raise NumericError(f"lambert_w0 failed to converge for x={x}")
 
     residual = abs(w * math.exp(w) - x)
-    if residual > acc.rel_tol * max(1.0, abs(x)):
+    if residual > _REL_TOL * max(1.0, abs(x)):
         raise NumericError(
             f"lambert_w0 residual {residual:.3e} exceeds tolerance at x={x}"
         )

@@ -70,9 +70,8 @@ def k_sweep_rows():
     """The shipped default K sweep (200 draws, seed 2024), shared by a03/a04."""
     loaded = load_config(TABLE1)
     spec = ExperimentSpec(
-        scenario=loaded.network,
-        sweep_param="K",
-        sweep_values=tuple(range(2, 11)),
+        network=loaded.network,
+        k_values=tuple(range(2, 11)),
         trials=200,
         seed=2024,
         algorithms=("proposed", "conventional", "equal_bandwidth"),
@@ -242,9 +241,8 @@ def test_a07_velocity_widens_outage_gap_at_90m():
     velocity at 90 m altitude (paired draws across velocities)."""
     loaded = load_config(TABLE1)
     spec = ExperimentSpec(
-        scenario=loaded.network,
-        sweep_param="altitude",
-        sweep_values=(90.0,),
+        network=loaded.network,
+        altitudes=(90.0,),
         trials=2000,
         seed=2024,
         algorithms=("proposed", "conventional"),

@@ -215,6 +215,11 @@ class TestOutage:
         assert main(["outage", TABLE1, "--trials", "500", "--seed", "-3"]) == EXIT_CONFIG
         assert "--seed must be >= 0, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_is_a_config_error(self, value, capsys):
+        assert main(["outage", TABLE1, "--trials", "500", "--threads", value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {value}\n"
+
     def test_beta_sum_validated(self, capsys):
         rc = main(["outage", TABLE1, "--beta"] + ["0.3"] * 6)
         assert rc == EXIT_CONFIG

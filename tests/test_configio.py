@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -14,18 +15,9 @@ from ehuav.channel import (
     NetworkConfig,
     violations,
 )
-from ehuav.configio import (
-    DEFAULT_ALGORITHMS,
-    DEFAULT_ALTITUDES,
-    DEFAULT_K_VALUES,
-    DEFAULT_SEED,
-    DEFAULT_T_OP,
-    DEFAULT_TRIALS,
-    DEFAULT_VELOCITIES,
-    load_config,
-)
+from ehuav.configio import load_config
 from ehuav.errors import ConfigError
-from ehuav.experiments import EXPERIMENT_RULES, ExperimentSpec
+from ehuav.experiments import DEFAULT_T_OP, EXPERIMENT_RULES, ExperimentSpec
 
 BASE = {
     "network": {
@@ -100,13 +92,21 @@ class TestHappyPath:
     def test_minimal_config_gets_documented_defaults(self, tmp_path):
         loaded = load_config(dump(tmp_path, BASE))
         assert loaded.network.K == 2
-        assert loaded.t_op == DEFAULT_T_OP
-        assert loaded.trials == DEFAULT_TRIALS
-        assert loaded.seed == DEFAULT_SEED
-        assert loaded.k_values == DEFAULT_K_VALUES
-        assert loaded.altitudes == DEFAULT_ALTITUDES
-        assert loaded.velocities == DEFAULT_VELOCITIES
-        assert loaded.algorithms == DEFAULT_ALGORITHMS
+        defaults = {f.name: f.default for f in fields(ExperimentSpec) if f.name != "network"}
+        assert {name: getattr(loaded, name) for name in defaults} == defaults
+        assert defaults == {
+            "t_op": 2.5e-7,
+            "trials": 200,
+            "seed": 2024,
+            "k_values": tuple(range(2, 11)),
+            "altitudes": tuple(float(a) for a in range(30, 151, 10)),
+            "velocities": (10.0, 20.0, 40.0),
+            "algorithms": ("proposed", "conventional", "equal_bandwidth"),
+        }
+
+    def test_minimal_config_is_the_default_spec(self, tmp_path):
+        loaded = load_config(dump(tmp_path, BASE))
+        assert loaded == ExperimentSpec(network=loaded.network)
 
     def test_scalar_per_uav_fields_broadcast(self, tmp_path):
         loaded = load_config(dump(tmp_path, BASE))
@@ -383,18 +383,8 @@ EXPERIMENT_VALUES = {
 @pytest.mark.parametrize("rule", EXPERIMENT_RULES, ids=lambda rule: rule[0])
 def test_experiment_spec_and_loader_report_each_rule_alike(tmp_path, rule):
     trial, message = first_breaking(EXPERIMENT_RULES, EXPERIMENT_VALUES, rule)
-    sweep = ("altitude", "altitudes") if rule[0] == "altitudes" else ("K", "k_values")
     with pytest.raises(ConfigError) as direct:
-        ExperimentSpec(
-            scenario=load_config(dump(tmp_path, BASE)).network,
-            sweep_param=sweep[0],
-            sweep_values=trial[sweep[1]],
-            trials=trial["trials"],
-            seed=trial["seed"],
-            algorithms=trial["algorithms"],
-            velocities=trial["velocities"],
-            t_op=trial["t_op"],
-        )
+        ExperimentSpec(network=load_config(dump(tmp_path, BASE)).network, **trial)
     field = rule[0]
     assert str(direct.value) == f"{field} {message}"
     section = "timing" if field == "t_op" else "experiment"

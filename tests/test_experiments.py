@@ -137,31 +137,45 @@ class TestPlaceNodes:
 
 
 class TestExperimentSpec:
-    def test_rejects_unknown_sweep(self):
-        with pytest.raises(ConfigError, match="sweep_param"):
-            ExperimentSpec(make_config(2), "velocity", (1,), 1, 0)
-
     def test_rejects_empty_sweep(self):
         with pytest.raises(ConfigError, match="non-empty"):
-            ExperimentSpec(make_config(2), "K", (), 1, 0)
+            ExperimentSpec(make_config(2), k_values=())
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ConfigError, match="trials"):
-            ExperimentSpec(make_config(2), "K", (2,), 0, 0)
+            ExperimentSpec(make_config(2), trials=0)
 
     def test_rejects_unknown_algorithms(self):
         with pytest.raises(ConfigError, match="algorithms"):
-            ExperimentSpec(make_config(2), "K", (2,), 1, 0, algorithms=("greedy",))
+            ExperimentSpec(make_config(2), algorithms=("greedy",))
         with pytest.raises(ConfigError, match="algorithms"):
-            ExperimentSpec(make_config(2), "K", (2,), 1, 0, algorithms=())
+            ExperimentSpec(make_config(2), algorithms=())
 
     def test_rejects_empty_velocities(self):
         with pytest.raises(ConfigError, match="velocities"):
-            ExperimentSpec(make_config(2), "altitude", (90.0,), 1, 0, velocities=())
+            ExperimentSpec(make_config(2), velocities=())
 
     def test_accepts_the_full_algorithm_set(self):
-        spec = ExperimentSpec(make_config(2), "K", (2,), 1, 0, algorithms=ALGORITHMS)
+        spec = ExperimentSpec(make_config(2), algorithms=ALGORITHMS)
         assert spec.algorithms == ALGORITHMS
+
+    def test_stores_ints_floats_and_tuples(self):
+        spec = ExperimentSpec(
+            make_config(2),
+            t_op=0,
+            trials=3.0,
+            seed=7.0,
+            k_values=[2.0, 4],
+            altitudes=[90],
+            velocities=[20],
+            algorithms=["proposed"],
+        )
+        assert (spec.t_op, spec.trials, spec.seed) == (0.0, 3, 7)
+        assert [type(x) for x in (spec.t_op, spec.trials, spec.seed)] == [float, int, int]
+        assert spec.k_values == (2, 4) and all(type(k) is int for k in spec.k_values)
+        assert spec.altitudes == (90.0,) and type(spec.altitudes[0]) is float
+        assert spec.velocities == (20.0,) and type(spec.velocities[0]) is float
+        assert spec.algorithms == ("proposed",)
 
 
 class TestExperimentRow:
@@ -214,9 +228,8 @@ class TestAllocateBatchByName:
 @pytest.fixture(scope="module")
 def k_sweep_rows():
     spec = ExperimentSpec(
-        scenario=make_config(6),
-        sweep_param="K",
-        sweep_values=(2, 3, 6),
+        network=make_config(6),
+        k_values=(2, 3, 6),
         trials=12,
         seed=11,
         algorithms=ALGORITHMS,
@@ -225,14 +238,9 @@ def k_sweep_rows():
 
 
 class TestIterationsAndMinrateSweep:
-    def test_requires_a_k_sweep(self):
-        spec = ExperimentSpec(make_config(2), "altitude", (90.0,), 1, 0)
-        with pytest.raises(ConfigError, match="over K"):
-            run_iterations_and_minrate_sweep(spec)
-
     def test_row_grid_is_complete(self, k_sweep_rows):
         spec, rows = k_sweep_rows
-        assert len(rows) == len(spec.sweep_values) * len(spec.algorithms)
+        assert len(rows) == len(spec.k_values) * len(spec.algorithms)
         assert {r.sweep_param for r in rows} == {"K"}
 
     def test_equal_bandwidth_needs_no_iterations(self, k_sweep_rows):
@@ -243,13 +251,13 @@ class TestIterationsAndMinrateSweep:
 
     def test_proposed_iterates_less_than_conventional(self, k_sweep_rows):
         spec, rows = k_sweep_rows
-        for K in spec.sweep_values:
+        for K in spec.k_values:
             here = by_algorithm(rows, K)
             assert here["proposed"].mean_iters < here["conventional"].mean_iters
 
     def test_min_rate_ordering_with_overhead(self, k_sweep_rows):
         spec, rows = k_sweep_rows
-        for K in spec.sweep_values:
+        for K in spec.k_values:
             here = by_algorithm(rows, K)
             assert (
                 here["proposed"].mean_min_rate_bpshz
@@ -273,9 +281,8 @@ class TestIterationsAndMinrateSweep:
 @pytest.fixture(scope="module")
 def altitude_rows():
     spec = ExperimentSpec(
-        scenario=make_config(3),
-        sweep_param="altitude",
-        sweep_values=(60.0, 90.0),
+        network=make_config(3),
+        altitudes=(60.0, 90.0),
         trials=80,
         seed=5,
         algorithms=("proposed", "equal_bandwidth"),
@@ -285,15 +292,10 @@ def altitude_rows():
 
 
 class TestOutageAltitudeSweep:
-    def test_requires_an_altitude_sweep(self):
-        spec = ExperimentSpec(make_config(2), "K", (2,), 1, 0)
-        with pytest.raises(ConfigError, match="over altitude"):
-            run_outage_altitude_sweep(spec)
-
     def test_analytic_row_per_altitude(self, altitude_rows):
         spec, rows = altitude_rows
         analytic = [r for r in rows if r.algorithm == "equal_bandwidth_analytic"]
-        assert [r.sweep_value for r in analytic] == list(spec.sweep_values)
+        assert [r.sweep_value for r in analytic] == list(spec.altitudes)
         for row in analytic:
             assert 0.0 <= row.outage_analytic <= 1.0
             assert row.outage_empirical is None
@@ -301,7 +303,7 @@ class TestOutageAltitudeSweep:
 
     def test_analytic_matches_empirical_equal_split(self, altitude_rows):
         spec, rows = altitude_rows
-        for altitude in spec.sweep_values:
+        for altitude in spec.altitudes:
             here = by_algorithm(rows, altitude)
             p = here["equal_bandwidth_analytic"].outage_analytic
             p_hat = here["equal_bandwidth@v20"].outage_empirical
@@ -310,7 +312,7 @@ class TestOutageAltitudeSweep:
 
     def test_zero_overhead_policies_ignore_velocity(self, altitude_rows):
         spec, rows = altitude_rows
-        for altitude in spec.sweep_values:
+        for altitude in spec.altitudes:
             here = by_algorithm(rows, altitude)
             assert (
                 here["equal_bandwidth@v10"].outage_empirical
@@ -319,7 +321,7 @@ class TestOutageAltitudeSweep:
 
     def test_adaptive_allocation_dominates_equal_split(self, altitude_rows):
         spec, rows = altitude_rows
-        for altitude in spec.sweep_values:
+        for altitude in spec.altitudes:
             here = by_algorithm(rows, altitude)
             for v in ("v10", "v20"):
                 assert (

@@ -343,6 +343,14 @@ class TestGammaProductCdf:
             gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 170, 1)
         assert 0.0 <= gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 12, 1) <= 1.0
 
+    def test_survival_sum_keeps_terms_past_the_factorial_range(self):
+        # With n_g = 170, m! * Gamma(n_g) leaves the double range from m = 7
+        # on; those terms must not vanish (F came out as 0.40295 when they did).
+        oracle = float(mp_gamma_product_cdf(1024.0, 12, 170, dps=60))
+        assert oracle == pytest.approx(0.0235950739981648766, rel=1e-15)
+        value = gamma_product_cdf(1024.0, UNIT_BUDGET, 12, 1, 170, 1)
+        assert abs(value - oracle) <= 1e-9 * oracle
+
     @settings(max_examples=150, deadline=None)
     @given(
         log10_u=st.floats(min_value=-6.0, max_value=3.0),

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ehuav.errors import ConfigError, DomainError
+from ehuav.errors import DomainError
 from ehuav import specfun
 from ehuav.specfun import (
-    SpecFunAccuracy,
     bessel_k_int,
     bessel_k_orders,
     gamma_int,
@@ -110,7 +109,7 @@ class TestBesselK:
         # the last entry of the list), saturation included.
         def single_order(order, x):
             k01 = specfun._bessel_k01_series if x <= 2.0 else specfun._bessel_k01_cf
-            k_prev, k_cur = k01(x, SpecFunAccuracy())
+            k_prev, k_cur = k01(x, specfun._REL_TOL)
             if order == 0:
                 return k_prev
             for v in range(1, order):
@@ -159,17 +158,3 @@ class TestLambertW0:
             w = lambert_w0(float(x))
             assert abs(w * math.exp(w) - float(x)) <= 1e-12
 
-
-class TestSpecFunAccuracy:
-    def test_defaults(self):
-        acc = SpecFunAccuracy()
-        assert acc.rel_tol == 1e-12
-        assert acc.max_iter == 200
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            SpecFunAccuracy(rel_tol=0.0)
-        with pytest.raises(ConfigError):
-            SpecFunAccuracy(rel_tol=1e-2)
-        with pytest.raises(ConfigError):
-            SpecFunAccuracy(max_iter=5)
