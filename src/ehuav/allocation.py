@@ -18,6 +18,12 @@ Four allocators share the same max-min-rate objective:
 Every allocator reports an abstract operation tally (``op_count``) so the
 complexity claims can be compared empirically.
 
+Every allocator works on the full block.  Each rate scales linearly with
+the data-phase share ``nu_c``, so the max-min point does not depend on it,
+and the rates here are those at ``nu_c = 1``.  The signalling is charged
+afterwards: :func:`ehuav.experiments.overhead_share` gives the share
+``nu_r`` that :meth:`AllocationResult.as_allocation` attaches.
+
 The two-phase scheme, the nested baseline and the equal split also come in
 batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
 replay the per-draw algorithm on every row at once: the same brackets,
@@ -40,7 +46,7 @@ import numpy as np
 
 from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import Allocation, _rate
+from .outage import Allocation
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
@@ -162,7 +168,7 @@ def _as_matrix(gains) -> np.ndarray:
     return arr
 
 
-def _as_gain_matrix(gains, nu_c: float, epsilon: float) -> tuple[np.ndarray, dict]:
+def _as_gain_matrix(gains, epsilon: float) -> tuple[np.ndarray, dict]:
     """The ``(T, K)`` gain matrix and the per-draw errors of its bad rows.
 
     Bad rows are replaced by ones so the batch arithmetic stays finite;
@@ -173,7 +179,7 @@ def _as_gain_matrix(gains, nu_c: float, epsilon: float) -> tuple[np.ndarray, dic
     bad = ~np.all(np.isfinite(arr) & (arr > 0.0), axis=1)
     if bad[0]:
         _as_gamma(arr[0])
-    _check_scalars(nu_c, epsilon)
+    _check_epsilon(epsilon)
     errors = {int(t): _error_of(_as_gamma, arr[t]) for t in np.flatnonzero(bad)}
     return np.where(bad[:, np.newaxis], 1.0, arr), errors
 
@@ -204,23 +210,14 @@ def _log2_exact(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _check_nu_c(nu_c: float) -> None:
-    if not 0.0 < nu_c < math.inf:
-        raise ConfigError(f"nu_c must be finite and > 0, got {nu_c}")
-
-
-def _check_scalars(nu_c: float, epsilon: float) -> None:
-    _check_nu_c(nu_c)
+def _check_epsilon(epsilon: float) -> None:
     check((EPSILON_RULE,), {"epsilon": epsilon})
 
 
-def _rate_slope(b: float, g: float, nu_c: float, tau: float) -> float:
+def _rate_slope(b: float, g: float, tau: float) -> float:
     """d(rate)/d(tau) of one UAV with share b and gain g."""
     eff = b * (1.0 - tau)
-    return (
-        -b * nu_c * math.log2(1.0 + tau * g / eff)
-        + nu_c * b * g / (_LN2 * (eff + tau * g))
-    )
+    return -b * math.log2(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
 
 
 def equal_bandwidth_taf(K: int, R_a: float) -> float:
@@ -239,22 +236,6 @@ def equal_bandwidth_taf(K: int, R_a: float) -> float:
     if not 0.0 < tau < 1.0:
         raise NumericError(f"equal-bandwidth time split left (0,1): {tau!r}")
     return tau
-
-
-def min_rate_tau_derivative(alloc: Allocation, gamma, tau: float) -> float:
-    """Closed-form d(min rate)/d(tau) evaluated at the given time split.
-
-    The weakest UAV is re-identified at the supplied tau (the allocation's
-    own tau is ignored; it only carries beta and nu_c).
-    """
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"tau must lie in (0,1), got {tau}")
-    arr = _as_gamma(gamma)
-    if arr.size != alloc.K:
-        raise ConfigError(f"gamma must have length K={alloc.K}, got {arr.size}")
-    beta = np.asarray(alloc.beta)
-    k = int(np.argmin(_rate(beta, tau, arr, alloc.nu_c)))
-    return _rate_slope(float(beta[k]), float(arr[k]), alloc.nu_c, tau)
 
 
 def _bracket_error(lo: float, hi: float, d_lo: float, d_hi: float) -> NumericError:
@@ -278,7 +259,7 @@ def _stall_error(lo: float, hi: float, epsilon: float) -> NumericError:
     )
 
 
-def phase1_taf(gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
+def phase1_taf(gamma, epsilon: float) -> tuple[float, int]:
     """Bisection for the time split on the sign of the min-rate derivative,
     at the equal bandwidth split.
 
@@ -291,23 +272,23 @@ def phase1_taf(gamma, nu_c: float, epsilon: float) -> tuple[float, int]:
     distinct small gains to equal rates, the smallest gain still decides,
     not the lowest index among the equal rates.
     """
-    _check_scalars(nu_c, epsilon)
-    return _phase1(_as_gamma(gamma), nu_c, epsilon)
+    _check_epsilon(epsilon)
+    return _phase1(_as_gamma(gamma), epsilon)
 
 
-def _phase1(gam: np.ndarray, nu_c: float, epsilon: float) -> tuple[float, int]:
+def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
     """:func:`phase1_taf` on arguments that passed its checks."""
     b = 1.0 / gam.size
     g = float(gam.min())
     lo, hi = epsilon, 1.0 - epsilon
-    d_lo = _rate_slope(b, g, nu_c, lo)
-    d_hi = _rate_slope(b, g, nu_c, hi)
+    d_lo = _rate_slope(b, g, lo)
+    d_hi = _rate_slope(b, g, hi)
     if not (d_lo > 0.0 and d_hi < 0.0):
         raise _bracket_error(lo, hi, d_lo, d_hi)
     iters = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
-        if _rate_slope(b, g, nu_c, mid) > 0.0:
+        if _rate_slope(b, g, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -315,9 +296,7 @@ def _phase1(gam: np.ndarray, nu_c: float, epsilon: float) -> tuple[float, int]:
     return 0.5 * (lo + hi), iters
 
 
-def phase2_baf(
-    tau_o: float, gamma, nu_c: float, epsilon: float, beta_init
-) -> tuple[np.ndarray, int]:
+def phase2_baf(tau_o: float, gamma, epsilon: float, beta_init) -> tuple[np.ndarray, int]:
     """Pairwise bandwidth transfers until all rates agree within epsilon.
 
     Each update moves ``beta_hat * gap / (2 * R_hat)`` of bandwidth from
@@ -333,14 +312,14 @@ def phase2_baf(
     """
     if not 0.0 < tau_o < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau_o}")
-    _check_scalars(nu_c, epsilon)
+    _check_epsilon(epsilon)
     gam = _as_gamma(gamma)
-    beta, iters = _phase2(tau_o, gam, nu_c, epsilon, _as_beta(beta_init, gam.size).tolist())
+    beta, iters = _phase2(tau_o, gam, epsilon, _as_beta(beta_init, gam.size).tolist())
     return np.array(beta), iters
 
 
 def _phase2(
-    tau_o: float, gam: np.ndarray, nu_c: float, epsilon: float, beta: list[float]
+    tau_o: float, gam: np.ndarray, epsilon: float, beta: list[float]
 ) -> tuple[list[float], int]:
     """:func:`phase2_baf` on arguments that passed its checks; updates ``beta``."""
     K = len(beta)
@@ -351,7 +330,7 @@ def _phase2(
     def rate_of(k: int) -> float:
         eff = beta[k] * one_minus_tau
         # eff == 0 is 0 * log2(inf) in the array form: NaN.
-        r = float(eff * nu_c * np.log2(1.0 + tau_gam[k] / eff)) if eff else math.nan
+        r = float(eff * np.log2(1.0 + tau_gam[k] / eff)) if eff else math.nan
         if r != r:
             raise _cap_error(cap, r, epsilon, K, tau_o)
         return r
@@ -373,17 +352,17 @@ def _phase2(
         iters += 1
 
 
-def proposed_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResult:
+def proposed_allocate(gamma, epsilon: float) -> AllocationResult:
     """Two-phase allocation: derivative bisection, then pairwise transfers.
 
     Operation tally is K + I_tau + I_beta * K: one rate per UAV to set up,
     one derivative per bisection step, K rates per transfer update.
     """
     gam = _as_gamma(gamma)
-    _check_scalars(nu_c, epsilon)
+    _check_epsilon(epsilon)
     K = gam.size
-    tau_o, iters_tau = _phase1(gam, nu_c, epsilon)
-    beta_o, iters_beta = _phase2(tau_o, gam, nu_c, epsilon, [1.0 / K] * K)
+    tau_o, iters_tau = _phase1(gam, epsilon)
+    beta_o, iters_beta = _phase2(tau_o, gam, epsilon, [1.0 / K] * K)
     return AllocationResult(
         tau=tau_o,
         beta=tuple(beta_o),
@@ -394,7 +373,7 @@ def proposed_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResult:
     )
 
 
-def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResult:
+def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     """Nested-bisection baseline for the same max-min program.
 
     The time split is bisected exactly as in phase 1 (but costed at K
@@ -406,8 +385,8 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
     """
     gam = _as_gamma(gamma)
     K = gam.size
-    _check_scalars(nu_c, epsilon)
-    tau_o, iters_tau = _phase1(gam, nu_c, epsilon)
+    _check_epsilon(epsilon)
+    tau_o, iters_tau = _phase1(gam, epsilon)
     if K == 1:
         return AllocationResult(
             tau=tau_o,
@@ -422,7 +401,7 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
 
     def rate_k(beta_k: float, k: int) -> float:
         eff = beta_k * one_minus_tau
-        return eff * nu_c * math.log2(1.0 + tau_gam[k] / eff)
+        return eff * math.log2(1.0 + tau_gam[k] / eff)
 
     def shares_for_target(target: float) -> tuple[list | None, int]:
         """Smallest per-UAV share reaching the target, or None if any UAV
@@ -456,6 +435,10 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
         iters_beta += 1
         # np.sum, not sum: numpy adds eight or more terms pairwise.
         feasible = shares is not None and float(np.sum(shares)) <= 1.0
+        # Unreachable for finite targets: they lie below 1024 bit/s/Hz, where
+        # doubles are at most 2.3e-13 apart, so a bracket wider than epsilon
+        # (>= EPSILON_MIN = 1e-12) has its midpoint strictly inside.  The
+        # guard still bounds the loop whatever the input.
         if target == (target_lo if feasible else target_hi):
             raise _stall_error(target_lo, target_hi, epsilon)
         if feasible:
@@ -475,16 +458,14 @@ def conventional_allocate(gamma, nu_c: float, epsilon: float) -> AllocationResul
     )
 
 
-def _rate_slope_batch(b: float, g: np.ndarray, nu_c: float, tau: np.ndarray) -> np.ndarray:
+def _rate_slope_batch(b: float, g: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """:func:`_rate_slope` at the equal split ``b = 1/K``, one (gain, tau) per row."""
     eff = b * (1.0 - tau)
-    return -b * nu_c * _log2_exact(1.0 + tau * g / eff) + nu_c * b * g / (
-        _LN2 * (eff + tau * g)
-    )
+    return -b * _log2_exact(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
 
 
 def _phase1_batch(
-    gam: np.ndarray, nu_c: float, epsilon: float, errors: dict
+    gam: np.ndarray, epsilon: float, errors: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`phase1_taf` at the equal split for every row not yet in ``errors``.
 
@@ -495,8 +476,8 @@ def _phase1_batch(
     g = gam.min(axis=1)  # each row's weakest UAV at every tau
     lo = np.full(T, epsilon)
     hi = np.full(T, 1.0 - epsilon)
-    d_lo = _rate_slope_batch(b, g, nu_c, lo)
-    d_hi = _rate_slope_batch(b, g, nu_c, hi)
+    d_lo = _rate_slope_batch(b, g, lo)
+    d_hi = _rate_slope_batch(b, g, hi)
     active = (d_lo > 0.0) & (d_hi < 0.0)
     for t in np.flatnonzero(~active):
         errors.setdefault(
@@ -509,7 +490,7 @@ def _phase1_batch(
         if not active.any():
             return 0.5 * (lo + hi), iters
         mid = 0.5 * (lo + hi)
-        rising = _rate_slope_batch(b, g, nu_c, mid) > 0.0
+        rising = _rate_slope_batch(b, g, mid) > 0.0
         lo = np.where(active & rising, mid, lo)
         hi = np.where(active & ~rising, mid, hi)
         iters += active
@@ -530,16 +511,16 @@ def _checked_batch(
     return batch
 
 
-def proposed_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocation:
+def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`proposed_allocate` on every row of a ``(T, K)`` draw matrix.
 
     Phase 2 updates only the draws whose rates still spread by more than
     epsilon.  A failing draw does not stop the others; the error of the
     first failing draw in row order is raised at the end.
     """
-    gam, errors = _as_gain_matrix(gains, nu_c, epsilon)
+    gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
-    tau, iters_tau = _phase1_batch(gam, nu_c, epsilon, errors)
+    tau, iters_tau = _phase1_batch(gam, epsilon, errors)
     beta = np.full((T, K), 1.0 / K)
     iters_beta = np.zeros(T, dtype=np.int64)
     cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
@@ -547,7 +528,7 @@ def proposed_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocati
     while rows.size:
         t_col = tau[rows, np.newaxis]
         eff = beta[rows] * (1.0 - t_col)
-        rates = eff * nu_c * np.log2(1.0 + t_col * gam[rows] / eff)
+        rates = eff * np.log2(1.0 + t_col * gam[rows] / eff)
         pick = np.arange(rows.size)
         k_hat = np.argmax(rates, axis=1)
         k_check = np.argmin(rates, axis=1)
@@ -570,7 +551,7 @@ def proposed_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocati
     )
 
 
-def _reaches(share, tau_col, gam, nu_c: float, target_col) -> np.ndarray:
+def _reaches(share, tau_col, gam, target_col) -> np.ndarray:
     """``rate >= target`` elementwise, decided exactly as the baseline's
     per-draw ``rate_k`` (``math.log2``) decides it.
 
@@ -578,16 +559,15 @@ def _reaches(share, tau_col, gam, nu_c: float, target_col) -> np.ndarray:
     1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
     """
     eff = share * (1.0 - tau_col)
-    scale = eff * nu_c
     arg = 1.0 + tau_col * gam / eff
-    rates = scale * np.log2(arg)
+    rates = eff * np.log2(arg)
     near = np.abs(rates - target_col) <= 1e-12 * target_col
     if near.any():
-        rates[near] = scale[near] * _log2_exact(arg[near])
+        rates[near] = eff[near] * _log2_exact(arg[near])
     return rates >= target_col
 
 
-def conventional_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllocation:
+def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
 
     The outer target bisection runs on the draws still bracketing, the
@@ -595,16 +575,16 @@ def conventional_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllo
     reaches: the UAVs before the first one that cannot reach the target
     with the whole band.  Errors as in :func:`proposed_allocate_batch`.
     """
-    gam, errors = _as_gain_matrix(gains, nu_c, epsilon)
+    gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
-    tau, iters_tau = _phase1_batch(gam, nu_c, epsilon, errors)
+    tau, iters_tau = _phase1_batch(gam, epsilon, errors)
     zeros = np.zeros(T, dtype=np.int64)
     if K == 1:
         return _checked_batch(tau, np.ones((T, 1)), iters_tau, zeros, zeros, iters_tau, errors)
 
     tau_col = tau[:, np.newaxis]
     eff = (1.0 - epsilon) * (1.0 - tau_col)
-    whole_band = eff * nu_c * _log2_exact(1.0 + tau_col * gam / eff)
+    whole_band = eff * _log2_exact(1.0 + tau_col * gam / eff)
     target_lo = np.zeros(T)
     target_hi = whole_band.min(axis=1)
     best = np.full((T, K), epsilon)
@@ -631,7 +611,7 @@ def conventional_allocate_batch(gains, nu_c: float, epsilon: float) -> BatchAllo
             if not bisecting.any():
                 break
             mid = 0.5 * (lo + hi)
-            up = _reaches(mid, t_col, g, nu_c, target_col)
+            up = _reaches(mid, t_col, g, target_col)
             hi = np.where(bisecting & up, mid, hi)
             lo = np.where(bisecting & ~up, mid, lo)
             inner += bisecting.sum(axis=1)
@@ -679,9 +659,7 @@ def _compositions(grid_beta: int, K: int) -> np.ndarray:
     return np.stack([i + 1, c - i, grid_beta - 1 - c])
 
 
-def exhaustive_optimal(
-    gamma, nu_c: float, grid_tau: int, grid_beta: int
-) -> AllocationResult:
+def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult:
     """Max-min rate over a tau grid and a share simplex.
 
     Tau takes the grid_tau evenly spaced interior points j/(grid_tau+1);
@@ -707,7 +685,6 @@ def exhaustive_optimal(
         raise CapabilityError(
             f"exhaustive search supports K <= 3 (the share grid explodes), got K={K}"
         )
-    _check_nu_c(nu_c)
     if not (isinstance(grid_tau, int) and grid_tau >= 1):
         raise ConfigError(f"grid_tau must be an integer >= 1, got {grid_tau!r}")
     if not (isinstance(grid_beta, int) and grid_beta >= K):
@@ -722,22 +699,21 @@ def exhaustive_optimal(
     index = None  # table positions of the enumerated simplex, built on first use
 
     best_rate = -math.inf
-    best_tau = math.nan  # stays NaN (rejected below) if every grid value is NaN
+    best_tau = math.nan  # every rate is >= 0, so the first block sets it
     best_steps = (1,) * K
     for start in range(0, grid_tau, rows):
         tau = taus[start : start + rows, np.newaxis, np.newaxis]
         eff = share_axis * (1.0 - tau)
-        # eff * nu_c * log2(1 + tau * g / eff), in place
+        # eff * log2(1 + tau * g / eff), in place
         tables = np.divide(tau * gam[:, np.newaxis], eff)
         tables += 1.0
         np.log2(tables, out=tables)
-        tables *= eff * nu_c
+        tables *= eff
         values = np.partition(tables.reshape(tau.shape[0], -1), rank, axis=1)[:, rank]
         # rising[i]: every table of row i is non-decreasing.  Neighbours are
         # compared along the whole block, and each pair that starts at a
-        # table's last entry is then ignored.  A NaN rate fails its
-        # comparisons, so its row is enumerated (and, as there, never wins);
-        # with one share step per UAV nothing is compared, hence rank > 0.
+        # table's last entry is then ignored.  With one share step per UAV
+        # nothing is compared, hence rank > 0.
         flat = tables.reshape(-1)
         step_up = np.empty(flat.size, dtype=bool)
         np.greater_equal(flat[1:], flat[:-1], out=step_up[:-1])
@@ -751,8 +727,8 @@ def exhaustive_optimal(
             for k in range(1, K):
                 np.minimum(worst, tables[i, k][index[k]], out=worst)
             pick[i] = int(worst.argmax())
-            values[i] = worst[pick[i]]  # NaN if any composition's is
-        i = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+            values[i] = worst[pick[i]]
+        i = int(np.argmax(values))
         if values[i] > best_rate:
             best_rate = float(values[i])
             best_tau = float(taus[start + i])

@@ -23,7 +23,9 @@ from .specfun import GAMMA_INT_MAX
 # Smallest allocator tolerance ``epsilon``.  The bisections stop once a
 # bracket is at most epsilon wide, so epsilon must exceed the spacing of
 # doubles across each bracket: 2.2e-16 for the time split and the shares
-# in (0, 1), 1.1e-13 for rate targets up to 1000 bit/s/Hz at nu_c = 1.
+# in (0, 1), and at most 2.3e-13 for rate targets.  The allocators work on
+# the full block, so a finite rate beta*(1-tau)*log2(1 + x) is below
+# log2 of the largest double, 1024 bit/s/Hz.
 EPSILON_MIN = 1e-12
 
 # A bound is a rule (field, test, message): the values satisfy it when

@@ -8,14 +8,14 @@ draw count and seed, both sweep axes and the algorithms.
 ``altitudes`` at each of its ``velocities``.
 
 Both runners follow the same evaluation protocol: every algorithm sees the
-same channel draws at a sweep point, allocations are computed on the full
-block (``nu_c = 1``), and each algorithm is then charged for its own
-signalling: ``op_count`` abstract operations at ``t_op`` seconds each out
-of the block time ``T``, giving the overhead share ``nu_r`` that shrinks
-the data phase to ``nu_c = 1 - nu_r``.  The grid benchmark is charged
-nothing (it stands for an offline optimum), and the closed-form equal
-split converges without iterating, so both keep ``nu_r = 0``
-(:func:`overhead_share`).
+same channel draws at a sweep point, the allocators work on the full
+block (they take no data-phase share), and each algorithm is then charged
+for its own signalling: ``op_count`` abstract operations at ``t_op``
+seconds each out of the block time ``T``, giving the overhead share
+``nu_r`` that shrinks the data phase to ``nu_c = 1 - nu_r``.  The grid
+benchmark is charged nothing (it stands for an offline optimum), and the
+closed-form equal split converges without iterating, so both keep
+``nu_r = 0`` (:func:`overhead_share`).
 
 The runners allocate a whole sweep point at once: one batch call per
 (point, algorithm) over the ``(trials, K)`` draw matrix, then the charge
@@ -237,7 +237,18 @@ def place_nodes(config: NetworkConfig) -> list[LinkGeometry]:
 
 
 def _config_for_k(scenario: NetworkConfig, K: int) -> NetworkConfig:
-    """Resize the scenario to K pairs, broadcasting the per-UAV vectors."""
+    """Resize the scenario to K pairs, broadcasting the per-UAV vectors.
+
+    Only a uniform vector has a value for every K, so a per-UAV field with
+    differing values is refused.
+    """
+    for field in ("p_c", "m_h", "m_g"):
+        values = getattr(scenario, field)
+        if len(set(values)) > 1:
+            raise ConfigError(
+                f"network.{field}: the K sweep needs the same value for every UAV, "
+                f"got {list(values)}"
+            )
     return replace(
         scenario,
         K=K,
@@ -260,11 +271,11 @@ def _point_draws(
 
 
 def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> AllocationResult:
-    """Run the named allocator on one channel draw (full block, nu_c = 1)."""
+    """Run the named allocator on one channel draw."""
     if name == "proposed":
-        return proposed_allocate(gamma, 1.0, config.epsilon)
+        return proposed_allocate(gamma, config.epsilon)
     if name == "conventional":
-        return conventional_allocate(gamma, 1.0, config.epsilon)
+        return conventional_allocate(gamma, config.epsilon)
     if name == "equal_bandwidth":
         K = config.K
         return AllocationResult(
@@ -276,7 +287,7 @@ def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> All
             op_count=0,
         )
     if name == "optimal":
-        return exhaustive_optimal(gamma, 1.0, *OPTIMAL_GRID)
+        return exhaustive_optimal(gamma, *OPTIMAL_GRID)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -287,9 +298,9 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
     failing draw raises the error of the first failing row.
     """
     if name == "proposed":
-        return proposed_allocate_batch(gains, 1.0, config.epsilon)
+        return proposed_allocate_batch(gains, config.epsilon)
     if name == "conventional":
-        return conventional_allocate_batch(gains, 1.0, config.epsilon)
+        return conventional_allocate_batch(gains, config.epsilon)
     if name == "equal_bandwidth":
         return equal_bandwidth_batch(gains, config.R_a)
     if name == "optimal":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -67,7 +68,6 @@ class OutageEstimate:
     """Empirical outage probability with its binomial standard error."""
 
     p_out: float
-    std_err: float
     trials: int
 
     def __post_init__(self) -> None:
@@ -75,12 +75,10 @@ class OutageEstimate:
             raise ConfigError(f"p_out must lie in [0,1], got {self.p_out}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        expected = math.sqrt(self.p_out * (1.0 - self.p_out) / self.trials)
-        if not math.isclose(self.std_err, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise ConfigError(
-                f"std_err must equal sqrt(p(1-p)/trials) = {expected!r}, "
-                f"got {self.std_err!r}"
-            )
+
+    @property
+    def std_err(self) -> float:
+        return math.sqrt(self.p_out * (1.0 - self.p_out) / self.trials)
 
 
 def rate(beta_k, tau, gamma_k, nu_c):
@@ -152,6 +150,12 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
 # shapes up to 12 (worst at u = 60, shapes 12 and 12, where F = 0.034).
 # Every fig4 analytic point has u >= 73.
 _U_SERIES = 60.0
+# A survival-sum value below this is recomputed by the series: with larger
+# shapes F can be small at u >= 60, and 1 - survival then loses its digits
+# (shapes 30 and 30 at u = 60 give 0.0 for F = 1.5e-17).  F falls as either
+# shape grows and rises with u, so shapes up to 12 at u >= 60 have
+# F >= F(60; 12, 12) = 0.0344 and keep the survival value.
+_F_SERIES = 0.03
 # Every series term carries the factor K0 or K1, so their relative error
 # passes straight into F; the default 1e-12 stopping tolerance of the K0/K1
 # evaluation leaves up to ~2e-12 there.  The survival branch keeps the
@@ -170,14 +174,16 @@ def gamma_product_cdf(
     """CDF of the composite gain gamma = rho * G_h * G_g at x.
 
     G_h ~ Gamma(n_h = m_h*N_c, lam), G_g ~ Gamma(n_g = m_g*N_r, mu), and
-    u = x/(rho*lam*mu).  Two branches, both from one Bessel pass
+    u = x/(rho*lam*mu).  Two branches, each from one Bessel pass
     (:func:`specfun.bessel_k_orders`) at 2*sqrt(u):
 
     * ``u >= _U_SERIES`` (60): one minus the finite survival sum
       (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!,
-      with compensated summation; 1.0 outright for u >= 1e6.  Where a
-      power u^((m+n_g)/2) leaves the double range (large shapes at large
-      u), it raises :class:`NumericError`.
+      with compensated summation (:func:`_survival_cdf`); 1.0 outright for
+      u >= 1e6.  Where a power u^((m+n_g)/2) leaves the double range (large
+      shapes at large u), it raises :class:`NumericError`.  A value below
+      ``_F_SERIES`` (0.03), where the difference has cancelled digits, is
+      recomputed by the series (never for shapes up to 12).
     * ``u < _U_SERIES``: the all-positive lower-tail series, summed to a
       bounded index J plus its closed-form remainder R_J
       (:func:`_lower_tail_series`).  It keeps full relative accuracy however
@@ -186,9 +192,10 @@ def gamma_product_cdf(
       of :func:`specfun.gamma_int`); above that the survival sum is used,
       which needs only n_g <= 170.
 
-    Relative error <= 1e-9 against mpmath (>= 140 correct digits) for
-    shapes 1..12 and u in [1e-6, 1e3], a Hypothesis property in the test
-    suite; measured worst 4e-12, at the switch on the survival side.  Values
+    Relative error <= 1e-9 against mpmath, Hypothesis properties in the
+    test suite: for shapes 1..12 and u in [1e-6, 1e3] (>= 140 correct
+    digits; measured worst 4e-12, at the switch on the survival side), and
+    for shapes up to 40 and u in [1e-3, 1e3].  Values
     drifting past [0,1] by less than 1e-9 are clamped; larger violations
     raise :class:`NumericError`.
     """
@@ -213,33 +220,40 @@ def gamma_product_cdf(
     if u < _U_SERIES and max(n_h, n_g) <= specfun.GAMMA_INT_MAX:
         value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
     else:
-        sqrt_u = math.sqrt(u)
-        gamma_ng = specfun.gamma_int(n_g)
-        bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
-        terms = []
-        factorial_m = 1.0
-        try:
-            for m in range(n_h):
-                if m > 0:
-                    factorial_m *= m
-                power = sqrt_u ** (m + n_g)
-                denominator = factorial_m * gamma_ng
-                if denominator < math.inf:
-                    term = 2.0 / denominator * power * bessel[abs(n_g - m)]
-                else:  # m! * Gamma(n_g) past the double range (n_g near 170)
-                    term = 2.0 / factorial_m * (power / gamma_ng) * bessel[abs(n_g - m)]
-                terms.append(term)
-        except OverflowError:  # sqrt_u ** (m + n_g) past the double range
-            raise NumericError(
-                f"product-gamma survival sum overflows at u={u!r} "
-                f"for shapes n_h={n_h}, n_g={n_g}"
-            ) from None
-        value = 1.0 - math.fsum(terms)
+        value = _survival_cdf(u, n_h, n_g)
+        if value < _F_SERIES and max(n_h, n_g) <= specfun.GAMMA_INT_MAX:
+            value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(
             f"product-gamma CDF left [0,1] by more than 1e-9: {value!r} at x={x}"
         )
     return min(1.0, max(0.0, value))
+
+
+def _survival_cdf(u: float, n_h: int, n_g: int) -> float:
+    """F(u) = 1 - (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!."""
+    sqrt_u = math.sqrt(u)
+    gamma_ng = specfun.gamma_int(n_g)
+    bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
+    terms = []
+    factorial_m = 1.0
+    try:
+        for m in range(n_h):
+            if m > 0:
+                factorial_m *= m
+            power = sqrt_u ** (m + n_g)
+            denominator = factorial_m * gamma_ng
+            if denominator < math.inf:
+                term = 2.0 / denominator * power * bessel[abs(n_g - m)]
+            else:  # m! * Gamma(n_g) past the double range (n_g near 170)
+                term = 2.0 / factorial_m * (power / gamma_ng) * bessel[abs(n_g - m)]
+            terms.append(term)
+    except OverflowError:  # sqrt_u ** (m + n_g) past the double range
+        raise NumericError(
+            f"product-gamma survival sum overflows at u={u!r} "
+            f"for shapes n_h={n_h}, n_g={n_g}"
+        ) from None
+    return 1.0 - math.fsum(terms)
 
 
 def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
@@ -250,6 +264,8 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
     s_v = u^(v/2) K_v(2 sqrt u), which obeys s_{v+1} = u s_{v-1} + v s_v and
     stays below Gamma(v)/2 (no overflow for shapes up to 170),
     T_j = (2/Gamma(n_g)) u^j s_{n_g-j} / j! for j <= n_g.
+    Where u^j or s_v/Gamma(n_g) would leave the range of normal doubles
+    (large shapes at large u), those terms are taken from their logarithms.
     Above n_g the Bessel recurrence becomes the term recurrence
     T_{j+1} = T_{j-1} u/(j(j+1)) + T_j (j-n_g)/(j+1), run to
     J = ceil(2u) + n_g + 40.  Past J the terms decay only like j^-(n_g+1),
@@ -266,8 +282,17 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
         s_prev, s_cur = s_cur, u * s_prev + v * s_cur
         scaled.append(s_cur)
 
-    def low_term(j: int) -> float:  # T_j for j <= n_g
-        return 2.0 * scaled[n_g - j] / gamma_ng * (u ** j / math.factorial(j))
+    log_u = math.log(u)
+    if n_g * log_u < 700.0 and 2.0 * min(scaled) / gamma_ng >= sys.float_info.min:
+
+        def low_term(j: int) -> float:  # T_j for j <= n_g
+            return 2.0 * scaled[n_g - j] / gamma_ng * (u ** j / math.factorial(j))
+
+    else:  # u^j or s_v / Gamma(n_g) would leave the double range
+
+        def low_term(j: int) -> float:
+            log_t = math.log(2.0 * scaled[n_g - j]) + j * log_u
+            return math.exp(log_t - math.lgamma(n_g) - math.lgamma(j + 1))
 
     total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
     t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
@@ -379,7 +404,4 @@ def outage_monte_carlo(
     else:
         outages = sum(count_block(b) for b in range(n_blocks))
 
-    p = outages / trials
-    return OutageEstimate(
-        p_out=p, std_err=math.sqrt(p * (1.0 - p) / trials), trials=trials
-    )
+    return OutageEstimate(p_out=outages / trials, trials=trials)

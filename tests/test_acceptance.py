@@ -18,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ehuav import allocation
 from ehuav.allocation import (
     equal_bandwidth_taf,
     exhaustive_optimal,
-    min_rate_tau_derivative,
     phase2_baf,
     proposed_allocate,
 )
@@ -61,8 +61,8 @@ def budgets_for(net):
     return [make_link_budget(k, net, geom) for k, geom in enumerate(place_nodes(net))]
 
 
-def worst_rate(beta, tau: float, gamma, nu_c: float = 1.0) -> float:
-    return float(np.min(rate(np.asarray(beta, dtype=float), tau, gamma, nu_c)))
+def worst_rate(beta, tau: float, gamma) -> float:
+    return float(np.min(rate(np.asarray(beta, dtype=float), tau, gamma, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_a04_min_rate_ordering_with_charging_penalty(k_sweep_rows):
         )
         tau_eq = equal_bandwidth_taf(K, cfg.R_a)
         for t in range(gam.shape[0]):
-            res = proposed_allocate(gam[t], 1.0, cfg.epsilon)
+            res = proposed_allocate(gam[t], cfg.epsilon)
             r_prop = worst_rate(res.beta, res.tau, gam[t])
             r_eq = worst_rate((1.0 / K,) * K, tau_eq, gam[t])
             assert r_prop >= r_eq - 1e-12, f"K={K}, draw {t}: {r_prop} < {r_eq}"
@@ -189,11 +189,11 @@ def test_a05_near_optimal_versus_exhaustive_grid():
         worst[K], over[K] = 0.0, 0
         for t in range(gam.shape[0]):
             g = gam[t]
-            best = exhaustive_optimal(g, 1.0, grid_tau=grid_tau, grid_beta=grid_beta)
+            best = exhaustive_optimal(g, grid_tau=grid_tau, grid_beta=grid_beta)
             tau_idx = round(best.tau * (grid_tau + 1))
             counts = tuple(round(b * grid_beta) for b in best.beta)
             r_grid, drop = _grid_neighbor_drop(g, tau_idx, counts, grid_tau, grid_beta)
-            res = proposed_allocate(g, 1.0, cfg.epsilon)
+            res = proposed_allocate(g, cfg.epsilon)
             r_prop = worst_rate(res.beta, res.tau, g)
             shortfall = max(0.0, (r_grid - drop - r_prop) / r_grid)
             worst[K] = max(worst[K], shortfall)
@@ -284,7 +284,7 @@ def test_a08_property_suites():
         K = 2 + instance % 7
         gamma = random_gains(K, seed=9000 + instance)
         tau = 0.1 + 0.8 * ((instance * 0.37) % 1.0)
-        beta, iters = phase2_baf(tau, gamma, 1.0, epsilon, (1.0 / K,) * K)
+        beta, iters = phase2_baf(tau, gamma, epsilon, (1.0 / K,) * K)
         total_updates += iters
         instance += 1
         assert abs(math.fsum(beta.tolist()) - 1.0) <= 1e-12
@@ -292,7 +292,8 @@ def test_a08_property_suites():
         assert float(np.max(rates) - np.min(rates)) <= epsilon
     assert total_updates >= 10**4
 
-    # Analytic min-rate time derivative vs central finite differences.
+    # Analytic min-rate time derivative (the rate slope of the weakest UAV)
+    # vs central finite differences.
     h, checked = 1e-6, 0
     for trial in range(400):
         K = 1 + trial % 6
@@ -300,12 +301,12 @@ def test_a08_property_suites():
         rng = np.random.default_rng(800 + trial)
         beta = rng.dirichlet(np.ones(K))
         tau = float(rng.uniform(0.05, 0.95))
-        alloc = Allocation(tau=tau, beta=tuple(beta))
+        _, k = min_rate(Allocation(tau=tau, beta=tuple(beta)), gamma)
         lo = min_rate(Allocation(tau=tau - h, beta=tuple(beta)), gamma)
         hi = min_rate(Allocation(tau=tau + h, beta=tuple(beta)), gamma)
         if lo[1] != hi[1]:
             continue  # the bottleneck UAV switches inside the stencil
-        analytic = min_rate_tau_derivative(alloc, gamma, tau)
+        analytic = allocation._rate_slope(float(beta[k]), float(gamma[k]), tau)
         fd = (hi[0] - lo[0]) / (2.0 * h)
         assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-6), (
             f"trial {trial}: analytic {analytic} vs finite difference {fd}"

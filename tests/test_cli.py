@@ -262,6 +262,23 @@ class TestFig3:
         assert main(["fig3", fig3_config, "--out", str(out_b)]) == EXIT_OK
         assert sha256(out_a) == sha256(out_b)
 
+    @pytest.mark.parametrize(
+        "field,values", [("p_c", [0.1, 0.2]), ("m_h", [3, 4]), ("m_g", [2, 3])]
+    )
+    def test_non_uniform_per_uav_values_are_refused(self, tmp_path, capsys, field, values):
+        # The K sweep resizes the scenario; it used to keep UAV 0's value
+        # for every UAV and write the uniform scenario's CSV.
+        config = config_file(
+            tmp_path, network={field: values}, experiment={"trials": 5, "k_values": [2]}
+        )
+        out_path = tmp_path / "fig3.csv"
+        assert main(["fig3", config, "--out", str(out_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: network.{field}: the K sweep needs the same value for every UAV, "
+            f"got {values}\n"
+        )
+        assert not out_path.exists()
+
 
 class TestFig4:
     def test_saturated_defaults_fail_altitude_trend_but_write_csv(

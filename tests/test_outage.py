@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ehuav import outage
 from ehuav.channel import EnvironmentParams, LinkBudget, NetworkConfig
 from ehuav.errors import ConfigError, DomainError, NumericError
 from ehuav.outage import (
@@ -150,22 +151,17 @@ class TestAllocation:
 
 class TestOutageEstimate:
     def test_consistent(self):
-        est = OutageEstimate(
-            p_out=0.25, std_err=math.sqrt(0.25 * 0.75 / 1000), trials=1000
-        )
+        est = OutageEstimate(p_out=0.25, trials=1000)
         assert est.p_out == 0.25
-
-    def test_std_err_enforced(self):
-        with pytest.raises(ConfigError, match="std_err"):
-            OutageEstimate(p_out=0.25, std_err=0.01, trials=1000)
+        assert est.std_err == math.sqrt(0.25 * 0.75 / 1000)
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigError):
-            OutageEstimate(p_out=1.25, std_err=0.0, trials=1000)
+            OutageEstimate(p_out=1.25, trials=1000)
 
     def test_degenerate_estimates(self):
-        assert OutageEstimate(p_out=0.0, std_err=0.0, trials=10).std_err == 0.0
-        assert OutageEstimate(p_out=1.0, std_err=0.0, trials=10).p_out == 1.0
+        assert OutageEstimate(p_out=0.0, trials=10).std_err == 0.0
+        assert OutageEstimate(p_out=1.0, trials=10).std_err == 0.0
 
 
 class TestRate:
@@ -346,10 +342,36 @@ class TestGammaProductCdf:
     def test_survival_sum_keeps_terms_past_the_factorial_range(self):
         # With n_g = 170, m! * Gamma(n_g) leaves the double range from m = 7
         # on; those terms must not vanish (F came out as 0.40295 when they did).
+        # At u = 1024 F is below 0.03, so the series serves it; at u = 2000
+        # the survival sum does.
         oracle = float(mp_gamma_product_cdf(1024.0, 12, 170, dps=60))
         assert oracle == pytest.approx(0.0235950739981648766, rel=1e-15)
         value = gamma_product_cdf(1024.0, UNIT_BUDGET, 12, 1, 170, 1)
         assert abs(value - oracle) <= 1e-9 * oracle
+        oracle = float(mp_gamma_product_cdf(2000.0, 12, 170, dps=60))
+        value = gamma_product_cdf(2000.0, UNIT_BUDGET, 12, 1, 170, 1)
+        assert value == outage._survival_cdf(2000.0, 12, 170)
+        assert abs(value - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize(
+        "shape,pinned", [(20, 2.3733177894216577e-07), (30, 1.507041507528333e-17)]
+    )
+    def test_small_survival_values_are_served_by_the_series(self, shape, pinned):
+        # At u = 60 the survival sum cancelled for shapes above 12: (20, 20)
+        # came out 5.8e-7 off relative, (30, 30) as 0.0.
+        oracle = float(mp_gamma_product_cdf(60.0, shape, shape, dps=60))
+        assert oracle == pytest.approx(pinned, rel=1e-15)
+        value = gamma_product_cdf(60.0, UNIT_BUDGET, shape, 1, shape, 1)
+        assert abs(value - oracle) <= 1e-9 * oracle
+
+    def test_shapes_up_to_12_keep_the_survival_sum_from_u_60(self):
+        # F falls as either shape grows and rises with u, so (12, 12) at
+        # u = 60 is the smallest survival-side value for shapes up to 12.
+        survival = outage._survival_cdf(60.0, 12, 12)
+        assert survival > outage._F_SERIES
+        assert gamma_product_cdf(60.0, UNIT_BUDGET, 12, 1, 12, 1) == survival
+        assert gamma_product_cdf(60.0, UNIT_BUDGET, 11, 1, 12, 1) > survival
+        assert gamma_product_cdf(61.0, UNIT_BUDGET, 12, 1, 12, 1) > survival
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -371,6 +393,27 @@ class TestGammaProductCdf:
         oracle = mp_gamma_product_cdf(u, n_h, n_g, dps=230)
         value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
         assert abs(value - float(oracle)) <= 1e-9 * float(oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=-3.0, max_value=3.0),
+        n_h=st.integers(min_value=1, max_value=40),
+        n_g=st.integers(min_value=1, max_value=40),
+    )
+    @example(log10_u=math.log10(60.0), n_h=13, n_g=13)
+    @example(log10_u=math.log10(60.0), n_h=40, n_g=40)
+    @example(log10_u=math.log10(200.0), n_h=40, n_g=40)
+    @example(log10_u=-3.0, n_h=40, n_g=40)
+    @example(log10_u=3.0, n_h=40, n_g=1)
+    def test_relative_error_against_mpmath_for_larger_shapes(self, log10_u, n_h, n_g):
+        # F >= 1e-220 here.  The oracle's survival sum cancels about
+        # -log10(F) digits, so its precision follows the computed value (a
+        # value of 0.0 where F is not gets the full 400 digits).
+        u = 10.0 ** log10_u
+        value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
+        dps = 40 + math.ceil(-math.log10(value)) if value > 0.0 else 400
+        oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=dps))
+        assert abs(value - oracle) <= 1e-9 * oracle
 
     def test_range(self):
         scale = self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu
