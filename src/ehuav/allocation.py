@@ -4,11 +4,13 @@ Four allocators share the same max-min-rate objective:
 
 * :func:`equal_bandwidth_taf` - closed form (Lambert-W) optimum of the
   time split when every UAV gets the same bandwidth share;
-* :func:`proposed_allocate` - two-phase scheme: bisection on the sign of
-  the min-rate derivative for the time split, then pairwise bandwidth
-  transfers from the fastest to the slowest UAV;
-* :func:`conventional_allocate` - nested-bisection baseline (outer
-  bisection on a common target rate, inner per-UAV bisections);
+* :func:`proposed_allocate` - the paper's two-phase scheme.  Phase 1
+  (:func:`_phase1`) bisects the time split on the sign of the min-rate
+  derivative at the equal split; phase 2 (:func:`_phase2`) then moves
+  bandwidth pairwise from the fastest to the slowest UAV;
+* :func:`conventional_allocate` - nested-bisection baseline: phase 1's time
+  split, then an outer bisection on a common target rate with inner
+  per-UAV bisections;
 * :func:`exhaustive_optimal` - optimum over a grid of time splits and
   the simplex of equal-step bandwidth shares (small K only).  It returns
   what visiting every grid point would, without visiting them: where each
@@ -28,13 +30,14 @@ The two-phase scheme, the nested baseline and the equal split also come in
 batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
 replay the per-draw algorithm on every row at once: the same brackets,
 stopping tests, operation order and tallies, so row ``t`` of the result
-equals the per-draw call on ``gains[t]`` bit for bit.  The per-draw forms
-serve one draw at a time (a batch of one costs more than a per-draw call)
-and are the reference the batch forms are tested against.  They do their
-scalar work on Python floats: phase 1 bisects the rate slope of the one
-UAV with the smallest gain, phase 2 recomputes only the two rates an
-update changes, and the baseline's inner bisections read the gains from a
-list.
+equals the per-draw call on ``gains[t]`` bit for bit.  The rate slope of
+phase 1 and the update cap of phase 2 are each written once and read by
+both forms.  The per-draw forms serve one draw at a time (a batch of one
+costs more than a per-draw call) and are the reference the batch forms
+are tested against.  They do their scalar work on Python floats: phase 1
+bisects the rate slope of the one UAV with the smallest gain, phase 2
+recomputes only the two rates an update changes, and the baseline's inner
+bisections read the gains from a list.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class AllocationResult:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-
-    @property
-    def K(self) -> int:
-        return len(self.beta)
 
     def as_allocation(self, nu_r: float = 0.0) -> Allocation:
         """Package the converged (tau, beta) with a protocol-overhead share."""
@@ -150,17 +149,6 @@ def _as_gamma(gamma) -> np.ndarray:
     return arr
 
 
-def _as_beta(beta, K: int) -> np.ndarray:
-    arr = np.asarray(beta, dtype=float)
-    if arr.shape != (K,):
-        raise ConfigError(f"beta must have length {K}, got shape {arr.shape}")
-    if not np.all((arr > 0.0) & (arr <= 1.0)):
-        raise ConfigError(f"every beta_k must lie in (0,1], got {arr}")
-    if abs(math.fsum(arr) - 1.0) > 1e-12:
-        raise ConfigError(f"beta must sum to 1 within 1e-12, got {math.fsum(arr)!r}")
-    return arr
-
-
 def _as_matrix(gains) -> np.ndarray:
     arr = np.asarray(gains, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -214,10 +202,20 @@ def _check_epsilon(epsilon: float) -> None:
     check((EPSILON_RULE,), {"epsilon": epsilon})
 
 
-def _rate_slope(b: float, g: float, tau: float) -> float:
-    """d(rate)/d(tau) of one UAV with share b and gain g."""
+def _rate_slope(b, g, tau, log2=math.log2):
+    """d(rate)/d(tau) of one UAV with share b and gain g.
+
+    Elementwise over arrays of gains and time splits when ``log2`` is
+    :func:`_log2_exact`: the same operations in the same order as the
+    per-draw call.
+    """
     eff = b * (1.0 - tau)
-    return -b * math.log2(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
+    return -b * log2(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
+
+
+def _update_cap(K: int, epsilon: float) -> int:
+    """Most bandwidth updates phase 2 makes before it gives up."""
+    return 10 * K * math.ceil(math.log10(1.0 / epsilon))
 
 
 def equal_bandwidth_taf(K: int, R_a: float) -> float:
@@ -259,25 +257,20 @@ def _stall_error(lo: float, hi: float, epsilon: float) -> NumericError:
     )
 
 
-def phase1_taf(gamma, epsilon: float) -> tuple[float, int]:
-    """Bisection for the time split on the sign of the min-rate derivative,
-    at the equal bandwidth split.
+def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
+    """Phase 1: bisection for the time split on the sign of the min-rate
+    derivative, at the equal bandwidth split.
 
-    Bracket starts at [epsilon, 1-epsilon] and halves until its width is
-    at most epsilon; returns the final midpoint and the iteration count.
+    The bracket starts at [epsilon, 1-epsilon] and halves until its width
+    is at most epsilon; returns the final midpoint and the iteration count.
     At the equal split every UAV has the same share 1/K, and its rate
     increases with its gain, so the weakest UAV at every tau is the one
     with the smallest gain (the lowest index among equal gains): the
     bisection follows that UAV's rate slope.  Where ``log2(1 + x)`` rounds
     distinct small gains to equal rates, the smallest gain still decides,
-    not the lowest index among the equal rates.
+    not the lowest index among the equal rates.  The caller has checked
+    the gains and epsilon.
     """
-    _check_epsilon(epsilon)
-    return _phase1(_as_gamma(gamma), epsilon)
-
-
-def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
-    """:func:`phase1_taf` on arguments that passed its checks."""
     b = 1.0 / gam.size
     g = float(gam.min())
     lo, hi = epsilon, 1.0 - epsilon
@@ -296,34 +289,24 @@ def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
     return 0.5 * (lo + hi), iters
 
 
-def phase2_baf(tau_o: float, gamma, epsilon: float, beta_init) -> tuple[np.ndarray, int]:
-    """Pairwise bandwidth transfers until all rates agree within epsilon.
+def _phase2(
+    tau_o: float, gam: np.ndarray, epsilon: float, beta: list[float]
+) -> tuple[list[float], int]:
+    """Phase 2: pairwise bandwidth transfers until all rates agree within
+    epsilon; updates ``beta`` in place and returns it with the update count.
 
     Each update moves ``beta_hat * gap / (2 * R_hat)`` of bandwidth from
     the fastest UAV to the slowest, so the share vector's sum is
-    conserved.  Returns the converged shares and the update count; more
-    than ``10 * K * ceil(log10(1/epsilon))`` updates raise NumericError.
+    conserved.  More than :func:`_update_cap` updates raise NumericError.
 
     An update changes two shares, so only their two rates are recomputed,
     with ``np.log2`` as in the batch form.  A NaN rate would be both the
     fastest and the slowest (as ``np.argmax`` and ``np.argmin`` pick it)
     and keep the gap NaN until the update cap, so it raises that error at
-    once.
+    once.  The caller has checked the gains and epsilon.
     """
-    if not 0.0 < tau_o < 1.0:
-        raise ConfigError(f"tau must lie in (0,1), got {tau_o}")
-    _check_epsilon(epsilon)
-    gam = _as_gamma(gamma)
-    beta, iters = _phase2(tau_o, gam, epsilon, _as_beta(beta_init, gam.size).tolist())
-    return np.array(beta), iters
-
-
-def _phase2(
-    tau_o: float, gam: np.ndarray, epsilon: float, beta: list[float]
-) -> tuple[list[float], int]:
-    """:func:`phase2_baf` on arguments that passed its checks; updates ``beta``."""
     K = len(beta)
-    cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
+    cap = _update_cap(K, epsilon)
     one_minus_tau = 1.0 - tau_o
     tau_gam = (tau_o * gam).tolist()
 
@@ -458,16 +441,11 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     )
 
 
-def _rate_slope_batch(b: float, g: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """:func:`_rate_slope` at the equal split ``b = 1/K``, one (gain, tau) per row."""
-    eff = b * (1.0 - tau)
-    return -b * _log2_exact(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
-
-
 def _phase1_batch(
     gam: np.ndarray, epsilon: float, errors: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`phase1_taf` at the equal split for every row not yet in ``errors``.
+    """:func:`_phase1` on every row not yet in ``errors``: one bisection per
+    row on the rate slope of that row's smallest gain.
 
     Rows that cannot bracket a maximum get their NumericError in ``errors``.
     """
@@ -476,8 +454,8 @@ def _phase1_batch(
     g = gam.min(axis=1)  # each row's weakest UAV at every tau
     lo = np.full(T, epsilon)
     hi = np.full(T, 1.0 - epsilon)
-    d_lo = _rate_slope_batch(b, g, lo)
-    d_hi = _rate_slope_batch(b, g, hi)
+    d_lo = _rate_slope(b, g, lo, _log2_exact)
+    d_hi = _rate_slope(b, g, hi, _log2_exact)
     active = (d_lo > 0.0) & (d_hi < 0.0)
     for t in np.flatnonzero(~active):
         errors.setdefault(
@@ -490,7 +468,7 @@ def _phase1_batch(
         if not active.any():
             return 0.5 * (lo + hi), iters
         mid = 0.5 * (lo + hi)
-        rising = _rate_slope_batch(b, g, mid) > 0.0
+        rising = _rate_slope(b, g, mid, _log2_exact) > 0.0
         lo = np.where(active & rising, mid, lo)
         hi = np.where(active & ~rising, mid, hi)
         iters += active
@@ -523,7 +501,7 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     tau, iters_tau = _phase1_batch(gam, epsilon, errors)
     beta = np.full((T, K), 1.0 / K)
     iters_beta = np.zeros(T, dtype=np.int64)
-    cap = 10 * K * math.ceil(math.log10(1.0 / epsilon))
+    cap = _update_cap(K, epsilon)
     rows = np.flatnonzero(_live(T, errors))
     while rows.size:
         t_col = tau[rows, np.newaxis]

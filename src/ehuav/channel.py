@@ -28,6 +28,11 @@ from .specfun import GAMMA_INT_MAX
 # log2 of the largest double, 1024 bit/s/Hz.
 EPSILON_MIN = 1e-12
 
+# Most GCS-UAV pairs a scenario or a sweep point may have.  A sweep point
+# holds a few dozen (trials, K) arrays, so this bound and the bound on the
+# draw count (:data:`ehuav.experiments.TRIALS_MAX`) keep its memory bounded.
+K_MAX = 64
+
 # A bound is a rule (field, test, message): the values satisfy it when
 # test(values) is true, and otherwise `field` gets message.format(**values).
 # The dataclasses below and the config loader read the same tables, so each
@@ -96,7 +101,12 @@ EPSILON_RULE: Rule = (
 _NAKAGAMI = "Nakagami parameter must be integer >= 1 (the finite-sum CDF requires it)"
 
 NETWORK_RULES: tuple[Rule, ...] = (
-    *(_count_rule(name) for name in ("K", "N_c", "N_r", "N_s")),
+    (
+        "K",
+        lambda v: integer_at_least(v["K"], 1) and v["K"] <= K_MAX,
+        f"must be an integer in [1, {K_MAX}], got {{K}}",
+    ),
+    *(_count_rule(name) for name in ("N_c", "N_r", "N_s")),
     *(
         _positive_rule(name)
         for name in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a")

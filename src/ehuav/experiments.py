@@ -48,6 +48,7 @@ from .allocation import (
     proposed_allocate_batch,
 )
 from .channel import (
+    K_MAX,
     LinkBudget,
     LinkGeometry,
     NetworkConfig,
@@ -85,6 +86,10 @@ _SATURATION_GUARD = 1.0 - 1e-6
 # Time-split and share-step counts of the grid behind ``optimal``.
 OPTIMAL_GRID = (200, 100)
 
+# Most channel draws per sweep point; with :data:`ehuav.channel.K_MAX` it
+# bounds the memory of a sweep point.
+TRIALS_MAX = 100_000
+
 
 def _positive_list_rule(name: str) -> Rule:
     return (
@@ -99,12 +104,17 @@ def _positive_list_rule(name: str) -> Rule:
 # :data:`ehuav.channel.NETWORK_RULES`.
 EXPERIMENT_RULES: tuple[Rule, ...] = (
     ("t_op", lambda v: 0.0 <= v["t_op"] < math.inf, "must be finite and >= 0, got {t_op}"),
-    ("trials", lambda v: integer_at_least(v["trials"], 1), "must be an integer >= 1, got {trials}"),
+    (
+        "trials",
+        lambda v: integer_at_least(v["trials"], 1) and v["trials"] <= TRIALS_MAX,
+        f"must be an integer in [1, {TRIALS_MAX}], got {{trials}}",
+    ),
     ("seed", lambda v: integer_at_least(v["seed"], 0), "must be an integer >= 0, got {seed}"),
     (
         "k_values",
-        lambda v: len(v["k_values"]) > 0 and all(integer_at_least(k, 1) for k in v["k_values"]),
-        "must be a non-empty list of integers >= 1, got {k_values}",
+        lambda v: len(v["k_values"]) > 0
+        and all(integer_at_least(k, 1) and k <= K_MAX for k in v["k_values"]),
+        f"must be a non-empty list of integers in [1, {K_MAX}], got {{k_values}}",
     ),
     _positive_list_rule("altitudes"),
     _positive_list_rule("velocities"),
@@ -277,15 +287,8 @@ def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> All
     if name == "conventional":
         return conventional_allocate(gamma, config.epsilon)
     if name == "equal_bandwidth":
-        K = config.K
-        return AllocationResult(
-            tau=equal_bandwidth_taf(K, config.R_a),
-            beta=(1.0 / K,) * K,
-            iters_tau=0,
-            iters_beta=0,
-            inner_iters_beta=0,
-            op_count=0,
-        )
+        # The split ignores the gains; K comes from the config.
+        return equal_bandwidth_batch(np.ones((1, config.K)), config.R_a).row(0)
     if name == "optimal":
         return exhaustive_optimal(gamma, *OPTIMAL_GRID)
     raise ConfigError(f"unknown algorithm {name!r}")

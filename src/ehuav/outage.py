@@ -161,6 +161,10 @@ _F_SERIES = 0.03
 # evaluation leaves up to ~2e-12 there.  The survival branch keeps the
 # default: its K error enters only as absolute error on 1 - F.
 _SERIES_REL_TOL = 1e-16
+# Every series term carries K0(2 sqrt u), so the series keeps its digits
+# only while K0 is a normal double, below u = 124377: shapes (27, 107) at
+# u = 1.3e5, where K0 is subnormal, came out 5.2e-10 off relative.
+_U_SERIES_MAX = 1.24e5
 
 
 def gamma_product_cdf(
@@ -180,10 +184,10 @@ def gamma_product_cdf(
     * ``u >= _U_SERIES`` (60): one minus the finite survival sum
       (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!,
       with compensated summation (:func:`_survival_cdf`); 1.0 outright for
-      u >= 1e6.  Where a power u^((m+n_g)/2) leaves the double range (large
-      shapes at large u), it raises :class:`NumericError`.  A value below
-      ``_F_SERIES`` (0.03), where the difference has cancelled digits, is
-      recomputed by the series (never for shapes up to 12).
+      u >= 1e6.  A value below ``_F_SERIES`` (0.03), where the difference
+      has cancelled digits, is recomputed by the series (never for shapes
+      up to 12), and so is a point where a power u^((m+n_g)/2) leaves the
+      double range (large shapes at large u).
     * ``u < _U_SERIES``: the all-positive lower-tail series, summed to a
       bounded index J plus its closed-form remainder R_J
       (:func:`_lower_tail_series`).  It keeps full relative accuracy however
@@ -191,6 +195,10 @@ def gamma_product_cdf(
       shape plays n_g there, so both shapes must be at most 170 (the range
       of :func:`specfun.gamma_int`); above that the survival sum is used,
       which needs only n_g <= 170.
+
+    The series serves only below ``_U_SERIES_MAX`` (1.24e5), where
+    K0(2 sqrt u) is a normal double.  Where the survival sum overflows and
+    the series cannot serve, :class:`NumericError` names u and both shapes.
 
     Relative error <= 1e-9 against mpmath, Hypothesis properties in the
     test suite: for shapes 1..12 and u in [1e-6, 1e3] (>= 140 correct
@@ -217,11 +225,17 @@ def gamma_product_cdf(
         return 1.0
     if u == 0.0:
         return 0.0
-    if u < _U_SERIES and max(n_h, n_g) <= specfun.GAMMA_INT_MAX:
+    series_serves = max(n_h, n_g) <= specfun.GAMMA_INT_MAX and u < _U_SERIES_MAX
+    if u < _U_SERIES and series_serves:
         value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
     else:
-        value = _survival_cdf(u, n_h, n_g)
-        if value < _F_SERIES and max(n_h, n_g) <= specfun.GAMMA_INT_MAX:
+        try:
+            value = _survival_cdf(u, n_h, n_g)
+        except NumericError:  # a power of u past the double range
+            if not series_serves:
+                raise
+            value = None
+        if series_serves and (value is None or value < _F_SERIES):
             value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(

@@ -22,7 +22,6 @@ from ehuav import allocation
 from ehuav.allocation import (
     equal_bandwidth_taf,
     exhaustive_optimal,
-    phase2_baf,
     proposed_allocate,
 )
 from ehuav.channel import make_link_budget, sample_gamma_matrix
@@ -284,11 +283,11 @@ def test_a08_property_suites():
         K = 2 + instance % 7
         gamma = random_gains(K, seed=9000 + instance)
         tau = 0.1 + 0.8 * ((instance * 0.37) % 1.0)
-        beta, iters = phase2_baf(tau, gamma, epsilon, (1.0 / K,) * K)
+        beta, iters = allocation._phase2(tau, gamma, epsilon, [1.0 / K] * K)
         total_updates += iters
         instance += 1
-        assert abs(math.fsum(beta.tolist()) - 1.0) <= 1e-12
-        rates = rate(beta, tau, gamma, 1.0)
+        assert abs(math.fsum(beta) - 1.0) <= 1e-12
+        rates = rate(np.array(beta), tau, gamma, 1.0)
         assert float(np.max(rates) - np.min(rates)) <= epsilon
     assert total_updates >= 10**4
 

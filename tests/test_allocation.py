@@ -27,8 +27,6 @@ from ehuav.allocation import (
     conventional_allocate_batch,
     equal_bandwidth_taf,
     exhaustive_optimal,
-    phase1_taf,
-    phase2_baf,
     proposed_allocate,
     proposed_allocate_batch,
 )
@@ -175,10 +173,12 @@ class TestMinRateTauDerivative:
 
 
 class TestPhase1Taf:
+    """Phase 1 of :func:`proposed_allocate`, on checked arguments."""
+
     @pytest.mark.parametrize("eps,expected", [(1e-3, 10), (1e-4, 14), (1e-5, 17)])
     def test_iteration_count_is_fixed_by_epsilon(self, eps, expected):
         gam = random_gains(3, 7, lo=0.0, hi=2.0)
-        _, iters = phase1_taf(gam, eps)
+        _, iters = allocation._phase1(gam, eps)
         assert iters == expected == math.ceil(math.log2((1.0 - 2.0 * eps) / eps))
 
     @pytest.mark.parametrize("gains", [[37.0], [0.8, 11.0, 230.0]])
@@ -186,7 +186,7 @@ class TestPhase1Taf:
         gam = np.asarray(gains, dtype=float)
         K = gam.size
         beta = np.full(K, 1.0 / K)
-        tau, _ = phase1_taf(gam, EPS)
+        tau, _ = allocation._phase1(gam, EPS)
         taus = np.linspace(1e-4, 1.0 - 1e-4, 20001)
         eff = np.outer(1.0 - taus, beta)
         rates = eff * np.log2(1.0 + taus[:, None] * gam / eff)
@@ -195,11 +195,11 @@ class TestPhase1Taf:
 
     def test_vanishing_gains_cannot_bracket(self):
         with pytest.raises(NumericError, match="bracket"):
-            phase1_taf([1e-9], EPS)
+            allocation._phase1(np.array([1e-9]), EPS)
 
     def test_brackets_across_gain_scales(self):
         for exponent in range(-2, 5):
-            tau, _ = phase1_taf([10.0**exponent], EPS)
+            tau, _ = allocation._phase1(np.array([10.0**exponent]), EPS)
             assert 0.0 < tau < 1.0
 
     def test_weakest_uav_is_the_smallest_gain_even_where_rates_tie(self):
@@ -215,40 +215,36 @@ class TestPhase1Taf:
         assert smallest != lowest_index
         assert smallest == 1.6212204282216865e-13
         with pytest.raises(NumericError, match="bracket") as info:
-            phase1_taf(gains, eps)
+            allocation._phase1(np.array(gains), eps)
         assert f"d(lo)={smallest!r}," in str(info.value)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError, match="epsilon"):
-            phase1_taf([2.0], 0.6)
-        with pytest.raises(ConfigError, match="positive"):
-            phase1_taf([0.0], EPS)
 
 
 class TestPhase2Baf:
+    """Phase 2 of :func:`proposed_allocate`, on checked arguments."""
+
     def test_already_equal_needs_no_updates(self):
-        beta, iters = phase2_baf(0.4, [3.0, 3.0, 3.0], EPS, np.full(3, 1 / 3))
+        beta, iters = allocation._phase2(0.4, np.full(3, 3.0), EPS, [1 / 3] * 3)
         assert iters == 0
         assert np.allclose(beta, 1 / 3)
 
     def test_single_pair_is_trivial(self):
-        beta, iters = phase2_baf(0.3, [5.0], EPS, [1.0])
+        beta, iters = allocation._phase2(0.3, np.array([5.0]), EPS, [1.0])
         assert iters == 0
-        assert beta.tolist() == [1.0]
+        assert beta == [1.0]
 
     def test_terminal_spread_and_conservation(self):
         for seed in range(20):
             K = 2 + seed % 5
             gam = random_gains(K, seed)
-            beta, iters = phase2_baf(0.3, gam, EPS, np.full(K, 1.0 / K))
-            rates = rate(beta, 0.3, gam, 1.0)
+            beta, iters = allocation._phase2(0.3, gam, EPS, [1.0 / K] * K)
+            rates = rate(np.array(beta), 0.3, gam, 1.0)
             assert float(rates.max() - rates.min()) <= EPS
             assert abs(math.fsum(beta) - 1.0) <= 1e-12
             assert iters >= 1
 
     def test_matches_equal_rate_root_finder(self):
         gam = np.array([0.5, 5.0, 50.0])
-        beta, _ = phase2_baf(0.3, gam, EPS, np.full(3, 1 / 3))
+        beta, _ = allocation._phase2(0.3, gam, EPS, [1 / 3] * 3)
         oracle_beta, common = equal_rate_shares(0.3, gam)
         assert worst_rate(beta, 0.3, gam) == pytest.approx(common, abs=10 * EPS)
         assert np.allclose(beta, oracle_beta, atol=0.02)
@@ -257,27 +253,21 @@ class TestPhase2Baf:
         # At this SNR and epsilon the gap stays above epsilon until the
         # 10*K*ceil(log10(1/epsilon)) cap, on the per-draw and batch forms.
         message = "did not converge in 360 updates"
-        tau, _ = phase1_taf(CAPPED, 1e-12)
+        tau, _ = allocation._phase1(np.array(CAPPED), 1e-12)
         with pytest.raises(NumericError, match=message):
-            phase2_baf(tau, CAPPED, 1e-12, np.full(3, 1 / 3))
+            allocation._phase2(tau, np.array(CAPPED), 1e-12, [1 / 3] * 3)
         with pytest.raises(NumericError, match=message) as info:
             proposed_allocate(CAPPED, 1e-12)
         with pytest.raises(NumericError) as batch_info:
             proposed_allocate_batch(np.array([CAPPED]), 1e-12)
         assert str(batch_info.value) == str(info.value)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError, match="tau"):
-            phase2_baf(1.0, [1.0, 2.0], EPS, [0.5, 0.5])
-        with pytest.raises(ConfigError, match="sum to 1"):
-            phase2_baf(0.5, [1.0, 2.0], EPS, [0.5, 0.4])
-
     @pytest.mark.parametrize("beta_init", [[5e-324, 1.0], [1.0, 5e-324]])
     def test_nan_rate_raises_the_cap_error_at_once(self, beta_init):
         # A share of 5e-324 times (1 - tau) underflows to 0, so its rate is
         # 0 * log2(inf) = NaN: the gap could never reach epsilon.
         with pytest.raises(NumericError) as info:
-            phase2_baf(0.5, [1.0, 2.0], EPS, beta_init)
+            allocation._phase2(0.5, np.array([1.0, 2.0]), EPS, list(beta_init))
         assert str(info.value) == (
             "bandwidth equalization did not converge in 80 updates: "
             "gap=nan > epsilon=0.0001 (K=2, tau=0.5)"
@@ -291,8 +281,8 @@ class TestPhase2Baf:
     @given(K=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_random_instances_converge_equalised(self, K, seed):
         gam = random_gains(K, seed)
-        beta, _ = phase2_baf(0.35, gam, EPS, np.full(K, 1.0 / K))
-        rates = rate(beta, 0.35, gam, 1.0)
+        beta, _ = allocation._phase2(0.35, gam, EPS, [1.0 / K] * K)
+        rates = rate(np.array(beta), 0.35, gam, 1.0)
         assert float(rates.max() - rates.min()) <= EPS
         assert abs(math.fsum(beta) - 1.0) <= 1e-12
 
@@ -474,7 +464,7 @@ class TestProposedAllocate:
         for seed in range(40):
             K = 2 + seed % 7
             res = proposed_allocate(random_gains(K, seed), EPS)
-            assert res.K == K
+            assert len(res.beta) == K
             assert res.op_count == K + res.iters_tau + res.iters_beta * K
             assert res.inner_iters_beta == 0
             assert res.iters_tau == 14
@@ -506,6 +496,12 @@ class TestProposedAllocate:
         assert alloc.nu_c == 1.0
         value, _ = min_rate(alloc, gam)
         assert value == pytest.approx(worst_rate(res.beta, res.tau, gam), rel=1e-15)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ConfigError, match="epsilon"):
+            proposed_allocate([2.0], 0.6)
+        with pytest.raises(ConfigError, match="positive"):
+            proposed_allocate([0.0], EPS)
 
 
 class TestConventionalAllocate:
@@ -689,7 +685,7 @@ class TestExhaustiveOptimal:
 
     def test_single_pair_matches_phase1(self):
         res = exhaustive_optimal([12.0], grid_tau=999, grid_beta=4)
-        tau_ref, _ = phase1_taf([12.0], 1e-5)
+        tau_ref, _ = allocation._phase1(np.array([12.0]), 1e-5)
         assert res.beta == (1.0,)
         assert abs(res.tau - tau_ref) <= 1.0 / 1000.0 + 1e-5
 
@@ -745,7 +741,7 @@ class TestAllocationResult:
 
     def test_accessors(self):
         res = AllocationResult(0.5, (0.25, 0.75), 3, 4, 5, 6)
-        assert res.K == 2
+        assert len(res.beta) == 2
         alloc = res.as_allocation(nu_r=0.25)
         assert alloc.nu_r == 0.25
         assert alloc.nu_c == 0.75

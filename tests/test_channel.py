@@ -33,6 +33,7 @@ NOISE = 10.0 ** -14.4  # -114 dBm in watts
 
 
 def default_config(K: int = 6, **overrides) -> NetworkConfig:
+    """The Table-1 scenario with K pairs; the other test modules import it."""
     params = dict(
         K=K,
         N_c=4,

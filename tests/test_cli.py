@@ -280,6 +280,28 @@ class TestFig3:
         assert not out_path.exists()
 
 
+class TestSizeBounds:
+    @pytest.mark.parametrize(
+        "command, network, experiment, path",
+        [
+            # Unbounded, the channel sampler would ask for 14.6 TiB.
+            ("fig3", {}, {"trials": 1_000_000_000_000}, "experiment.trials"),
+            # Unbounded, the scalar broadcast would build three 8 GB tuples.
+            ("validate", {"K": 1_000_000_000}, None, "network.K"),
+            # Unbounded, the first sweep point would ask for 2.98 GiB.
+            ("fig3", {}, {"k_values": [2_000_000]}, "experiment.k_values"),
+        ],
+    )
+    def test_oversized_configs_are_config_errors(
+        self, tmp_path, capsys, command, network, experiment, path
+    ):
+        config = config_file(tmp_path, network=network, experiment=experiment)
+        argv = [command, config] + (["--out", str(tmp_path / "out.csv")] if command == "fig3" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert f"\n  {path}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestFig4:
     def test_saturated_defaults_fail_altitude_trend_but_write_csv(
         self, tmp_path, capsys
@@ -494,3 +516,60 @@ class TestDeliverables:
             "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
         )
         assert sha256(out) == FIG4_SHA256
+
+
+# sha256 of the stdout of each command below on the shipped scenario (or, for
+# ``optimal``, on a K=3 copy of it: the grid serves K <= 3 only).  Each
+# command exits 0 with nothing on stderr.
+TEXT_SHA256 = {
+    "validate": "5838c0481d95f992600d6e1c41d821efad6391eaa6daac67ea6c86c6bdc10b21",
+    "allocate proposed": "922091648a907d6f34be0a170d975534dda77655e9eec1b15c830a3faf11678b",
+    "allocate conventional": "a3f0cfd0c8f171cf02b094a3b7f7bc67e822952b96381484c9e5ef97a4118b6e",
+    "allocate equal_bandwidth": "8a2df5151f755494e05014797805ec28ed0a506495d11c612edde07746cd6117",
+    "allocate optimal K=3": "c7d236ce916ff88c9d15666f60026de1613364372132e88b2cdbe7164c4202c8",
+    "allocate --gamma": "2a2ea38738470170bab41509aecbb339a620b83db126fc09abf0a3f2044de82e",
+    "outage": "28396c493265626209ee015d1575fff709b629f13b033423a723a02a0d919632",
+}
+
+
+def table1_with_k3(tmp_path) -> str:
+    with open(TABLE1, encoding="utf-8") as handle:
+        data = yaml.safe_load(handle)
+    data["network"]["K"] = 3
+    path = tmp_path / "k3.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return str(path)
+
+
+class TestTextOutput:
+    """The printed output of validate, allocate and outage, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("validate", ["validate", TABLE1]),
+            ("allocate proposed", ["allocate", TABLE1, "--seed", "7", "--algorithm", "proposed"]),
+            (
+                "allocate conventional",
+                ["allocate", TABLE1, "--seed", "7", "--algorithm", "conventional"],
+            ),
+            (
+                "allocate equal_bandwidth",
+                ["allocate", TABLE1, "--seed", "7", "--algorithm", "equal_bandwidth"],
+            ),
+            ("allocate optimal K=3", ["allocate", None, "--seed", "7", "--algorithm", "optimal"]),
+            (
+                "allocate --gamma",
+                ["allocate", TABLE1, "--gamma", "15", "107", "212", "157", "38", "52",
+                 "--algorithm", "conventional"],
+            ),
+            ("outage", ["outage", TABLE1, "--trials", "20000", "--rate", "0.5"]),
+        ],
+    )
+    def test_stdout_is_pinned(self, name, argv, tmp_path, capsys):
+        argv = [arg if arg is not None else table1_with_k3(tmp_path) for arg in argv]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert digest == TEXT_SHA256[name], captured.out

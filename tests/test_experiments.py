@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from ehuav.channel import EnvironmentParams, NetworkConfig
 from ehuav.errors import ConfigError
 from ehuav.experiments import (
     ALGORITHMS,
@@ -24,33 +23,7 @@ from ehuav.experiments import (
     run_outage_altitude_sweep,
     write_rows,
 )
-
-ENV = EnvironmentParams(a=9.61, b=0.16, eta_los=1.0, eta_nlos=20.0)
-
-
-def make_config(K: int, **overrides) -> NetworkConfig:
-    params = dict(
-        K=K,
-        N_c=4,
-        N_r=4,
-        N_s=10,
-        B=1e6,
-        f_c=2.4e9,
-        c_light=3.0e8,
-        noise_power=10.0 ** -14.4,
-        zeta=0.7,
-        p_c=(0.1,) * K,
-        m_h=(3,) * K,
-        m_g=(3,) * K,
-        d_hat=100.0,
-        A_hat=120.0,
-        V_hat=20.0,
-        R_a=1.0,
-        epsilon=1e-4,
-        env=ENV,
-    )
-    params.update(overrides)
-    return NetworkConfig(**params)
+from test_channel import default_config
 
 
 def by_algorithm(rows, sweep_value):
@@ -121,17 +94,17 @@ class TestOverheadShare:
 
 class TestPlaceNodes:
     def test_single_pair_sits_at_the_far_end(self):
-        geom, = place_nodes(make_config(1))
+        geom, = place_nodes(default_config(1))
         assert (geom.d_h, geom.d_g, geom.altitude) == (100.0, 0.0, 120.0)
 
     def test_six_pair_grading(self):
-        geoms = place_nodes(make_config(6))
+        geoms = place_nodes(default_config(6))
         d_h = [g.d_h for g in geoms]
         assert d_h == pytest.approx([100 / 6, 100 / 3, 50.0, 200 / 3, 250 / 3, 100.0])
         assert [g.altitude for g in geoms] == pytest.approx([20, 40, 60, 80, 100, 120])
 
     def test_links_span_the_full_path(self):
-        for geom in place_nodes(make_config(7)):
+        for geom in place_nodes(default_config(7)):
             assert geom.d_g == 100.0 - geom.d_h
             assert geom.d_h + geom.d_g == pytest.approx(100.0, rel=1e-15)
 
@@ -139,29 +112,29 @@ class TestPlaceNodes:
 class TestExperimentSpec:
     def test_rejects_empty_sweep(self):
         with pytest.raises(ConfigError, match="non-empty"):
-            ExperimentSpec(make_config(2), k_values=())
+            ExperimentSpec(default_config(2), k_values=())
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ConfigError, match="trials"):
-            ExperimentSpec(make_config(2), trials=0)
+            ExperimentSpec(default_config(2), trials=0)
 
     def test_rejects_unknown_algorithms(self):
         with pytest.raises(ConfigError, match="algorithms"):
-            ExperimentSpec(make_config(2), algorithms=("greedy",))
+            ExperimentSpec(default_config(2), algorithms=("greedy",))
         with pytest.raises(ConfigError, match="algorithms"):
-            ExperimentSpec(make_config(2), algorithms=())
+            ExperimentSpec(default_config(2), algorithms=())
 
     def test_rejects_empty_velocities(self):
         with pytest.raises(ConfigError, match="velocities"):
-            ExperimentSpec(make_config(2), velocities=())
+            ExperimentSpec(default_config(2), velocities=())
 
     def test_accepts_the_full_algorithm_set(self):
-        spec = ExperimentSpec(make_config(2), algorithms=ALGORITHMS)
+        spec = ExperimentSpec(default_config(2), algorithms=ALGORITHMS)
         assert spec.algorithms == ALGORITHMS
 
     def test_stores_ints_floats_and_tuples(self):
         spec = ExperimentSpec(
-            make_config(2),
+            default_config(2),
             t_op=0,
             trials=3.0,
             seed=7.0,
@@ -213,7 +186,7 @@ class TestExperimentRow:
 
 class TestAllocateBatchByName:
     def test_rows_equal_per_draw_calls(self):
-        config = make_config(2)
+        config = default_config(2)
         gains = 10.0 ** np.random.default_rng(8).uniform(-1.0, 3.0, size=(5, 2))
         for name in ALGORITHMS:
             batch = allocate_batch_by_name(name, gains, config)
@@ -222,13 +195,13 @@ class TestAllocateBatchByName:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            allocate_batch_by_name("greedy", np.ones((1, 2)), make_config(2))
+            allocate_batch_by_name("greedy", np.ones((1, 2)), default_config(2))
 
 
 @pytest.fixture(scope="module")
 def k_sweep_rows():
     spec = ExperimentSpec(
-        network=make_config(6),
+        network=default_config(6),
         k_values=(2, 3, 6),
         trials=12,
         seed=11,
@@ -281,7 +254,7 @@ class TestIterationsAndMinrateSweep:
 @pytest.fixture(scope="module")
 def altitude_rows():
     spec = ExperimentSpec(
-        network=make_config(3),
+        network=default_config(3),
         altitudes=(60.0, 90.0),
         trials=80,
         seed=5,

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav import outage
-from ehuav.channel import EnvironmentParams, LinkBudget, NetworkConfig
+from ehuav.channel import LinkBudget
 from ehuav.errors import ConfigError, DomainError, NumericError
 from ehuav.outage import (
     Allocation,
@@ -29,33 +29,7 @@ from ehuav.outage import (
     worker_threads,
 )
 from ehuav.specfun import bessel_k_int
-
-ENV = EnvironmentParams(a=9.61, b=0.16, eta_los=1.0, eta_nlos=20.0)
-
-
-def make_config(K: int, **overrides) -> NetworkConfig:
-    params = dict(
-        K=K,
-        N_c=4,
-        N_r=4,
-        N_s=10,
-        B=1e6,
-        f_c=2.4e9,
-        c_light=3.0e8,
-        noise_power=10.0 ** -14.4,
-        zeta=0.7,
-        p_c=(0.1,) * K,
-        m_h=(3,) * K,
-        m_g=(3,) * K,
-        d_hat=100.0,
-        A_hat=120.0,
-        V_hat=20.0,
-        R_a=1.0,
-        epsilon=1e-4,
-        env=ENV,
-    )
-    params.update(overrides)
-    return NetworkConfig(**params)
+from test_channel import default_config
 
 
 def budget_from_losses(pl_h_db: float, pl_g_db: float, rho: float) -> LinkBudget:
@@ -333,11 +307,36 @@ class TestGammaProductCdf:
 
     def test_survival_overflow_is_a_numeric_error(self):
         # Shapes the config rules allow (both <= 170) can still push
-        # u^((m + n_g)/2) past the double range in the survival sum.
-        message = r"overflows at u=10000.0 for shapes n_h=12, n_g=170"
-        with pytest.raises(NumericError, match=message):
-            gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 170, 1)
+        # u^((m + n_g)/2) past the double range in the survival sum.  The
+        # series serves such points only while K0(2 sqrt u) is a normal
+        # double; past that, the overflow is the error.  At u = 136968 the
+        # series gave 0.923 for shapes (27, 107), where F = 1.0; further out
+        # its log-domain terms took log(0).
+        assert outage._U_SERIES_MAX < 1.3e5
+        for n_h, n_g, u in ((12, 170, 1.3e5), (27, 107, 136968.0), (60, 170, 5e5)):
+            message = rf"overflows at u={u!r} for shapes n_h={n_h}, n_g={n_g}"
+            with pytest.raises(NumericError, match=message):
+                gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
         assert 0.0 <= gamma_product_cdf(1e4, UNIT_BUDGET, 12, 1, 12, 1) <= 1.0
+
+    @pytest.mark.parametrize(
+        "n_h, n_g, u, pinned",
+        [
+            (60, 170, 1000.0, 6.955050297616264e-35),
+            (170, 170, 3000.0, 3.914392956860808e-69),
+            (12, 170, 1e4, 0.9999999999972887),
+        ],
+    )
+    def test_series_serves_where_the_survival_sum_overflows(self, n_h, n_g, u, pinned):
+        # The survival sum overflows at these points, so the series serves
+        # them.  The oracle cancels about 69 digits at (170, 170), and its
+        # ascending-series K0 about 48 more, hence 200 digits.
+        with pytest.raises(NumericError, match="overflows"):
+            outage._survival_cdf(u, n_h, n_g)
+        oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=200))
+        assert oracle == pytest.approx(pinned, rel=1e-15)
+        value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
+        assert abs(value - oracle) <= 1e-9 * oracle
 
     def test_survival_sum_keeps_terms_past_the_factorial_range(self):
         # With n_g = 170, m! * Gamma(n_g) leaves the double range from m = 7
@@ -432,7 +431,7 @@ class TestClosedForm:
     BUDGET = budget_from_losses(60.0, 62.0, 1e11)
 
     def test_zero_requirement(self):
-        cfg = make_config(K=2)
+        cfg = default_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         value = outage_closed_form(alloc, [self.BUDGET] * 2, cfg, rate_requirement=0.0)
         assert value == 0.0
@@ -440,7 +439,7 @@ class TestClosedForm:
 
     def test_far_tail_keeps_relative_accuracy(self):
         # 1 - prod(1 - F_k) would round these outages to 0.
-        cfg = make_config(K=3)
+        cfg = default_config(K=3)
         alloc = Allocation(tau=0.35, beta=(0.2, 0.3, 0.5))
         for req in (1e-5, 1e-4, 4e-4):
             cdfs = [
@@ -456,7 +455,7 @@ class TestClosedForm:
     def test_certain_link_gives_certain_outage(self):
         # A threshold past u = 1e6 makes F_k exactly 1, where log1p(-F_k)
         # is undefined.
-        cfg = make_config(K=2)
+        cfg = default_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         budget = budget_from_losses(60.0, 62.0, 1e3)
         x = snr_threshold(0.5, 0.3, cfg.R_a, alloc.nu_c)
@@ -464,7 +463,7 @@ class TestClosedForm:
         assert outage_closed_form(alloc, [budget] * 2, cfg) == 1.0
 
     def test_single_uav_is_plain_cdf(self):
-        cfg = make_config(K=1)
+        cfg = default_config(K=1)
         alloc = Allocation(tau=0.4, beta=(1.0,))
         threshold = snr_threshold(1.0, 0.4, cfg.R_a, alloc.nu_c)
         direct = gamma_product_cdf(threshold, self.BUDGET, 3, 4, 3, 4)
@@ -475,7 +474,7 @@ class TestClosedForm:
     def test_product_identity(self):
         # Network outage is 1 - prod_k (1 - F_k(X_k)); it is composed as
         # -expm1(sum_k log1p(-F_k)), so it agrees to rounding, not bit for bit.
-        cfg = make_config(K=3)
+        cfg = default_config(K=3)
         budgets = [
             budget_from_losses(60.0, 62.0, 1e11),
             budget_from_losses(58.0, 63.0, 2e11),
@@ -491,7 +490,7 @@ class TestClosedForm:
         )
 
     def test_monotone_in_requirement(self):
-        cfg = make_config(K=2)
+        cfg = default_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         reqs = np.linspace(0.25, 4.0, 16)
         vals = [
@@ -501,7 +500,7 @@ class TestClosedForm:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_nonincreasing_in_snr_scale(self):
-        cfg = make_config(K=2)
+        cfg = default_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         vals = []
         for mult in (1.0, 2.0, 4.0, 8.0):
@@ -510,7 +509,7 @@ class TestClosedForm:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_impossible_requirement_is_certain_outage(self):
-        cfg = make_config(K=2)
+        cfg = default_config(K=2)
         alloc = Allocation(tau=0.5, beta=(1e-3, 1.0 - 1e-3))
         # beta so small the threshold overflows to infinity
         assert outage_closed_form(alloc, [self.BUDGET] * 2, cfg) == 1.0
@@ -520,7 +519,7 @@ class TestMonteCarlo:
     BUDGET = budget_from_losses(60.0, 62.0, 1e11)
 
     def config(self):
-        return make_config(K=2)
+        return default_config(K=2)
 
     def alloc(self):
         return Allocation(tau=0.3, beta=(0.5, 0.5))
