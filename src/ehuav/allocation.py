@@ -28,13 +28,17 @@ afterwards: :func:`ehuav.experiments.overhead_share` gives the share
 
 The two-phase scheme, the nested baseline and the equal split also come in
 batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
-replay the per-draw algorithm on every row at once: the same brackets,
-stopping tests, operation order and tallies, so row ``t`` of the result
-equals the per-draw call on ``gains[t]`` bit for bit.  The rate slope of
-phase 1 and the update cap of phase 2 are each written once and read by
-both forms.  The per-draw forms serve one draw at a time (a batch of one
-costs more than a per-draw call) and are the reference the batch forms
-are tested against.  They do their scalar work on Python floats: phase 1
+run the per-draw algorithm on every row at once, so row ``t`` of the result
+equals the per-draw call on ``gains[t]`` bit for bit, tallies included.
+Phase 1, phase 2 and the baseline's outer target bisection replay the
+per-draw loops: the same brackets, stopping tests and operation order.  The
+baseline's inner share bisections are not stepped through: each one's final
+bracket is looked up in the bisection's midpoint tree and certified by the
+rates at its two ends, and the pairs that cannot be certified run the loop
+(:func:`_inner_shares`).  The rate slope of phase 1 and the update cap of
+phase 2 are each written once and read by both forms.  The per-draw forms
+serve one draw at a time (a batch of one costs more than a per-draw call)
+and are the reference the batch forms are tested against.  They do their scalar work on Python floats: phase 1
 bisects the rate slope of the one UAV with the smallest gain, phase 2
 recomputes only the two rates an update changes, and the baseline's inner
 bisections read the gains from a list.
@@ -42,6 +46,7 @@ bisections read the gains from a list.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +62,23 @@ _LN2 = math.log(2.0)
 # Tau rows of the grid search are evaluated in blocks of at most this many
 # rate-table entries (rows x K x share steps), which bounds its memory.
 _GRID_BLOCK_ELEMENTS = 1 << 18
+
+# The batch baseline looks its inner share bisections up in their midpoint
+# tree (:func:`_share_tree`), tabulated to this depth: at most 2**16 leaves.
+# Deeper levels run the bisection loop.
+_SHARE_TREE_DEPTH = 16
+# Newton steps towards each inner bisection's share threshold per target.
+_SHARE_NEWTON_STEPS = 4
+# A tabulated leaf is used only where the rates at its ends clear the target
+# by this relative margin.  A rate computed in doubles is within about
+# 5u / ln(1 + q) + 10u (u = 2**-53) of the exact rate, with q = tau*g/eff
+# its SNR, and q is smallest at the whole band: at q >= _LOOKUP_MIN_SNR that
+# is below 6e-14, so the margin covers the rounding of any other share's
+# rate, decided with either log2.  Above _LOOKUP_MAX_SNR, q could overflow
+# at the smallest share.
+_LOOKUP_MARGIN = 1e-12
+_LOOKUP_MIN_SNR = 1e-2
+_LOOKUP_MAX_SNR = 1e300
 
 
 @dataclass(frozen=True)
@@ -529,29 +551,173 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     )
 
 
-def _reaches(share, tau_col, gam, target_col) -> np.ndarray:
+def _share_rate(share, one_minus_tau, tau_gam) -> np.ndarray:
+    """The baseline's rates at ``share`` with ``np.log2``, with the effective
+    shares and the arguments of the log2."""
+    eff = share * one_minus_tau
+    arg = 1.0 + tau_gam / eff
+    return eff * np.log2(arg), eff, arg
+
+
+def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     """``rate >= target`` elementwise, decided exactly as the baseline's
     per-draw ``rate_k`` (``math.log2``) decides it.
 
     ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
     1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
     """
-    eff = share * (1.0 - tau_col)
-    arg = 1.0 + tau_col * gam / eff
-    rates = eff * np.log2(arg)
+    rates, eff, arg = _share_rate(share, one_minus_tau, tau_gam)
     near = np.abs(rates - target_col) <= 1e-12 * target_col
     if near.any():
         rates[near] = eff[near] * _log2_exact(arg[near])
     return rates >= target_col
 
 
+@dataclass(frozen=True)
+class _ShareTree:
+    """The leaves of the baseline's inner share bisection, down to a depth cap.
+
+    The inner bisection starts at ``[epsilon, 1 - epsilon]`` and halves the
+    bracket until it is at most epsilon wide, so for a given epsilon its
+    brackets form one fixed tree.  Leaf ``i`` is ``[edges[i], edges[i + 1]]``
+    at depth ``depth[i]``; it is ``final`` when at most epsilon wide, and
+    otherwise was cut off at :data:`_SHARE_TREE_DEPTH`.  The edges are the
+    midpoints the loop computes, with the same operations.
+
+    ``first_leaf`` maps equal buckets of the bracket, each narrower than
+    every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
+    finds a leaf with one comparison: a binary search per share mispredicts
+    a branch at nearly every level.
+    """
+
+    edges: np.ndarray
+    depth: np.ndarray
+    final: np.ndarray
+    first_leaf: np.ndarray
+    bucket_scale: float
+
+    def leaf_of(self, share: np.ndarray) -> np.ndarray:
+        """The leaf holding each share, up to rounding at bucket and leaf
+        edges (a NaN share gets leaf 0)."""
+        position = np.fmax((share - self.edges[0]) * self.bucket_scale, 0.0)
+        leaf = self.first_leaf[np.fmin(position, self.first_leaf.size - 1).astype(np.intp)]
+        return np.minimum(leaf + (share > self.edges[leaf + 1]), self.depth.size - 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _share_tree(epsilon: float) -> _ShareTree:
+    """The :class:`_ShareTree` of ``epsilon``, built on first use."""
+    lo, hi = np.array([epsilon]), np.array([1.0 - epsilon])
+    leaf_lo, leaf_depth, leaf_final = [], [], []
+    for depth in range(_SHARE_TREE_DEPTH + 1):
+        split = hi - lo > epsilon
+        if depth == _SHARE_TREE_DEPTH:
+            leaf_lo.append(lo)
+            leaf_depth.append(np.full(lo.size, depth))
+            leaf_final.append(~split)
+            break
+        leaf_lo.append(lo[~split])
+        leaf_depth.append(np.full(np.count_nonzero(~split), depth))
+        leaf_final.append(np.ones(np.count_nonzero(~split), dtype=bool))
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    leaf_lo = np.concatenate(leaf_lo)
+    order = np.argsort(leaf_lo)
+    edges = np.append(leaf_lo[order], 1.0 - epsilon)
+    bucket = np.diff(edges).min() * (1.0 - 1e-9)
+    starts = epsilon + bucket * np.arange(int((edges[-1] - epsilon) / bucket) + 1)
+    tree = _ShareTree(
+        edges=edges,
+        depth=np.concatenate(leaf_depth)[order],
+        final=np.concatenate(leaf_final)[order],
+        first_leaf=np.searchsorted(edges, starts, side="right").clip(1, order.size) - 1,
+        bucket_scale=1.0 / bucket,
+    )
+    for table in (tree.edges, tree.depth, tree.final, tree.first_leaf):
+        table.setflags(write=False)  # cached and shared by every caller
+    return tree
+
+
+def _share_threshold(start, one_minus_tau, tau_gam, target_col) -> np.ndarray:
+    """Newton steps from the share ``start`` towards the share at which the
+    rate reaches the target.
+
+    The steps run on the effective share ``x = share * (1 - tau)``, solving
+    ``x * log2(1 + c / x) = target`` with ``c = tau * g``.  The rate is
+    increasing and concave in x, so every step lands at or below the root,
+    and so does the floor ``c * a**2 / (1 - a**2)`` with
+    ``a = target * ln2 / c`` (from ``ln(1 + z) < z / sqrt(1 + z)``).
+    """
+    goal = target_col * _LN2
+    a = goal / tau_gam
+    floor = tau_gam * a * a / (1.0 - a * a)
+    x = np.fmax(start * one_minus_tau, floor)  # a NaN start takes the floor
+    for _ in range(_SHARE_NEWTON_STEPS):
+        z = tau_gam / x
+        log1p_z = np.log1p(z)
+        x = np.fmax(x - (x * log1p_z - goal) / (log1p_z - z / (1.0 + z)), floor)
+    return x / one_minus_tau
+
+
+def _bisect_shares(lo, hi, bisecting, one_minus_tau, tau_gam, target_col, epsilon, counts):
+    """The baseline's inner share bisection on the ``bisecting`` pairs, from
+    their ``lo``/``hi`` brackets: the final ``hi`` and the per-pair
+    ``counts`` plus the steps taken."""
+    while True:
+        bisecting = bisecting & (hi - lo > epsilon)
+        if not bisecting.any():
+            return hi, counts
+        mid = 0.5 * (lo + hi)
+        up = _reaches(mid, one_minus_tau, tau_gam, target_col)
+        hi = np.where(bisecting & up, mid, hi)
+        lo = np.where(bisecting & ~up, mid, lo)
+        counts = counts + bisecting
+
+
+def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup, start):
+    """Each inner bisection's final ``hi``, each row's inner count, and the
+    located share thresholds, to start from at the next target.
+
+    A pair's bisection ends in the leaf of :func:`_share_tree` that holds its
+    share threshold, where the rate reaches the target.  Newton from
+    ``start`` locates the threshold and :meth:`_ShareTree.leaf_of` its
+    leaf.  The leaf is taken where the pair is in ``lookup`` and the rates
+    at both its ends clear the target by :data:`_LOOKUP_MARGIN`: then every
+    midpoint the loop tests above the leaf reaches the target and every one
+    below misses it, as the loop decides them.  The other pairs, and those whose leaf was
+    cut off at the tree's depth cap (from that leaf on), run the loop.
+    """
+    tree = _share_tree(epsilon)
+    edges, depth = tree.edges, tree.depth
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        share = _share_threshold(start, one_minus_tau, tau_gam, target_col)
+        leaf = tree.leaf_of(share)
+        a, b = edges[leaf], edges[leaf + 1]
+        above = _share_rate(b, one_minus_tau, tau_gam)[0] >= target_col * (1.0 + _LOOKUP_MARGIN)
+        below = _share_rate(a, one_minus_tau, tau_gam)[0] <= target_col * (1.0 - _LOOKUP_MARGIN)
+    found = lookup & (above | (leaf == depth.size - 1)) & (below | (leaf == 0))
+    lo = np.where(found, a, epsilon)
+    hi = np.where(found, b, 1.0 - epsilon)
+    counts = np.where(found, depth[leaf], 0)
+    pending = ~(found & tree.final[leaf])
+    redo = np.flatnonzero(pending.any(axis=1))
+    if redo.size:
+        hi[redo], counts[redo] = _bisect_shares(
+            lo[redo], hi[redo], pending[redo], one_minus_tau[redo], tau_gam[redo],
+            target_col[redo], epsilon, counts[redo],
+        )
+    return hi, counts.sum(axis=1), share
+
+
 def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
 
-    The outer target bisection runs on the draws still bracketing, the
-    inner share bisections on every (draw, UAV) pair the per-draw loop
-    reaches: the UAVs before the first one that cannot reach the target
-    with the whole band.  Errors as in :func:`proposed_allocate_batch`.
+    The outer target bisection runs on the draws still bracketing, and each
+    target's inner share bisections come from :func:`_inner_shares`.  Every
+    UAV reaches every target with the whole band (the targets lie below the
+    smallest whole-band rate), so every (draw, UAV) pair bisects.  Errors as
+    in :func:`proposed_allocate_batch`.
     """
     gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
@@ -560,42 +726,33 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     if K == 1:
         return _checked_batch(tau, np.ones((T, 1)), iters_tau, zeros, zeros, iters_tau, errors)
 
-    tau_col = tau[:, np.newaxis]
-    eff = (1.0 - epsilon) * (1.0 - tau_col)
-    whole_band = eff * _log2_exact(1.0 + tau_col * gam / eff)
+    one_minus_tau = 1.0 - tau[:, np.newaxis]
+    tau_gam = tau[:, np.newaxis] * gam
+    eff = (1.0 - epsilon) * one_minus_tau
+    snr = tau_gam / eff
+    whole_band = eff * _log2_exact(1.0 + snr)
+    # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
+    lookup = (snr >= _LOOKUP_MIN_SNR) & (snr * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR)
+    share = np.full((T, K), np.nan)  # each pair's share threshold at the last target
     target_lo = np.zeros(T)
     target_hi = whole_band.min(axis=1)
     best = np.full((T, K), epsilon)
     iters_beta = zeros.copy()
     inner_total = zeros.copy()
     outer = _live(T, errors)
-    uav = np.arange(K)
     while True:
         outer &= target_hi - target_lo > epsilon
         rows = np.flatnonzero(outer)
         if not rows.size:
             break
         target = 0.5 * (target_lo[rows] + target_hi[rows])
-        target_col = target[:, np.newaxis]
-        short = whole_band[rows] < target_col
-        first_short = np.where(short.any(axis=1), np.argmax(short, axis=1), K)
-        lo = np.full((rows.size, K), epsilon)
-        hi = np.full((rows.size, K), 1.0 - epsilon)
-        bisecting = uav < first_short[:, np.newaxis]
-        g, t_col = gam[rows], tau_col[rows]
-        inner = np.zeros(rows.size, dtype=np.int64)
-        while True:
-            bisecting &= hi - lo > epsilon
-            if not bisecting.any():
-                break
-            mid = 0.5 * (lo + hi)
-            up = _reaches(mid, t_col, g, target_col)
-            hi = np.where(bisecting & up, mid, hi)
-            lo = np.where(bisecting & ~up, mid, lo)
-            inner += bisecting.sum(axis=1)
+        hi, inner, share[rows] = _inner_shares(
+            one_minus_tau[rows], tau_gam[rows], target[:, np.newaxis], epsilon,
+            lookup[rows], share[rows],
+        )
         inner_total[rows] += inner
         iters_beta[rows] += 1
-        feasible = (first_short == K) & (hi.sum(axis=1) <= 1.0)
+        feasible = hi.sum(axis=1) <= 1.0
         stalled = target == np.where(feasible, target_lo[rows], target_hi[rows])
         for t in rows[stalled]:
             errors[int(t)] = _stall_error(float(target_lo[t]), float(target_hi[t]), epsilon)

@@ -308,7 +308,8 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
         return equal_bandwidth_batch(gains, config.R_a)
     if name == "optimal":
         # One grid search per draw; each is already array code over the
-        # whole tau grid (about 1 ms at the default 200 x 100 grid).
+        # whole tau grid (about 0.3 ms per K=3 draw at the default 200 x 100
+        # grid on a 2-core AMD EPYC).
         return BatchAllocation.stack(
             [allocate_by_name(name, gamma, config) for gamma in gains]
         )

@@ -21,6 +21,10 @@ from .errors import ConfigError, DomainError, NumericError
 
 _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
 
+# Most Monte-Carlo trials per estimate (15259 blocks).  With several threads
+# every block's task is submitted up front, so this bounds their memory.
+MC_TRIALS_MAX = 10**9
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -392,10 +396,11 @@ def outage_monte_carlo(
     child stream SeedSequence(seed, spawn_key=(block,)); block counts are
     integers summed independent of execution order, so the estimate is
     identical for any thread count.  At most one thread per block and per
-    CPU is started (:func:`worker_threads`).
+    CPU is started (:func:`worker_threads`).  ``trials`` must lie in
+    ``[1, MC_TRIALS_MAX]``.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MC_TRIALS_MAX:
+        raise ConfigError(f"trials must lie in [1, {MC_TRIALS_MAX}], got {trials}")
     if alloc.K != config.K or len(budgets) != config.K:
         raise ConfigError(
             f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"

@@ -853,3 +853,92 @@ class TestBatchAllocators:
             r.iters_tau + r.iters_beta + r.inner_iters_beta
             for r in (conv.row(t) for t in range(8))
         ]
+
+
+@pytest.fixture
+def loop_starts(monkeypatch):
+    """The number of pairs each call of the baseline's bisection loop starts."""
+    starts = []
+    bisect = allocation._bisect_shares
+
+    def recording(lo, hi, bisecting, *args):
+        starts.append(int(np.count_nonzero(bisecting)))
+        return bisect(lo, hi, bisecting, *args)
+
+    monkeypatch.setattr(allocation, "_bisect_shares", recording)
+    return starts
+
+
+class TestConventionalShareLookup:
+    """The batch baseline looks each inner bisection up in its midpoint tree
+    and runs the loop wherever the leaf cannot be certified."""
+
+    def test_tree_leaves_partition_the_share_bracket(self):
+        tree = allocation._share_tree(EPS)
+        assert tree.edges[0] == EPS and tree.edges[-1] == 1.0 - EPS
+        assert np.all(np.diff(tree.edges) > 0.0)
+        assert tree.depth.size == 2**14 and np.all(tree.depth == 14) and tree.final.all()
+        # Deeper than the cap: every leaf is cut off there.
+        tree = allocation._share_tree(1e-6)
+        assert tree.depth.size == 2**16 and np.all(tree.depth == 16) and not tree.final.any()
+
+    @pytest.mark.parametrize("epsilon", [0.4, 0.2, 1e-2, EPS, 3e-5, 1e-6, EPSILON_MIN])
+    def test_leaf_lookup_matches_a_binary_search(self, epsilon):
+        tree = allocation._share_tree(epsilon)
+        shares = np.concatenate([
+            np.random.default_rng(7).uniform(0.0, 1.0, 5000),
+            tree.edges, np.nextafter(tree.edges, 0.0), np.nextafter(tree.edges, 1.0),
+        ])
+        binary = np.searchsorted(tree.edges, shares).clip(1, tree.depth.size) - 1
+        assert np.array_equal(tree.leaf_of(shares), binary)
+
+    @pytest.mark.parametrize("leaves", [-1, 1])
+    def test_a_threshold_one_leaf_off_falls_back_to_the_loop(
+        self, leaves, loop_starts, monkeypatch
+    ):
+        edges = allocation._share_tree(EPS).edges
+        width = edges[1] - edges[0]
+        solve = allocation._share_threshold
+        monkeypatch.setattr(
+            allocation, "_share_threshold", lambda *args: solve(*args) + leaves * width
+        )
+        gains = 10.0 ** np.random.default_rng(5).uniform(-1.0, 3.0, size=(40, 6))
+        assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
+        assert sum(loop_starts) > 0
+
+    @pytest.mark.parametrize("node", [1024, 2731, 5000])
+    def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
+        self, node, loop_starts
+    ):
+        # UAV 0 is the weaker one, so it alone sets tau and the first target;
+        # UAV 1's gain puts its rate at the tree node's share on that target.
+        g0 = 10.0
+        tau, _ = allocation._phase1(np.array([g0, g0]), EPS)
+        eff = (1.0 - EPS) * (1.0 - tau)
+        target = 0.5 * (eff * math.log2(1.0 + tau * g0 / eff))
+        x = allocation._share_tree(EPS).edges[node] * (1.0 - tau)
+        g1 = x * (2.0 ** (target / x) - 1.0) / tau
+        assert g1 > g0
+        assert abs(x * math.log2(1.0 + tau * g1 / x) / target - 1.0) < 1e-14
+        gains = np.array([[g0, g1]])
+        assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
+        assert loop_starts[0] == 1
+
+    def test_low_snr_pairs_always_run_the_loop(self, loop_starts):
+        # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
+        # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
+        gains, epsilon = np.array([[5e-5, 6e-5]]), 2e-5
+        assert_batch_replays_scalar(
+            conventional_allocate, conventional_allocate_batch, gains, epsilon
+        )
+        inner = conventional_allocate(gains[0], epsilon).inner_iters_beta
+        assert inner > 0 and 16 * sum(loop_starts) == inner
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, EPSILON_MIN])
+    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon):
+        rng = np.random.default_rng(23)
+        for K in (2, 6):
+            gains = 10.0 ** rng.uniform(-1.0, 3.0, size=(60, K))
+            assert_batch_replays_scalar(
+                conventional_allocate, conventional_allocate_batch, gains, epsilon
+            )

@@ -1,6 +1,7 @@
 """CLI subcommands driven in-process: exit codes, stdout contracts, determinism."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 import yaml
@@ -15,6 +16,7 @@ from ehuav.cli import (
     main,
 )
 from ehuav.experiments import CSV_HEADER, ExperimentRow
+from ehuav.outage import MC_TRIALS_MAX
 
 TABLE1 = "configs/table1.yaml"
 
@@ -219,6 +221,15 @@ class TestOutage:
     def test_threads_below_one_is_a_config_error(self, value, capsys):
         assert main(["outage", TABLE1, "--trials", "500", "--threads", value]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --threads must be >= 1, got {value}\n"
+
+    def test_trials_above_the_bound_are_refused_before_sampling(self, capsys):
+        trials = str(MC_TRIALS_MAX + 1)
+        with mock.patch("ehuav.outage.sample_gamma_matrix") as sample:
+            assert main(["outage", TABLE1, "--trials", trials]) == EXIT_CONFIG
+        sample.assert_not_called()
+        assert capsys.readouterr().err == (
+            f"error: trials must lie in [1, {MC_TRIALS_MAX}], got {trials}\n"
+        )
 
     def test_beta_sum_validated(self, capsys):
         rc = main(["outage", TABLE1, "--beta"] + ["0.3"] * 6)
