@@ -408,15 +408,13 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         eff = beta_k * one_minus_tau
         return eff * math.log2(1.0 + tau_gam[k] / eff)
 
-    def shares_for_target(target: float) -> tuple[list | None, int]:
-        """Smallest per-UAV share reaching the target, or None if any UAV
-        cannot reach it with nearly the whole band.  Second value is the
-        inner bisection count consumed."""
+    def shares_for_target(target: float) -> tuple[list, int]:
+        """Smallest per-UAV share reaching the target, and the inner
+        bisection count consumed.  Every target lies below ``target_hi``,
+        at most the smallest whole-band rate, so every UAV reaches it."""
         inner = 0
         shares = []
         for k in range(K):
-            if rate_k(1.0 - epsilon, k) < target:
-                return None, inner
             lo, hi = epsilon, 1.0 - epsilon
             while hi - lo > epsilon:
                 mid = 0.5 * (lo + hi)
@@ -439,7 +437,7 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         inner_total += inner
         iters_beta += 1
         # np.sum, not sum: numpy adds eight or more terms pairwise.
-        feasible = shares is not None and float(np.sum(shares)) <= 1.0
+        feasible = float(np.sum(shares)) <= 1.0
         # Unreachable for finite targets: they lie below 1024 bit/s/Hz, where
         # doubles are at most 2.3e-13 apart, so a bracket wider than epsilon
         # (>= EPSILON_MIN = 1e-12) has its midpoint strictly inside.  The

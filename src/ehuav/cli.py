@@ -144,8 +144,6 @@ def cmd_outage(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.rate is not None and not (math.isfinite(args.rate) and args.rate >= 0.0):
         raise ConfigError(f"--rate must be a finite number >= 0, got {args.rate}")
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.beta is not None:
         if len(args.beta) != K:
             raise ConfigError(
@@ -166,7 +164,6 @@ def cmd_outage(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         rate_requirement=args.rate,
-        threads=args.threads,
     )
     # Band width from the analytic probability: the empirical standard error
     # degenerates to 0 whenever the estimate saturates at 0 or 1.
@@ -386,12 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="override the rate requirement for this run (0 is allowed here)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="sampler worker threads; never changes the output",
     )
     p.set_defaults(func=cmd_outage)
 

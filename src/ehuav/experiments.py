@@ -99,7 +99,7 @@ def _positive_list_rule(name: str) -> Rule:
     )
 
 
-# Bounds of the sweep settings, read by ExperimentSpec, rap_fraction and the
+# Bounds of the sweep settings, read by ExperimentSpec, overhead_share and the
 # config loader's timing and experiment sections; rules as in
 # :data:`ehuav.channel.NETWORK_RULES`.
 EXPERIMENT_RULES: tuple[Rule, ...] = (
@@ -135,30 +135,24 @@ def block_time(V_hat: float, f_c: float, c_light: float) -> float:
     return c_light / (V_hat * f_c)
 
 
-def rap_fraction(op_count, t_op: float, T: float):
-    """Share of the block spent signalling: min(op_count*t_op/T, 1-1e-6).
+def overhead_share(algorithm: str, op_count, t_op: float, T: float):
+    """The ``nu_r`` an algorithm is charged for its operation tally(ies).
 
-    Elementwise over an array of operation counts; a single count gives a
-    float.
+    The share of the block spent signalling, min(op_count*t_op/T, 1-1e-6),
+    elementwise over an array of operation counts; a single count gives a
+    float.  The grid benchmark models an offline optimum and is charged
+    nothing.
     """
     if not T > 0.0:
         raise ConfigError(f"block time must be positive, got {T}")
     ops = np.asarray(op_count)
+    if algorithm == "optimal":
+        ops = np.zeros_like(ops)
     if np.any(ops < 0):
         raise ConfigError(f"op_count must be >= 0, got {ops.min()}")
     check(EXPERIMENT_RULES, {"t_op": t_op})
     share = np.minimum(ops * t_op / T, _SATURATION_GUARD)
     return float(share) if share.ndim == 0 else share
-
-
-def overhead_share(algorithm: str, op_count, t_op: float, T: float):
-    """The ``nu_r`` an algorithm is charged for its operation tally(ies).
-
-    The grid benchmark models an offline optimum and is charged nothing.
-    """
-    if algorithm == "optimal":
-        op_count = np.zeros_like(op_count)
-    return rap_fraction(op_count, t_op, T)
 
 
 @dataclass(frozen=True)

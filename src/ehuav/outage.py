@@ -8,10 +8,8 @@ estimator that serves as the simulation oracle for the analysis.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,8 +19,8 @@ from .errors import ConfigError, DomainError, NumericError
 
 _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
 
-# Most Monte-Carlo trials per estimate (15259 blocks).  With several threads
-# every block's task is submitted up front, so this bounds their memory.
+# Most Monte-Carlo trials per estimate (15259 blocks): a bound on run time
+# for whatever count the caller passes.
 MC_TRIALS_MAX = 10**9
 
 
@@ -96,9 +94,9 @@ def rate(beta_k, tau, gamma_k, nu_c):
         raise ConfigError(f"tau must lie in (0,1), got {tau}")
     beta_k = np.asarray(beta_k, dtype=float)
     gamma_k = np.asarray(gamma_k, dtype=float)
-    if np.any(beta_k <= 0.0) or np.any(beta_k > 1.0):
+    if not np.all((beta_k > 0.0) & (beta_k <= 1.0)):  # NaN fails too
         raise ConfigError("beta_k must lie in (0,1]")
-    if np.any(gamma_k < 0.0):
+    if not np.all(gamma_k >= 0.0):
         raise ConfigError("gamma_k must be >= 0")
     result = _rate(beta_k, tau, gamma_k, nu_c)
     return float(result) if result.ndim == 0 else result
@@ -119,7 +117,7 @@ def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (alloc.K,):
         raise ConfigError(f"gamma must have length K={alloc.K}, got shape {gamma.shape}")
-    if np.any(gamma < 0.0):
+    if not np.all(gamma >= 0.0):  # NaN fails too
         raise ConfigError("gamma_k must be >= 0")
     rates = _rate(np.asarray(alloc.beta), alloc.tau, gamma, alloc.nu_c)
     k = int(np.argmin(rates))  # argmin returns the first minimum
@@ -372,15 +370,6 @@ def outage_closed_form(
     return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
-def worker_threads(requested: int | None, n_blocks: int, cpus: int | None) -> int:
-    """Sampler threads to start: ``min(requested, n_blocks, cpus)``, at least 1.
-
-    ``None`` means single-threaded; an unknown CPU count (``None``) counts
-    as one CPU.
-    """
-    return max(1, min(requested or 1, n_blocks, cpus or 1))
-
-
 def outage_monte_carlo(
     alloc: Allocation,
     budgets: list[LinkBudget],
@@ -388,16 +377,13 @@ def outage_monte_carlo(
     trials: int,
     seed: int,
     rate_requirement: float | None = None,
-    threads: int | None = None,
 ) -> OutageEstimate:
     """Monte-Carlo outage: fraction of blocks with min-rate strictly below R_a.
 
-    Trials are partitioned into fixed 65536-draw blocks, each with its own
-    child stream SeedSequence(seed, spawn_key=(block,)); block counts are
-    integers summed independent of execution order, so the estimate is
-    identical for any thread count.  At most one thread per block and per
-    CPU is started (:func:`worker_threads`).  ``trials`` must lie in
-    ``[1, MC_TRIALS_MAX]``.
+    Trials are drawn in fixed 65536-draw blocks, so memory stays bounded
+    whatever ``trials`` is.  Block b samples from its own child stream
+    SeedSequence(seed, spawn_key=(b,)), so a given (seed, trials) always
+    gives the same estimate.  ``trials`` must lie in ``[1, MC_TRIALS_MAX]``.
     """
     if not 1 <= trials <= MC_TRIALS_MAX:
         raise ConfigError(f"trials must lie in [1, {MC_TRIALS_MAX}], got {trials}")
@@ -416,11 +402,5 @@ def outage_monte_carlo(
         return int(np.count_nonzero(rates.min(axis=1) < R_a))
 
     n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
-    workers = worker_threads(threads, n_blocks, os.cpu_count())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outages = sum(pool.map(count_block, range(n_blocks)))
-    else:
-        outages = sum(count_block(b) for b in range(n_blocks))
-
+    outages = sum(count_block(b) for b in range(n_blocks))
     return OutageEstimate(p_out=outages / trials, trials=trials)

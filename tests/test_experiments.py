@@ -18,7 +18,6 @@ from ehuav.experiments import (
     block_time,
     overhead_share,
     place_nodes,
-    rap_fraction,
     run_iterations_and_minrate_sweep,
     run_outage_altitude_sweep,
     write_rows,
@@ -49,41 +48,49 @@ class TestBlockTime:
             block_time(20.0, -1.0, 3.0e8)
 
 
+def rap_share(op_count, t_op: float = 2.5e-7, T: float = 6.25e-3):
+    """The signalling share an online algorithm is charged."""
+    return overhead_share("proposed", op_count, t_op, T)
+
+
 class TestRapFraction:
+    """The RAP fraction ``nu_r`` (the CLI's ``rap_fraction:``) charged by
+    :func:`overhead_share` to an online algorithm."""
+
     def test_zero_operations_cost_nothing(self):
-        assert rap_fraction(0, 2.5e-7, 6.25e-3) == 0.0
+        assert rap_share(0) == 0.0
 
     def test_free_operations_cost_nothing(self):
-        assert rap_fraction(10**9, 0.0, 6.25e-3) == 0.0
+        assert rap_share(10**9, t_op=0.0) == 0.0
 
     def test_half_block(self):
-        assert rap_fraction(12500, 2.5e-7, 6.25e-3) == pytest.approx(0.5, rel=1e-12)
+        assert rap_share(12500) == pytest.approx(0.5, rel=1e-12)
 
     def test_saturates_below_one(self):
-        assert rap_fraction(10**15, 1.0, 6.25e-3) == 1.0 - 1e-6
+        assert rap_share(10**15, t_op=1.0) == 1.0 - 1e-6
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError, match="block time"):
-            rap_fraction(1, 1.0, 0.0)
+            rap_share(1, 1.0, 0.0)
         with pytest.raises(ConfigError, match="op_count"):
-            rap_fraction(-1, 1.0, 1.0)
+            rap_share(-1, 1.0, 1.0)
         with pytest.raises(ConfigError, match="t_op"):
-            rap_fraction(1, -1.0, 1.0)
+            rap_share(1, -1.0, 1.0)
 
     def test_elementwise_over_a_tally_array(self):
         ops = np.array([0, 1000, 12500, 10**15])
-        shares = rap_fraction(ops, 2.5e-7, 6.25e-3)
-        assert shares.tolist() == [rap_fraction(int(n), 2.5e-7, 6.25e-3) for n in ops]
+        shares = rap_share(ops)
+        assert shares.tolist() == [rap_share(int(n)) for n in ops]
         assert shares[-1] == 1.0 - 1e-6
         with pytest.raises(ConfigError, match="op_count must be >= 0, got -3"):
-            rap_fraction(np.array([4, -3, 2]), 2.5e-7, 6.25e-3)
+            rap_share(np.array([4, -3, 2]))
 
 
 class TestOverheadShare:
     def test_online_algorithms_pay_for_their_operations(self):
         for name in ("proposed", "conventional", "equal_bandwidth"):
-            assert overhead_share(name, 1000, 2.5e-7, 6.25e-3) == rap_fraction(
-                1000, 2.5e-7, 6.25e-3
+            assert overhead_share(name, 1000, 2.5e-7, 6.25e-3) == pytest.approx(
+                0.04, rel=1e-12
             )
 
     def test_the_offline_optimum_is_free(self):
