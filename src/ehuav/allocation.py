@@ -186,12 +186,18 @@ def _as_gain_matrix(gains, epsilon: float) -> tuple[np.ndarray, dict]:
     run where the per-draw call runs them, after draw 0's own gain check.
     """
     arr = _as_matrix(gains)
-    bad = ~np.all(np.isfinite(arr) & (arr > 0.0), axis=1)
-    if bad[0]:
-        _as_gamma(arr[0])
+    errors = _gain_errors(arr)
+    if 0 in errors:
+        raise errors[0]
     _check_epsilon(epsilon)
-    errors = {int(t): _error_of(_as_gamma, arr[t]) for t in np.flatnonzero(bad)}
-    return np.where(bad[:, np.newaxis], 1.0, arr), errors
+    return np.where(_live(len(arr), errors)[:, np.newaxis], arr, 1.0), errors
+
+
+def _gain_errors(arr: np.ndarray) -> dict:
+    """The error of the per-draw gain check (:func:`_as_gamma`) for each
+    row of a gain matrix that fails it."""
+    bad = ~np.all(np.isfinite(arr) & (arr > 0.0), axis=1)
+    return {int(t): _error_of(_as_gamma, arr[t]) for t in np.flatnonzero(bad)}
 
 
 def _error_of(fn, *args) -> EhuavError:
@@ -767,14 +773,17 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
 def equal_bandwidth_batch(gains, R_a: float) -> BatchAllocation:
     """The equal split with its closed-form time split, for every draw.
 
-    Only the matrix shape is used: the split does not depend on the gains.
+    The split does not depend on the gains, but they are checked as every
+    allocator checks them: a draw with a gain that is not strictly positive
+    and finite fails, and the first failing draw's error is raised.
     """
-    T, K = _as_matrix(gains).shape
+    arr = _as_matrix(gains)
+    T, K = arr.shape
     zeros = np.zeros(T, dtype=np.int64)
     return _checked_batch(
         np.full(T, equal_bandwidth_taf(K, R_a)),
         np.full((T, K), 1.0 / K),
-        zeros, zeros, zeros, zeros, {},
+        zeros, zeros, zeros, zeros, _gain_errors(arr),
     )
 
 

@@ -305,18 +305,30 @@ def sample_gamma_matrix(
     rng: np.random.Generator,
     trials: int,
 ) -> np.ndarray:
-    """(trials, K) matrix of composite gains drawn column-by-column.
+    """(trials, K) C-ordered matrix of composite gains, drawn UAV by UAV.
 
-    Column order is fixed (k ascending; energy hop before identification
-    hop), so a given generator state always yields the same matrix.
+    Draw order is fixed (k ascending; energy hop before identification
+    hop), so a given generator state always yields the same matrix.  Each
+    hop is drawn in place into one reused buffer by ``standard_gamma`` and
+    scaled there, and column k is written as ``(rho * (lam * S_h)) *
+    (mu * S_g)``.  ``Generator.gamma(shape, scale)`` is
+    ``scale * standard_gamma(shape)`` element by element, so these are the
+    values (and the stream) of drawing G_h and G_g with ``rng.gamma`` and
+    multiplying out ``rho * G_h * G_g``; the test suite pins their sha256.
+    Besides the result, only two ``trials``-long buffers are allocated.
     """
     if len(budgets) != config.K:
         raise ConfigError(
             f"expected one budget per UAV (K={config.K}), got {len(budgets)}"
         )
     out = np.empty((trials, config.K))
+    g_h = np.empty(trials)
+    g_g = np.empty(trials)
     for k, budget in enumerate(budgets):
-        g_h = rng.gamma(shape=config.m_h[k] * config.N_c, scale=budget.lam, size=trials)
-        g_g = rng.gamma(shape=config.m_g[k] * config.N_r, scale=budget.mu, size=trials)
-        out[:, k] = budget.rho * g_h * g_g
+        rng.standard_gamma(config.m_h[k] * config.N_c, size=trials, out=g_h)
+        g_h *= budget.lam
+        g_h *= budget.rho
+        rng.standard_gamma(config.m_g[k] * config.N_r, size=trials, out=g_g)
+        g_g *= budget.mu
+        np.multiply(g_h, g_g, out=out[:, k])
     return out

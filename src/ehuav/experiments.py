@@ -281,8 +281,7 @@ def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> All
     if name == "conventional":
         return conventional_allocate(gamma, config.epsilon)
     if name == "equal_bandwidth":
-        # The split ignores the gains; K comes from the config.
-        return equal_bandwidth_batch(np.ones((1, config.K)), config.R_a).row(0)
+        return equal_bandwidth_batch(np.atleast_2d(gamma), config.R_a).row(0)
     if name == "optimal":
         return exhaustive_optimal(gamma, *OPTIMAL_GRID)
     raise ConfigError(f"unknown algorithm {name!r}")

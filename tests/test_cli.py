@@ -153,13 +153,27 @@ class TestAllocate:
         assert "strictly positive" in capsys.readouterr().err
 
     def test_nan_gain_is_refused_by_the_equal_split(self, capsys):
-        # The equal split never looks at the gains; min_rate must refuse NaN.
+        # The split ignores the gains but checks them as every allocator does.
         rc = main(
             ["allocate", TABLE1, "--gamma", "nan", "1", "1", "1", "1", "1",
              "--algorithm", "equal_bandwidth"]
         )
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: gamma_k must be >= 0\n"
+        assert capsys.readouterr().err == (
+            "error: all channel gains must be strictly positive and finite\n"
+        )
+
+    @pytest.mark.parametrize("gain", ["inf", "0", "-1"])
+    @pytest.mark.parametrize("algorithm", ["equal_bandwidth", "proposed", "conventional"])
+    def test_bad_gain_is_refused_by_every_allocator(self, capsys, gain, algorithm):
+        rc = main(
+            ["allocate", TABLE1, "--gamma", "1", "1", gain, "1", "1", "1",
+             "--algorithm", algorithm]
+        )
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: all channel gains must be strictly positive and finite\n"
+        )
 
     def test_exhaustive_guard_maps_to_config_exit(self, capsys):
         rc = main(["allocate", TABLE1, "--seed", "1", "--algorithm", "optimal"])

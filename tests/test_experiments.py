@@ -204,6 +204,16 @@ class TestAllocateBatchByName:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             allocate_batch_by_name("greedy", np.ones((1, 2)), default_config(2))
 
+    @pytest.mark.parametrize("gain", [np.inf, 0.0, -1.0, np.nan])
+    def test_equal_split_refuses_bad_gains_per_draw_and_in_batch(self, gain):
+        config = default_config(2)
+        gains = np.array([[2.0, 3.0], [gain, 1.0]])
+        with pytest.raises(ConfigError, match="strictly positive and finite"):
+            allocate_by_name("equal_bandwidth", gains[1], config)
+        with pytest.raises(ConfigError, match="strictly positive and finite"):
+            allocate_batch_by_name("equal_bandwidth", gains, config)
+        assert allocate_by_name("equal_bandwidth", gains[0], config).beta == (0.5, 0.5)
+
 
 @pytest.fixture(scope="module")
 def k_sweep_rows():

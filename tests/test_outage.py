@@ -1,7 +1,8 @@
 """Rate, SNR-threshold, and outage checks.
 
 The closed-form outage is cross-checked against the Monte-Carlo estimator
-(the two share nothing but the channel statistics), and the product-gamma
+(the estimator's counts are those of the rate rule, checked here; it uses
+the SNR threshold only to skip computing rates), and the product-gamma
 CDF is pinned to its single-term reduction, to sampled quantiles and to a
 high-precision mpmath evaluation of the finite survival sum.
 """
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav import outage
-from ehuav.channel import LinkBudget
+from ehuav.channel import LinkBudget, sample_gamma_matrix
 from ehuav.errors import ConfigError, DomainError, NumericError
 from ehuav.outage import (
     Allocation,
@@ -232,6 +233,10 @@ class TestSnrThreshold:
 
     def test_overflow_saturates(self):
         assert snr_threshold(1e-3, 0.5, 1.0, 1.0) == math.inf
+
+    def test_exponent_of_exactly_1024_saturates(self):
+        # 2.0 ** 1024.0 raises OverflowError rather than returning inf.
+        assert snr_threshold(1.0, 0.5, 512.0, 1.0) == math.inf
 
     @pytest.mark.parametrize("beta_k", [1.0, 0.5, 1 / 6])
     @pytest.mark.parametrize("req", [0.5, 1.0, 2.0])
@@ -586,3 +591,151 @@ class TestMonteCarlo:
             outage_monte_carlo(
                 self.alloc(), [self.BUDGET] * 2, self.config(), trials=0, seed=1
             )
+
+
+def by_rates(gamma, alloc, R_a):
+    """The rule a Monte-Carlo trial is defined by: some rate strictly below R_a."""
+    beta = np.asarray(alloc.beta)[np.newaxis, :]
+    return rate(beta, alloc.tau, gamma, alloc.nu_c).min(axis=1) < R_a
+
+
+def monte_carlo_by_rates(alloc, budgets, config, trials, seed, R_a):
+    """Outage count of outage_monte_carlo's blocks, every trial by rates."""
+    outages = 0
+    for block in range((trials + 65535) // 65536):
+        n = min(65536, trials - block * 65536)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        gamma = sample_gamma_matrix(budgets, config, rng, n)
+        outages += int(np.count_nonzero(by_rates(gamma, alloc, R_a)))
+    return outages
+
+
+def ulp_steps(x: float, j: int) -> float:
+    """x moved j doubles up (j > 0) or down (j < 0)."""
+    for _ in range(abs(j)):
+        x = math.nextafter(x, math.inf if j > 0 else 0.0)
+    return x
+
+
+class TestThresholdDecision:
+    """outage._outage_counter decides by threshold; it must count as by_rates."""
+
+    CASES = [
+        (Allocation(tau=0.3, beta=(0.5, 0.5)), 1.0),
+        (Allocation(tau=0.5, beta=(1.0,)), 511.9),  # exponent 1023.8
+        (Allocation(tau=0.9, beta=(0.25, 0.75), nu_r=0.3), 15.0),  # exponent 857
+        (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-6),  # z = 2.8e-6, near _Z_MIN
+        (Allocation(tau=0.4, beta=(0.2, 0.3, 0.5)), 0.5),
+        (Allocation(tau=0.01, beta=(1 / 3, 1 / 3, 1 / 3)), 200.0),
+        (Allocation(tau=1e-308, beta=(0.5, 0.5)), 1.0),  # X = 1.5e308
+    ]
+
+    @staticmethod
+    def assert_rows_count_as_by_rates(gamma, alloc, R_a):
+        count = outage._outage_counter(alloc, R_a)
+        expected = by_rates(gamma, alloc, R_a)
+        got = [count(gamma[i : i + 1]) for i in range(len(gamma))]
+        assert got == expected.astype(int).tolist()
+        assert count(gamma) == int(np.count_nonzero(expected))
+
+    @pytest.mark.parametrize("alloc, R_a", CASES)
+    def test_gains_at_and_around_each_threshold(self, alloc, R_a):
+        # Each row puts one UAV's gain at X_k moved j = -4..4 doubles, then
+        # just outside the band on both sides; the other UAVs sit far above
+        # their thresholds, so that UAV alone decides the row.
+        bands = [outage._threshold_band(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
+        assert all(band is not None for band in bands)
+        clear = [min(4.0 * x, 1.7e308) for x, _ in bands]
+        rows = []
+        for k, (x, width) in enumerate(bands):
+            gains = [ulp_steps(x, j) for j in range(-4, 5)]
+            gains += [x * (1.0 - 2.0 * width), x * (1.0 + 2.0 * width)]
+            rows += [clear[:k] + [g] + clear[k + 1 :] for g in gains]
+        self.assert_rows_count_as_by_rates(np.array(rows), alloc, R_a)
+
+    @pytest.mark.parametrize(
+        "alloc, R_a",
+        [
+            (Allocation(tau=0.5, beta=(0.5, 0.5)), 0.0),  # X = 0
+            (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-12),  # z below _Z_MIN
+            (Allocation(tau=0.5, beta=(1.0,)), 512.0),  # exponent 1024: X = inf
+            (Allocation(tau=0.3, beta=(0.5, 0.5)), 1e9),  # X = inf
+            (Allocation(tau=0.3, beta=(0.5, 0.5)), -1.0),  # never an outage
+            (Allocation(tau=0.3, beta=(0.5, 0.5)), math.nan),  # never an outage
+            (Allocation(tau=1e-310, beta=(0.5, 0.5)), 1.0),  # eff/tau overflows
+            (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-305),  # R_a below _TINY
+        ],
+    )
+    def test_uavs_without_a_band_leave_every_trial_to_the_rates(self, alloc, R_a):
+        assert outage._threshold_band(alloc.beta[0], alloc.tau, R_a, alloc.nu_c) is None
+        gains = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 3.0, 1e12, 1e300, math.inf]
+        gamma = np.array([[g, h] for g in gains for h in gains])[:, : alloc.K]
+        self.assert_rows_count_as_by_rates(gamma, alloc, R_a)
+
+    def test_a_bounded_uav_still_decides_rows_beside_one_without_a_band(self):
+        # UAV 0's share leaves it no band (its exponent is above 1024);
+        # UAV 1's threshold decides the rows where it is clearly below.
+        alloc = Allocation(tau=0.5, beta=(1e-3, 1 - 1e-3))
+        R_a = 1.0
+        assert outage._threshold_band(1e-3, 0.5, R_a, 1.0) is None
+        x, width = outage._threshold_band(1 - 1e-3, 0.5, R_a, 1.0)
+        gains = [0.0, x * (1 - 2 * width), x, x * (1 + 2 * width), 1e300, math.inf]
+        gamma = np.array([[g, h] for g in gains for h in gains])
+        self.assert_rows_count_as_by_rates(gamma, alloc, R_a)
+
+    def test_a_nan_gain_is_refused_even_where_another_uav_is_in_outage(self):
+        alloc, R_a = self.CASES[0]
+        gamma = np.array([[math.nan, 0.0]])
+        with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
+            by_rates(gamma, alloc, R_a)
+        with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
+            outage._outage_counter(alloc, R_a)(gamma)
+
+    def test_seeded_parity_with_the_rate_rule(self):
+        # Random scenarios over K 1-8, both signalling shares, shapes up to
+        # 170 and gains spread around each threshold; the estimator's count
+        # must equal the rate rule's on the same block streams.
+        rng = np.random.default_rng(2024)
+        for K in range(1, 9):
+            for R_a in (0.0, 1e-12, 1e-6, 0.5, 1.0, 50.0, 1e9):
+                for nu_r in (0.0, 0.3):
+                    N_c, N_r = (int(n) for n in rng.choice([1, 2, 5], size=2))
+                    cfg = default_config(
+                        K,
+                        N_c=N_c,
+                        N_r=N_r,
+                        p_c=(0.1,) * K,
+                        m_h=tuple(int(m) for m in rng.integers(1, 170 // N_c + 1, size=K)),
+                        m_g=tuple(int(m) for m in rng.integers(1, 170 // N_r + 1, size=K)),
+                    )
+                    alloc = Allocation(
+                        tau=float(rng.uniform(0.05, 0.95)),
+                        beta=tuple(rng.dirichlet(np.ones(K)).tolist()) if K > 1 else (1.0,),
+                        nu_r=nu_r,
+                    )
+                    budgets = []
+                    for k in range(K):
+                        # rho puts X_k at a random quantile up to 0.3 of the gain.
+                        x = snr_threshold(alloc.beta[k], alloc.tau, R_a, alloc.nu_c)
+                        pl_h, pl_g = rng.uniform(40.0, 80.0, size=2)
+                        product = rng.standard_gamma(cfg.m_h[k] * N_c, size=256)
+                        product *= rng.standard_gamma(cfg.m_g[k] * N_r, size=256)
+                        product *= 10.0 ** (-pl_h / 10.0) * 10.0 ** (-pl_g / 10.0)
+                        quantile = np.quantile(product, rng.uniform(0.0, 0.3))
+                        rho = x / quantile if 0.0 < x < 1e200 else 1.0
+                        budgets.append(budget_from_losses(pl_h, pl_g, rho))
+                    trials = int(rng.integers(1, 3000))
+                    seed = int(rng.integers(0, 2**32))
+                    est = outage_monte_carlo(
+                        alloc, budgets, cfg, trials=trials, seed=seed, rate_requirement=R_a
+                    )
+                    expected = monte_carlo_by_rates(alloc, budgets, cfg, trials, seed, R_a)
+                    assert est.p_out == expected / trials, (K, R_a, nu_r)
+
+    @pytest.mark.parametrize("trials", [1, 65535, 65537])
+    def test_parity_across_a_partial_block(self, trials):
+        cfg = default_config(K=2)
+        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
+        budgets = [budget_from_losses(60.0, 62.0, 1e11)] * 2
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=11)
+        assert est.p_out == monte_carlo_by_rates(alloc, budgets, cfg, trials, 11, cfg.R_a) / trials
