@@ -35,7 +35,9 @@ per-draw loops: the same brackets, stopping tests and operation order.  The
 baseline's inner share bisections are not stepped through: each one's final
 bracket is looked up in the bisection's midpoint tree and certified by the
 rates at its two ends, and the pairs that cannot be certified run the loop
-(:func:`_inner_shares`).  The rate slope of phase 1 and the update cap of
+(:func:`_inner_shares`).  The batch phase 1 decides each step's sign with
+``np.log2`` and recomputes only the near-zero slopes exactly
+(:func:`_slope_rises`).  The rate slope of phase 1 and the update cap of
 phase 2 are each written once and read by both forms.  The per-draw forms
 serve one draw at a time (a batch of one costs more than a per-draw call)
 and are the reference the batch forms are tested against.  They do their scalar work on Python floats: phase 1
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -145,6 +147,10 @@ class BatchAllocation:
             op_count=int(self.op_count[t]),
         )
 
+    def rows(self, start: int, stop: int) -> "BatchAllocation":
+        """Draws ``start`` to ``stop - 1`` as a batch of views."""
+        return BatchAllocation(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
     @classmethod
     def stack(cls, results: list[AllocationResult]) -> "BatchAllocation":
         """The batch whose rows are the given per-draw results."""
@@ -239,6 +245,29 @@ def _rate_slope(b, g, tau, log2=math.log2):
     """
     eff = b * (1.0 - tau)
     return -b * log2(1.0 + tau * g / eff) + b * g / (_LN2 * (eff + tau * g))
+
+
+def _slope_rises(b: float, g: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """``_rate_slope(b, g, tau, _log2_exact) > 0.0`` elementwise, with
+    ``np.log2``.
+
+    ``np.log2`` is within a few ulps of ``math.log2``, so the slope's sign
+    can differ from the exact one only where the slope is within a few ulps
+    of its log term ``b * log2(...)``; slopes within 1e-12 of that term
+    (relative) are recomputed with :func:`_log2_exact`, as :func:`_reaches`
+    recomputes rates near a target.
+    """
+    log_term = []
+
+    def log2(x):
+        log_term.append(np.log2(x))
+        return log_term[0]
+
+    slope = _rate_slope(b, g, tau, log2)
+    near = np.abs(slope) <= 1e-12 * b * np.abs(log_term[0])
+    if near.any():
+        slope[near] = _rate_slope(b, g[near], tau[near], _log2_exact)
+    return slope > 0.0
 
 
 def _update_cap(K: int, epsilon: float) -> int:
@@ -494,7 +523,7 @@ def _phase1_batch(
         if not active.any():
             return 0.5 * (lo + hi), iters
         mid = 0.5 * (lo + hi)
-        rising = _rate_slope(b, g, mid, _log2_exact) > 0.0
+        rising = _slope_rises(b, g, mid)
         lo = np.where(active & rising, mid, lo)
         hi = np.where(active & ~rising, mid, hi)
         iters += active

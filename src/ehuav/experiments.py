@@ -17,9 +17,13 @@ benchmark is charged nothing (it stands for an offline optimum), and the
 closed-form equal split converges without iterating, so both keep
 ``nu_r = 0`` (:func:`overhead_share`).
 
-The runners allocate a whole sweep point at once: one batch call per
-(point, algorithm) over the ``(trials, K)`` draw matrix, then the charge
-and the min-rate as array expressions.  :func:`allocate_by_name` is the
+The runners allocate with the batch allocators, then charge and take the
+min-rate as array expressions.  ``fig3`` makes one batch call per (point,
+algorithm) over the point's ``(trials, K)`` draw matrix, since K differs
+between its points.  ``fig4``'s points share K and differ only in their
+gains, so it stacks the draw matrices of consecutive points and makes one
+call per algorithm over the stack, within the memory bound of one point
+at ``TRIALS_MAX`` x ``K_MAX`` draws.  :func:`allocate_by_name` is the
 per-draw path of the ``allocate`` subcommand.
 
 ``DEFAULT_T_OP`` is calibrated so that at 20 m/s and six pairs the
@@ -87,7 +91,8 @@ _SATURATION_GUARD = 1.0 - 1e-6
 OPTIMAL_GRID = (200, 100)
 
 # Most channel draws per sweep point; with :data:`ehuav.channel.K_MAX` it
-# bounds the memory of a sweep point.
+# bounds the memory of a sweep point, and of a stack of fig4 points, which
+# holds at most TRIALS_MAX * K_MAX gains.
 TRIALS_MAX = 100_000
 
 
@@ -378,6 +383,29 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     return rows
 
 
+def _allocate_points(
+    name: str, gains: np.ndarray, network: NetworkConfig, trials: int
+) -> list[BatchAllocation | EhuavError]:
+    """Each stacked sweep point's allocations, or its first failing draw's error.
+
+    ``gains`` stacks the points' ``(trials, K)`` draw matrices.  Row t of a
+    batch call is the per-draw call on ``gains[t]``, so one call over the
+    stack gives every point its rows.  When that call fails, each point is
+    allocated on its own, so a failing point reports its own first failing
+    draw and the others keep their rows.
+    """
+    try:
+        batch = allocate_batch_by_name(name, gains, network)
+    except EhuavError as exc:
+        if len(gains) == trials:
+            return [exc]
+        return [
+            _allocate_points(name, part, network, trials)[0]
+            for part in np.split(gains, len(gains) // trials)
+        ]
+    return [batch.rows(start, start + trials) for start in range(0, len(gains), trials)]
+
+
 def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Sweep the peak altitude; report empirical outage per algorithm/velocity.
 
@@ -387,12 +415,35 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     penalized min-rate falls below the required rate.  The closed-form
     outage of the equal split at zero overhead is emitted once per
     altitude under the algorithm name ``equal_bandwidth_analytic``.
+
+    Only the gains differ between altitudes, so consecutive points are
+    allocated together, one batch call per algorithm over their stacked
+    draws (:func:`_allocate_points`), as long as the stack holds no more
+    draws than one point at the ``TRIALS_MAX`` x ``K_MAX`` bound.
     """
+    per_call = max(1, TRIALS_MAX * K_MAX // (spec.trials * spec.network.K))
     rows: list[ExperimentRow] = []
-    for point, altitude in enumerate(spec.altitudes):
-        config = replace(spec.network, A_hat=altitude)
-        budgets = link_budgets(config)
-        gam = _point_draws(budgets, config, spec, point)
+    for first in range(0, len(spec.altitudes), per_call):
+        rows += _altitude_rows(spec, range(first, min(first + per_call, len(spec.altitudes))))
+    return rows
+
+
+def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
+    """The rows of consecutive altitude points, allocated together."""
+    configs = [replace(spec.network, A_hat=spec.altitudes[point]) for point in points]
+    budgets = [link_budgets(config) for config in configs]
+    stacked = np.concatenate(
+        [_point_draws(b, c, spec, point) for b, c, point in zip(budgets, configs, points)]
+    )
+    # The allocators read no altitude, so the scenario serves every point.
+    allocations = {
+        name: _allocate_points(name, stacked, spec.network, spec.trials)
+        for name in spec.algorithms
+    }
+    rows: list[ExperimentRow] = []
+    for i, config in enumerate(configs):
+        altitude = config.A_hat
+        gam = stacked[i * spec.trials : (i + 1) * spec.trials]
         K = config.K
 
         equal_alloc = Allocation(
@@ -405,7 +456,7 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                 algorithm="equal_bandwidth_analytic",
                 mean_iters=None,
                 mean_min_rate_bpshz=None,
-                outage_analytic=outage_closed_form(equal_alloc, budgets, config),
+                outage_analytic=outage_closed_form(equal_alloc, budgets[i], config),
                 outage_empirical=None,
                 std_err=None,
                 trials=spec.trials,
@@ -414,10 +465,9 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
         )
 
         for name in spec.algorithms:
-            try:
-                batch = allocate_batch_by_name(name, gam, config)
-            except EhuavError as exc:
-                log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
+            batch = allocations[name][i]
+            if isinstance(batch, EhuavError):
+                log.warning("altitude=%s %s aborted: %s", altitude, name, batch)
                 for velocity in spec.velocities:
                     rows.append(
                         _diagnostic_row(spec, "altitude", altitude, f"{name}@v{velocity:g}")

@@ -804,6 +804,39 @@ class TestBatchAllocators:
             ):
                 assert_batch_replays_scalar(scalar, batch, gains, EPS)
 
+    def test_phase1_slopes_within_ulps_of_zero_are_decided_exactly(self, monkeypatch):
+        # K -> (bisection midpoint, smallest gain): the smallest gain's rate
+        # slope at that midpoint of the time-split bisection is within an ulp
+        # of zero, and on an AVX-512 numpy np.log2 gives it the other sign.
+        crafted = {
+            2: [(0.9764671875, 0.0005902147666001578)],
+            3: [(0.9374125, 0.003107094831586824), (0.9764671875, 0.000393476511066781)],
+            6: [(0.9374125, 0.001553547415793412), (0.9764671875, 0.0001967382555333905)],
+            9: [(0.9764671875, 0.00013115883702225728)],
+        }
+        exact_sizes = []
+        log2_exact = allocation._log2_exact
+
+        def recording(x):
+            exact_sizes.append(x.size)
+            return log2_exact(x)
+
+        monkeypatch.setattr(allocation, "_log2_exact", recording)
+        for K, cases in crafted.items():
+            b = 1.0 / K
+            for mid, g in cases:
+                log_term = b * math.log2(1.0 + mid * g / (b * (1.0 - mid)))
+                assert abs(allocation._rate_slope(b, g, mid)) <= math.ulp(log_term)
+            gains = np.array([[g] + [1.0] * (K - 1) for _, g in cases] + [[2.0] * K])
+            exact_sizes.clear()
+            tau, iters = allocation._phase1_batch(gains, EPS, {})
+            assert [(float(t), int(i)) for t, i in zip(tau, iters)] == [
+                allocation._phase1(row, EPS) for row in gains
+            ]
+            # d(lo) and d(hi), then the recomputed crafted rows.
+            assert exact_sizes[:2] == [len(gains)] * 2
+            assert sum(exact_sizes[2:]) >= len(cases)
+
     def test_first_failing_draw_wins_over_earlier_phases(self):
         settled, unbracketed = [5.0, 5.0, 5.0], [1e-30] * 3
         with pytest.raises(NumericError, match="did not converge in 360 updates"):

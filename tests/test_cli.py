@@ -522,6 +522,8 @@ class TestLoggingEnv:
 # being read from there.
 FIG3_SHA256 = "561bd236d5d3a61951d113fa90764c8eaee3a46d051016616c59e3f0949084a8"
 FIG4_SHA256 = "5d540fd110a6cc1405a8b22c55d52505c5187bae27b2a0cd40d85362d0a421fb"
+# sha256 of ``ehuav fig4`` on the shipped scenario with ``trials: 30``.
+FIG4_TRIALS30_SHA256 = "1b4d51690e183068b245cfc4d503e70171f57aabf769b9658223bf851e5df0ca"
 
 
 class TestDeliverables:
@@ -543,6 +545,20 @@ class TestDeliverables:
             "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
         )
         assert sha256(out) == FIG4_SHA256
+
+    def test_fig4_at_30_trials_reproduces_its_pin(self, tmp_path, capsys):
+        with open(TABLE1, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+        data["experiment"]["trials"] = 30
+        config = tmp_path / "trials30.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", str(config), "--out", str(out)]) == EXIT_TREND
+        assert capsys.readouterr().err == (
+            "error: trend assertion failed:\n"
+            "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
+        )
+        assert sha256(out) == FIG4_TRIALS30_SHA256
 
 
 # sha256 of the stdout of each command below on the shipped scenario (or, for

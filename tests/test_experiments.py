@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ehuav.errors import ConfigError
+from ehuav import experiments
+from ehuav.errors import ConfigError, EhuavError
 from ehuav.experiments import (
     ALGORITHMS,
     CSV_HEADER,
@@ -333,6 +336,158 @@ class TestOutageAltitudeSweep:
     def test_deterministic_rerun(self, altitude_rows):
         spec, rows = altitude_rows
         assert run_outage_altitude_sweep(spec) == rows
+
+
+def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
+    """The altitude sweep with one batch call per (point, algorithm): the
+    runner's loop before it stacked points, kept verbatim as an oracle."""
+    rows: list[ExperimentRow] = []
+    for point, altitude in enumerate(spec.altitudes):
+        config = replace(spec.network, A_hat=altitude)
+        budgets = experiments.link_budgets(config)
+        gam = experiments._point_draws(budgets, config, spec, point)
+        K = config.K
+
+        equal_alloc = experiments.Allocation(
+            tau=experiments.equal_bandwidth_taf(K, config.R_a), beta=(1.0 / K,) * K, nu_r=0.0
+        )
+        rows.append(
+            ExperimentRow(
+                sweep_param="altitude",
+                sweep_value=altitude,
+                algorithm="equal_bandwidth_analytic",
+                mean_iters=None,
+                mean_min_rate_bpshz=None,
+                outage_analytic=experiments.outage_closed_form(equal_alloc, budgets, config),
+                outage_empirical=None,
+                std_err=None,
+                trials=spec.trials,
+                seed=spec.seed,
+            )
+        )
+
+        for name in spec.algorithms:
+            try:
+                batch = allocate_batch_by_name(name, gam, config)
+            except EhuavError as exc:
+                experiments.log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
+                for velocity in spec.velocities:
+                    rows.append(
+                        experiments._diagnostic_row(
+                            spec, "altitude", altitude, f"{name}@v{velocity:g}"
+                        )
+                    )
+                continue
+            mean_iters = float(batch.iterations.mean())
+            for velocity in spec.velocities:
+                T = block_time(velocity, config.f_c, config.c_light)
+                nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
+                rates = experiments._charged_min_rates(batch, gam, nu_r)
+                p_hat = int(np.count_nonzero(rates < config.R_a)) / spec.trials
+                rows.append(
+                    ExperimentRow(
+                        sweep_param="altitude",
+                        sweep_value=altitude,
+                        algorithm=f"{name}@v{velocity:g}",
+                        mean_iters=mean_iters,
+                        mean_min_rate_bpshz=float(rates.mean()),
+                        outage_analytic=None,
+                        outage_empirical=p_hat,
+                        std_err=math.sqrt(p_hat * (1.0 - p_hat) / spec.trials),
+                        trials=spec.trials,
+                        seed=spec.seed,
+                    )
+                )
+    return rows
+
+
+@pytest.fixture(scope="module")
+def stacked_spec():
+    # trials = K_MAX, so a TRIALS_MAX of n * K stacks n points per call.
+    return ExperimentSpec(
+        network=default_config(3),
+        altitudes=(40.0, 70.0, 100.0, 130.0),
+        trials=experiments.K_MAX,
+        seed=9,
+        algorithms=("proposed", "conventional", "equal_bandwidth"),
+        velocities=(10.0, 40.0),
+    )
+
+
+@pytest.fixture
+def call_sizes(monkeypatch):
+    """The number of draws in each batch allocator call of the sweep."""
+    sizes = []
+    allocate = experiments.allocate_batch_by_name
+
+    def recording(name, gains, config):
+        sizes.append(len(gains))
+        return allocate(name, gains, config)
+
+    monkeypatch.setattr(experiments, "allocate_batch_by_name", recording)
+    return sizes
+
+
+def aborted(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == experiments.__name__]
+
+
+class TestStackedAltitudePoints:
+    """fig4 allocates consecutive altitude points in one batch call per
+    algorithm; its rows are those of one call per (point, algorithm)."""
+
+    def test_one_call_per_algorithm_gives_the_per_point_rows(self, stacked_spec, call_sizes):
+        rows = run_outage_altitude_sweep(stacked_spec)
+        points = len(stacked_spec.altitudes)
+        assert call_sizes == [points * stacked_spec.trials] * len(stacked_spec.algorithms)
+        assert rows == per_point_sweep(stacked_spec)
+
+    @pytest.mark.parametrize("per_call", [1, 2])
+    def test_smaller_stacks_give_the_same_rows(
+        self, stacked_spec, per_call, call_sizes, monkeypatch
+    ):
+        whole = run_outage_altitude_sweep(stacked_spec)
+        call_sizes.clear()
+        monkeypatch.setattr(experiments, "TRIALS_MAX", per_call * stacked_spec.network.K)
+        assert run_outage_altitude_sweep(stacked_spec) == whole
+        stacks = [per_call * stacked_spec.trials] * (4 // per_call)
+        assert call_sizes == stacks * len(stacked_spec.algorithms)
+
+    @pytest.mark.parametrize("per_call", [None, 2])
+    @pytest.mark.parametrize("point, draw", [(0, 0), (1, 7), (3, 63)])
+    def test_a_failing_point_is_isolated(
+        self, stacked_spec, per_call, point, draw, caplog, monkeypatch
+    ):
+        clean = run_outage_altitude_sweep(stacked_spec)
+        if per_call is not None:
+            monkeypatch.setattr(experiments, "TRIALS_MAX", per_call * stacked_spec.network.K)
+        draws = experiments._point_draws
+
+        def one_zero_gain(budgets, config, spec, p):
+            gains = draws(budgets, config, spec, p)
+            if p == point:
+                gains[draw, 1] = 0.0
+            return gains
+
+        monkeypatch.setattr(experiments, "_point_draws", one_zero_gain)
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            oracle = per_point_sweep(stacked_spec)
+            expected_log = aborted(caplog)
+            caplog.clear()
+            rows = run_outage_altitude_sweep(stacked_spec)
+        assert rows == oracle
+        altitude = stacked_spec.altitudes[point]
+        assert aborted(caplog) == expected_log == [
+            f"altitude={altitude} {name} aborted: "
+            "all channel gains must be strictly positive and finite"
+            for name in stacked_spec.algorithms
+        ]
+        assert len(rows) == len(clean)
+        for row, clean_row in zip(rows, clean):
+            if row.sweep_value == altitude and row.algorithm != "equal_bandwidth_analytic":
+                assert row.mean_iters is None and row.outage_empirical is None
+            else:
+                assert row == clean_row
 
 
 class TestWriteRows:
