@@ -31,25 +31,30 @@ batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
 run the per-draw algorithm on every row at once, so row ``t`` of the result
 equals the per-draw call on ``gains[t]`` bit for bit, tallies included.
 Phase 1, phase 2 and the baseline's outer target bisection replay the
-per-draw loops: the same brackets, stopping tests and operation order.  The
-baseline's inner share bisections are not stepped through: each one's final
-bracket is looked up in the bisection's midpoint tree and certified by the
-rates at its two ends, and the pairs that cannot be certified run the loop
-(:func:`_inner_shares`).  The batch phase 1 decides each step's sign with
-``np.log2`` and recomputes only the near-zero slopes exactly
-(:func:`_slope_rises`).  The rate slope of phase 1 and the update cap of
-phase 2 are each written once and read by both forms.  The per-draw forms
-serve one draw at a time (a batch of one costs more than a per-draw call)
-and are the reference the batch forms are tested against.  They do their scalar work on Python floats: phase 1
-bisects the rate slope of the one UAV with the smallest gain, phase 2
-recomputes only the two rates an update changes, and the baseline's inner
-bisections read the gains from a list.
+per-draw loops: the same brackets, stopping tests and operation order.
+Neither form of the baseline steps through its inner share bisections:
+each one's final bracket is looked up in the bisection's midpoint tree
+(:func:`_share_tree`) and certified by the rates at its two ends, and the
+pairs that cannot be certified run the loop (:func:`_inner_shares` in the
+batch form, :func:`_bisect_share` in the per-draw form).  The plain loop
+stays in the tests as the reference.  The batch phase 1 decides each
+step's sign with ``np.log2`` and recomputes only the near-zero slopes
+exactly (:func:`_slope_rises`).  The rate slope of phase 1 and the update
+cap of phase 2 are each written once and read by both forms.  The per-draw
+forms serve one draw at a time (a batch of one costs more than a per-draw
+call) and are the reference the batch forms are tested against.  They do
+their scalar work on Python floats: phase 1 bisects the rate slope of the
+one UAV with the smallest gain, phase 2 recomputes only the two rates an
+update changes, and the baseline reads the gains from a list, looks up one
+(UAV, target) pair at a time and sums its shares with numpy only near 1
+(:func:`_fits_the_band`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,9 +70,9 @@ _LN2 = math.log(2.0)
 # rate-table entries (rows x K x share steps), which bounds its memory.
 _GRID_BLOCK_ELEMENTS = 1 << 18
 
-# The batch baseline looks its inner share bisections up in their midpoint
-# tree (:func:`_share_tree`), tabulated to this depth: at most 2**16 leaves.
-# Deeper levels run the bisection loop.
+# Both forms of the baseline look their inner share bisections up in their
+# midpoint tree (:func:`_share_tree`), tabulated to this depth: at most 2**16
+# leaves.  Deeper levels run the bisection loop.
 _SHARE_TREE_DEPTH = 16
 # Newton steps towards each inner bisection's share threshold per target.
 _SHARE_NEWTON_STEPS = 4
@@ -413,6 +418,36 @@ def proposed_allocate(gamma, epsilon: float) -> AllocationResult:
     )
 
 
+def _bisect_share(lo, hi, one_minus_tau, c, target, epsilon) -> tuple[float, int]:
+    """The per-draw baseline's inner share bisection of the UAV with
+    ``c = tau * gain``, from the bracket ``[lo, hi]``: the final ``hi`` and
+    the steps taken."""
+    steps = 0
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        eff = mid * one_minus_tau
+        if eff * math.log2(1.0 + c / eff) >= target:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return hi, steps
+
+
+def _fits_the_band(shares: list) -> bool:
+    """``float(np.sum(shares)) <= 1.0``, mostly without numpy.
+
+    Every order of summing K positive shares is within ``(K - 1) * 2**-53``
+    of their exact sum (relative), so where the plain sum is farther than
+    ``4 * K * 2**-53`` from 1.0 it lies on the same side of 1.0 as numpy's
+    pairwise sum, and only sums closer than that are recomputed.
+    """
+    total = sum(shares)
+    if abs(total - 1.0) > 4 * len(shares) * 2.0**-53:
+        return total <= 1.0
+    return float(np.sum(shares)) <= 1.0
+
+
 def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     """Nested-bisection baseline for the same max-min program.
 
@@ -421,7 +456,9 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     a common target rate: each candidate target needs one inner bisection
     per UAV for the smallest share achieving it, and the candidate is
     feasible when those shares sum to at most 1.  The last feasible share
-    vector is normalized to sum exactly 1.
+    vector is normalized to sum exactly 1.  Each inner bisection's result
+    and step count are looked up (see ``shares_for_target``), and
+    ``inner_iters_beta`` counts the steps the loop would take.
     """
     gam = _as_gamma(gamma)
     K = gam.size
@@ -438,31 +475,71 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         )
     one_minus_tau = 1.0 - tau_o
     tau_gam = (tau_o * gam).tolist()
-
-    def rate_k(beta_k: float, k: int) -> float:
-        eff = beta_k * one_minus_tau
-        return eff * math.log2(1.0 + tau_gam[k] / eff)
+    tree = _share_tree(epsilon)
+    edges, depth = tree.edge_list, tree.depth_list
+    last = len(depth) - 1
+    eff = (1.0 - epsilon) * one_minus_tau
+    # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
+    lookup = [
+        _LOOKUP_MIN_SNR <= c / eff and c / eff * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR
+        for c in tau_gam
+    ]
+    located = [0.0] * K  # each UAV's effective share threshold at the last target
 
     def shares_for_target(target: float) -> tuple[list, int]:
         """Smallest per-UAV share reaching the target, and the inner
         bisection count consumed.  Every target lies below ``target_hi``,
-        at most the smallest whole-band rate, so every UAV reaches it."""
+        at most the smallest whole-band rate, so every UAV reaches it.
+
+        Each bisection ends in the leaf of :func:`_share_tree` holding the
+        share at which the UAV's rate reaches the target.  Newton on the
+        effective share locates it, from the floor of
+        :func:`_share_threshold` or from the last target's threshold, and
+        ``bisect_right`` finds its leaf.  The leaf is taken, at its depth,
+        where the rates at both its ends clear the target by
+        :data:`_LOOKUP_MARGIN`, as in :func:`_inner_shares`; a leaf cut
+        off at the depth cap then runs the loop from its bracket, and a
+        pair without a certified leaf runs it from the whole bracket.
+        """
+        goal = target * _LN2
+        high, low = target * (1.0 + _LOOKUP_MARGIN), target * (1.0 - _LOOKUP_MARGIN)
         inner = 0
         shares = []
-        for k in range(K):
+        for k, c in enumerate(tau_gam):
             lo, hi = epsilon, 1.0 - epsilon
-            while hi - lo > epsilon:
-                mid = 0.5 * (lo + hi)
-                if rate_k(mid, k) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-                inner += 1
+            if lookup[k]:
+                ratio = goal / c
+                # The floor of _share_threshold, c a**2 / (1 - a**2).  Where
+                # goal * ratio underflows the pair runs the loop, so that
+                # Newton never divides by a zero share.
+                floor = goal * ratio / (1.0 - ratio * ratio)
+            if lookup[k] and floor > 0.0:
+                x = located[k]
+                if not x > floor:
+                    x = floor
+                for _ in range(_SHARE_NEWTON_STEPS):
+                    z = c / x
+                    log1p_z = math.log1p(z)
+                    x -= (x * log1p_z - goal) / (log1p_z - z / (1.0 + z))
+                    if not x > floor:  # also a NaN step
+                        x = floor
+                located[k] = x
+                # The leaf holding x, clipped to the first and the last.
+                leaf = bisect_right(edges, x / one_minus_tau, 1, last + 1) - 1
+                x_lo, x_hi = edges[leaf] * one_minus_tau, edges[leaf + 1] * one_minus_tau
+                if (leaf == last or x_hi * math.log2(1.0 + c / x_hi) >= high) and (
+                    leaf == 0 or x_lo * math.log2(1.0 + c / x_lo) <= low
+                ):
+                    lo, hi = edges[leaf], edges[leaf + 1]
+                    inner += depth[leaf]
+            if hi - lo > epsilon:
+                hi, steps = _bisect_share(lo, hi, one_minus_tau, c, target, epsilon)
+                inner += steps
             shares.append(hi)
         return shares, inner
 
     target_lo = 0.0
-    target_hi = min(rate_k(1.0 - epsilon, k) for k in range(K))
+    target_hi = min(eff * math.log2(1.0 + c / eff) for c in tau_gam)  # the whole-band rates
     best = [epsilon] * K  # the trivially feasible zero-rate shares
     iters_beta = 0
     inner_total = 0
@@ -471,8 +548,7 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         shares, inner = shares_for_target(target)
         inner_total += inner
         iters_beta += 1
-        # np.sum, not sum: numpy adds eight or more terms pairwise.
-        feasible = float(np.sum(shares)) <= 1.0
+        feasible = _fits_the_band(shares)
         # Unreachable for finite targets: they lie below 1024 bit/s/Hz, where
         # doubles are at most 2.3e-13 apart, so a bracket wider than epsilon
         # (>= EPSILON_MIN = 1e-12) has its midpoint strictly inside.  The
@@ -594,7 +670,7 @@ def _share_rate(share, one_minus_tau, tau_gam) -> np.ndarray:
 
 def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     """``rate >= target`` elementwise, decided exactly as the baseline's
-    per-draw ``rate_k`` (``math.log2``) decides it.
+    per-draw bisection (:func:`_bisect_share`, ``math.log2``) decides it.
 
     ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
     1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
@@ -620,7 +696,9 @@ class _ShareTree:
     ``first_leaf`` maps equal buckets of the bracket, each narrower than
     every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
     finds a leaf with one comparison: a binary search per share mispredicts
-    a branch at nearly every level.
+    a branch at nearly every level.  The per-draw baseline reads the edges
+    and depths as tuples of Python numbers (``edge_list``, ``depth_list``)
+    and searches them with ``bisect``, one share at a time.
     """
 
     edges: np.ndarray
@@ -628,6 +706,8 @@ class _ShareTree:
     final: np.ndarray
     first_leaf: np.ndarray
     bucket_scale: float
+    edge_list: tuple[float, ...]
+    depth_list: tuple[int, ...]
 
     def leaf_of(self, share: np.ndarray) -> np.ndarray:
         """The leaf holding each share, up to rounding at bucket and leaf
@@ -660,12 +740,15 @@ def _share_tree(epsilon: float) -> _ShareTree:
     edges = np.append(leaf_lo[order], 1.0 - epsilon)
     bucket = np.diff(edges).min() * (1.0 - 1e-9)
     starts = epsilon + bucket * np.arange(int((edges[-1] - epsilon) / bucket) + 1)
+    depth = np.concatenate(leaf_depth)[order]
     tree = _ShareTree(
         edges=edges,
-        depth=np.concatenate(leaf_depth)[order],
+        depth=depth,
         final=np.concatenate(leaf_final)[order],
         first_leaf=np.searchsorted(edges, starts, side="right").clip(1, order.size) - 1,
         bucket_scale=1.0 / bucket,
+        edge_list=tuple(edges.tolist()),
+        depth_list=tuple(depth.tolist()),
     )
     for table in (tree.edges, tree.depth, tree.final, tree.first_leaf):
         table.setflags(write=False)  # cached and shared by every caller

@@ -82,6 +82,16 @@ def _positive_rule(name: str) -> Rule:
     )
 
 
+def positive_block_time(velocity, f_c, c_light) -> bool:
+    """Whether the coherence block ``c_light / (velocity * f_c)`` is a
+    positive finite time.  An operand outside (0, inf) passes: its own rule
+    reports it."""
+    if not all(0 < x < math.inf for x in (velocity, f_c, c_light)):
+        return True
+    product = velocity * f_c  # may underflow to 0.0 or overflow to inf
+    return product > 0.0 and 0.0 < c_light / product < math.inf
+
+
 def _per_uav_rules(name: str, test: Callable, requirement: str) -> tuple[Rule, Rule]:
     return (
         (name, lambda v: len(v[name]) == v["K"],
@@ -110,6 +120,12 @@ NETWORK_RULES: tuple[Rule, ...] = (
     *(
         _positive_rule(name)
         for name in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a")
+    ),
+    (
+        "V_hat",
+        lambda v: positive_block_time(v["V_hat"], v["f_c"], v["c_light"]),
+        "must give a positive finite block time c_light / (V_hat * f_c), "
+        "got V_hat={V_hat}, f_c={f_c}, c_light={c_light}",
     ),
     ("zeta", lambda v: 0 < v["zeta"] <= 1, "must lie in (0,1], got {zeta}"),
     EPSILON_RULE,

@@ -164,11 +164,13 @@ def load_config(path) -> ExperimentSpec:
             kind = "names" if names else "numbers"
             report.add(f"experiment.{key}", f"must be a list of {kind}, got {raw!r}")
 
+    # The velocity rule also reads the network's f_c and c_light.
+    link = {key: net[key] for key in ("f_c", "c_light") if key in net}
     for section, rules, values in (
         ("network", NETWORK_RULES, net),
         ("environment", ENVIRONMENT_RULES, env),
         ("timing", EXPERIMENT_RULES, cost),
-        ("experiment", EXPERIMENT_RULES, exp),
+        ("experiment", EXPERIMENT_RULES, {**exp, **link}),
     ):
         for field, message in violations(rules, values):
             report.add(f"{section}.{field}", message)

@@ -60,6 +60,7 @@ from .channel import (
     check,
     integer_at_least,
     make_link_budget,
+    positive_block_time,
     sample_gamma_matrix,
 )
 from .errors import ConfigError, EhuavError
@@ -106,7 +107,8 @@ def _positive_list_rule(name: str) -> Rule:
 
 # Bounds of the sweep settings, read by ExperimentSpec, overhead_share and the
 # config loader's timing and experiment sections; rules as in
-# :data:`ehuav.channel.NETWORK_RULES`.
+# :data:`ehuav.channel.NETWORK_RULES`.  The velocity rule also reads the
+# network's ``f_c`` and ``c_light``, which the readers pass along.
 EXPERIMENT_RULES: tuple[Rule, ...] = (
     ("t_op", lambda v: 0.0 <= v["t_op"] < math.inf, "must be finite and >= 0, got {t_op}"),
     (
@@ -123,6 +125,12 @@ EXPERIMENT_RULES: tuple[Rule, ...] = (
     ),
     _positive_list_rule("altitudes"),
     _positive_list_rule("velocities"),
+    (
+        "velocities",
+        lambda v: all(positive_block_time(x, v["f_c"], v["c_light"]) for x in v["velocities"]),
+        "must each give a positive finite block time c_light / (velocity * f_c) "
+        "with f_c={f_c} and c_light={c_light}, got {velocities}",
+    ),
     (
         "algorithms",
         lambda v: len(v["algorithms"]) > 0 and all(a in ALGORITHMS for a in v["algorithms"]),
@@ -179,7 +187,8 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ("proposed", "conventional", "equal_bandwidth")
 
     def __post_init__(self) -> None:
-        check(EXPERIMENT_RULES, vars(self))
+        link = {"f_c": self.network.f_c, "c_light": self.network.c_light}
+        check(EXPERIMENT_RULES, {**vars(self), **link})
         stored = {
             "t_op": float(self.t_op),
             "trials": int(self.trials),

@@ -444,6 +444,15 @@ def test_per_draw_allocators_equal_the_reference(K):
                 assert (value.hex(), k) == (float(rates.min()).hex(), int(np.argmin(rates)))
 
 
+def outcome(allocate, gam, epsilon):
+    """Every field of the result (see :func:`bits`), or the class and
+    message of the error raised."""
+    try:
+        return bits(allocate(gam, epsilon))
+    except EhuavError as exc:
+        return type(exc), str(exc)
+
+
 def test_per_draw_allocators_equal_the_reference_on_random_gains():
     # Gains over five decades, K = 2..8, several tolerances.
     rng = np.random.default_rng(8)
@@ -457,6 +466,34 @@ def test_per_draw_allocators_equal_the_reference_on_random_gains():
         assert bits(conventional_allocate(gam, epsilon)) == bits(
             reference_conventional_allocate(gam, epsilon)
         )
+
+
+def test_per_draw_allocators_equal_the_reference_over_the_whole_range():
+    # K = 1..64, epsilon over its whole range, gains over fourteen decades:
+    # the weakest draws cannot bracket the time split and raise.
+    rng = np.random.default_rng(8)
+    raised = 0
+    for _ in range(120):
+        K = int(rng.integers(1, 65))
+        gam = 10.0 ** rng.uniform(-6.0, 8.0, size=K)
+        epsilon = 10.0 ** rng.uniform(math.log10(EPSILON_MIN), math.log10(0.4))
+        for current, reference in (
+            (proposed_allocate, reference_proposed_allocate),
+            (conventional_allocate, reference_conventional_allocate),
+        ):
+            found = outcome(current, gam, epsilon)
+            assert found == outcome(reference, gam, epsilon)
+        raised += isinstance(found[0], type)
+    assert 0 < raised < 120
+
+
+@pytest.mark.parametrize("gam", [(1.0, 1e200), (100.0, 1e170), (1.0, 1e250), (3.0, 1e-3, 1e290)])
+@pytest.mark.parametrize("epsilon", [0.3, 1e-2, 1e-4])
+def test_conventional_equals_the_reference_on_gains_hundreds_of_decades_apart(gam, epsilon):
+    # The strong UAVs' lookups start Newton from floors near 1e-200.
+    assert outcome(conventional_allocate, np.array(gam), epsilon) == outcome(
+        reference_conventional_allocate, np.array(gam), epsilon
+    )
 
 
 class TestProposedAllocate:
@@ -548,6 +585,35 @@ class TestConventionalAllocate:
                 it_conv.append(c.iters_tau + c.iters_beta + c.inner_iters_beta)
             assert np.mean(ops_prop) < np.mean(ops_conv)
             assert np.mean(it_prop) < np.mean(it_conv)
+
+
+class TestFitsTheBand:
+    """The baseline's feasibility test equals ``float(np.sum(s)) <= 1.0``."""
+
+    def test_random_share_lists(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10_000):
+            K = int(rng.integers(1, 65))
+            spread = rng.choice([0.5, 1e-9, 1e-13, 1e-15])
+            scale = 1.0 + spread * rng.uniform(-1.0, 1.0)
+            shares = (rng.dirichlet(np.ones(K)) * scale).tolist()
+            assert allocation._fits_the_band(shares) == (float(np.sum(shares)) <= 1.0)
+
+    def test_share_lists_within_ulps_of_one(self):
+        # From K = 8 numpy sums pairwise, so on these lists a plain sum and
+        # numpy's often fall on different sides of 1.0.
+        rng = np.random.default_rng(4)
+        differ = 0
+        for _ in range(2000):
+            K = int(rng.integers(1, 65))
+            shares = rng.dirichlet(np.ones(K))
+            shares /= np.sum(shares)
+            shares[-1] += int(rng.integers(-4, 5)) * 2.0**-53
+            shares = shares.tolist()
+            numpy_fits = float(np.sum(shares)) <= 1.0
+            assert allocation._fits_the_band(shares) == numpy_fits
+            differ += (sum(shares) <= 1.0) != numpy_fits
+        assert differ > 50
 
 
 def bits(res: AllocationResult) -> tuple:
@@ -902,15 +968,44 @@ def loop_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The arguments ``(lo, hi, one_minus_tau, c, target, epsilon)`` of each
+    loop the per-draw baseline runs."""
+    calls = []
+    bisect = allocation._bisect_share
+
+    def recording(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(allocation, "_bisect_share", recording)
+    return calls
+
+
+def assert_per_draw_equals_the_reference(gains, epsilon):
+    for gam in gains:
+        assert outcome(conventional_allocate, gam, epsilon) == outcome(
+            reference_conventional_allocate, gam, epsilon
+        )
+
+
+def pairs_of(gains, epsilon) -> int:
+    """Every (UAV, target) pair the per-draw baseline solves on ``gains``."""
+    return sum(len(gam) * conventional_allocate(gam, epsilon).iters_beta for gam in gains)
+
+
 class TestConventionalShareLookup:
-    """The batch baseline looks each inner bisection up in its midpoint tree
-    and runs the loop wherever the leaf cannot be certified."""
+    """Both forms of the baseline look each inner bisection up in its
+    midpoint tree and run the loop wherever the leaf cannot be certified."""
 
     def test_tree_leaves_partition_the_share_bracket(self):
         tree = allocation._share_tree(EPS)
         assert tree.edges[0] == EPS and tree.edges[-1] == 1.0 - EPS
         assert np.all(np.diff(tree.edges) > 0.0)
         assert tree.depth.size == 2**14 and np.all(tree.depth == 14) and tree.final.all()
+        assert tree.edge_list == tuple(tree.edges.tolist())
+        assert tree.depth_list == tuple(tree.depth.tolist())
         # Deeper than the cap: every leaf is cut off there.
         tree = allocation._share_tree(1e-6)
         assert tree.depth.size == 2**16 and np.all(tree.depth == 16) and not tree.final.any()
@@ -925,9 +1020,16 @@ class TestConventionalShareLookup:
         binary = np.searchsorted(tree.edges, shares).clip(1, tree.depth.size) - 1
         assert np.array_equal(tree.leaf_of(shares), binary)
 
+    def test_per_draw_lookups_rarely_run_the_loop_on_the_default_scenario(self, fallbacks):
+        gains = default_scenario_draws(6, 40, 9)
+        pairs = pairs_of(gains, EPS)
+        fallbacks.clear()
+        assert_per_draw_equals_the_reference(gains, EPS)
+        assert len(fallbacks) <= 0.01 * pairs
+
     @pytest.mark.parametrize("leaves", [-1, 1])
     def test_a_threshold_one_leaf_off_falls_back_to_the_loop(
-        self, leaves, loop_starts, monkeypatch
+        self, leaves, loop_starts, fallbacks, monkeypatch
     ):
         edges = allocation._share_tree(EPS).edges
         width = edges[1] - edges[0]
@@ -935,13 +1037,25 @@ class TestConventionalShareLookup:
         monkeypatch.setattr(
             allocation, "_share_threshold", lambda *args: solve(*args) + leaves * width
         )
+        # The per-draw form's leaf, moved alike (and clipped to the bracket).
+        search = allocation.bisect_right
+        monkeypatch.setattr(
+            allocation, "bisect_right",
+            lambda a, x, lo, hi: min(max(search(a, x, lo, hi) + leaves, lo), hi),
+        )
         gains = 10.0 ** np.random.default_rng(5).uniform(-1.0, 3.0, size=(40, 6))
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
         assert sum(loop_starts) > 0
+        pairs = pairs_of(gains, EPS)
+        fallbacks.clear()
+        assert_per_draw_equals_the_reference(gains, EPS)
+        # Nearly every pair runs the loop, from the whole bracket.
+        assert len(fallbacks) > 0.9 * pairs
+        assert all(args[:2] == (EPS, 1.0 - EPS) for args in fallbacks)
 
     @pytest.mark.parametrize("node", [1024, 2731, 5000])
     def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
-        self, node, loop_starts
+        self, node, loop_starts, fallbacks
     ):
         # UAV 0 is the weaker one, so it alone sets tau and the first target;
         # UAV 1's gain puts its rate at the tree node's share on that target.
@@ -956,22 +1070,39 @@ class TestConventionalShareLookup:
         gains = np.array([[g0, g1]])
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
         assert loop_starts[0] == 1
+        fallbacks.clear()
+        assert_per_draw_equals_the_reference(gains, EPS)
+        # UAV 1 at the first target, and no other pair, runs the whole loop.
+        assert [args[:5] for args in fallbacks] == [(EPS, 1.0 - EPS, 1.0 - tau, tau * g1, target)]
 
-    def test_low_snr_pairs_always_run_the_loop(self, loop_starts):
+    def test_low_snr_pairs_always_run_the_loop(self, loop_starts, fallbacks):
         # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
         # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
         gains, epsilon = np.array([[5e-5, 6e-5]]), 2e-5
         assert_batch_replays_scalar(
             conventional_allocate, conventional_allocate_batch, gains, epsilon
         )
-        inner = conventional_allocate(gains[0], epsilon).inner_iters_beta
+        result = conventional_allocate(gains[0], epsilon)
+        inner = result.inner_iters_beta
         assert inner > 0 and 16 * sum(loop_starts) == inner
+        fallbacks.clear()
+        assert_per_draw_equals_the_reference(gains, epsilon)
+        assert len(fallbacks) == 2 * result.iters_beta
+        assert all(args[:2] == (epsilon, 1.0 - epsilon) for args in fallbacks)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, EPSILON_MIN])
-    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon):
+    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon, fallbacks):
         rng = np.random.default_rng(23)
+        cut = allocation._share_tree(epsilon).edges[1] - epsilon  # a leaf at the cap
         for K in (2, 6):
             gains = 10.0 ** rng.uniform(-1.0, 3.0, size=(60, K))
             assert_batch_replays_scalar(
                 conventional_allocate, conventional_allocate_batch, gains, epsilon
             )
+            pairs = pairs_of(gains, epsilon)
+            fallbacks.clear()
+            assert_per_draw_equals_the_reference(gains, epsilon)
+            # Every pair runs the loop below the cap, nearly all from a leaf.
+            assert len(fallbacks) == pairs
+            from_leaf = [args[1] - args[0] <= 1.5 * cut for args in fallbacks]
+            assert sum(from_leaf) > 0.99 * len(fallbacks)

@@ -261,6 +261,24 @@ class TestErrorListing:
         with pytest.raises(ConfigError, match="scenario.yaml"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "section, key, value, f_c",
+        [
+            ("network", "V_hat", 1.0e300, 2.4e9),
+            ("experiment", "velocities", [10, 1.0e300], 2.4e9),
+            ("network", "V_hat", 1.0e-200, 1.0e-200),
+            ("experiment", "velocities", [10, 1.0e-200], 1.0e-200),
+        ],
+    )
+    def test_velocity_without_a_block_time_rejected(self, tmp_path, section, key, value, f_c):
+        # velocity * f_c overflows, so the block time c_light / (velocity * f_c)
+        # was 0.0, and fig4 failed after allocating, with no config path; or
+        # it underflows to 0.0, and the division must not be tried.
+        data = deep_merge(deep_merge(BASE, {"network": {"f_c": f_c}}), {section: {key: value}})
+        message = r"must (each )?give a positive finite block time"
+        with pytest.raises(ConfigError, match=rf"\n  {section}\.{key}: {message}"):
+            load_config(dump(tmp_path, data))
+
     def test_shape_above_gamma_int_range_rejected(self, tmp_path):
         # m_g * N_r = 3 * 60 = 180: the closed-form CDF needs Gamma(180),
         # beyond a double, so the file is refused before any subcommand runs.
@@ -273,8 +291,8 @@ class TestErrorListing:
 # a value of its field that breaks it first must give the same message
 # through both: ``<field> <message>`` from the dataclass and
 # ``<section>.<field>: <message>`` from load_config.
-SCALAR_CANDIDATES = (0, -1.0, 2.5, 1.5, 0.7, 60)
-LIST_CANDIDATES = ((), (0.1,), (-1.0, -1.0), (2.5, 2.5))
+SCALAR_CANDIDATES = (0, -1.0, 2.5, 1.5, 0.7, 60, 1.0e300)
+LIST_CANDIDATES = ((), (0.1,), (-1.0, -1.0), (2.5, 2.5), (1.0e300,))
 
 
 def first_breaking(rules, values, rule):
@@ -380,11 +398,16 @@ EXPERIMENT_VALUES = {
 }
 
 
+# What the velocity rule reads of the network.
+LINK_VALUES = {key: BASE["network"][key] for key in ("f_c", "c_light")}
+
+
 @pytest.mark.parametrize("rule", EXPERIMENT_RULES, ids=lambda rule: rule[0])
 def test_experiment_spec_and_loader_report_each_rule_alike(tmp_path, rule):
-    trial, message = first_breaking(EXPERIMENT_RULES, EXPERIMENT_VALUES, rule)
+    trial, message = first_breaking(EXPERIMENT_RULES, {**EXPERIMENT_VALUES, **LINK_VALUES}, rule)
+    settings = {key: trial[key] for key in EXPERIMENT_VALUES}
     with pytest.raises(ConfigError) as direct:
-        ExperimentSpec(network=load_config(dump(tmp_path, BASE)).network, **trial)
+        ExperimentSpec(network=load_config(dump(tmp_path, BASE)).network, **settings)
     field = rule[0]
     assert str(direct.value) == f"{field} {message}"
     section = "timing" if field == "t_op" else "experiment"
