@@ -149,8 +149,8 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
 
 # Below this normalised threshold u the product-gamma CDF is summed as its
 # all-positive lower-tail series; at and above it as one minus the finite
-# survival sum, whose cancellation there costs at most ~4e-12 relative for
-# shapes up to 12 (worst at u = 60, shapes 12 and 12, where F = 0.034).
+# survival sum, whose cancellation there costs at most ~5e-15 relative for
+# shapes up to 12 (measured worst near u = 65, shapes 12 and 12, F = 0.05).
 # Every fig4 analytic point has u >= 73.
 _U_SERIES = 60.0
 # A survival-sum value below this is recomputed by the series: with larger
@@ -159,11 +159,6 @@ _U_SERIES = 60.0
 # shape grows and rises with u, so shapes up to 12 at u >= 60 have
 # F >= F(60; 12, 12) = 0.0344 and keep the survival value.
 _F_SERIES = 0.03
-# Every series term carries the factor K0 or K1, so their relative error
-# passes straight into F; the default 1e-12 stopping tolerance of the K0/K1
-# evaluation leaves up to ~2e-12 there.  The survival branch keeps the
-# default: its K error enters only as absolute error on 1 - F.
-_SERIES_REL_TOL = 1e-16
 # Every series term carries K0(2 sqrt u), so the series keeps its digits
 # only while K0 is a normal double, below u = 124377: shapes (27, 107) at
 # u = 1.3e5, where K0 is subnormal, came out 5.2e-10 off relative.
@@ -191,22 +186,21 @@ def gamma_product_cdf(
       has cancelled digits, is recomputed by the series (never for shapes
       up to 12), and so is a point where a power u^((m+n_g)/2) leaves the
       double range (large shapes at large u).
-    * ``u < _U_SERIES``: the all-positive lower-tail series, summed to a
-      bounded index J plus its closed-form remainder R_J
-      (:func:`_lower_tail_series`).  It keeps full relative accuracy however
-      small F is and underflows to 0.0 only where F itself does.  The larger
-      shape plays n_g there, so both shapes must be at most 170 (the range
-      of :func:`specfun.gamma_int`); above that the survival sum is used,
-      which needs only n_g <= 170.
+    * ``u < _U_SERIES``: the all-positive lower-tail series, stopped by a
+      proven bound (:func:`_lower_tail_series`).  It keeps full relative
+      accuracy however small F is and underflows to 0.0 only where F does.
+      The larger shape plays n_g there, so both shapes must be at most 170
+      (the range of :func:`specfun.gamma_int`); above that the survival sum
+      is used, which needs only n_g <= 170.
 
     The series serves only below ``_U_SERIES_MAX`` (1.24e5), where
     K0(2 sqrt u) is a normal double.  Where the survival sum overflows and
     the series cannot serve, :class:`NumericError` names u and both shapes.
 
-    Relative error <= 1e-9 against mpmath, Hypothesis properties in the
-    test suite: for shapes 1..12 and u in [1e-6, 1e3] (>= 140 correct
-    digits; measured worst 4e-12, at the switch on the survival side), and
-    for shapes up to 40 and u in [1e-3, 1e3].  Values
+    Relative error against mpmath, Hypothesis properties in the test suite:
+    <= 1e-9 for shapes 1..12 and u in [1e-6, 1e3] (measured worst 3e-14, on
+    the series near F = 1) and for shapes up to 40 and u in [1e-3, 1e3];
+    <= 1e-12 on the series for shapes up to 40 and u in [1e-6, 60).  Values
     drifting past [0,1] by less than 1e-9 are clamped; larger violations
     raise :class:`NumericError`.
     """
@@ -229,17 +223,15 @@ def gamma_product_cdf(
     if u == 0.0:
         return 0.0
     series_serves = max(n_h, n_g) <= specfun.GAMMA_INT_MAX and u < _U_SERIES_MAX
-    if u < _U_SERIES and series_serves:
-        value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
-    else:
+    value = None
+    if u >= _U_SERIES or not series_serves:
         try:
             value = _survival_cdf(u, n_h, n_g)
         except NumericError:  # a power of u past the double range
             if not series_serves:
                 raise
-            value = None
-        if series_serves and (value is None or value < _F_SERIES):
-            value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))
+    if series_serves and (value is None or value < _F_SERIES):
+        value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))[0]
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(
             f"product-gamma CDF left [0,1] by more than 1e-9: {value!r} at x={x}"
@@ -273,26 +265,35 @@ def _survival_cdf(u: float, n_h: int, n_g: int) -> float:
     return 1.0 - math.fsum(terms)
 
 
-def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
-    """F(u) = sum_{j>=n_h} T_j for shapes n_h <= n_g, all terms positive.
+def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
+    """``(F(u), J)``: F = sum_{j>=n_h} T_j for shapes n_h <= n_g, and the
+    last index J summed.
 
-    T_j = (2/Gamma(n_g)) u^((j+n_g)/2) K_{|j-n_g|}(2 sqrt u) / j! is the
-    probability that a Gamma(n_g)-mixed Poisson count equals j.  With
-    s_v = u^(v/2) K_v(2 sqrt u), which obeys s_{v+1} = u s_{v-1} + v s_v and
-    stays below Gamma(v)/2 (no overflow for shapes up to 170),
-    T_j = (2/Gamma(n_g)) u^j s_{n_g-j} / j! for j <= n_g.
-    Where u^j or s_v/Gamma(n_g) would leave the range of normal doubles
-    (large shapes at large u), those terms are taken from their logarithms.
-    Above n_g the Bessel recurrence becomes the term recurrence
-    T_{j+1} = T_{j-1} u/(j(j+1)) + T_j (j-n_g)/(j+1), run to
-    J = ceil(2u) + n_g + 40.  Past J the terms decay only like j^-(n_g+1),
-    so their sum is added in closed form: the leading (finite) part of the
-    ascending series of K_v (DLMF 10.31.1) telescopes to
-    R_J = (u^n_g/Gamma(n_g)) sum_k (-u)^k Gamma(J+1-n_g-k) / (k! (n_g+k) Gamma(J+1)),
-    and the rest of those terms is below u^j/((j-n_g)! j!), negligible.
+    T_j = (2/Gamma(n_g)) u^((j+n_g)/2) K_{|j-n_g|}(2 sqrt u) / j! = P(N = j),
+    N Poisson with mean u/S, S ~ Gamma(n_g).  For j <= n_g,
+    T_j = (2/Gamma(n_g)) u^j s_{n_g-j} / j! with s_v = u^(v/2) K_v(2 sqrt u)
+    (s_{v+1} = u s_{v-1} + v s_v, below Gamma(v)/2), from logarithms where
+    u^j or s_v/Gamma(n_g) would leave the normal doubles.  Above n_g,
+    T_{j+1} = T_{j-1} u/(j(j+1)) + T_j (j-n_g)/(j+1) runs from J = n_g until
+    a bound on what S_J = sum_{n_h<=j<=J} T_j leaves out is <= 2^-60 S_J:
+
+    * Up to J = n_g + ceil(2u), F = S_J once A_J is, where
+      A_J = u^r (J+1-r)! / (Gamma(n_g) (J+1)!) >= P(N > J), r = n_g - 1, is
+      Markov's inequality on N (N-1) ... (N-r+1), of mean u^r Gamma(n_g-r)/Gamma(n_g).
+    * From there (V = J - n_g >= 2u), F = S_J + R_J once B_J is.  The finite
+      part of the ascending series of K_v (DLMF 10.31.1) telescopes over j > J
+      to R_J = (u^n_g/Gamma(n_g)) sum_{k<V} (-u)^k (V-k)! / (k! (n_g+k) J!),
+      whose terms alternate and at least halve (ratio u/((k+1)(V-k)) <= u/V);
+      they are summed until one is below 1e-17 of the sum.  With
+      w_J = u^J / (Gamma(n_g) J! V!), R_J leaves out that sum over k >= V (at
+      most w_J/J) and the log and I_v part of each K_v: at most
+      1.65 w_j (2.16 + |ln u| + ln(j-n_g+1)) in T_j (|psi(m)| <= 0.58 + ln m,
+      u/(j-n_g+1) <= 1/2), halving from j = J+1, where w_{J+1} <= w_J/(2(J+1)).
+      So B_J = w_J (1 + 1.65 (2.16 + |ln u| + ln(J+1)))/J bounds the rest; its
+      factor after w_J falls with J, so B follows w by u/((J+1)(V+1)).
     """
     gamma_ng = specfun.gamma_int(n_g)
-    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u), _SERIES_REL_TOL)
+    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u))
     s_prev, s_cur = k0, math.sqrt(u) * k1  # s_0, s_1
     scaled = [s_prev, s_cur]  # scaled[v] = s_v for v <= n_g - n_h
     for v in range(1, n_g - n_h):
@@ -313,16 +314,26 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
 
     total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
     t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
-    J = math.ceil(2.0 * u) + n_g + 40
-    for j in range(n_g, J):
-        t_prev, t_cur = t_cur, t_prev * u / (j * (j + 1)) + t_cur * (j - n_g) / (j + 1)
+    log_scale = n_g * log_u - math.lgamma(n_g)  # log(u^n_g / Gamma(n_g))
+    tail = 2.0**61 * math.exp(log_scale - log_u - math.lgamma(n_g + 2))  # 2^60 A_J
+    cut_from = n_g + math.ceil(2.0 * u)
+    for J in range(n_g, cut_from):
+        if tail <= total:
+            return total, J
+        t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
         total += t_cur
+        tail *= (J + 3 - n_g) / (J + 2)
 
-    # R_J = sum_{j>J} T_j as the alternating sum over k; its terms shrink
-    # at least like 1/k! because J - n_g >= 2u + 40.
-    a_k = math.exp(
-        n_g * math.log(u) - math.lgamma(n_g) - math.lgamma(J + 1) + math.lgamma(J + 1 - n_g)
-    )
+    J = cut_from
+    log_w = log_scale + (J - n_g) * log_u - math.lgamma(J + 1) - math.lgamma(J + 1 - n_g)
+    cut = 2.0**60 * math.exp(log_w) * (1.0 + 1.65 * (2.16 + abs(log_u) + math.log(J + 1))) / J
+    while cut > total:  # 2^60 B_J
+        t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+        total += t_cur
+        J += 1
+        cut *= u / (J * (J - n_g))
+
+    a_k = math.exp(log_scale - math.lgamma(J + 1) + math.lgamma(J + 1 - n_g))
     remainder = 0.0
     for k in range(J - n_g):
         term = a_k / (n_g + k)
@@ -330,9 +341,7 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> float:
         if abs(term) <= 1e-17 * remainder:
             break
         a_k *= -u / ((k + 1) * (J - n_g - k))
-    else:
-        raise NumericError(f"lower-tail remainder did not converge at u={u}")
-    return total + remainder
+    return total + remainder, J
 
 
 def outage_closed_form(

@@ -571,7 +571,7 @@ TEXT_SHA256 = {
     "allocate equal_bandwidth": "8a2df5151f755494e05014797805ec28ed0a506495d11c612edde07746cd6117",
     "allocate optimal K=3": "c7d236ce916ff88c9d15666f60026de1613364372132e88b2cdbe7164c4202c8",
     "allocate --gamma": "2a2ea38738470170bab41509aecbb339a620b83db126fc09abf0a3f2044de82e",
-    "outage": "28396c493265626209ee015d1575fff709b629f13b033423a723a02a0d919632",
+    "outage": "ccf07eef07f9fbafd6272200aac2103050ff6666a27bbaea7f1cbf0973178a3b",
 }
 
 

@@ -8,6 +8,7 @@ high-precision mpmath evaluation of the finite survival sum.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -426,6 +427,53 @@ class TestGammaProductCdf:
         dps = 40 + math.ceil(-math.log10(value)) if value > 0.0 else 400
         oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=dps))
         assert abs(value - oracle) <= 1e-9 * oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=-6.0, max_value=math.log10(60.0), exclude_max=True),
+        n_h=st.integers(min_value=1, max_value=40),
+        n_g=st.integers(min_value=1, max_value=40),
+    )
+    @example(log10_u=math.log10(59.99), n_h=1, n_g=1)
+    @example(log10_u=math.log10(59.99), n_h=40, n_g=40)
+    @example(log10_u=math.log10(59.99), n_h=1, n_g=40)  # stops at J = n_g
+    @example(log10_u=-6.0, n_h=1, n_g=40)  # stops at J = n_g
+    @example(log10_u=-6.0, n_h=1, n_g=1)
+    def test_series_relative_error_against_mpmath(self, log10_u, n_h, n_g):
+        # The lower-tail series on its own, stopped by its bounds at
+        # 2^-60 of the sum; the oracle's precision follows the value as in
+        # the property above.
+        u = 10.0 ** log10_u
+        n_h, n_g = min(n_h, n_g), max(n_h, n_g)
+        value, _ = outage._lower_tail_series(u, n_h, n_g)
+        dps = 40 + math.ceil(-math.log10(value)) if value > 0.0 else 400
+        oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=dps))
+        if oracle >= sys.float_info.min:
+            assert abs(value - oracle) <= 1e-12 * oracle
+        else:  # F itself is below the normal doubles
+            assert value < sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "n_h, n_g, u, stop",
+        [
+            # The tail bound; the former fixed index ceil(2u) + n_g + 40 was
+            # 240210, 220147 and 100190 at the first three points.
+            (60, 170, 1.2e5, 2502),
+            (27, 107, 1.1e5, 4102),
+            (40, 150, 5e4, 1253),
+            (1, 40, 1e-6, 40),  # before any recurrence step
+            (1, 40, 59.99, 40),
+            # The cut bound: from J - n_g >= 2u on (n_g = 1 has no tail bound).
+            (1, 1, 1e-6, 4),
+            (12, 12, 59.0, 130),
+        ],
+    )
+    def test_series_stopping_index(self, n_h, n_g, u, stop):
+        value, J = outage._lower_tail_series(u, n_h, n_g)
+        assert J == stop
+        oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=60))
+        assert abs(value - oracle) <= 1e-12 * oracle
+        assert gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1) == min(1.0, value)
 
     def test_range(self):
         scale = self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu

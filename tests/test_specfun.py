@@ -1,13 +1,14 @@
 """Special-function checks against independent oracles.
 
-The Bessel oracle is adaptive quadrature of the integral representation
-K_n(x) = integral_0^inf exp(-x cosh t) cosh(n t) dt; Lambert-W is checked
-through its defining identity w * e^w = x.
+The Bessel oracles are adaptive quadrature of the integral representation
+K_n(x) = integral_0^inf exp(-x cosh t) cosh(n t) dt and mpmath; Lambert-W
+is checked through its defining identity w * e^w = x.
 """
 
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,25 @@ def bessel_k_quadrature(n: int, x: float) -> float:
         return a + b
     val, _ = integrate.quad(f, 0.0, t_up, epsabs=0.0, epsrel=1e-13, limit=400)
     return val
+
+
+def chebyshev_coefficients(order: int) -> tuple[float, ...]:
+    """The first 25 Chebyshev coefficients of e^x sqrt(x) K_order(x) in
+    s = 4/x - 1, constant term first: interpolation at 48 Chebyshev nodes
+    at 40 digits, each coefficient rounded once to a double."""
+    nodes = 48
+    with mp.workdps(40):
+        angles = [mp.pi * (i + mp.mpf(0.5)) / nodes for i in range(nodes)]
+        values = []
+        for angle in angles:
+            x = 4 / (mp.cos(angle) + 1)
+            values.append(mp.exp(x) * mp.sqrt(x) * mp.besselk(order, x))
+        coefficients = [
+            2 * mp.fsum(v * mp.cos(k * a) for v, a in zip(values, angles)) / nodes
+            for k in range(25)
+        ]
+        coefficients[0] /= 2
+        return tuple(float(c) for c in coefficients)
 
 
 class TestGammaInt:
@@ -82,7 +102,7 @@ class TestBesselK:
             assert bessel_k_int(order, float(x)) == pytest.approx(oracle, rel=1e-9)
 
     def test_crossover_region(self):
-        # The series/continued-fraction handover sits at x = 2.
+        # The series/Chebyshev handover sits at x = 2.
         for x in np.linspace(1.8, 2.2, 21):
             for order in (0, 1, 7):
                 oracle = bessel_k_quadrature(order, float(x))
@@ -108,8 +128,8 @@ class TestBesselK:
         # order gives (the loop bessel_k_int ran per call before it became
         # the last entry of the list), saturation included.
         def single_order(order, x):
-            k01 = specfun._bessel_k01_series if x <= 2.0 else specfun._bessel_k01_cf
-            k_prev, k_cur = k01(x, specfun._REL_TOL)
+            k01 = specfun._bessel_k01_series if x <= 2.0 else specfun._bessel_k01_chebyshev
+            k_prev, k_cur = k01(x)
             if order == 0:
                 return k_prev
             for v in range(1, order):
@@ -129,6 +149,24 @@ class TestBesselK:
         first = saturated.index(sys.float_info.max)
         assert 1 < first < 30
         assert saturated[first:] == [sys.float_info.max] * (31 - first)
+
+    def test_k0_k1_against_mpmath_beyond_2(self):
+        # 1e-15 relative where K is a normal double (x below about 705);
+        # past that exp(-x) is subnormal and the error is its rounding.
+        xs = [math.nextafter(2.0, 3.0), 745.0]
+        xs += [float(x) for x in np.geomspace(2.0001, 745.0, 300)]
+        xs += [float(x) for x in np.linspace(2.0002, 744.9, 300)]
+        for x in xs:
+            for order, value in enumerate(bessel_k_orders(1, x)):
+                oracle = float(mp.besselk(order, x))
+                if oracle >= sys.float_info.min:
+                    assert abs(value - oracle) <= 1e-15 * oracle, (order, x)
+                else:
+                    assert abs(value - oracle) <= 2.0 ** -1073, (order, x)
+
+    def test_chebyshev_coefficients_regenerate_from_mpmath(self):
+        assert specfun._K0_CHEBYSHEV == chebyshev_coefficients(0)
+        assert specfun._K1_CHEBYSHEV == chebyshev_coefficients(1)
 
     def test_overflow_saturates(self):
         value = bessel_k_int(24, 1e-12)
