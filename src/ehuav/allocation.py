@@ -29,7 +29,10 @@ afterwards: :func:`ehuav.experiments.overhead_share` gives the share
 The two-phase scheme, the nested baseline and the equal split also come in
 batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
 run the per-draw algorithm on every row at once, so row ``t`` of the result
-equals the per-draw call on ``gains[t]`` bit for bit, tallies included.
+(:meth:`BatchAllocation.row`) is the per-draw call on ``gains[t]``: the
+same result bit for bit, tallies included, or a raise of the same error.
+A failing draw does not stop the others; only a malformed matrix or a bad
+``epsilon`` or ``R_a`` makes the batch call itself raise.
 Phase 1, phase 2 and the baseline's outer target bisection replay the
 per-draw loops: the same brackets, stopping tests and operation order.
 Neither form of the baseline steps through its inner share bisections:
@@ -55,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +90,9 @@ _LOOKUP_MARGIN = 1e-12
 _LOOKUP_MIN_SNR = 1e-2
 _LOOKUP_MAX_SNR = 1e300
 
+# The operation tallies of an allocation.
+_TALLIES = ("iters_tau", "iters_beta", "inner_iters_beta", "op_count")
+
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -111,7 +117,7 @@ class AllocationResult:
             raise ConfigError(
                 f"beta must sum to 1 within 1e-12, got {math.fsum(self.beta)!r}"
             )
-        for name in ("iters_tau", "iters_beta", "inner_iters_beta", "op_count"):
+        for name in _TALLIES:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
@@ -123,11 +129,14 @@ class AllocationResult:
 
 @dataclass(frozen=True)
 class BatchAllocation:
-    """Per-draw allocations of a ``(T, K)`` draw matrix, one row per draw.
+    """Per-draw outcomes of a ``(T, K)`` draw matrix, one row per draw.
 
     ``tau`` and the four tallies have shape ``(T,)`` (tallies as int64),
-    ``beta`` has shape ``(T, K)``.  Every row passed the checks of
-    :class:`AllocationResult`; :meth:`row` rebuilds that per-draw result.
+    ``beta`` has shape ``(T, K)``.  ``errors`` maps each failed draw's
+    index to the :class:`EhuavError` its per-draw call raises; those rows
+    hold NaN ``tau`` and ``beta`` and zero tallies.  Every other row passed
+    the checks of :class:`AllocationResult`.  :meth:`row` is the per-draw
+    call: it rebuilds that result, or raises the draw's error.
     """
 
     tau: np.ndarray
@@ -136,6 +145,7 @@ class BatchAllocation:
     iters_beta: np.ndarray
     inner_iters_beta: np.ndarray
     op_count: np.ndarray
+    errors: dict[int, EhuavError] = field(default_factory=dict)
 
     @property
     def iterations(self) -> np.ndarray:
@@ -143,6 +153,8 @@ class BatchAllocation:
         return self.iters_tau + self.iters_beta + self.inner_iters_beta
 
     def row(self, t: int) -> AllocationResult:
+        if t in self.errors:
+            raise self.errors[t].with_traceback(None)
         return AllocationResult(
             tau=float(self.tau[t]),
             beta=tuple(float(b) for b in self.beta[t]),
@@ -154,22 +166,28 @@ class BatchAllocation:
 
     def rows(self, start: int, stop: int) -> "BatchAllocation":
         """Draws ``start`` to ``stop - 1`` as a batch of views."""
-        return BatchAllocation(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+        return BatchAllocation(
+            *(getattr(self, name)[start:stop] for name in ("tau", "beta", *_TALLIES)),
+            errors={t - start: e for t, e in self.errors.items() if start <= t < stop},
+        )
 
     @classmethod
-    def stack(cls, results: list[AllocationResult]) -> "BatchAllocation":
-        """The batch whose rows are the given per-draw results."""
+    def stack(cls, outcomes: list, K: int) -> "BatchAllocation":
+        """The batch whose rows are the given per-draw outcomes of K gains
+        each: an :class:`AllocationResult`, or the error the call raised."""
+        errors = {t: o for t, o in enumerate(outcomes) if isinstance(o, EhuavError)}
 
-        def tally(name: str) -> np.ndarray:
-            return np.array([getattr(r, name) for r in results], dtype=np.int64)
+        def column(name: str, failed, dtype=None) -> np.ndarray:
+            return np.array(
+                [failed if t in errors else getattr(o, name) for t, o in enumerate(outcomes)],
+                dtype=dtype,
+            )
 
         return cls(
-            tau=np.array([r.tau for r in results]),
-            beta=np.array([r.beta for r in results]),
-            iters_tau=tally("iters_tau"),
-            iters_beta=tally("iters_beta"),
-            inner_iters_beta=tally("inner_iters_beta"),
-            op_count=tally("op_count"),
+            tau=column("tau", math.nan),
+            beta=column("beta", (math.nan,) * K),
+            **{name: column(name, 0, np.int64) for name in _TALLIES},
+            errors=errors,
         )
 
 
@@ -192,15 +210,13 @@ def _as_matrix(gains) -> np.ndarray:
 def _as_gain_matrix(gains, epsilon: float) -> tuple[np.ndarray, dict]:
     """The ``(T, K)`` gain matrix and the per-draw errors of its bad rows.
 
-    Bad rows are replaced by ones so the batch arithmetic stays finite;
-    their draws fail with the per-draw call's message.  The argument checks
-    run where the per-draw call runs them, after draw 0's own gain check.
+    A malformed matrix or a bad epsilon raises.  Bad rows are replaced by
+    ones so the batch arithmetic stays finite; their draws fail with the
+    per-draw call's message.
     """
     arr = _as_matrix(gains)
-    errors = _gain_errors(arr)
-    if 0 in errors:
-        raise errors[0]
     _check_epsilon(epsilon)
+    errors = _gain_errors(arr)
     return np.where(_live(len(arr), errors)[:, np.newaxis], arr, 1.0), errors
 
 
@@ -608,24 +624,30 @@ def _phase1_batch(
 def _checked_batch(
     tau, beta, iters_tau, iters_beta, inner_iters_beta, op_count, errors: dict
 ) -> BatchAllocation:
-    """Apply the :class:`AllocationResult` checks row by row, then raise the
-    error of the first failing draw, if any."""
-    batch = BatchAllocation(tau, beta, iters_tau, iters_beta, inner_iters_beta, op_count)
+    """The batch of these rows after the :class:`AllocationResult` checks,
+    row by row.  A row that fails them joins the failed draws in ``errors``;
+    the failed rows get NaN ``tau`` and ``beta`` and zero tallies."""
+    tallies = (iters_tau, iters_beta, inner_iters_beta, op_count)
+    unchecked = BatchAllocation(tau, beta, *tallies)
     sums = np.array([math.fsum(row) for row in beta.tolist()])
     bad = ~((tau > 0.0) & (tau < 1.0)) | (np.abs(sums - 1.0) > 1e-12)
-    for t in np.flatnonzero(bad):
-        errors.setdefault(int(t), _error_of(batch.row, t))
-    if errors:
-        raise errors[min(errors)]
-    return batch
+    for t in np.flatnonzero(bad & _live(len(tau), errors)):
+        errors[int(t)] = _error_of(unchecked.row, t)
+    live = _live(len(tau), errors)
+    return BatchAllocation(
+        np.where(live, tau, math.nan),
+        np.where(live[:, np.newaxis], beta, math.nan),
+        *(np.where(live, tally, 0) for tally in tallies),
+        errors=errors,
+    )
 
 
 def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`proposed_allocate` on every row of a ``(T, K)`` draw matrix.
 
     Phase 2 updates only the draws whose rates still spread by more than
-    epsilon.  A failing draw does not stop the others; the error of the
-    first failing draw in row order is raised at the end.
+    epsilon.  A failing draw does not stop the others: its row holds the
+    error its per-draw call raises (see :class:`BatchAllocation`).
     """
     gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
@@ -689,9 +711,10 @@ class _ShareTree:
     The inner bisection starts at ``[epsilon, 1 - epsilon]`` and halves the
     bracket until it is at most epsilon wide, so for a given epsilon its
     brackets form one fixed tree.  Leaf ``i`` is ``[edges[i], edges[i + 1]]``
-    at depth ``depth[i]``; it is ``final`` when at most epsilon wide, and
+    at depth ``depth[i]``; it is final when at most epsilon wide, and
     otherwise was cut off at :data:`_SHARE_TREE_DEPTH`.  The edges are the
-    midpoints the loop computes, with the same operations.
+    midpoints the loop computes, with the same operations, so a leaf's
+    width is the loop's ``hi - lo`` there.
 
     ``first_leaf`` maps equal buckets of the bracket, each narrower than
     every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
@@ -703,7 +726,6 @@ class _ShareTree:
 
     edges: np.ndarray
     depth: np.ndarray
-    final: np.ndarray
     first_leaf: np.ndarray
     bucket_scale: float
     edge_list: tuple[float, ...]
@@ -721,17 +743,15 @@ class _ShareTree:
 def _share_tree(epsilon: float) -> _ShareTree:
     """The :class:`_ShareTree` of ``epsilon``, built on first use."""
     lo, hi = np.array([epsilon]), np.array([1.0 - epsilon])
-    leaf_lo, leaf_depth, leaf_final = [], [], []
+    leaf_lo, leaf_depth = [], []
     for depth in range(_SHARE_TREE_DEPTH + 1):
-        split = hi - lo > epsilon
         if depth == _SHARE_TREE_DEPTH:
             leaf_lo.append(lo)
             leaf_depth.append(np.full(lo.size, depth))
-            leaf_final.append(~split)
             break
+        split = hi - lo > epsilon
         leaf_lo.append(lo[~split])
         leaf_depth.append(np.full(np.count_nonzero(~split), depth))
-        leaf_final.append(np.ones(np.count_nonzero(~split), dtype=bool))
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
@@ -744,13 +764,12 @@ def _share_tree(epsilon: float) -> _ShareTree:
     tree = _ShareTree(
         edges=edges,
         depth=depth,
-        final=np.concatenate(leaf_final)[order],
         first_leaf=np.searchsorted(edges, starts, side="right").clip(1, order.size) - 1,
         bucket_scale=1.0 / bucket,
         edge_list=tuple(edges.tolist()),
         depth_list=tuple(depth.tolist()),
     )
-    for table in (tree.edges, tree.depth, tree.final, tree.first_leaf):
+    for table in (tree.edges, tree.depth, tree.first_leaf):
         table.setflags(write=False)  # cached and shared by every caller
     return tree
 
@@ -816,7 +835,7 @@ def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup, start):
     lo = np.where(found, a, epsilon)
     hi = np.where(found, b, 1.0 - epsilon)
     counts = np.where(found, depth[leaf], 0)
-    pending = ~(found & tree.final[leaf])
+    pending = hi - lo > epsilon
     redo = np.flatnonzero(pending.any(axis=1))
     if redo.size:
         hi[redo], counts[redo] = _bisect_shares(
@@ -887,7 +906,7 @@ def equal_bandwidth_batch(gains, R_a: float) -> BatchAllocation:
 
     The split does not depend on the gains, but they are checked as every
     allocator checks them: a draw with a gain that is not strictly positive
-    and finite fails, and the first failing draw's error is raised.
+    and finite fails, and its row holds that error.  A bad ``R_a`` raises.
     """
     arr = _as_matrix(gains)
     T, K = arr.shape

@@ -27,14 +27,7 @@ import numpy as np
 from .allocation import equal_bandwidth_taf
 from .channel import sample_gamma_matrix
 from .configio import load_config
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DomainError,
-    EhuavError,
-    NumericError,
-    TrendError,
-)
+from .errors import ConfigError, EhuavError, NumericError, TrendError
 from .experiments import (
     ALGORITHMS,
     ExperimentRow,
@@ -412,10 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DomainError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EhuavError as exc:  # safety net for future subclasses
+    except EhuavError as exc:  # config, domain and capability errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -304,8 +304,8 @@ def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> All
 def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) -> BatchAllocation:
     """Run the named allocator on every row of a ``(T, K)`` draw matrix.
 
-    Row t equals ``allocate_by_name(name, gains[t], config)``; a
-    failing draw raises the error of the first failing row.
+    Row t is ``allocate_by_name(name, gains[t], config)``: the same result,
+    or a raise of the same error (see :class:`BatchAllocation`).
     """
     if name == "proposed":
         return proposed_allocate_batch(gains, config.epsilon)
@@ -315,11 +315,14 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
         return equal_bandwidth_batch(gains, config.R_a)
     if name == "optimal":
         # One grid search per draw; each is already array code over the
-        # whole tau grid (about 0.3 ms per K=3 draw at the default 200 x 100
-        # grid on a 2-core AMD EPYC).
-        return BatchAllocation.stack(
-            [allocate_by_name(name, gamma, config) for gamma in gains]
-        )
+        # whole tau grid.
+        outcomes = []
+        for gamma in gains:
+            try:
+                outcomes.append(allocate_by_name(name, gamma, config))
+            except EhuavError as exc:
+                outcomes.append(exc)
+        return BatchAllocation.stack(outcomes, gains.shape[1])
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -327,6 +330,11 @@ def _charged_min_rates(batch: BatchAllocation, gains: np.ndarray, nu_r: np.ndarr
     """Per-draw ``min_rate`` of each allocation with overhead share ``nu_r``."""
     nu_c = 1.0 - nu_r
     return rate(batch.beta, batch.tau[:, np.newaxis], gains, nu_c[:, np.newaxis]).min(axis=1)
+
+
+def _first_error(batch: BatchAllocation) -> EhuavError:
+    """The error of a batch's first failing draw, which a sweep point logs."""
+    return batch.errors[min(batch.errors)]
 
 
 def _diagnostic_row(
@@ -362,14 +370,13 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
         config = _config_for_k(network, K)
         gam = _point_draws(link_budgets(config), config, spec, point)
         for name in spec.algorithms:
-            try:
-                batch = allocate_batch_by_name(name, gam, config)
-                nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
-                rates = _charged_min_rates(batch, gam, nu_r)
-            except EhuavError as exc:
-                log.warning("K=%d %s aborted: %s", K, name, exc)
+            batch = allocate_batch_by_name(name, gam, config)
+            if batch.errors:
+                log.warning("K=%d %s aborted: %s", K, name, _first_error(batch))
                 rows.append(_diagnostic_row(spec, "K", float(K), name))
                 continue
+            nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
+            rates = _charged_min_rates(batch, gam, nu_r)
             std_err = (
                 float(rates.std(ddof=1) / math.sqrt(spec.trials))
                 if spec.trials > 1
@@ -392,29 +399,6 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     return rows
 
 
-def _allocate_points(
-    name: str, gains: np.ndarray, network: NetworkConfig, trials: int
-) -> list[BatchAllocation | EhuavError]:
-    """Each stacked sweep point's allocations, or its first failing draw's error.
-
-    ``gains`` stacks the points' ``(trials, K)`` draw matrices.  Row t of a
-    batch call is the per-draw call on ``gains[t]``, so one call over the
-    stack gives every point its rows.  When that call fails, each point is
-    allocated on its own, so a failing point reports its own first failing
-    draw and the others keep their rows.
-    """
-    try:
-        batch = allocate_batch_by_name(name, gains, network)
-    except EhuavError as exc:
-        if len(gains) == trials:
-            return [exc]
-        return [
-            _allocate_points(name, part, network, trials)[0]
-            for part in np.split(gains, len(gains) // trials)
-        ]
-    return [batch.rows(start, start + trials) for start in range(0, len(gains), trials)]
-
-
 def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Sweep the peak altitude; report empirical outage per algorithm/velocity.
 
@@ -427,8 +411,10 @@ def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
 
     Only the gains differ between altitudes, so consecutive points are
     allocated together, one batch call per algorithm over their stacked
-    draws (:func:`_allocate_points`), as long as the stack holds no more
-    draws than one point at the ``TRIALS_MAX`` x ``K_MAX`` bound.
+    draws, as long as the stack holds no more draws than one point at the
+    ``TRIALS_MAX`` x ``K_MAX`` bound.  Each point takes its rows of the
+    stack; a point with a failing draw logs its first failing draw's error
+    and gets diagnostic rows, and the other points keep theirs.
     """
     per_call = max(1, TRIALS_MAX * K_MAX // (spec.trials * spec.network.K))
     rows: list[ExperimentRow] = []
@@ -446,13 +432,13 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
     )
     # The allocators read no altitude, so the scenario serves every point.
     allocations = {
-        name: _allocate_points(name, stacked, spec.network, spec.trials)
-        for name in spec.algorithms
+        name: allocate_batch_by_name(name, stacked, spec.network) for name in spec.algorithms
     }
     rows: list[ExperimentRow] = []
     for i, config in enumerate(configs):
         altitude = config.A_hat
-        gam = stacked[i * spec.trials : (i + 1) * spec.trials]
+        start, stop = i * spec.trials, (i + 1) * spec.trials
+        gam = stacked[start:stop]
         K = config.K
 
         equal_alloc = Allocation(
@@ -474,9 +460,9 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
         )
 
         for name in spec.algorithms:
-            batch = allocations[name][i]
-            if isinstance(batch, EhuavError):
-                log.warning("altitude=%s %s aborted: %s", altitude, name, batch)
+            batch = allocations[name].rows(start, stop)
+            if batch.errors:
+                log.warning("altitude=%s %s aborted: %s", altitude, name, _first_error(batch))
                 for velocity in spec.velocities:
                     rows.append(
                         _diagnostic_row(spec, "altitude", altitude, f"{name}@v{velocity:g}")

@@ -103,7 +103,8 @@ def rate(beta_k, tau, gamma_k, nu_c):
 
 
 def _rate(beta_k, tau, gamma_k, nu_c):
-    """:func:`rate` without its argument checks, for the allocators' loops."""
+    """:func:`rate` without its argument checks, which :func:`rate` and
+    :func:`min_rate` make before calling it."""
     eff = beta_k * (1.0 - tau)
     return eff * nu_c * np.log2(1.0 + tau * gamma_k / eff)
 

@@ -258,8 +258,9 @@ class TestPhase2Baf:
             allocation._phase2(tau, np.array(CAPPED), 1e-12, [1 / 3] * 3)
         with pytest.raises(NumericError, match=message) as info:
             proposed_allocate(CAPPED, 1e-12)
+        batch = proposed_allocate_batch(np.array([CAPPED]), 1e-12)
         with pytest.raises(NumericError) as batch_info:
-            proposed_allocate_batch(np.array([CAPPED]), 1e-12)
+            batch.row(0)
         assert str(batch_info.value) == str(info.value)
 
     @pytest.mark.parametrize("beta_init", [[5e-324, 1.0], [1.0, 5e-324]])
@@ -444,11 +445,11 @@ def test_per_draw_allocators_equal_the_reference(K):
                 assert (value.hex(), k) == (float(rates.min()).hex(), int(np.argmin(rates)))
 
 
-def outcome(allocate, gam, epsilon):
+def outcome(allocate, *args):
     """Every field of the result (see :func:`bits`), or the class and
     message of the error raised."""
     try:
-        return bits(allocate(gam, epsilon))
+        return bits(allocate(*args))
     except EhuavError as exc:
         return type(exc), str(exc)
 
@@ -814,20 +815,16 @@ class TestAllocationResult:
 
 
 def assert_batch_replays_scalar(scalar, batch, gains, epsilon):
-    """The batch equals the per-draw calls row by row, or raises the error
-    of the first failing draw (class and message)."""
-    expected = []
-    for gamma in gains:
-        try:
-            expected.append(bits(scalar(gamma, epsilon)))
-        except EhuavError as exc:
-            with pytest.raises(EhuavError) as info:
-                batch(gains, epsilon)
-            assert type(info.value) is type(exc)
-            assert str(info.value) == str(exc)
-            return
+    """Every row of the batch is the per-draw call on its draw: the same
+    result bits, or the same error (class and message).  Failed rows hold
+    NaN ``tau``/``beta`` and zero tallies."""
     result = batch(gains, epsilon)
-    assert [bits(result.row(t)) for t in range(len(gains))] == expected
+    assert [outcome(result.row, t) for t in range(len(gains))] == [
+        outcome(scalar, gamma, epsilon) for gamma in gains
+    ]
+    failed = sorted(result.errors)
+    assert np.isnan(result.tau[failed]).all() and np.isnan(result.beta[failed]).all()
+    assert not result.iterations[failed].any() and not result.op_count[failed].any()
 
 
 @st.composite
@@ -903,25 +900,40 @@ class TestBatchAllocators:
             assert exact_sizes[:2] == [len(gains)] * 2
             assert sum(exact_sizes[2:]) >= len(cases)
 
-    def test_first_failing_draw_wins_over_earlier_phases(self):
+    def test_each_draw_keeps_its_own_error(self):
+        # A phase-2 failure and a phase-1 failure, in either row order.
         settled, unbracketed = [5.0, 5.0, 5.0], [1e-30] * 3
-        with pytest.raises(NumericError, match="did not converge in 360 updates"):
-            proposed_allocate_batch(np.array([settled, CAPPED, unbracketed]), 1e-12)
-        with pytest.raises(NumericError, match="bracket"):
-            proposed_allocate_batch(np.array([settled, unbracketed, CAPPED]), 1e-12)
+        capped = "did not converge in 360 updates"
+        for gains, messages in (
+            ([settled, CAPPED, unbracketed], (capped, "bracket")),
+            ([settled, unbracketed, CAPPED], ("bracket", capped)),
+        ):
+            batch = proposed_allocate_batch(np.array(gains), 1e-12)
+            assert bits(batch.row(0)) == bits(proposed_allocate(settled, 1e-12))
+            assert sorted(batch.errors) == [1, 2]
+            for t, message in enumerate(messages, start=1):
+                with pytest.raises(NumericError, match=message):
+                    batch.row(t)
 
     def test_bad_gains_fail_their_own_draw(self):
         for batch in (proposed_allocate_batch, conventional_allocate_batch):
+            result = batch(np.array([[2.0, 3.0], [0.0, 1.0]]), EPS)
+            assert result.row(0).tau > 0.0
             with pytest.raises(ConfigError, match="strictly positive"):
-                batch(np.array([[2.0, 3.0], [0.0, 1.0]]), EPS)
+                result.row(1)
+            result = batch(np.array([[1e-12, 1e-12], [np.nan, 1.0]]), EPS)
             with pytest.raises(NumericError, match="bracket"):
-                batch(np.array([[1e-12, 1e-12], [np.nan, 1.0]]), EPS)
+                result.row(0)
+            with pytest.raises(ConfigError, match="strictly positive"):
+                result.row(1)
 
     def test_rejects_bad_arguments(self):
         for batch in (proposed_allocate_batch, conventional_allocate_batch):
             with pytest.raises(ConfigError, match="epsilon"):
                 batch(np.ones((2, 2)), 0.6)
-            with pytest.raises(ConfigError, match="strictly positive"):
+            # The per-draw call checks the gains first; the batch call
+            # checks its arguments before any draw.
+            with pytest.raises(ConfigError, match="epsilon"):
                 batch(np.array([[-1.0, 1.0]]), 0.6)
             with pytest.raises(ConfigError, match=r"\(T, K\) matrix"):
                 batch(np.ones(3), EPS)
@@ -1003,12 +1015,15 @@ class TestConventionalShareLookup:
         tree = allocation._share_tree(EPS)
         assert tree.edges[0] == EPS and tree.edges[-1] == 1.0 - EPS
         assert np.all(np.diff(tree.edges) > 0.0)
-        assert tree.depth.size == 2**14 and np.all(tree.depth == 14) and tree.final.all()
+        # Every leaf is final: at most epsilon wide.
+        assert tree.depth.size == 2**14 and np.all(tree.depth == 14)
+        assert np.all(np.diff(tree.edges) <= EPS)
         assert tree.edge_list == tuple(tree.edges.tolist())
         assert tree.depth_list == tuple(tree.depth.tolist())
         # Deeper than the cap: every leaf is cut off there.
         tree = allocation._share_tree(1e-6)
-        assert tree.depth.size == 2**16 and np.all(tree.depth == 16) and not tree.final.any()
+        assert tree.depth.size == 2**16 and np.all(tree.depth == 16)
+        assert np.all(np.diff(tree.edges) > 1e-6)
 
     @pytest.mark.parametrize("epsilon", [0.4, 0.2, 1e-2, EPS, 3e-5, 1e-6, EPSILON_MIN])
     def test_leaf_lookup_matches_a_binary_search(self, epsilon):

@@ -213,9 +213,22 @@ class TestAllocateBatchByName:
         gains = np.array([[2.0, 3.0], [gain, 1.0]])
         with pytest.raises(ConfigError, match="strictly positive and finite"):
             allocate_by_name("equal_bandwidth", gains[1], config)
+        batch = allocate_batch_by_name("equal_bandwidth", gains, config)
         with pytest.raises(ConfigError, match="strictly positive and finite"):
-            allocate_batch_by_name("equal_bandwidth", gains, config)
+            batch.row(1)
         assert allocate_by_name("equal_bandwidth", gains[0], config).beta == (0.5, 0.5)
+        assert batch.row(0) == allocate_by_name("equal_bandwidth", gains[0], config)
+
+    def test_optimal_keeps_each_draws_error(self):
+        config = default_config(2)
+        gains = np.array([[2.0, 3.0], [0.0, 1.0], [4.0, 1.0]])
+        batch = allocate_batch_by_name("optimal", gains, config)
+        assert sorted(batch.errors) == [1]
+        with pytest.raises(ConfigError, match="strictly positive and finite"):
+            batch.row(1)
+        for t in (0, 2):
+            assert batch.row(t) == allocate_by_name("optimal", gains[t], config)
+        assert np.isnan(batch.beta[1]).all() and batch.op_count[1] == 0
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +353,8 @@ class TestOutageAltitudeSweep:
 
 def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     """The altitude sweep with one batch call per (point, algorithm): the
-    runner's loop before it stacked points, kept verbatim as an oracle."""
+    runner's loop before it stacked points, kept as an oracle.  A point's
+    first failing draw is the first row whose per-draw call raises."""
     rows: list[ExperimentRow] = []
     for point, altitude in enumerate(spec.altitudes):
         config = replace(spec.network, A_hat=altitude)
@@ -367,8 +381,10 @@ def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
         )
 
         for name in spec.algorithms:
+            batch = allocate_batch_by_name(name, gam, config)
             try:
-                batch = allocate_batch_by_name(name, gam, config)
+                for t in range(spec.trials):
+                    batch.row(t)
             except EhuavError as exc:
                 experiments.log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
                 for velocity in spec.velocities:
@@ -456,9 +472,10 @@ class TestStackedAltitudePoints:
     @pytest.mark.parametrize("per_call", [None, 2])
     @pytest.mark.parametrize("point, draw", [(0, 0), (1, 7), (3, 63)])
     def test_a_failing_point_is_isolated(
-        self, stacked_spec, per_call, point, draw, caplog, monkeypatch
+        self, stacked_spec, per_call, point, draw, caplog, monkeypatch, call_sizes
     ):
         clean = run_outage_altitude_sweep(stacked_spec)
+        call_sizes.clear()
         if per_call is not None:
             monkeypatch.setattr(experiments, "TRIALS_MAX", per_call * stacked_spec.network.K)
         draws = experiments._point_draws
@@ -476,6 +493,10 @@ class TestStackedAltitudePoints:
             caplog.clear()
             rows = run_outage_altitude_sweep(stacked_spec)
         assert rows == oracle
+        # One call per algorithm per stack, the failing one included.
+        per_stack = per_call or len(stacked_spec.altitudes)
+        stacks = [per_stack * stacked_spec.trials] * (len(stacked_spec.altitudes) // per_stack)
+        assert call_sizes == stacks * len(stacked_spec.algorithms)
         altitude = stacked_spec.altitudes[point]
         assert aborted(caplog) == expected_log == [
             f"altitude={altitude} {name} aborted: "
