@@ -12,7 +12,8 @@ Library layout:
   fast allocator, the conventional nested-bisection baseline, and the
   exhaustive grid search.
 - :mod:`ehuav.experiments` — the sweep settings (``ExperimentSpec``),
-  block/RAP timing, node placement, sweep runners and their CSV output.
+  block/RAP timing, node placement, sweep runners, their trend checks and
+  their CSV output.
 - :mod:`ehuav.configio` / :mod:`ehuav.cli` — config file loading into an
   ``ExperimentSpec``, and the command-line front end.
 """

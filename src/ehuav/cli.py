@@ -8,9 +8,9 @@ outage     closed-form vs Monte-Carlo outage for one fixed allocation
 fig3       K sweep of iteration counts and min-rates (CSV)
 fig4       altitude x velocity sweep of outage probabilities (CSV)
 
-Exit codes: 0 success, 2 config/domain/capability error, 3 numeric failure,
-4 trend assertion failure.  The ``EHUAV_LOG`` environment variable sets the
-logging level (e.g. ``EHUAV_LOG=INFO``).
+The sweep subcommands write their CSV, then run the sweep's trend checks
+from :mod:`ehuav.experiments`.  Exit codes: 0 success, 2 config/domain/
+capability error, 3 numeric failure, 4 trend assertion failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -33,6 +32,8 @@ from .experiments import (
     ExperimentRow,
     allocate_by_name,
     block_time,
+    fig3_trend_failures,
+    fig4_trend_failures,
     link_budgets,
     overhead_share,
     place_nodes,
@@ -42,21 +43,10 @@ from .experiments import (
 )
 from .outage import Allocation, min_rate, outage_closed_form, outage_monte_carlo
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TREND = 4
-
-
-def _configure_logging() -> None:
-    """Honour EHUAV_LOG (DEBUG/INFO/WARNING/...); default WARNING."""
-    name = os.environ.get("EHUAV_LOG", "WARNING").strip().upper()
-    level = logging.getLevelName(name)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _check_seed(seed: int) -> None:
@@ -176,134 +166,6 @@ def cmd_outage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def fig3_trend_failures(rows: Sequence[ExperimentRow]) -> list[str]:
-    """Iteration ordering and min-rate ordering across the K sweep.
-
-    Diagnostic rows (all-None metrics) are skipped: an algorithm that could
-    not run at some K simply drops out of the comparisons there.
-    """
-    failures: list[str] = []
-    by_value: dict[float, dict[str, ExperimentRow]] = {}
-    for row in rows:
-        if row.mean_iters is None:
-            continue
-        by_value.setdefault(row.sweep_value, {})[row.algorithm] = row
-    for value in sorted(by_value):
-        here = by_value[value]
-        prop, conv = here.get("proposed"), here.get("conventional")
-        equal = here.get("equal_bandwidth")
-        if prop and conv and not prop.mean_iters < conv.mean_iters:
-            failures.append(
-                f"K={value:g}: mean iterations proposed={prop.mean_iters:.6g} "
-                f"not below conventional={conv.mean_iters:.6g}"
-            )
-        if prop and conv and not prop.mean_min_rate_bpshz >= conv.mean_min_rate_bpshz:
-            failures.append(
-                f"K={value:g}: mean min-rate proposed={prop.mean_min_rate_bpshz:.6g} "
-                f"below conventional={conv.mean_min_rate_bpshz:.6g}"
-            )
-        if conv and equal and not conv.mean_min_rate_bpshz >= equal.mean_min_rate_bpshz:
-            failures.append(
-                f"K={value:g}: mean min-rate conventional="
-                f"{conv.mean_min_rate_bpshz:.6g} below "
-                f"equal-bandwidth={equal.mean_min_rate_bpshz:.6g}"
-            )
-    return failures
-
-
-def fig4_trend_failures(rows: Sequence[ExperimentRow]) -> list[str]:
-    """Assertion-tagged trends of the altitude x velocity outage sweep.
-
-    1. analytic vs empirical equal-bandwidth within 3 standard errors
-       (band from the analytic probability) at every altitude/velocity;
-    2. equal-bandwidth empirical outage identical across velocities
-       (zero iterations charged, so the block time cannot matter);
-    3. at the altitude nearest 90 m, the conventional-minus-proposed
-       outage gap is non-decreasing in velocity;
-    4. the analytic equal-bandwidth curve has a unique interior minimum
-       at an altitude in [70, 110] m.
-    """
-    failures: list[str] = []
-    analytic: dict[float, ExperimentRow] = {}
-    empirical: dict[float, dict[str, ExperimentRow]] = {}
-    for row in rows:
-        if row.algorithm == "equal_bandwidth_analytic":
-            analytic[row.sweep_value] = row
-        elif row.outage_empirical is not None:
-            empirical.setdefault(row.sweep_value, {})[row.algorithm] = row
-
-    for altitude in sorted(analytic):
-        p = analytic[altitude].outage_analytic
-        for label, row in sorted(empirical.get(altitude, {}).items()):
-            if not label.startswith("equal_bandwidth@"):
-                continue
-            band = 3.0 * math.sqrt(p * (1.0 - p) / row.trials)
-            if abs(row.outage_empirical - p) > band:
-                failures.append(
-                    f"altitude={altitude:g} {label}: empirical outage "
-                    f"{row.outage_empirical:.6g} misses analytic {p:.6g} "
-                    f"by more than {band:.6g}"
-                )
-
-    for altitude in sorted(empirical):
-        equal_values = {
-            label: row.outage_empirical
-            for label, row in empirical[altitude].items()
-            if label.startswith("equal_bandwidth@")
-        }
-        if len(set(equal_values.values())) > 1:
-            failures.append(
-                f"altitude={altitude:g}: equal-bandwidth outage varies with "
-                f"velocity: {equal_values}"
-            )
-
-    def velocity_of(label: str) -> float:
-        return float(label.rsplit("@v", 1)[1])
-
-    if empirical:
-        pivot = min(empirical, key=lambda alt: abs(alt - 90.0))
-        gaps: list[tuple[float, float]] = []
-        here = empirical[pivot]
-        velocities = sorted(
-            {velocity_of(lbl) for lbl in here if lbl.startswith("proposed@")}
-        )
-        for v in velocities:
-            prop = here.get(f"proposed@v{v:g}")
-            conv = here.get(f"conventional@v{v:g}")
-            if prop and conv:
-                gaps.append((v, conv.outage_empirical - prop.outage_empirical))
-        for (v0, g0), (v1, g1) in zip(gaps, gaps[1:]):
-            if g1 < g0:
-                failures.append(
-                    f"altitude={pivot:g}: conventional-proposed outage gap "
-                    f"shrinks from {g0:.6g} at v={v0:g} to {g1:.6g} at v={v1:g}"
-                )
-
-    if len(analytic) >= 3:
-        altitudes = sorted(analytic)
-        curve = [analytic[a].outage_analytic for a in altitudes]
-        best = min(curve)
-        argmins = [i for i, p in enumerate(curve) if p == best]
-        if len(argmins) != 1:
-            failures.append(
-                "analytic equal-bandwidth curve has no unique minimum "
-                f"(tied at altitudes {[altitudes[i] for i in argmins]})"
-            )
-        else:
-            i = argmins[0]
-            if i == 0 or i == len(curve) - 1:
-                failures.append(
-                    f"analytic equal-bandwidth minimum sits on the sweep "
-                    f"boundary at {altitudes[i]:g} m"
-                )
-            elif not 70.0 <= altitudes[i] <= 110.0:
-                failures.append(
-                    f"analytic equal-bandwidth minimum at {altitudes[i]:g} m "
-                    "lies outside [70, 110] m"
-                )
-    return failures
-
-
 def _finish_sweep(rows: Sequence[ExperimentRow], out: str, failures: list[str]) -> int:
     """Write the CSV first so the data survives a failed trend check."""
     write_rows(list(rows), out)
@@ -395,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _configure_logging()
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -26,6 +26,11 @@ call per algorithm over the stack, within the memory bound of one point
 at ``TRIALS_MAX`` x ``K_MAX`` draws.  :func:`allocate_by_name` is the
 per-draw path of the ``allocate`` subcommand.
 
+The trend checks :func:`fig3_trend_failures` and :func:`fig4_trend_failures`
+read the runners' rows back: a fig4 row is labelled by :func:`fig4_label`,
+and a row whose metrics are all None is a diagnostic row for an
+algorithm that could not run at that point.
+
 ``DEFAULT_T_OP`` is calibrated so that at 20 m/s and six pairs the
 nested-bisection baseline loses a visible but non-saturating slice of the
 block (roughly 5%).
@@ -37,6 +42,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +89,9 @@ CSV_HEADER = (
 
 ALGORITHMS = ("proposed", "conventional", "equal_bandwidth", "optimal")
 
+EQUAL_BANDWIDTH_ANALYTIC = "equal_bandwidth_analytic"
+"""The fig4 row of the closed-form equal-split outage at each altitude."""
+
 DEFAULT_T_OP = 2.5e-7
 """Seconds charged per abstract allocation operation (free calibration knob)."""
 
@@ -95,6 +104,21 @@ OPTIMAL_GRID = (200, 100)
 # bounds the memory of a sweep point, and of a stack of fig4 points, which
 # holds at most TRIALS_MAX * K_MAX gains.
 TRIALS_MAX = 100_000
+
+
+def fig4_label(algorithm: str, velocity: float) -> str:
+    """The label of a fig4 row: one algorithm at one velocity."""
+    return f"{algorithm}@v{velocity:g}"
+
+
+def split_fig4_label(label: str) -> tuple[str, float]:
+    """The ``(algorithm, velocity)`` of a :func:`fig4_label`."""
+    algorithm, _, velocity = label.rpartition("@v")
+    return algorithm, float(velocity)
+
+
+def _distinct(values) -> bool:
+    return len(set(values)) == len(values)
 
 
 def _positive_list_rule(name: str) -> Rule:
@@ -123,13 +147,20 @@ EXPERIMENT_RULES: tuple[Rule, ...] = (
         and all(integer_at_least(k, 1) and k <= K_MAX for k in v["k_values"]),
         f"must be a non-empty list of integers in [1, {K_MAX}], got {{k_values}}",
     ),
+    ("k_values", lambda v: _distinct(v["k_values"]), "must not repeat a value, got {k_values}"),
     _positive_list_rule("altitudes"),
+    ("altitudes", lambda v: _distinct(v["altitudes"]), "must not repeat a value, got {altitudes}"),
     _positive_list_rule("velocities"),
     (
         "velocities",
         lambda v: all(positive_block_time(x, v["f_c"], v["c_light"]) for x in v["velocities"]),
         "must each give a positive finite block time c_light / (velocity * f_c) "
         "with f_c={f_c} and c_light={c_light}, got {velocities}",
+    ),
+    (
+        "velocities",
+        lambda v: _distinct([fig4_label("", x) for x in v["velocities"]]),
+        "must differ in their first 6 significant digits (the fig4 row labels), got {velocities}",
     ),
     (
         "algorithms",
@@ -204,18 +235,21 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One CSV row; None renders as an empty cell."""
+    """One CSV row; None renders as an empty cell.
+
+    A row names the metrics it has; a row with none is a diagnostic row.
+    """
 
     sweep_param: str
     sweep_value: float
     algorithm: str
-    mean_iters: float | None
-    mean_min_rate_bpshz: float | None
-    outage_analytic: float | None
-    outage_empirical: float | None
-    std_err: float | None
     trials: int
     seed: int
+    mean_iters: float | None = None
+    mean_min_rate_bpshz: float | None = None
+    outage_analytic: float | None = None
+    outage_empirical: float | None = None
+    std_err: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("outage_analytic", "outage_empirical"):
@@ -337,23 +371,6 @@ def _first_error(batch: BatchAllocation) -> EhuavError:
     return batch.errors[min(batch.errors)]
 
 
-def _diagnostic_row(
-    spec: ExperimentSpec, sweep_param: str, value: float, algorithm: str
-) -> ExperimentRow:
-    return ExperimentRow(
-        sweep_param=sweep_param,
-        sweep_value=value,
-        algorithm=algorithm,
-        mean_iters=None,
-        mean_min_rate_bpshz=None,
-        outage_analytic=None,
-        outage_empirical=None,
-        std_err=None,
-        trials=spec.trials,
-        seed=spec.seed,
-    )
-
-
 def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Sweep the number of pairs; report mean iterations and mean min-rate.
 
@@ -369,11 +386,12 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     for point, K in enumerate(spec.k_values):
         config = _config_for_k(network, K)
         gam = _point_draws(link_budgets(config), config, spec, point)
+        at = dict(sweep_param="K", sweep_value=float(K), trials=spec.trials, seed=spec.seed)
         for name in spec.algorithms:
             batch = allocate_batch_by_name(name, gam, config)
             if batch.errors:
                 log.warning("K=%d %s aborted: %s", K, name, _first_error(batch))
-                rows.append(_diagnostic_row(spec, "K", float(K), name))
+                rows.append(ExperimentRow(**at, algorithm=name))
                 continue
             nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
             rates = _charged_min_rates(batch, gam, nu_r)
@@ -384,19 +402,49 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
             )
             rows.append(
                 ExperimentRow(
-                    sweep_param="K",
-                    sweep_value=float(K),
+                    **at,
                     algorithm=name,
                     mean_iters=float(batch.iterations.mean()),
                     mean_min_rate_bpshz=float(rates.mean()),
-                    outage_analytic=None,
-                    outage_empirical=None,
                     std_err=std_err,
-                    trials=spec.trials,
-                    seed=spec.seed,
                 )
             )
     return rows
+
+
+def fig3_trend_failures(rows: Sequence[ExperimentRow]) -> list[str]:
+    """Iteration ordering and min-rate ordering across the K sweep.
+
+    Diagnostic rows (all-None metrics) are skipped: an algorithm that could
+    not run at some K simply drops out of the comparisons there.
+    """
+    failures: list[str] = []
+    by_value: dict[float, dict[str, ExperimentRow]] = {}
+    for row in rows:
+        if row.mean_iters is None:
+            continue
+        by_value.setdefault(row.sweep_value, {})[row.algorithm] = row
+    for value in sorted(by_value):
+        here = by_value[value]
+        prop, conv = here.get("proposed"), here.get("conventional")
+        equal = here.get("equal_bandwidth")
+        if prop and conv and not prop.mean_iters < conv.mean_iters:
+            failures.append(
+                f"K={value:g}: mean iterations proposed={prop.mean_iters:.6g} "
+                f"not below conventional={conv.mean_iters:.6g}"
+            )
+        if prop and conv and not prop.mean_min_rate_bpshz >= conv.mean_min_rate_bpshz:
+            failures.append(
+                f"K={value:g}: mean min-rate proposed={prop.mean_min_rate_bpshz:.6g} "
+                f"below conventional={conv.mean_min_rate_bpshz:.6g}"
+            )
+        if conv and equal and not conv.mean_min_rate_bpshz >= equal.mean_min_rate_bpshz:
+            failures.append(
+                f"K={value:g}: mean min-rate conventional="
+                f"{conv.mean_min_rate_bpshz:.6g} below "
+                f"equal-bandwidth={equal.mean_min_rate_bpshz:.6g}"
+            )
+    return failures
 
 
 def run_outage_altitude_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
@@ -440,22 +488,16 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
         start, stop = i * spec.trials, (i + 1) * spec.trials
         gam = stacked[start:stop]
         K = config.K
+        at = dict(sweep_param="altitude", sweep_value=altitude, trials=spec.trials, seed=spec.seed)
 
         equal_alloc = Allocation(
             tau=equal_bandwidth_taf(K, config.R_a), beta=(1.0 / K,) * K, nu_r=0.0
         )
         rows.append(
             ExperimentRow(
-                sweep_param="altitude",
-                sweep_value=altitude,
-                algorithm="equal_bandwidth_analytic",
-                mean_iters=None,
-                mean_min_rate_bpshz=None,
+                **at,
+                algorithm=EQUAL_BANDWIDTH_ANALYTIC,
                 outage_analytic=outage_closed_form(equal_alloc, budgets[i], config),
-                outage_empirical=None,
-                std_err=None,
-                trials=spec.trials,
-                seed=spec.seed,
             )
         )
 
@@ -463,10 +505,9 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
             batch = allocations[name].rows(start, stop)
             if batch.errors:
                 log.warning("altitude=%s %s aborted: %s", altitude, name, _first_error(batch))
-                for velocity in spec.velocities:
-                    rows.append(
-                        _diagnostic_row(spec, "altitude", altitude, f"{name}@v{velocity:g}")
-                    )
+                rows += [
+                    ExperimentRow(**at, algorithm=fig4_label(name, v)) for v in spec.velocities
+                ]
                 continue
             mean_iters = float(batch.iterations.mean())
             for velocity in spec.velocities:
@@ -476,19 +517,107 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
                 p_hat = int(np.count_nonzero(rates < config.R_a)) / spec.trials
                 rows.append(
                     ExperimentRow(
-                        sweep_param="altitude",
-                        sweep_value=altitude,
-                        algorithm=f"{name}@v{velocity:g}",
+                        **at,
+                        algorithm=fig4_label(name, velocity),
                         mean_iters=mean_iters,
                         mean_min_rate_bpshz=float(rates.mean()),
-                        outage_analytic=None,
                         outage_empirical=p_hat,
                         std_err=math.sqrt(p_hat * (1.0 - p_hat) / spec.trials),
-                        trials=spec.trials,
-                        seed=spec.seed,
                     )
                 )
     return rows
+
+
+def fig4_trend_failures(rows: Sequence[ExperimentRow]) -> list[str]:
+    """Assertion-tagged trends of the altitude x velocity outage sweep.
+
+    1. analytic vs empirical equal-bandwidth within 3 standard errors
+       (band from the analytic probability) at every altitude/velocity;
+    2. equal-bandwidth empirical outage identical across velocities
+       (zero iterations charged, so the block time cannot matter);
+    3. at the altitude nearest 90 m, the conventional-minus-proposed
+       outage gap is non-decreasing in velocity;
+    4. the analytic equal-bandwidth curve has a unique interior minimum
+       at an altitude in [70, 110] m.
+    """
+    failures: list[str] = []
+    analytic: dict[float, ExperimentRow] = {}
+    empirical: dict[float, dict[str, ExperimentRow]] = {}
+    for row in rows:
+        if row.algorithm == EQUAL_BANDWIDTH_ANALYTIC:
+            analytic[row.sweep_value] = row
+        elif row.outage_empirical is not None:
+            empirical.setdefault(row.sweep_value, {})[row.algorithm] = row
+
+    equal = {
+        altitude: {
+            label: row
+            for label, row in here.items()
+            if split_fig4_label(label)[0] == "equal_bandwidth"
+        }
+        for altitude, here in empirical.items()
+    }
+
+    for altitude in sorted(analytic):
+        p = analytic[altitude].outage_analytic
+        for label, row in sorted(equal.get(altitude, {}).items()):
+            band = 3.0 * math.sqrt(p * (1.0 - p) / row.trials)
+            if abs(row.outage_empirical - p) > band:
+                failures.append(
+                    f"altitude={altitude:g} {label}: empirical outage "
+                    f"{row.outage_empirical:.6g} misses analytic {p:.6g} "
+                    f"by more than {band:.6g}"
+                )
+
+    for altitude in sorted(equal):
+        equal_values = {label: row.outage_empirical for label, row in equal[altitude].items()}
+        if len(set(equal_values.values())) > 1:
+            failures.append(
+                f"altitude={altitude:g}: equal-bandwidth outage varies with "
+                f"velocity: {equal_values}"
+            )
+
+    if empirical:
+        pivot = min(empirical, key=lambda alt: abs(alt - 90.0))
+        at_velocity: dict[float, dict[str, float]] = {}
+        for label, row in empirical[pivot].items():
+            algorithm, velocity = split_fig4_label(label)
+            at_velocity.setdefault(velocity, {})[algorithm] = row.outage_empirical
+        gaps = [
+            (v, here["conventional"] - here["proposed"])
+            for v, here in sorted(at_velocity.items())
+            if "proposed" in here and "conventional" in here
+        ]
+        for (v0, g0), (v1, g1) in zip(gaps, gaps[1:]):
+            if g1 < g0:
+                failures.append(
+                    f"altitude={pivot:g}: conventional-proposed outage gap "
+                    f"shrinks from {g0:.6g} at v={v0:g} to {g1:.6g} at v={v1:g}"
+                )
+
+    if len(analytic) >= 3:
+        altitudes = sorted(analytic)
+        curve = [analytic[a].outage_analytic for a in altitudes]
+        best = min(curve)
+        argmins = [i for i, p in enumerate(curve) if p == best]
+        if len(argmins) != 1:
+            failures.append(
+                "analytic equal-bandwidth curve has no unique minimum "
+                f"(tied at altitudes {[altitudes[i] for i in argmins]})"
+            )
+        else:
+            i = argmins[0]
+            if i == 0 or i == len(curve) - 1:
+                failures.append(
+                    f"analytic equal-bandwidth minimum sits on the sweep "
+                    f"boundary at {altitudes[i]:g} m"
+                )
+            elif not 70.0 <= altitudes[i] <= 110.0:
+                failures.append(
+                    f"analytic equal-bandwidth minimum at {altitudes[i]:g} m "
+                    "lies outside [70, 110] m"
+                )
+    return failures
 
 
 def write_rows(rows: list[ExperimentRow], path) -> None:

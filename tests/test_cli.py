@@ -6,16 +6,13 @@ from unittest import mock
 import pytest
 import yaml
 
-from ehuav.cli import (
-    EXIT_CONFIG,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    EXIT_TREND,
+from ehuav.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TREND, main
+from ehuav.experiments import (
+    CSV_HEADER,
+    ExperimentRow,
     fig3_trend_failures,
     fig4_trend_failures,
-    main,
 )
-from ehuav.experiments import CSV_HEADER, ExperimentRow
 from ehuav.outage import MC_TRIALS_MAX
 
 TABLE1 = "configs/table1.yaml"
@@ -113,6 +110,26 @@ class TestValidate:
         assert "network.R_a: must be finite and > 0, got inf" in capsys.readouterr().err
         assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
         assert "network.R_a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, values, message",
+        [
+            ("k_values", [3, 3], "must not repeat a value, got [3, 3]"),
+            ("altitudes", [90.0, 90.0], "must not repeat a value, got [90.0, 90.0]"),
+            (
+                "velocities",
+                [10, 10.0000001, 20],
+                "must differ in their first 6 significant digits (the fig4 row labels), "
+                "got [10, 10.0000001, 20]",
+            ),
+        ],
+    )
+    def test_repeated_sweep_values_are_config_errors(self, tmp_path, capsys, key, values, message):
+        # A repeated value would write two rows under one sweep value and
+        # label, and the trend checks would read only the last of them.
+        path = config_file(tmp_path, experiment={key: values})
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert f"\n  experiment.{key}: {message}\n" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/does/not/exist.yaml"]) == EXIT_CONFIG
@@ -413,7 +430,7 @@ class TestFig3TrendChecker:
     def test_diagnostic_rows_skipped(self):
         rows = [
             k_row("proposed", 6, 25.0, 1.2),
-            ExperimentRow("K", 6, "optimal", None, None, None, None, None, 50, 1),
+            ExperimentRow(sweep_param="K", sweep_value=6, algorithm="optimal", trials=50, seed=1),
         ]
         assert fig3_trend_failures(rows) == []
 
@@ -503,18 +520,6 @@ class TestFig4TrendChecker:
         # 100 m is closer to 90 m than 60 m is; its gap widens, so no failure
         # even though the 60 m gap shrinks.
         assert fig4_trend_failures(rows) == []
-
-
-class TestLoggingEnv:
-    def test_log_level_env_var_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("EHUAV_LOG", "DEBUG")
-        assert main(["validate", TABLE1]) == EXIT_OK
-        capsys.readouterr()
-
-    def test_bogus_log_level_falls_back(self, monkeypatch, capsys):
-        monkeypatch.setenv("EHUAV_LOG", "NOISY")
-        assert main(["validate", TABLE1]) == EXIT_OK
-        capsys.readouterr()
 
 
 # sha256 of the committed results/fig3.csv and results/fig4.csv.  The

@@ -292,7 +292,7 @@ class TestErrorListing:
 # through both: ``<field> <message>`` from the dataclass and
 # ``<section>.<field>: <message>`` from load_config.
 SCALAR_CANDIDATES = (0, -1.0, 2.5, 1.5, 0.7, 60, 1.0e300)
-LIST_CANDIDATES = ((), (0.1,), (-1.0, -1.0), (2.5, 2.5), (1.0e300,))
+LIST_CANDIDATES = ((), (0.1,), (-1.0, -1.0), (10, 10.0000001), (2, 2), (2.5, 2.5), (1.0e300,))
 
 
 def first_breaking(rules, values, rule):

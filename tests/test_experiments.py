@@ -19,6 +19,7 @@ from ehuav.experiments import (
     allocate_batch_by_name,
     allocate_by_name,
     block_time,
+    fig4_trend_failures,
     overhead_share,
     place_nodes,
     run_iterations_and_minrate_sweep,
@@ -350,6 +351,32 @@ class TestOutageAltitudeSweep:
         spec, rows = altitude_rows
         assert run_outage_altitude_sweep(spec) == rows
 
+    def test_trend_check_reads_the_runner_labels(self):
+        # Non-integer velocities; R_a = 1.6 keeps the outages off 0 and 1.
+        spec = ExperimentSpec(
+            network=default_config(3, R_a=1.6),
+            altitudes=(80.0, 90.0, 100.0),
+            trials=40,
+            seed=3,
+            algorithms=("proposed", "conventional"),
+            velocities=(7.5, 12.25),
+        )
+        rows = run_outage_altitude_sweep(spec)
+        pivot = by_algorithm(rows, 90.0)
+        gap = pivot["conventional@v7.5"].outage_empirical - pivot["proposed@v7.5"].outage_empirical
+        assert gap > 0.0
+        narrowed = replace(
+            pivot["conventional@v12.25"],
+            outage_empirical=pivot["proposed@v12.25"].outage_empirical,
+        )
+        shrunk = [narrowed if row == pivot["conventional@v12.25"] else row for row in rows]
+        before = fig4_trend_failures(rows)
+        added = [line for line in fig4_trend_failures(shrunk) if line not in before]
+        assert added == [
+            f"altitude=90: conventional-proposed outage gap shrinks from {gap:.6g} "
+            "at v=7.5 to 0 at v=12.25"
+        ]
+
 
 def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
     """The altitude sweep with one batch call per (point, algorithm): the
@@ -389,8 +416,12 @@ def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                 experiments.log.warning("altitude=%s %s aborted: %s", altitude, name, exc)
                 for velocity in spec.velocities:
                     rows.append(
-                        experiments._diagnostic_row(
-                            spec, "altitude", altitude, f"{name}@v{velocity:g}"
+                        ExperimentRow(
+                            sweep_param="altitude",
+                            sweep_value=altitude,
+                            algorithm=f"{name}@v{velocity:g}",
+                            trials=spec.trials,
+                            seed=spec.seed,
                         )
                     )
                 continue

@@ -2,15 +2,16 @@
 
 A module-level function, class or assignment that no ``src`` code loads is
 dead: it is either test-only scaffolding or left over from a removed path.
-A name counts as used where another top-level statement of any module
-loads it, as a plain name or as an attribute (``module.name``); loads
-inside the definition itself (recursion) do not count.
+Names are resolved per module.  A definition of module ``m`` counts as used
+where another top-level statement of ``m`` loads it, where another module
+imports it with ``from .m import name``, or where code reads it as
+``m.name``; loads inside the definition itself (recursion) do not count,
+and neither does a load of the same spelling in another module.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ehuav"
@@ -31,31 +32,47 @@ def defined_names(node: ast.stmt) -> list[str]:
 
 
 def loaded_names(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.attr)
-    return names
+    return {
+        sub.id
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def imported_elsewhere(modules: dict[str, list[ast.stmt]]) -> set[tuple[str, str]]:
+    """``(module, name)`` of every definition that a ``from .module import
+    name`` or a ``module.name`` read reaches."""
+    reached = set()
+    for body in modules.values():
+        for sub in (sub for node in body for sub in ast.walk(node)):
+            if isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+                reached.update((sub.module, alias.name) for alias in sub.names)
+            elif (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Load)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in modules
+            ):
+                reached.add((sub.value.id, sub.attr))
+    return reached
 
 
 def unused_definitions() -> list[str]:
-    """``module:name`` of every top-level definition that no other
-    top-level statement loads."""
-    statements = [
-        (path.name, node)
+    """``module:name`` of every top-level definition that nothing reads."""
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")).body
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
-    loads = [loaded_names(node) for _, node in statements]
-    readers = Counter(name for names in loads for name in names)
-    return sorted(
-        f"{module}:{name}"
-        for (module, node), names in zip(statements, loads)
-        for name in defined_names(node)
-        if readers[name] == (name in names)
-    )
+    }
+    reached = imported_elsewhere(modules)
+    dead = []
+    for module, body in modules.items():
+        loads = [loaded_names(node) for node in body]
+        for i, node in enumerate(body):
+            for name in defined_names(node):
+                own = any(name in names for j, names in enumerate(loads) if j != i)
+                if not own and (module, name) not in reached:
+                    dead.append(f"{module}:{name}")
+    return sorted(dead)
 
 
 def test_every_top_level_definition_is_used_in_src():
