@@ -42,7 +42,8 @@ pairs that cannot be certified run the loop (:func:`_inner_shares` in the
 batch form, :func:`_bisect_share` in the per-draw form).  The plain loop
 stays in the tests as the reference.  The batch phase 1 decides each
 step's sign with ``np.log2`` and recomputes only the near-zero slopes
-exactly (:func:`_slope_rises`).  The rate slope of phase 1 and the update
+exactly (:func:`_slope_rises`).  Every rate is one call of
+:func:`ehuav.outage._rate`, and the rate slope of phase 1 and the update
 cap of phase 2 are each written once and read by both forms.  The per-draw
 forms serve one draw at a time (a batch of one costs more than a per-draw
 call) and are the reference the batch forms are tested against.  They do
@@ -64,7 +65,7 @@ import numpy as np
 
 from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import Allocation
+from .outage import Allocation, _rate
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
@@ -391,7 +392,7 @@ def _phase2(
     def rate_of(k: int) -> float:
         eff = beta[k] * one_minus_tau
         # eff == 0 is 0 * log2(inf) in the array form: NaN.
-        r = float(eff * np.log2(1.0 + tau_gam[k] / eff)) if eff else math.nan
+        r = float(_rate(eff, tau_gam[k])) if eff else math.nan
         if r != r:
             raise _cap_error(cap, r, epsilon, K, tau_o)
         return r
@@ -441,8 +442,7 @@ def _bisect_share(lo, hi, one_minus_tau, c, target, epsilon) -> tuple[float, int
     steps = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
-        eff = mid * one_minus_tau
-        if eff * math.log2(1.0 + c / eff) >= target:
+        if _rate(mid * one_minus_tau, c, 1.0, math.log2) >= target:
             hi = mid
         else:
             lo = mid
@@ -543,8 +543,8 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
                 # The leaf holding x, clipped to the first and the last.
                 leaf = bisect_right(edges, x / one_minus_tau, 1, last + 1) - 1
                 x_lo, x_hi = edges[leaf] * one_minus_tau, edges[leaf + 1] * one_minus_tau
-                if (leaf == last or x_hi * math.log2(1.0 + c / x_hi) >= high) and (
-                    leaf == 0 or x_lo * math.log2(1.0 + c / x_lo) <= low
+                if (leaf == last or _rate(x_hi, c, 1.0, math.log2) >= high) and (
+                    leaf == 0 or _rate(x_lo, c, 1.0, math.log2) <= low
                 ):
                     lo, hi = edges[leaf], edges[leaf + 1]
                     inner += depth[leaf]
@@ -555,7 +555,7 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         return shares, inner
 
     target_lo = 0.0
-    target_hi = min(eff * math.log2(1.0 + c / eff) for c in tau_gam)  # the whole-band rates
+    target_hi = min(_rate(eff, c, 1.0, math.log2) for c in tau_gam)  # the whole-band rates
     best = [epsilon] * K  # the trivially feasible zero-rate shares
     iters_beta = 0
     inner_total = 0
@@ -626,10 +626,17 @@ def _checked_batch(
 ) -> BatchAllocation:
     """The batch of these rows after the :class:`AllocationResult` checks,
     row by row.  A row that fails them joins the failed draws in ``errors``;
-    the failed rows get NaN ``tau`` and ``beta`` and zero tallies."""
+    the failed rows get NaN ``tau`` and ``beta`` and zero tallies.
+
+    The share sums are numpy's.  Any order of summing K positive shares is
+    within ``(K - 1) * 2**-53`` of their exact sum, so only the rows whose
+    sum lies within ``K * 2**-52`` of the bound are summed again with
+    ``math.fsum``, as :class:`AllocationResult` sums them."""
     tallies = (iters_tau, iters_beta, inner_iters_beta, op_count)
     unchecked = BatchAllocation(tau, beta, *tallies)
-    sums = np.array([math.fsum(row) for row in beta.tolist()])
+    sums = beta.sum(axis=1)
+    near = np.abs(np.abs(sums - 1.0) - 1e-12) <= beta.shape[1] * 2.0**-52
+    sums[near] = [math.fsum(row) for row in beta[near].tolist()]
     bad = ~((tau > 0.0) & (tau < 1.0)) | (np.abs(sums - 1.0) > 1e-12)
     for t in np.flatnonzero(bad & _live(len(tau), errors)):
         errors[int(t)] = _error_of(unchecked.row, t)
@@ -658,8 +665,7 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     rows = np.flatnonzero(_live(T, errors))
     while rows.size:
         t_col = tau[rows, np.newaxis]
-        eff = beta[rows] * (1.0 - t_col)
-        rates = eff * np.log2(1.0 + t_col * gam[rows] / eff)
+        rates = _rate(beta[rows] * (1.0 - t_col), t_col * gam[rows])
         pick = np.arange(rows.size)
         k_hat = np.argmax(rates, axis=1)
         k_check = np.argmin(rates, axis=1)
@@ -682,14 +688,6 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     )
 
 
-def _share_rate(share, one_minus_tau, tau_gam) -> np.ndarray:
-    """The baseline's rates at ``share`` with ``np.log2``, with the effective
-    shares and the arguments of the log2."""
-    eff = share * one_minus_tau
-    arg = 1.0 + tau_gam / eff
-    return eff * np.log2(arg), eff, arg
-
-
 def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     """``rate >= target`` elementwise, decided exactly as the baseline's
     per-draw bisection (:func:`_bisect_share`, ``math.log2``) decides it.
@@ -697,10 +695,11 @@ def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
     1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
     """
-    rates, eff, arg = _share_rate(share, one_minus_tau, tau_gam)
+    eff = share * one_minus_tau
+    rates = _rate(eff, tau_gam)
     near = np.abs(rates - target_col) <= 1e-12 * target_col
     if near.any():
-        rates[near] = eff[near] * _log2_exact(arg[near])
+        rates[near] = _rate(eff[near], tau_gam[near], log2=_log2_exact)
     return rates >= target_col
 
 
@@ -829,8 +828,8 @@ def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup, start):
         share = _share_threshold(start, one_minus_tau, tau_gam, target_col)
         leaf = tree.leaf_of(share)
         a, b = edges[leaf], edges[leaf + 1]
-        above = _share_rate(b, one_minus_tau, tau_gam)[0] >= target_col * (1.0 + _LOOKUP_MARGIN)
-        below = _share_rate(a, one_minus_tau, tau_gam)[0] <= target_col * (1.0 - _LOOKUP_MARGIN)
+        above = _rate(b * one_minus_tau, tau_gam) >= target_col * (1.0 + _LOOKUP_MARGIN)
+        below = _rate(a * one_minus_tau, tau_gam) <= target_col * (1.0 - _LOOKUP_MARGIN)
     found = lookup & (above | (leaf == depth.size - 1)) & (below | (leaf == 0))
     lo = np.where(found, a, epsilon)
     hi = np.where(found, b, 1.0 - epsilon)
@@ -865,7 +864,7 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     tau_gam = tau[:, np.newaxis] * gam
     eff = (1.0 - epsilon) * one_minus_tau
     snr = tau_gam / eff
-    whole_band = eff * _log2_exact(1.0 + snr)
+    whole_band = _rate(eff, tau_gam, log2=_log2_exact)
     # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
     lookup = (snr >= _LOOKUP_MIN_SNR) & (snr * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR)
     share = np.full((T, K), np.nan)  # each pair's share threshold at the last target
@@ -977,7 +976,7 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     for start in range(0, grid_tau, rows):
         tau = taus[start : start + rows, np.newaxis, np.newaxis]
         eff = share_axis * (1.0 - tau)
-        # eff * log2(1 + tau * g / eff), in place
+        # _rate(eff, tau * g) in place (its operation order), saving temporaries
         tables = np.divide(tau * gam[:, np.newaxis], eff)
         tables += 1.0
         np.log2(tables, out=tables)

@@ -70,7 +70,7 @@ from .channel import (
     sample_gamma_matrix,
 )
 from .errors import ConfigError, EhuavError
-from .outage import Allocation, outage_closed_form, rate
+from .outage import Allocation, _rate, outage_closed_form
 
 log = logging.getLogger(__name__)
 
@@ -361,9 +361,11 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
 
 
 def _charged_min_rates(batch: BatchAllocation, gains: np.ndarray, nu_r: np.ndarray) -> np.ndarray:
-    """Per-draw ``min_rate`` of each allocation with overhead share ``nu_r``."""
+    """Per-draw ``min_rate`` of each allocation with overhead share ``nu_r``
+    (unchecked: the batch has checked its rows)."""
+    tau = batch.tau[:, np.newaxis]
     nu_c = 1.0 - nu_r
-    return rate(batch.beta, batch.tau[:, np.newaxis], gains, nu_c[:, np.newaxis]).min(axis=1)
+    return _rate(batch.beta * (1.0 - tau), tau * gains, nu_c[:, np.newaxis]).min(axis=1)
 
 
 def _first_error(batch: BatchAllocation) -> EhuavError:

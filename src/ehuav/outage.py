@@ -98,15 +98,17 @@ def rate(beta_k, tau, gamma_k, nu_c):
         raise ConfigError("beta_k must lie in (0,1]")
     if not np.all(gamma_k >= 0.0):
         raise ConfigError("gamma_k must be >= 0")
-    result = _rate(beta_k, tau, gamma_k, nu_c)
+    result = _rate(beta_k * (1.0 - tau), tau * gamma_k, nu_c)
     return float(result) if result.ndim == 0 else result
 
 
-def _rate(beta_k, tau, gamma_k, nu_c):
-    """:func:`rate` without its argument checks, which :func:`rate` and
-    :func:`min_rate` make before calling it."""
-    eff = beta_k * (1.0 - tau)
-    return eff * nu_c * np.log2(1.0 + tau * gamma_k / eff)
+def _rate(eff, c, nu_c=1.0, log2=np.log2):
+    """Every rate of the package, unchecked: ``eff = beta * (1 - tau)``,
+    ``c = tau * gamma``, on floats or arrays, with the caller's ``log2``
+    (``np.log2``, ``math.log2`` or ``allocation._log2_exact``).  Per-draw
+    callers pass ``log2`` by position, which CPython calls faster than a
+    keyword argument."""
+    return eff * nu_c * log2(1.0 + c / eff)
 
 
 def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:
@@ -120,7 +122,7 @@ def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:
         raise ConfigError(f"gamma must have length K={alloc.K}, got shape {gamma.shape}")
     if not np.all(gamma >= 0.0):  # NaN fails too
         raise ConfigError("gamma_k must be >= 0")
-    rates = _rate(np.asarray(alloc.beta), alloc.tau, gamma, alloc.nu_c)
+    rates = _rate(np.asarray(alloc.beta) * (1.0 - alloc.tau), alloc.tau * gamma, alloc.nu_c)
     k = int(np.argmin(rates))  # argmin returns the first minimum
     return float(rates[k]), k
 
@@ -316,14 +318,22 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
     total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
     t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
     log_scale = n_g * log_u - math.lgamma(n_g)  # log(u^n_g / Gamma(n_g))
-    tail = 2.0**61 * math.exp(log_scale - log_u - math.lgamma(n_g + 2))  # 2^60 A_J
     cut_from = n_g + math.ceil(2.0 * u)
-    for J in range(n_g, cut_from):
-        if tail <= total:
-            return total, J
-        t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
-        total += t_cur
-        tail *= (J + 3 - n_g) / (J + 2)
+    # A_J never rises with J and S_J <= F <= 1, so where 2^60 A_J is above 2
+    # at J = cut_from - 1 the Markov rule cannot stop the sum before cut_from.
+    last = log_scale - log_u + math.lgamma(cut_from + 2 - n_g) - math.lgamma(cut_from + 1)
+    if 2.0**60 * math.exp(last) > 2.0:
+        for J in range(n_g, cut_from):
+            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+            total += t_cur
+    else:
+        tail = 2.0**61 * math.exp(log_scale - log_u - math.lgamma(n_g + 2))  # 2^60 A_J
+        for J in range(n_g, cut_from):
+            if tail <= total:
+                return total, J
+            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+            total += t_cur
+            tail *= (J + 3 - n_g) / (J + 2)
 
     J = cut_from
     log_w = log_scale + (J - n_g) * log_u - math.lgamma(J + 1) - math.lgamma(J + 1 - n_g)

@@ -219,6 +219,44 @@ class TestPhase1Taf:
         assert f"d(lo)={smallest!r}," in str(info.value)
 
 
+class TestLowSnrBoundary:
+    """Phase 1 brackets a maximum only where the smallest gain is above
+    about 2 epsilon**2 / K, so below that the two-phase scheme and the
+    nested baseline raise (see README, "Known gaps")."""
+
+    BRACKET = r"min-rate derivative does not bracket a maximum on \[0.0001, 0.9999\]"
+
+    @staticmethod
+    def calls(gains):
+        for scalar, batch in (
+            (proposed_allocate, proposed_allocate_batch),
+            (conventional_allocate, conventional_allocate_batch),
+        ):
+            yield lambda scalar=scalar: scalar(gains, EPS)
+            yield lambda batch=batch: batch(np.array([gains]), EPS).row(0)
+
+    @pytest.mark.parametrize("g_min", [1e-9, 1e-13])
+    def test_below_the_bound_every_form_raises_the_same_error(self, g_min):
+        messages = set()
+        for call in self.calls([g_min, 1.0, 1.0]):
+            with pytest.raises(NumericError, match=self.BRACKET) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_above_the_bound_every_form_allocates(self):
+        for call in self.calls([1e-6, 1.0, 1.0]):
+            assert 0.0 < call().tau < 1.0
+
+    @pytest.mark.parametrize("K", [3, 6])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-6])
+    def test_the_bound_is_two_epsilon_squared_over_k(self, K, epsilon):
+        bound = 2.0 * epsilon**2 / K
+        with pytest.raises(NumericError, match="bracket"):
+            proposed_allocate([0.99 * bound] + [1.0] * (K - 1), epsilon)
+        assert 0.0 < proposed_allocate([1.01 * bound] + [1.0] * (K - 1), epsilon).tau < 1.0
+
+
 class TestPhase2Baf:
     """Phase 2 of :func:`proposed_allocate`, on checked arguments."""
 
@@ -293,7 +331,7 @@ class TestPhase2Baf:
 # the argument checks and the data-phase share (the full block's 1.0, a
 # factor that changes no bit), as the reference the current ones must equal.
 def reference_dmin_rate_dtau(beta, gamma, tau):
-    k = int(np.argmin(_rate(beta, tau, gamma, 1.0)))
+    k = int(np.argmin(rate(beta, tau, gamma, 1.0)))
     b = float(beta[k])
     g = float(gamma[k])
     eff = b * (1.0 - tau)
@@ -325,7 +363,8 @@ def reference_phase2_baf(tau_o, gam, epsilon, beta_init):
     cap = 10 * gam.size * math.ceil(math.log10(1.0 / epsilon))
     iters = 0
     while True:
-        rates = _rate(beta, tau_o, gam, 1.0)
+        # Unchecked: a NaN share must run on to the update cap.
+        rates = _rate(beta * (1.0 - tau_o), tau_o * gam)
         k_hat = int(np.argmax(rates))
         k_check = int(np.argmin(rates))
         gap = float(rates[k_hat] - rates[k_check])
@@ -926,6 +965,32 @@ class TestBatchAllocators:
                 result.row(0)
             with pytest.raises(ConfigError, match="strictly positive"):
                 result.row(1)
+
+    @pytest.mark.parametrize(
+        "shares",
+        [
+            # math.fsum within the 1e-12 bound, numpy's sum beyond it.
+            ("0x1.96f1c615523cdp-2", "0x1.74339596dfb7ap-2", "0x1.e9b548a7a4e2cp-3"),
+            # math.fsum beyond the bound, numpy's sum within it.
+            (
+                "0x1.158cec8a9374bp-2", "0x1.16ca75cd5587ap-2",
+                "0x1.19ea3028ac08dp-2", "0x1.737cdafedec18p-3",
+            ),
+        ],
+    )
+    def test_share_sums_at_the_bound_are_decided_as_the_result_decides(self, shares):
+        beta = np.array([[float.fromhex(share) for share in shares]])
+
+        def beyond(total):
+            return abs(total - 1.0) > 1e-12
+
+        assert beyond(beta.sum(axis=1)[0]) != beyond(math.fsum(beta[0]))
+        zeros = np.zeros(1, dtype=np.int64)
+        batch = allocation._checked_batch(np.array([0.5]), beta, zeros, zeros, zeros, zeros, {})
+        assert (0 in batch.errors) == beyond(math.fsum(beta[0]))
+        assert outcome(batch.row, 0) == outcome(
+            AllocationResult, 0.5, tuple(beta[0].tolist()), 0, 0, 0, 0
+        )
 
     def test_rejects_bad_arguments(self):
         for batch in (proposed_allocate_batch, conventional_allocate_batch):

@@ -529,6 +529,9 @@ FIG3_SHA256 = "561bd236d5d3a61951d113fa90764c8eaee3a46d051016616c59e3f0949084a8"
 FIG4_SHA256 = "5d540fd110a6cc1405a8b22c55d52505c5187bae27b2a0cd40d85362d0a421fb"
 # sha256 of ``ehuav fig4`` on the shipped scenario with ``trials: 30``.
 FIG4_TRIALS30_SHA256 = "1b4d51690e183068b245cfc4d503e70171f57aabf769b9658223bf851e5df0ca"
+# sha256 of the committed results/fig4_r05.csv, ``ehuav fig4`` on
+# configs/fig4_r05.yaml (the shipped scenario at R_a = 0.5).
+FIG4_R05_SHA256 = "3e4689118fecde4ac190f0935bfadfa7863ffb1596134873f9b615bb7ecfe3a5"
 
 
 class TestDeliverables:
@@ -564,6 +567,17 @@ class TestDeliverables:
             "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
         )
         assert sha256(out) == FIG4_TRIALS30_SHA256
+
+    def test_fig4_at_half_the_rate_reproduces_the_committed_csv(self, tmp_path, capsys):
+        # At R_a = 0.5 most empirical outages from 50 m up lie below 1; the
+        # analytic minimum still sits on the sweep boundary.
+        out = tmp_path / "fig4_r05.csv"
+        assert main(["fig4", "configs/fig4_r05.yaml", "--out", str(out)]) == EXIT_TREND
+        assert capsys.readouterr().err == (
+            "error: trend assertion failed:\n"
+            "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
+        )
+        assert sha256(out) == FIG4_R05_SHA256
 
 
 # sha256 of the stdout of each command below on the shipped scenario (or, for
