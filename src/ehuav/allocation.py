@@ -65,10 +65,9 @@ import numpy as np
 
 from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import Allocation, _rate
+from .outage import _LN2, Allocation, _rate
 from .specfun import lambert_w0
 
-_LN2 = math.log(2.0)
 
 # Tau rows of the grid search are evaluated in blocks of at most this many
 # rate-table entries (rows x K x share steps), which bounds its memory.

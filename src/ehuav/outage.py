@@ -1,8 +1,9 @@
 """Rate and outage mathematics.
 
-Per-UAV rate, the SNR outage threshold, the closed-form outage probability
-built from the product-of-gammas CDF, and a deterministic Monte-Carlo outage
-estimator that serves as the simulation oracle for the analysis.
+Per-UAV rate, the SNR outage threshold X_k, the closed-form outage
+probability P(some gamma_k < X_k) built from the product-of-gammas CDF, and
+a deterministic Monte-Carlo estimator of the same event that serves as the
+simulation oracle for the analysis.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import specfun
 from .channel import LinkBudget, NetworkConfig, sample_gamma_matrix
 from .errors import ConfigError, DomainError, NumericError
 
+_LN2 = math.log(2.0)
 _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
 
 # Most Monte-Carlo trials per estimate (15259 blocks): a bound on run time
@@ -83,25 +85,6 @@ class OutageEstimate:
         return math.sqrt(self.p_out * (1.0 - self.p_out) / self.trials)
 
 
-def rate(beta_k, tau, gamma_k, nu_c):
-    """Per-UAV spectral efficiency beta*(1-tau)*nu_c*log2(1 + tau*gamma/(beta*(1-tau))).
-
-    Accepts scalars or numpy arrays for every argument; arrays broadcast
-    (e.g. one row per draw with a ``(T, 1)`` column of tau and nu_c).
-    """
-    tau_arr = np.asarray(tau)
-    if not np.all((tau_arr > 0.0) & (tau_arr < 1.0)):
-        raise ConfigError(f"tau must lie in (0,1), got {tau}")
-    beta_k = np.asarray(beta_k, dtype=float)
-    gamma_k = np.asarray(gamma_k, dtype=float)
-    if not np.all((beta_k > 0.0) & (beta_k <= 1.0)):  # NaN fails too
-        raise ConfigError("beta_k must lie in (0,1]")
-    if not np.all(gamma_k >= 0.0):
-        raise ConfigError("gamma_k must be >= 0")
-    result = _rate(beta_k * (1.0 - tau), tau * gamma_k, nu_c)
-    return float(result) if result.ndim == 0 else result
-
-
 def _rate(eff, c, nu_c=1.0, log2=np.log2):
     """Every rate of the package, unchecked: ``eff = beta * (1 - tau)``,
     ``c = tau * gamma``, on floats or arrays, with the caller's ``log2``
@@ -131,15 +114,19 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     """Composite-SNR outage threshold X = beta*(1-tau)/tau * (2^(R_a/(beta*(1-tau)*nu_c)) - 1).
 
     The outage probability is monotone in X, so minimising X over tau
-    maximises reliability.  Saturates to +inf where 2^exponent leaves the
-    double range (exponent >= 1024: tau or beta at the very edge of their
-    ranges, or a very high R_a).
+    maximises reliability.  Below exponent e = 1, 2^e - 1 is computed as
+    expm1(e ln2): the subtraction cancels there (0.14 off at e = 1e-15).
+    X is then within 10 ulp of its exact value below e = 1 and within
+    (4 e ln2 + 6) ulp above, where 2^e magnifies the rounding of e.
+    Saturates to +inf where 2^exponent leaves the double range (exponent
+    >= 1024: tau or beta at the very edge of their ranges, or a very high
+    R_a); a zero R_a gives 0.0 even where eff/tau overflows.
     """
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau}")
     if not 0.0 < beta_k <= 1.0:
         raise ConfigError(f"beta_k must lie in (0,1], got {beta_k}")
-    if R_a < 0.0:
+    if not R_a >= 0.0:  # NaN fails too
         raise ConfigError(f"R_a must be >= 0, got {R_a}")
     if not nu_c > 0.0:
         raise ConfigError(f"nu_c must be > 0, got {nu_c}")
@@ -147,7 +134,10 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     exponent = R_a / (eff * nu_c)
     if exponent >= 1024.0:  # 2.0 ** 1024.0 raises OverflowError
         return math.inf
-    return eff / tau * (2.0 ** exponent - 1.0)
+    z = math.expm1(exponent * _LN2) if exponent < 1.0 else 2.0 ** exponent - 1.0
+    if z == 0.0:
+        return 0.0
+    return eff / tau * z
 
 
 # Below this normalised threshold u the product-gamma CDF is summed as its
@@ -391,67 +381,15 @@ def outage_closed_form(
     return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
-# A Monte-Carlo trial is decided by comparing each gain with its UAV's
-# threshold X = snr_threshold(beta, tau, R_a, nu_c) instead of computing
-# rates: the rate is increasing in the gain, so rate < R_a exactly where
-# gain < X, up to the rounding of the two computations.  Both use the same
-# doubles eff = beta*(1-tau) and eff*nu_c.  With u = 2**-53,
-# e = R_a/(eff*nu_c) and z = 2**e - 1 (so X = eff/tau * z):
-# * X as computed is within (1 + 1/z)(e ln2 + 2)u + 3u of the exact
-#   threshold: e carries u, which 2**e turns into e*ln2*u; pow adds up to
-#   2u; subtracting 1 magnifies both by (1 + z)/z (the cancellation at small
-#   e); eff/tau, the subtraction and the product add 3u.
-# * The computed rate crosses R_a within 3u + u/z + (c + 1)(1 + 1/z) e ln2 u
-#   of the exact threshold, with log2 within c*u (c = 8, four ulp): the
-#   rate's relative rounding there, (2u z/(1 + z) + u)/(e ln2) + (c + 1)u,
-#   times (1 + 1/z) e ln2, the inverse of the rate's relative slope in the
-#   gain.
-# * The ratio gain / X and the bounds 1 -/+ band add 2u.
-# Together at most (1 + 1/z)(7e + 10)u < 1.2e-15 (1 + e)(1 + 1/z): about
-# 1e3 ulp at exponents near 1024 and ulp/z where z is small.  The band
-# _THRESHOLD_BAND (1 + e)(1 + 1/z) is about 900 times that.  A trial whose
-# ratio lies within the band of 1 for some UAV, and that no other UAV has
-# already put in outage, is decided by the rates as before.
-_THRESHOLD_BAND = 1e-12
-# The bound is first order and assumes every value above is a normal
-# double.  A UAV gets no band (all its trials are decided by the rates)
-# where X is not finite, where z < _Z_MIN, or where R_a < _TINY.  Otherwise
-# e < 1024 gives eff*nu_c > R_a/1024, so eff, eff/tau, eff*nu_c, the rate
-# near R_a and tau*gain near tau*X > R_a*ln2 are all far above 2**-1022.
-_Z_MIN = 1e-6
-_TINY = 2.0 ** -1000
-
-
-def _threshold_band(beta_k: float, tau: float, R_a: float, nu_c: float):
-    """``(X, relative band)`` of one UAV (see :data:`_THRESHOLD_BAND`), or
-    None where no band can be bounded."""
-    if not R_a >= _TINY:  # also a negative or NaN requirement
-        return None
-    x = snr_threshold(beta_k, tau, R_a, nu_c)
-    if x == math.inf:
-        return None
-    exponent = R_a / (beta_k * (1.0 - tau) * nu_c)
-    z = 2.0 ** exponent - 1.0
-    if not z >= _Z_MIN:
-        return None
-    return x, _THRESHOLD_BAND * (1.0 + exponent) * (1.0 + 1.0 / z)
-
-
 def _outage_counter(alloc: Allocation, R_a: float):
-    """A function counting the rows of a ``(T, K)`` gain matrix whose
-    minimum rate under ``alloc`` is strictly below ``R_a``.
+    """A function counting the rows of a ``(T, K)`` gain matrix in which some
+    gain_k is strictly below X_k = snr_threshold(beta_k, tau, R_a, nu_c).
 
-    Each row's smallest ratio gain_k / X_k decides it where it lies outside
-    the band around 1 (NaN lies inside); the other rows get the rates, as
-    ``rate(...).min(axis=1) < R_a`` on the whole matrix would give them.
-    A UAV without a band divides by 0, which sends its ratio to +inf (NaN
-    for a zero gain) and leaves every row it could decide to the rates.
+    Each row's smallest ratio gain_k / X_k is compared with 1; a gain below
+    X_k gives a quotient below 1 after rounding, so the count is that of
+    gain_k < X_k.  X_k = 0 gives an infinite (or NaN) ratio, never counted.
     """
-    bands = [_threshold_band(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-    bounded = all(band is not None for band in bands)
-    thresholds = [0.0 if band is None else band[0] for band in bands]
-    width = max((band[1] for band in bands if band is not None), default=0.0)
-    beta = np.asarray(alloc.beta)[np.newaxis, :]
+    thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
 
     def count(gamma: np.ndarray) -> int:
         ratio = np.empty(gamma.shape[0])
@@ -460,10 +398,7 @@ def _outage_counter(alloc: Allocation, R_a: float):
             np.divide(gamma[:, 0], thresholds[0], out=ratio)
             for k in range(1, len(thresholds)):
                 np.minimum(ratio, np.divide(gamma[:, k], thresholds[k], out=column), out=ratio)
-        below = ratio < 1.0 - width
-        undecided = ~(below | (ratio > 1.0 + width)) if bounded else ~below
-        rates = rate(beta, alloc.tau, gamma[undecided], alloc.nu_c)
-        return int(np.count_nonzero(below)) + int(np.count_nonzero(rates.min(axis=1) < R_a))
+        return int(np.count_nonzero(ratio < 1.0))
 
     return count
 
@@ -476,18 +411,19 @@ def outage_monte_carlo(
     seed: int,
     rate_requirement: float | None = None,
 ) -> OutageEstimate:
-    """Monte-Carlo outage: fraction of blocks with min-rate strictly below R_a.
+    """Monte-Carlo outage: fraction of blocks in which some UAV's composite
+    gain gamma_k is strictly below its SNR threshold X_k.
+
+    X_k is :func:`snr_threshold`, the one :func:`outage_closed_form` uses,
+    so both estimate the same event; a negative or NaN R_a raises its
+    :class:`ConfigError`.  The rate is increasing in the gain, so this is
+    the event "minimum rate < R_a" with X_k exact to a few ulp instead of
+    each rate's rounding.
 
     Trials are drawn in fixed 65536-draw blocks, so memory stays bounded
     whatever ``trials`` is.  Block b samples from its own child stream
     SeedSequence(seed, spawn_key=(b,)), so a given (seed, trials) always
     gives the same estimate.  ``trials`` must lie in ``[1, MC_TRIALS_MAX]``.
-
-    A trial is decided by comparing each gain with its UAV's SNR threshold
-    (:func:`snr_threshold`, the one :func:`outage_closed_form` uses); only
-    trials whose gains lie within a derived rounding band of a threshold
-    (see :data:`_THRESHOLD_BAND`) have their rates computed.  The count is
-    therefore exactly that of the rule "minimum rate < R_a" on every trial.
     """
     if not 1 <= trials <= MC_TRIALS_MAX:
         raise ConfigError(f"trials must lie in [1, {MC_TRIALS_MAX}], got {trials}")

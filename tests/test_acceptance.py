@@ -34,11 +34,11 @@ from ehuav.experiments import (
 )
 from ehuav.outage import (
     Allocation,
+    _rate,
     gamma_product_cdf,
     min_rate,
     outage_closed_form,
     outage_monte_carlo,
-    rate,
 )
 from ehuav.specfun import bessel_k_int, lambert_w0
 
@@ -61,7 +61,8 @@ def budgets_for(net):
 
 
 def worst_rate(beta, tau: float, gamma) -> float:
-    return float(np.min(rate(np.asarray(beta, dtype=float), tau, gamma, 1.0)))
+    rates = _rate(np.asarray(beta, dtype=float) * (1.0 - tau), tau * np.asarray(gamma))
+    return float(np.min(rates))
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +288,7 @@ def test_a08_property_suites():
         total_updates += iters
         instance += 1
         assert abs(math.fsum(beta) - 1.0) <= 1e-12
-        rates = rate(np.array(beta), tau, gamma, 1.0)
+        rates = _rate(np.array(beta) * (1.0 - tau), tau * gamma)
         assert float(np.max(rates) - np.min(rates)) <= epsilon
     assert total_updates >= 10**4
 

@@ -34,7 +34,7 @@ from ehuav.channel import EPSILON_MIN, make_link_budget, sample_gamma_matrix
 from ehuav.configio import load_config
 from ehuav.errors import CapabilityError, ConfigError, EhuavError, NumericError
 from ehuav.experiments import place_nodes
-from ehuav.outage import Allocation, _rate, min_rate, rate
+from ehuav.outage import Allocation, _rate, min_rate
 
 EPS = 1e-4
 # Gains whose phase 2 runs into its update cap at epsilon = 1e-12.
@@ -43,7 +43,8 @@ TABLE1 = Path(__file__).resolve().parent.parent / "configs" / "table1.yaml"
 
 
 def worst_rate(beta, tau: float, gamma) -> float:
-    rates = rate(np.asarray(beta, dtype=float), tau, np.asarray(gamma, dtype=float), 1.0)
+    gamma = np.asarray(gamma, dtype=float)
+    rates = _rate(np.asarray(beta, dtype=float) * (1.0 - tau), tau * gamma)
     return float(np.min(rates))
 
 
@@ -88,12 +89,12 @@ def equal_rate_shares(tau: float, gamma) -> tuple[np.ndarray, float]:
     gam = np.asarray(gamma, dtype=float)
 
     def share_for(r: float, g: float) -> float:
-        return brentq(lambda b: rate(b, tau, g, 1.0) - r, 1e-12, 1.0, xtol=1e-15)
+        return brentq(lambda b: _rate(b * (1.0 - tau), tau * g) - r, 1e-12, 1.0, xtol=1e-15)
 
     def excess(r: float) -> float:
         return math.fsum(share_for(r, float(g)) for g in gam) - 1.0
 
-    r_hi = min(rate(1.0, tau, float(g), 1.0) for g in gam)
+    r_hi = min(_rate(1.0 - tau, tau * float(g)) for g in gam)
     r = brentq(excess, 1e-9 * r_hi, r_hi * (1.0 - 1e-9), xtol=1e-13)
     return np.array([share_for(r, float(g)) for g in gam]), r
 
@@ -147,7 +148,8 @@ class TestMinRateTauDerivative:
         for seed in range(6):
             gam = random_gains(4, seed)
             for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
-                args = [np.argmin(rate(beta, t, gam, 1.0)) for t in (tau - h, tau, tau + h)]
+                stencil = (tau - h, tau, tau + h)
+                args = [np.argmin(_rate(beta * (1.0 - t), t * gam)) for t in stencil]
                 if len(set(int(a) for a in args)) != 1:
                     continue  # weakest UAV switches inside the stencil
                 fd = (worst_rate(beta, tau + h, gam) - worst_rate(beta, tau - h, gam)) / (2 * h)
@@ -208,7 +210,7 @@ class TestPhase1Taf:
         # follows the smallest gain, index 2.
         gains = [1.37558935e-05, 1.78042568e-13, 1.12371205e-13, 2.59839270e-02]
         eps = 2.876e-05
-        rates = rate(np.full(4, 0.25), eps, np.array(gains), 1.0)
+        rates = _rate(np.full(4, 0.25) * (1.0 - eps), eps * np.array(gains))
         assert rates[1] == rates[2] == 0.0
         smallest = allocation._rate_slope(0.25, gains[2], eps)
         lowest_index = min_rate_slope((0.25,) * 4, gains, eps)
@@ -275,7 +277,7 @@ class TestPhase2Baf:
             K = 2 + seed % 5
             gam = random_gains(K, seed)
             beta, iters = allocation._phase2(0.3, gam, EPS, [1.0 / K] * K)
-            rates = rate(np.array(beta), 0.3, gam, 1.0)
+            rates = _rate(np.array(beta) * (1.0 - 0.3), 0.3 * gam)
             assert float(rates.max() - rates.min()) <= EPS
             assert abs(math.fsum(beta) - 1.0) <= 1e-12
             assert iters >= 1
@@ -321,7 +323,7 @@ class TestPhase2Baf:
     def test_random_instances_converge_equalised(self, K, seed):
         gam = random_gains(K, seed)
         beta, _ = allocation._phase2(0.35, gam, EPS, [1.0 / K] * K)
-        rates = rate(np.array(beta), 0.35, gam, 1.0)
+        rates = _rate(np.array(beta) * (1.0 - 0.35), 0.35 * gam)
         assert float(rates.max() - rates.min()) <= EPS
         assert abs(math.fsum(beta) - 1.0) <= 1e-12
 
@@ -331,7 +333,7 @@ class TestPhase2Baf:
 # the argument checks and the data-phase share (the full block's 1.0, a
 # factor that changes no bit), as the reference the current ones must equal.
 def reference_dmin_rate_dtau(beta, gamma, tau):
-    k = int(np.argmin(rate(beta, tau, gamma, 1.0)))
+    k = int(np.argmin(_rate(beta * (1.0 - tau), tau * gamma)))
     b = float(beta[k])
     g = float(gamma[k])
     eff = b * (1.0 - tau)
@@ -475,11 +477,12 @@ def test_per_draw_allocators_equal_the_reference(K):
         ):
             res = current(gam, epsilon)
             assert bits(res) == bits(reference(gam, epsilon))
-            # min_rate as it was: the checked rate() over the shares, charged
-            # with several overhead shares.
+            # min_rate as it was: the rate over the shares, charged with
+            # several overhead shares.
             for nu_r in (0.0, 0.05, 0.5):
                 alloc = res.as_allocation(nu_r)
-                rates = rate(np.asarray(alloc.beta), alloc.tau, gam, alloc.nu_c)
+                eff = np.asarray(alloc.beta) * (1.0 - alloc.tau)
+                rates = _rate(eff, alloc.tau * gam, alloc.nu_c)
                 value, k = min_rate(alloc, gam)
                 assert (value.hex(), k) == (float(rates.min()).hex(), int(np.argmin(rates)))
 

@@ -239,6 +239,23 @@ class TestOutage:
         assert "analytic_outage: 0\n" in out
         assert "empirical_outage: 0 " in out
 
+    def test_zero_rate_at_a_tiny_tau_gives_zero_outage(self, capsys):
+        # eff/tau overflows to inf there, and the zero threshold stays 0.0
+        # instead of inf * 0 = NaN.
+        rc = main(["outage", TABLE1, "--trials", "500", "--tau", "1e-310", "--rate", "0"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "analytic_outage: 0\n" in out
+        assert "empirical_outage: 0 " in out
+        assert "verdict: PASS\n" in out
+
+    def test_small_rate_target_keeps_the_analytic_digits(self, capsys):
+        # mpmath gives 5.90478183601086e-106; the subtraction 2^e - 1 in the
+        # thresholds gives 5.90478281289e-106.
+        rc = main(["outage", TABLE1, "--trials", "500", "--rate", "1e-9"])
+        assert rc == EXIT_OK
+        assert "analytic_outage: 5.90478183601e-106\n" in capsys.readouterr().out
+
     def test_threads_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["outage", TABLE1, "--trials", "500", "--threads", "2"])

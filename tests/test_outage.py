@@ -1,10 +1,12 @@
 """Rate, SNR-threshold, and outage checks.
 
-The closed-form outage is cross-checked against the Monte-Carlo estimator
-(the estimator's counts are those of the rate rule, checked here; it uses
-the SNR threshold only to skip computing rates), and the product-gamma
-CDF is pinned to its single-term reduction, to sampled quantiles and to a
-high-precision mpmath evaluation of the finite survival sum.
+The SNR threshold is checked against mpmath, and so is the Monte-Carlo
+estimator's decision of each trial (some gain strictly below its threshold)
+at gains placed around the exact threshold.  The closed-form outage is
+cross-checked against the Monte-Carlo estimator and against mpmath, and the
+product-gamma CDF is pinned to its single-term reduction, to sampled
+quantiles and to a high-precision mpmath evaluation of the finite survival
+sum.
 """
 
 import math
@@ -17,16 +19,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav import outage
+from ehuav.allocation import equal_bandwidth_taf
 from ehuav.channel import LinkBudget, sample_gamma_matrix
 from ehuav.errors import ConfigError, DomainError, NumericError
+from ehuav.experiments import link_budgets
 from ehuav.outage import (
     Allocation,
     OutageEstimate,
+    _rate,
     gamma_product_cdf,
     min_rate,
     outage_closed_form,
     outage_monte_carlo,
-    rate,
     snr_threshold,
 )
 from ehuav.specfun import bessel_k_int
@@ -139,6 +143,12 @@ class TestOutageEstimate:
         assert OutageEstimate(p_out=1.0, trials=10).std_err == 0.0
 
 
+def rate(beta, tau, gamma, nu_c):
+    """The per-UAV rate of ``min_rate``: ``_rate`` on eff = beta (1 - tau)
+    and c = tau gamma."""
+    return _rate(np.asarray(beta) * (1.0 - tau), tau * np.asarray(gamma), nu_c)
+
+
 class TestRate:
     def test_log_of_two(self):
         assert rate(1.0, 0.5, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
@@ -166,11 +176,6 @@ class TestRate:
         out = rate(beta, tau, gam, nu_c)
         for t in range(2):
             assert out[t].tolist() == rate(beta[t], float(tau[t, 0]), gam[t], nu_c[t, 0]).tolist()
-        with pytest.raises(ConfigError, match="tau"):
-            rate(beta, np.array([[0.3], [1.0]]), gam, nu_c)
-
-    def test_scalar_returns_float(self):
-        assert isinstance(rate(0.5, 0.5, 1.0, 1.0), float)
 
     def test_strictly_increasing_in_gamma(self):
         values = rate(0.4, 0.6, np.geomspace(1e-6, 1e6, 60), 0.9)
@@ -180,18 +185,6 @@ class TestRate:
         betas = np.linspace(0.01, 1.0, 100)
         values = rate(betas, 0.4, 5.0, 0.9)
         assert np.all(np.diff(values) > 0.0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ConfigError):
-            rate(0.5, 1.0, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            rate(1.5, 0.5, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            rate(0.5, 0.5, -1.0, 1.0)
-        with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
-            rate(0.5, 0.5, np.array([1.0, math.nan]), 1.0)
-        with pytest.raises(ConfigError, match="beta_k"):
-            rate(math.nan, 0.5, 1.0, 1.0)
 
 
 class TestMinRate:
@@ -223,6 +216,14 @@ class TestMinRate:
             min_rate(alloc, np.array([1.0, math.nan]))
 
 
+def mp_snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float):
+    """``(X, e)`` of the exact doubles in mpmath at the working precision:
+    e = R_a/(beta_k (1-tau) nu_c) and X = beta_k (1-tau)/tau (2^e - 1)."""
+    eff = mp.mpf(beta_k) * (1 - mp.mpf(tau))
+    exponent = mp.mpf(R_a) / (eff * mp.mpf(nu_c))
+    return eff / mp.mpf(tau) * mp.expm1(exponent * mp.log(2)), exponent
+
+
 class TestSnrThreshold:
     def test_direct_substitution(self):
         assert snr_threshold(1.0, 0.5, 1.0, 1.0) == pytest.approx(3.0, rel=1e-15)
@@ -231,6 +232,43 @@ class TestSnrThreshold:
         assert snr_threshold(0.5, 0.5, 0.0, 1.0) == 0.0
         small = snr_threshold(0.5, 0.5, 1e-9, 1.0)
         assert 0.0 < small < 1e-8
+
+    def test_zero_requirement_where_eff_over_tau_overflows(self):
+        # eff/tau is inf there; the threshold is 0, not inf * 0 = NaN.
+        assert snr_threshold(1 / 6, 1e-310, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("R_a", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_requirement_is_refused(self, R_a):
+        with pytest.raises(ConfigError, match=r"R_a must be >= 0, got"):
+            snr_threshold(0.5, 0.5, R_a, 1.0)
+
+    @pytest.mark.parametrize(
+        "beta_k, tau, nu_c, below, slope",
+        [
+            # 1 - tau and eff * nu_c exact: two roundings reach the exponent.
+            (1.0, 0.5, 1.0, 8.0, 2.0),
+            (0.3, 0.75, 1.0, 8.0, 2.0),
+            (1 / 6, 0.6180339887498949, 1.0, 8.0, 2.0),
+            # Four roundings reach the exponent.
+            (1 / 6, 0.19293594903136216, 1.0, 10.0, 4.0),
+            (0.9, 0.05, 0.95, 10.0, 4.0),
+            (1 / 3, 0.3, 0.7, 10.0, 4.0),
+        ],
+    )
+    def test_relative_error_against_mpmath(self, beta_k, tau, nu_c, below, slope):
+        # Each rounding that reaches e = R_a/(eff nu_c) moves 2^e by e ln2 of
+        # it; eff's own roundings come back through eff/tau, and pow, the
+        # subtraction, eff/tau and the product add about 4 more.  Below e = 1
+        # expm1(e ln2) keeps z = 2^e - 1 to a few ulp however small it is,
+        # where the subtraction 2^e - 1 is 0.14 off at e = 1e-15.
+        eff = beta_k * (1.0 - tau)
+        with mp.workdps(50):
+            for e in np.geomspace(1e-15, 1e3, 181):
+                R_a = float(e) * eff * nu_c
+                exact, exponent = mp_snr_threshold(beta_k, tau, R_a, nu_c)
+                error = abs(mp.mpf(snr_threshold(beta_k, tau, R_a, nu_c)) / exact - 1)
+                bound = below if exponent < 1 else slope * float(exponent) * math.log(2) + 6.0
+                assert error <= bound * 2.0**-53, (float(e), float(error) * 2**53)
 
     def test_overflow_saturates(self):
         assert snr_threshold(1e-3, 0.5, 1.0, 1.0) == math.inf
@@ -575,6 +613,25 @@ class TestClosedForm:
         # beta so small the threshold overflows to infinity
         assert outage_closed_form(alloc, [self.BUDGET] * 2, cfg) == 1.0
 
+    @pytest.mark.parametrize("R_a", [1e-9, 1e-7, 1e-5])
+    def test_small_rate_targets_against_mpmath(self, R_a):
+        # Table 1 at 90 m with the equal split of R_a = 0.5.  F_k grows as
+        # X_k^12 here, so a threshold off by d puts the outage off by 12 d:
+        # the subtraction 2^e - 1 puts them 1.8e-7, 6.5e-10 and 2.0e-11 off.
+        cfg = default_config(K=6, A_hat=90.0)
+        budgets = link_budgets(cfg)
+        alloc = Allocation(tau=equal_bandwidth_taf(6, 0.5), beta=(1 / 6,) * 6)
+        value = outage_closed_form(alloc, budgets, cfg, rate_requirement=R_a)
+        with mp.workdps(200):
+            survival = mp.mpf(1)
+            for beta_k, budget in zip(alloc.beta, budgets):
+                x, _ = mp_snr_threshold(beta_k, alloc.tau, R_a, alloc.nu_c)
+                u = x / (mp.mpf(budget.rho) * mp.mpf(budget.lam) * mp.mpf(budget.mu))
+                n_h, n_g = cfg.m_h[0] * cfg.N_c, cfg.m_g[0] * cfg.N_r
+                survival *= 1 - mp_gamma_product_cdf(u, n_h, n_g, dps=200)
+            exact = 1 - survival
+            assert abs(value / exact - 1) <= 1e-12, float(value / exact - 1)
+
 
 class TestMonteCarlo:
     BUDGET = budget_from_losses(60.0, 62.0, 1e11)
@@ -640,109 +697,83 @@ class TestMonteCarlo:
                 self.alloc(), [self.BUDGET] * 2, self.config(), trials=0, seed=1
             )
 
+    @pytest.mark.parametrize("R_a", [-1.0, math.nan])
+    def test_negative_or_nan_requirement_is_refused(self, R_a):
+        # The closed form's check, not a count of 0.
+        with pytest.raises(ConfigError, match="R_a must be >= 0"):
+            outage_monte_carlo(
+                self.alloc(), [self.BUDGET] * 2, self.config(),
+                trials=10, seed=1, rate_requirement=R_a,
+            )
 
-def by_rates(gamma, alloc, R_a):
-    """The rule a Monte-Carlo trial is defined by: some rate strictly below R_a."""
-    beta = np.asarray(alloc.beta)[np.newaxis, :]
-    return rate(beta, alloc.tau, gamma, alloc.nu_c).min(axis=1) < R_a
 
-
-def monte_carlo_by_rates(alloc, budgets, config, trials, seed, R_a):
-    """Outage count of outage_monte_carlo's blocks, every trial by rates."""
+def count_below_thresholds(alloc, budgets, config, trials, seed, R_a):
+    """Outage count of outage_monte_carlo's blocks, each trial decided by
+    comparing every gain with its threshold directly."""
+    x = np.array([snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta])
     outages = 0
     for block in range((trials + 65535) // 65536):
         n = min(65536, trials - block * 65536)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         gamma = sample_gamma_matrix(budgets, config, rng, n)
-        outages += int(np.count_nonzero(by_rates(gamma, alloc, R_a)))
+        outages += int(np.count_nonzero((gamma < x).any(axis=1)))
     return outages
 
 
-def ulp_steps(x: float, j: int) -> float:
-    """x moved j doubles up (j > 0) or down (j < 0)."""
-    for _ in range(abs(j)):
-        x = math.nextafter(x, math.inf if j > 0 else 0.0)
-    return x
+class TestOutageEvent:
+    """A Monte-Carlo trial is an outage where some gain_k < X_k."""
 
-
-class TestThresholdDecision:
-    """outage._outage_counter decides by threshold; it must count as by_rates."""
-
-    CASES = [
-        (Allocation(tau=0.3, beta=(0.5, 0.5)), 1.0),
-        (Allocation(tau=0.5, beta=(1.0,)), 511.9),  # exponent 1023.8
-        (Allocation(tau=0.9, beta=(0.25, 0.75), nu_r=0.3), 15.0),  # exponent 857
-        (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-6),  # z = 2.8e-6, near _Z_MIN
-        (Allocation(tau=0.4, beta=(0.2, 0.3, 0.5)), 0.5),
-        (Allocation(tau=0.01, beta=(1 / 3, 1 / 3, 1 / 3)), 200.0),
-        (Allocation(tau=1e-308, beta=(0.5, 0.5)), 1.0),  # X = 1.5e308
-    ]
-
-    @staticmethod
-    def assert_rows_count_as_by_rates(gamma, alloc, R_a):
-        count = outage._outage_counter(alloc, R_a)
-        expected = by_rates(gamma, alloc, R_a)
-        got = [count(gamma[i : i + 1]) for i in range(len(gamma))]
-        assert got == expected.astype(int).tolist()
-        assert count(gamma) == int(np.count_nonzero(expected))
-
-    @pytest.mark.parametrize("alloc, R_a", CASES)
-    def test_gains_at_and_around_each_threshold(self, alloc, R_a):
-        # Each row puts one UAV's gain at X_k moved j = -4..4 doubles, then
-        # just outside the band on both sides; the other UAVs sit far above
-        # their thresholds, so that UAV alone decides the row.
-        bands = [outage._threshold_band(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-        assert all(band is not None for band in bands)
-        clear = [min(4.0 * x, 1.7e308) for x, _ in bands]
-        rows = []
-        for k, (x, width) in enumerate(bands):
-            gains = [ulp_steps(x, j) for j in range(-4, 5)]
-            gains += [x * (1.0 - 2.0 * width), x * (1.0 + 2.0 * width)]
-            rows += [clear[:k] + [g] + clear[k + 1 :] for g in gains]
-        self.assert_rows_count_as_by_rates(np.array(rows), alloc, R_a)
-
+    @pytest.mark.parametrize("R_a", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 50.0])
     @pytest.mark.parametrize(
-        "alloc, R_a",
+        "alloc",
         [
-            (Allocation(tau=0.5, beta=(0.5, 0.5)), 0.0),  # X = 0
-            (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-12),  # z below _Z_MIN
-            (Allocation(tau=0.5, beta=(1.0,)), 512.0),  # exponent 1024: X = inf
-            (Allocation(tau=0.3, beta=(0.5, 0.5)), 1e9),  # X = inf
-            (Allocation(tau=0.3, beta=(0.5, 0.5)), -1.0),  # never an outage
-            (Allocation(tau=0.3, beta=(0.5, 0.5)), math.nan),  # never an outage
-            (Allocation(tau=1e-310, beta=(0.5, 0.5)), 1.0),  # eff/tau overflows
-            (Allocation(tau=0.5, beta=(0.5, 0.5)), 1e-305),  # R_a below _TINY
+            Allocation(tau=0.1, beta=(0.25, 0.75)),
+            Allocation(tau=0.3, beta=(0.25, 0.75), nu_r=0.3),
+            Allocation(tau=0.6, beta=(0.25, 0.75)),
+            Allocation(tau=0.6, beta=(0.25, 0.75), nu_r=0.3),
         ],
     )
-    def test_uavs_without_a_band_leave_every_trial_to_the_rates(self, alloc, R_a):
-        assert outage._threshold_band(alloc.beta[0], alloc.tau, R_a, alloc.nu_c) is None
-        gains = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 3.0, 1e12, 1e300, math.inf]
-        gamma = np.array([[g, h] for g in gains for h in gains])[:, : alloc.K]
-        self.assert_rows_count_as_by_rates(gamma, alloc, R_a)
+    def test_trials_are_decided_on_the_exact_side_of_the_threshold(self, alloc, R_a):
+        # Gains at the 60-digit threshold times (1 + j 1e-13), j = -30..30,
+        # with the other UAV's gain at inf.  Every row farther from the exact
+        # threshold than the computed X_k's error bound (4 e ln2 + 6 ulp,
+        # see TestSnrThreshold) is counted exactly where gain < X.
+        count = outage._outage_counter(alloc, R_a)
+        decided = 0
+        for k, beta_k in enumerate(alloc.beta):
+            with mp.workdps(60):
+                exact, exponent = mp_snr_threshold(beta_k, alloc.tau, R_a, alloc.nu_c)
+                margin = (4.0 * float(exponent) * math.log(2) + 6.0) * math.ulp(float(exact))
+                for j in range(-30, 31):
+                    gain = float(exact * (1 + j * mp.mpf("1e-13")))
+                    if abs(mp.mpf(gain) - exact) <= margin:
+                        continue
+                    row = np.full((1, 2), math.inf)
+                    row[0, k] = gain
+                    assert count(row) == int(mp.mpf(gain) < exact), (k, j)
+                    decided += 1
+        assert decided >= 100  # of 122: the margin reaches j = +-2 only near e = 1000
 
-    def test_a_bounded_uav_still_decides_rows_beside_one_without_a_band(self):
-        # UAV 0's share leaves it no band (its exponent is above 1024);
-        # UAV 1's threshold decides the rows where it is clearly below.
-        alloc = Allocation(tau=0.5, beta=(1e-3, 1 - 1e-3))
-        R_a = 1.0
-        assert outage._threshold_band(1e-3, 0.5, R_a, 1.0) is None
-        x, width = outage._threshold_band(1 - 1e-3, 0.5, R_a, 1.0)
-        gains = [0.0, x * (1 - 2 * width), x, x * (1 + 2 * width), 1e300, math.inf]
-        gamma = np.array([[g, h] for g in gains for h in gains])
-        self.assert_rows_count_as_by_rates(gamma, alloc, R_a)
+    def test_zero_and_infinite_thresholds(self):
+        # X = 0 (R_a = 0) puts no gain below it; X = inf puts every finite
+        # gain below it.
+        gamma = np.array([[0.0, 0.0], [1e-300, 1e300], [math.inf, math.inf]])
+        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
+        assert outage._outage_counter(alloc, 0.0)(gamma) == 0
+        assert outage._outage_counter(alloc, 1e9)(gamma) == 2
 
-    def test_a_nan_gain_is_refused_even_where_another_uav_is_in_outage(self):
-        alloc, R_a = self.CASES[0]
-        gamma = np.array([[math.nan, 0.0]])
-        with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
-            by_rates(gamma, alloc, R_a)
-        with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
-            outage._outage_counter(alloc, R_a)(gamma)
+    @pytest.mark.parametrize("trials", [1, 65535, 65537])
+    def test_blocks_count_as_a_direct_comparison(self, trials):
+        cfg = default_config(K=2)
+        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
+        budgets = [budget_from_losses(60.0, 62.0, 1e11)] * 2
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=11)
+        expected = count_below_thresholds(alloc, budgets, cfg, trials, 11, cfg.R_a)
+        assert est.p_out == expected / trials
 
-    def test_seeded_parity_with_the_rate_rule(self):
+    def test_seeded_scenarios_count_as_a_direct_comparison(self):
         # Random scenarios over K 1-8, both signalling shares, shapes up to
-        # 170 and gains spread around each threshold; the estimator's count
-        # must equal the rate rule's on the same block streams.
+        # 170 and gains spread around each threshold.
         rng = np.random.default_rng(2024)
         for K in range(1, 9):
             for R_a in (0.0, 1e-12, 1e-6, 0.5, 1.0, 50.0, 1e9):
@@ -777,13 +808,5 @@ class TestThresholdDecision:
                     est = outage_monte_carlo(
                         alloc, budgets, cfg, trials=trials, seed=seed, rate_requirement=R_a
                     )
-                    expected = monte_carlo_by_rates(alloc, budgets, cfg, trials, seed, R_a)
+                    expected = count_below_thresholds(alloc, budgets, cfg, trials, seed, R_a)
                     assert est.p_out == expected / trials, (K, R_a, nu_r)
-
-    @pytest.mark.parametrize("trials", [1, 65535, 65537])
-    def test_parity_across_a_partial_block(self, trials):
-        cfg = default_config(K=2)
-        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
-        budgets = [budget_from_losses(60.0, 62.0, 1e11)] * 2
-        est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=11)
-        assert est.p_out == monte_carlo_by_rates(alloc, budgets, cfg, trials, 11, cfg.R_a) / trials
