@@ -47,11 +47,15 @@ exactly (:func:`_slope_rises`).  Every rate is one call of
 cap of phase 2 are each written once and read by both forms.  The per-draw
 forms serve one draw at a time (a batch of one costs more than a per-draw
 call) and are the reference the batch forms are tested against.  They do
-their scalar work on Python floats: phase 1 bisects the rate slope of the
+their scalar work on Python floats, on the gain list that
+:func:`_as_gamma` checks, because numpy's dispatch on K-element arrays
+costs more than their arithmetic: phase 1 bisects the rate slope of the
 one UAV with the smallest gain, phase 2 recomputes only the two rates an
-update changes, and the baseline reads the gains from a list, looks up one
+update changes, each with the scalar ``np.log2`` (the batch form's bits,
+which ``math.log2`` does not always give), and the baseline looks up one
 (UAV, target) pair at a time and sums its shares with numpy only near 1
-(:func:`_fits_the_band`).
+(:func:`_fits_the_band`).  :func:`ehuav.outage.min_rate` scores one draw
+the same way.
 """
 
 from __future__ import annotations
@@ -191,13 +195,15 @@ class BatchAllocation:
         )
 
 
-def _as_gamma(gamma) -> np.ndarray:
+def _as_gamma(gamma) -> list[float]:
+    """The checked gains of one draw, as Python floats."""
     arr = np.asarray(gamma, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ConfigError("gamma must be a non-empty vector")
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+    gains = arr.tolist()
+    if not all([0.0 < g < math.inf for g in gains]):  # NaN fails too
         raise ConfigError("all channel gains must be strictly positive and finite")
-    return arr
+    return gains
 
 
 def _as_matrix(gains) -> np.ndarray:
@@ -335,7 +341,7 @@ def _stall_error(lo: float, hi: float, epsilon: float) -> NumericError:
     )
 
 
-def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
+def _phase1(gains: list[float], epsilon: float) -> tuple[float, int]:
     """Phase 1: bisection for the time split on the sign of the min-rate
     derivative, at the equal bandwidth split.
 
@@ -349,8 +355,8 @@ def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
     not the lowest index among the equal rates.  The caller has checked
     the gains and epsilon.
     """
-    b = 1.0 / gam.size
-    g = float(gam.min())
+    b = 1.0 / len(gains)
+    g = float(min(gains))
     lo, hi = epsilon, 1.0 - epsilon
     d_lo = _rate_slope(b, g, lo)
     d_hi = _rate_slope(b, g, hi)
@@ -368,7 +374,7 @@ def _phase1(gam: np.ndarray, epsilon: float) -> tuple[float, int]:
 
 
 def _phase2(
-    tau_o: float, gam: np.ndarray, epsilon: float, beta: list[float]
+    tau_o: float, gains: list[float], epsilon: float, beta: list[float]
 ) -> tuple[list[float], int]:
     """Phase 2: pairwise bandwidth transfers until all rates agree within
     epsilon; updates ``beta`` in place and returns it with the update count.
@@ -378,27 +384,27 @@ def _phase2(
     conserved.  More than :func:`_update_cap` updates raise NumericError.
 
     An update changes two shares, so only their two rates are recomputed,
-    with ``np.log2`` as in the batch form.  A NaN rate would be both the
-    fastest and the slowest (as ``np.argmax`` and ``np.argmin`` pick it)
-    and keep the gap NaN until the update cap, so it raises that error at
-    once.  The caller has checked the gains and epsilon.
+    on Python floats with the scalar ``np.log2``, which gives the batch
+    form's bits.  A NaN rate would be both the fastest and the slowest (as
+    ``np.argmax`` and ``np.argmin`` pick it) and keep the gap NaN until the
+    update cap, so it raises that error at once.  The caller has checked
+    the gains and epsilon.
     """
     K = len(beta)
     cap = _update_cap(K, epsilon)
     one_minus_tau = 1.0 - tau_o
-    tau_gam = (tau_o * gam).tolist()
-
-    def rate_of(k: int) -> float:
-        eff = beta[k] * one_minus_tau
-        # eff == 0 is 0 * log2(inf) in the array form: NaN.
-        r = float(_rate(eff, tau_gam[k])) if eff else math.nan
-        if r != r:
-            raise _cap_error(cap, r, epsilon, K, tau_o)
-        return r
-
-    rates = [rate_of(k) for k in range(K)]
+    tau_gam = [tau_o * g for g in gains]
+    rates = [0.0] * K
+    changed = range(K)
     iters = 0
     while True:
+        for k in changed:
+            eff = beta[k] * one_minus_tau
+            # eff == 0 is 0 * log2(inf) in the array form: NaN.
+            r = float(_rate(eff, tau_gam[k])) if eff else math.nan
+            if r != r:
+                raise _cap_error(cap, r, epsilon, K, tau_o)
+            rates[k] = r
         r_hat, r_check = max(rates), min(rates)
         gap = r_hat - r_check
         if gap <= epsilon:
@@ -409,7 +415,7 @@ def _phase2(
         step = beta[k_hat] * gap / (2.0 * r_hat)
         beta[k_check] += step
         beta[k_hat] -= step
-        rates[k_hat], rates[k_check] = rate_of(k_hat), rate_of(k_check)
+        changed = (k_hat, k_check)
         iters += 1
 
 
@@ -419,11 +425,11 @@ def proposed_allocate(gamma, epsilon: float) -> AllocationResult:
     Operation tally is K + I_tau + I_beta * K: one rate per UAV to set up,
     one derivative per bisection step, K rates per transfer update.
     """
-    gam = _as_gamma(gamma)
+    gains = _as_gamma(gamma)
     _check_epsilon(epsilon)
-    K = gam.size
-    tau_o, iters_tau = _phase1(gam, epsilon)
-    beta_o, iters_beta = _phase2(tau_o, gam, epsilon, [1.0 / K] * K)
+    K = len(gains)
+    tau_o, iters_tau = _phase1(gains, epsilon)
+    beta_o, iters_beta = _phase2(tau_o, gains, epsilon, [1.0 / K] * K)
     return AllocationResult(
         tau=tau_o,
         beta=tuple(beta_o),
@@ -475,10 +481,10 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     and step count are looked up (see ``shares_for_target``), and
     ``inner_iters_beta`` counts the steps the loop would take.
     """
-    gam = _as_gamma(gamma)
-    K = gam.size
+    gains = _as_gamma(gamma)
+    K = len(gains)
     _check_epsilon(epsilon)
-    tau_o, iters_tau = _phase1(gam, epsilon)
+    tau_o, iters_tau = _phase1(gains, epsilon)
     if K == 1:
         return AllocationResult(
             tau=tau_o,
@@ -489,7 +495,7 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
             op_count=iters_tau,
         )
     one_minus_tau = 1.0 - tau_o
-    tau_gam = (tau_o * gam).tolist()
+    tau_gam = [tau_o * g for g in gains]
     tree = _share_tree(epsilon)
     edges, depth = tree.edge_list, tree.depth_list
     last = len(depth) - 1
@@ -950,7 +956,7 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     take the minimum over the enumerated simplex instead.  Either way the
     answer is the enumeration's, bit for bit.
     """
-    gam = _as_gamma(gamma)
+    gam = np.array(_as_gamma(gamma))
     K = gam.size
     if K > 3:
         raise CapabilityError(

@@ -40,7 +40,7 @@ class Allocation:
     nu_r: float = 0.0
 
     def __post_init__(self) -> None:
-        beta = tuple(float(b) for b in self.beta)
+        beta = tuple(map(float, self.beta))
         object.__setattr__(self, "beta", beta)
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0,1), got {self.tau}")
@@ -50,8 +50,11 @@ class Allocation:
             raise ConfigError(
                 f"beta must sum to 1 within 1e-12, got sum {math.fsum(beta)!r}"
             )
-        upper_ok = (lambda b: b <= 1.0) if len(beta) == 1 else (lambda b: b < 1.0)
-        if not all(0.0 < b and upper_ok(b) for b in beta):
+        if len(beta) == 1:
+            inside = 0.0 < beta[0] <= 1.0
+        else:
+            inside = all([0.0 < b < 1.0 for b in beta])  # NaN fails too
+        if not inside:
             raise ConfigError(
                 f"every beta_k must lie in (0,1) (or (0,1] for K=1), got {beta}"
             )
@@ -95,19 +98,33 @@ def _rate(eff, c, nu_c=1.0, log2=np.log2):
 
 
 def min_rate(alloc: Allocation, gamma) -> tuple[float, int]:
-    """Minimum per-UAV rate and its 0-based index (ties: lowest index).
+    """Minimum per-UAV rate and its 0-based index, as ``np.argmin`` picks
+    it from the rate array: the first NaN if there is one, else the first
+    minimum.
 
     The allocation checked tau and beta when it was built, so only the
-    gains are checked here.
+    gains are checked here.  Each rate is one :func:`_rate` call on Python
+    floats with the scalar ``np.log2``, which gives the bits of the array
+    form (``_rate`` on ``beta * (1 - tau)`` and ``tau * gamma``) that the
+    batch sweeps use; numpy's dispatch on K-element arrays would cost more
+    than the arithmetic.  A share whose ``beta_k (1 - tau)`` underflows to
+    0 gets the array form's NaN rate (``0 * log2(inf)``) without a division
+    by zero.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (alloc.K,):
-        raise ConfigError(f"gamma must have length K={alloc.K}, got shape {gamma.shape}")
-    if not np.all(gamma >= 0.0):  # NaN fails too
-        raise ConfigError("gamma_k must be >= 0")
-    rates = _rate(np.asarray(alloc.beta) * (1.0 - alloc.tau), alloc.tau * gamma, alloc.nu_c)
-    k = int(np.argmin(rates))  # argmin returns the first minimum
-    return float(rates[k]), k
+    arr = np.asarray(gamma, dtype=float)
+    if arr.shape != (alloc.K,):
+        raise ConfigError(f"gamma must have length K={alloc.K}, got shape {arr.shape}")
+    tau, nu_c = alloc.tau, alloc.nu_c
+    one_minus_tau = 1.0 - tau
+    value, worst = math.inf, 0
+    for k, (b, g) in enumerate(zip(alloc.beta, arr.tolist())):
+        if not g >= 0.0:  # NaN fails too
+            raise ConfigError("gamma_k must be >= 0")
+        eff = b * one_minus_tau
+        r = float(_rate(eff, tau * g, nu_c, np.log2)) if eff else math.nan
+        if r < value or (r != r and value == value):
+            value, worst = r, k
+    return value, worst
 
 
 def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
@@ -120,7 +137,8 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     (4 e ln2 + 6) ulp above, where 2^e magnifies the rounding of e.
     Saturates to +inf where 2^exponent leaves the double range (exponent
     >= 1024: tau or beta at the very edge of their ranges, or a very high
-    R_a); a zero R_a gives 0.0 even where eff/tau overflows.
+    R_a) and where eff * nu_c underflows to 0 (certain outage); a zero R_a
+    gives 0.0 even where eff/tau overflows or eff * nu_c underflows.
     """
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau}")
@@ -131,6 +149,8 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     if not nu_c > 0.0:
         raise ConfigError(f"nu_c must be > 0, got {nu_c}")
     eff = beta_k * (1.0 - tau)
+    if eff * nu_c == 0.0:  # the data share underflows: no positive rate fits
+        return math.inf if R_a > 0.0 else 0.0
     exponent = R_a / (eff * nu_c)
     if exponent >= 1024.0:  # 2.0 ** 1024.0 raises OverflowError
         return math.inf

@@ -249,6 +249,19 @@ class TestOutage:
         assert "empirical_outage: 0 " in out
         assert "verdict: PASS\n" in out
 
+    def test_underflowing_data_share_is_certain_outage(self, capsys):
+        # 5e-324 * (1 - 0.7) rounds to 0, so no positive rate fits that
+        # UAV's share; this used to be a ZeroDivisionError traceback.
+        rc = main(
+            ["outage", TABLE1, "--tau", "0.7", "--beta", "5e-324"] + ["0.2"] * 5
+            + ["--trials", "100"]
+        )
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "analytic_outage: 1\n" in out
+        assert "empirical_outage: 1 " in out
+        assert "verdict: PASS\n" in out
+
     def test_small_rate_target_keeps_the_analytic_digits(self, capsys):
         # mpmath gives 5.90478183601086e-106; the subtraction 2^e - 1 in the
         # thresholds gives 5.90478281289e-106.

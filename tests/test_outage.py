@@ -210,10 +210,65 @@ class TestMinRate:
         with pytest.raises(ConfigError):
             min_rate(alloc, np.array([1.0, 2.0, 3.0]))
 
-    def test_nan_gain_is_refused(self):
-        alloc = Allocation(tau=0.5, beta=(0.5, 0.5))
+    @pytest.mark.parametrize(
+        "beta, gamma",
+        [
+            ((0.5, 0.5), [1.0, math.nan]),
+            # A NaN rate (UAV 1's share underflows) before the bad gain.
+            ((0.5, 5e-324, 0.5), [1.0, 2.0, math.nan]),
+        ],
+    )
+    def test_nan_gain_is_refused(self, beta, gamma):
+        alloc = Allocation(tau=0.5, beta=beta)
         with pytest.raises(ConfigError, match="gamma_k must be >= 0"):
-            min_rate(alloc, np.array([1.0, math.nan]))
+            min_rate(alloc, np.array(gamma))
+
+    def test_edges_of_the_argmin(self):
+        # beta_1 (1 - tau) underflows to 0: its rate is 0 * log2(inf), NaN,
+        # and a NaN rate is the minimum, as np.argmin picks it.
+        value, k = min_rate(Allocation(tau=0.5, beta=(0.5, 5e-324, 0.5)), [0.0, 2.0, 3.0])
+        assert math.isnan(value) and k == 1
+        # With no NaN, the first of equal minima: two zero gains tie at 0.
+        value, k = min_rate(Allocation(tau=0.5, beta=(0.25,) * 4), [2.0, 0.0, 2.0, 0.0])
+        assert value == 0.0 and k == 1
+        # A NaN rate after a smaller rate (and a tie) still wins.
+        value, k = min_rate(
+            Allocation(tau=0.5, beta=(0.25, 0.25, 5e-324, 0.5 - 5e-324)), [0.0, 0.0, 1.0, 1.0]
+        )
+        assert math.isnan(value) and k == 2
+        # An infinite gain has an infinite rate, which is never the minimum
+        # unless every rate is infinite; then the first index.
+        value, k = min_rate(Allocation(tau=0.5, beta=(0.5, 0.5)), [math.inf, 1.0])
+        assert k == 1 and value == float(_rate(0.25, 0.5, 1.0))
+        value, k = min_rate(Allocation(tau=0.5, beta=(0.5, 0.5)), [math.inf, math.inf])
+        assert value == math.inf and k == 0
+
+    @pytest.mark.parametrize("nu_r", [0.1, 0.37, 0.9 - 2**-40])
+    def test_signalling_share_matches_the_array_form(self, nu_r):
+        alloc = Allocation(tau=0.3, beta=(0.2, 0.3, 0.5), nu_r=nu_r)
+        gamma = np.array([40.0, 4.0, 4.0])
+        rates = _rate(np.array(alloc.beta) * (1.0 - 0.3), 0.3 * gamma, 1.0 - nu_r)
+        assert min_rate(alloc, gamma) == (float(rates[1]), 1)
+
+    def test_equals_the_array_form_bit_for_bit(self):
+        # K from 1 to 64, gains over 1e-12..1e12 (some zero) and nu_r in
+        # [0, 0.9): the value and index of the array form's np.argmin.
+        rng = np.random.default_rng(20240522)
+        for _ in range(400):
+            K = int(rng.integers(1, 65))
+            tau = float(rng.uniform(1e-3, 1.0 - 1e-3))
+            shares = rng.uniform(0.05, 1.0, K)
+            beta = (1.0,) if K == 1 else tuple((shares / shares.sum()).tolist())
+            if abs(math.fsum(beta) - 1.0) > 1e-12:
+                continue
+            gamma = 10.0 ** rng.uniform(-12.0, 12.0, K)
+            gamma[rng.random(K) < 0.05] = 0.0
+            nu_r = float(rng.uniform(0.0, 0.9))
+            alloc = Allocation(tau=tau, beta=beta, nu_r=nu_r)
+            rates = _rate(np.asarray(beta) * (1.0 - tau), tau * gamma, alloc.nu_c)
+            expected = int(np.argmin(rates))
+            value, k = min_rate(alloc, gamma)
+            assert (value.hex(), k) == (float(rates[expected]).hex(), expected)
 
 
 def mp_snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float):
@@ -236,6 +291,15 @@ class TestSnrThreshold:
     def test_zero_requirement_where_eff_over_tau_overflows(self):
         # eff/tau is inf there; the threshold is 0, not inf * 0 = NaN.
         assert snr_threshold(1 / 6, 1e-310, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("beta_k, tau, nu_c", [(5e-324, 0.7, 1.0), (1e-300, 0.5, 1e-30)])
+    def test_underflowing_data_share(self, beta_k, tau, nu_c):
+        # beta_k (1 - tau) nu_c rounds to 0: no positive rate fits the share
+        # (certain outage), and a zero requirement still needs no share.
+        assert beta_k * (1.0 - tau) * nu_c == 0.0
+        assert snr_threshold(beta_k, tau, 0.5, nu_c) == math.inf
+        assert snr_threshold(beta_k, tau, 5e-324, nu_c) == math.inf
+        assert snr_threshold(beta_k, tau, 0.0, nu_c) == 0.0
 
     @pytest.mark.parametrize("R_a", [-1.0, -1e-300, math.nan])
     def test_negative_or_nan_requirement_is_refused(self, R_a):
