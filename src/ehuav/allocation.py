@@ -35,12 +35,13 @@ A failing draw does not stop the others; only a malformed matrix or a bad
 ``epsilon`` or ``R_a`` makes the batch call itself raise.
 Phase 1, phase 2 and the baseline's outer target bisection replay the
 per-draw loops: the same brackets, stopping tests and operation order.
-Neither form of the baseline steps through its inner share bisections:
+The batch baseline does not step through its inner share bisections:
 each one's final bracket is looked up in the bisection's midpoint tree
 (:func:`_share_tree`) and certified by the rates at its two ends, and the
-pairs that cannot be certified run the loop (:func:`_inner_shares` in the
-batch form, :func:`_bisect_share` in the per-draw form).  The plain loop
-stays in the tests as the reference.  The batch phase 1 decides each
+pairs that cannot be certified run the loop (:func:`_inner_shares`).  The
+per-draw baseline runs the loop itself, and rates only the midpoints that
+the targets it has already solved leave undecided.  The plain loop stays
+in the tests as the reference.  The batch phase 1 decides each
 step's sign with ``np.log2`` and recomputes only the near-zero slopes
 exactly (:func:`_slope_rises`).  Every rate is one call of
 :func:`ehuav.outage._rate`, and the rate slope of phase 1 and the update
@@ -52,7 +53,7 @@ their scalar work on Python floats, on the gain list that
 costs more than their arithmetic: phase 1 bisects the rate slope of the
 one UAV with the smallest gain, phase 2 recomputes only the two rates an
 update changes, each with the scalar ``np.log2`` (the batch form's bits,
-which ``math.log2`` does not always give), and the baseline looks up one
+which ``math.log2`` does not always give), and the baseline bisects one
 (UAV, target) pair at a time and sums its shares with numpy only near 1
 (:func:`_fits_the_band`).  :func:`ehuav.outage.min_rate` scores one draw
 the same way.
@@ -62,14 +63,13 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import _LN2, Allocation, _rate
+from .outage import _LN2, Allocation, _rate, _share_sum
 from .specfun import lambert_w0
 
 
@@ -77,19 +77,19 @@ from .specfun import lambert_w0
 # rate-table entries (rows x K x share steps), which bounds its memory.
 _GRID_BLOCK_ELEMENTS = 1 << 18
 
-# Both forms of the baseline look their inner share bisections up in their
-# midpoint tree (:func:`_share_tree`), tabulated to this depth: at most 2**16
-# leaves.  Deeper levels run the bisection loop.
+# The batch baseline looks its inner share bisections up in their midpoint
+# tree (:func:`_share_tree`), tabulated to this depth: at most 2**16 leaves.
+# Deeper levels run the bisection loop.
 _SHARE_TREE_DEPTH = 16
 # Newton steps towards each inner bisection's share threshold per target.
 _SHARE_NEWTON_STEPS = 4
-# A tabulated leaf is used only where the rates at its ends clear the target
-# by this relative margin.  A rate computed in doubles is within about
-# 5u / ln(1 + q) + 10u (u = 2**-53) of the exact rate, with q = tau*g/eff
-# its SNR, and q is smallest at the whole band: at q >= _LOOKUP_MIN_SNR that
-# is below 6e-14, so the margin covers the rounding of any other share's
-# rate, decided with either log2.  Above _LOOKUP_MAX_SNR, q could overflow
-# at the smallest share.
+# The batch baseline uses a tabulated leaf only where the rates at its ends
+# clear the target by this relative margin.  A rate computed in doubles is
+# within about 5u / ln(1 + q) + 10u (u = 2**-53) of the exact rate, with
+# q = tau*g/eff its SNR, and q is smallest at the whole band: at
+# q >= _LOOKUP_MIN_SNR that is below 6e-14, so the margin covers the rounding
+# of any other share's rate, decided with either log2.  Above
+# _LOOKUP_MAX_SNR, q could overflow at the smallest share.
 _LOOKUP_MARGIN = 1e-12
 _LOOKUP_MIN_SNR = 1e-2
 _LOOKUP_MAX_SNR = 1e300
@@ -117,10 +117,9 @@ class AllocationResult:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0,1), got {self.tau}")
-        if abs(math.fsum(self.beta) - 1.0) > 1e-12:
-            raise ConfigError(
-                f"beta must sum to 1 within 1e-12, got {math.fsum(self.beta)!r}"
-            )
+        total = _share_sum(self.beta)
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"beta must sum to 1 within 1e-12, got {total!r}")
         for name in _TALLIES:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -440,21 +439,6 @@ def proposed_allocate(gamma, epsilon: float) -> AllocationResult:
     )
 
 
-def _bisect_share(lo, hi, one_minus_tau, c, target, epsilon) -> tuple[float, int]:
-    """The per-draw baseline's inner share bisection of the UAV with
-    ``c = tau * gain``, from the bracket ``[lo, hi]``: the final ``hi`` and
-    the steps taken."""
-    steps = 0
-    while hi - lo > epsilon:
-        mid = 0.5 * (lo + hi)
-        if _rate(mid * one_minus_tau, c, 1.0, math.log2) >= target:
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    return hi, steps
-
-
 def _fits_the_band(shares: list) -> bool:
     """``float(np.sum(shares)) <= 1.0``, mostly without numpy.
 
@@ -477,9 +461,19 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     a common target rate: each candidate target needs one inner bisection
     per UAV for the smallest share achieving it, and the candidate is
     feasible when those shares sum to at most 1.  The last feasible share
-    vector is normalized to sum exactly 1.  Each inner bisection's result
-    and step count are looked up (see ``shares_for_target``), and
-    ``inner_iters_beta`` counts the steps the loop would take.
+    vector is normalized to sum exactly 1.  ``inner_iters_beta`` counts
+    every step of the inner bisections.
+
+    Each inner bisection is the plain loop, but it rates only some of its
+    midpoints.  At a fixed midpoint, ``rate >= target`` can only turn false
+    as the target grows, whatever the rate (NaN and inf included), so a
+    UAV's final bracket does not move down as the target grows.  Every
+    target the outer bisection tries lies between ``target_lo`` and
+    ``target_hi``, whose brackets it has already found: a midpoint at or
+    below the final ``lo`` at ``target_lo`` goes up, one at or above the
+    final ``hi`` at ``target_hi`` goes down, and only those strictly between
+    are rated.  The steps before the first rated midpoint are the same at
+    every later target, so each loop resumes from there.
     """
     gains = _as_gamma(gamma)
     K = len(gains)
@@ -496,80 +490,50 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         )
     one_minus_tau = 1.0 - tau_o
     tau_gam = [tau_o * g for g in gains]
-    tree = _share_tree(epsilon)
-    edges, depth = tree.edge_list, tree.depth_list
-    last = len(depth) - 1
     eff = (1.0 - epsilon) * one_minus_tau
-    # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
-    lookup = [
-        _LOOKUP_MIN_SNR <= c / eff and c / eff * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR
-        for c in tau_gam
-    ]
-    located = [0.0] * K  # each UAV's effective share threshold at the last target
-
-    def shares_for_target(target: float) -> tuple[list, int]:
-        """Smallest per-UAV share reaching the target, and the inner
-        bisection count consumed.  Every target lies below ``target_hi``,
-        at most the smallest whole-band rate, so every UAV reaches it.
-
-        Each bisection ends in the leaf of :func:`_share_tree` holding the
-        share at which the UAV's rate reaches the target.  Newton on the
-        effective share locates it, from the floor of
-        :func:`_share_threshold` or from the last target's threshold, and
-        ``bisect_right`` finds its leaf.  The leaf is taken, at its depth,
-        where the rates at both its ends clear the target by
-        :data:`_LOOKUP_MARGIN`, as in :func:`_inner_shares`; a leaf cut
-        off at the depth cap then runs the loop from its bracket, and a
-        pair without a certified leaf runs it from the whole bracket.
-        """
-        goal = target * _LN2
-        high, low = target * (1.0 + _LOOKUP_MARGIN), target * (1.0 - _LOOKUP_MARGIN)
-        inner = 0
-        shares = []
-        for k, c in enumerate(tau_gam):
-            lo, hi = epsilon, 1.0 - epsilon
-            if lookup[k]:
-                ratio = goal / c
-                # The floor of _share_threshold, c a**2 / (1 - a**2).  Where
-                # goal * ratio underflows the pair runs the loop, so that
-                # Newton never divides by a zero share.
-                floor = goal * ratio / (1.0 - ratio * ratio)
-            if lookup[k] and floor > 0.0:
-                x = located[k]
-                if not x > floor:
-                    x = floor
-                for _ in range(_SHARE_NEWTON_STEPS):
-                    z = c / x
-                    log1p_z = math.log1p(z)
-                    x -= (x * log1p_z - goal) / (log1p_z - z / (1.0 + z))
-                    if not x > floor:  # also a NaN step
-                        x = floor
-                located[k] = x
-                # The leaf holding x, clipped to the first and the last.
-                leaf = bisect_right(edges, x / one_minus_tau, 1, last + 1) - 1
-                x_lo, x_hi = edges[leaf] * one_minus_tau, edges[leaf + 1] * one_minus_tau
-                if (leaf == last or _rate(x_hi, c, 1.0, math.log2) >= high) and (
-                    leaf == 0 or _rate(x_lo, c, 1.0, math.log2) <= low
-                ):
-                    lo, hi = edges[leaf], edges[leaf + 1]
-                    inner += depth[leaf]
-            if hi - lo > epsilon:
-                hi, steps = _bisect_share(lo, hi, one_minus_tau, c, target, epsilon)
-                inner += steps
-            shares.append(hi)
-        return shares, inner
-
     target_lo = 0.0
     target_hi = min(_rate(eff, c, 1.0, math.log2) for c in tau_gam)  # the whole-band rates
+    # Per UAV: the final lo of its share bisection at target_lo, the final hi
+    # at target_hi, and the last bisection's bracket and step count at its
+    # first rate evaluation.
+    low = [epsilon] * K
+    high = [1.0 - epsilon] * K
+    start = [(epsilon, 1.0 - epsilon, 0)] * K
     best = [epsilon] * K  # the trivially feasible zero-rate shares
     iters_beta = 0
     inner_total = 0
     while target_hi - target_lo > epsilon:
         target = 0.5 * (target_lo + target_hi)
-        shares, inner = shares_for_target(target)
-        inner_total += inner
+        # Every target lies below the smallest whole-band rate, so every UAV
+        # reaches it; the smallest share that does is its loop's final hi.
+        los, his = [], []
+        for k, c in enumerate(tau_gam):
+            lo, hi, steps = start[k]
+            floor, ceiling = low[k], high[k]
+            while hi - lo > epsilon:
+                mid = 0.5 * (lo + hi)
+                if mid <= floor:
+                    lo = mid
+                elif mid >= ceiling:
+                    hi = mid
+                else:
+                    break
+                steps += 1
+            start[k] = (lo, hi, steps)
+            while hi - lo > epsilon:
+                mid = 0.5 * (lo + hi)
+                if floor < mid and (
+                    mid >= ceiling or _rate(mid * one_minus_tau, c, 1.0, math.log2) >= target
+                ):
+                    hi = mid
+                else:
+                    lo = mid
+                steps += 1
+            los.append(lo)
+            his.append(hi)
+            inner_total += steps
         iters_beta += 1
-        feasible = _fits_the_band(shares)
+        feasible = _fits_the_band(his)
         # Unreachable for finite targets: they lie below 1024 bit/s/Hz, where
         # doubles are at most 2.3e-13 apart, so a bracket wider than epsilon
         # (>= EPSILON_MIN = 1e-12) has its midpoint strictly inside.  The
@@ -577,10 +541,9 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         if target == (target_lo if feasible else target_hi):
             raise _stall_error(target_lo, target_hi, epsilon)
         if feasible:
-            target_lo = target
-            best = shares
+            target_lo, low, best = target, los, his
         else:
-            target_hi = target
+            target_hi, high = target, his
     best = np.array(best)
     best = best / best.sum()
     return AllocationResult(
@@ -695,7 +658,8 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
 
 def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     """``rate >= target`` elementwise, decided exactly as the baseline's
-    per-draw bisection (:func:`_bisect_share`, ``math.log2``) decides it.
+    per-draw bisection (:func:`conventional_allocate`, ``math.log2``)
+    decides it.
 
     ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
     1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
@@ -723,17 +687,13 @@ class _ShareTree:
     ``first_leaf`` maps equal buckets of the bracket, each narrower than
     every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
     finds a leaf with one comparison: a binary search per share mispredicts
-    a branch at nearly every level.  The per-draw baseline reads the edges
-    and depths as tuples of Python numbers (``edge_list``, ``depth_list``)
-    and searches them with ``bisect``, one share at a time.
+    a branch at nearly every level.  Only the batch baseline reads the tree.
     """
 
     edges: np.ndarray
     depth: np.ndarray
     first_leaf: np.ndarray
     bucket_scale: float
-    edge_list: tuple[float, ...]
-    depth_list: tuple[int, ...]
 
     def leaf_of(self, share: np.ndarray) -> np.ndarray:
         """The leaf holding each share, up to rounding at bucket and leaf
@@ -770,8 +730,6 @@ def _share_tree(epsilon: float) -> _ShareTree:
         depth=depth,
         first_leaf=np.searchsorted(edges, starts, side="right").clip(1, order.size) - 1,
         bucket_scale=1.0 / bucket,
-        edge_list=tuple(edges.tolist()),
-        depth_list=tuple(depth.tolist()),
     )
     for table in (tree.edges, tree.depth, tree.first_leaf):
         table.setflags(write=False)  # cached and shared by every caller

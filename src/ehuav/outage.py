@@ -26,6 +26,15 @@ _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
 MC_TRIALS_MAX = 10**9
 
 
+def _share_sum(beta) -> float:
+    """``math.fsum`` of the shares, or ``inf`` where it raises: a partial
+    sum past the double range, or both infinities among the shares."""
+    try:
+        return math.fsum(beta)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A (tau, beta-vector) resource split plus the signalling share nu_r.
@@ -46,10 +55,9 @@ class Allocation:
             raise ConfigError(f"tau must lie in (0,1), got {self.tau}")
         if len(beta) == 0:
             raise ConfigError("beta must be non-empty")
-        if abs(math.fsum(beta) - 1.0) > 1e-12:
-            raise ConfigError(
-                f"beta must sum to 1 within 1e-12, got sum {math.fsum(beta)!r}"
-            )
+        total = _share_sum(beta)
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"beta must sum to 1 within 1e-12, got sum {total!r}")
         if len(beta) == 1:
             inside = 0.0 < beta[0] <= 1.0
         else:

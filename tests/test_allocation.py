@@ -395,10 +395,24 @@ def reference_proposed_allocate(gam, epsilon):
     )
 
 
-def reference_conventional_allocate(gam, epsilon):
+def reference_share_bisection(rate, target, epsilon):
+    """The baseline's inner bisection for the smallest share whose rate
+    reaches the target: its final bracket ``(lo, hi)`` and its step count."""
+    lo, hi, steps = epsilon, 1.0 - epsilon, 0
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi, steps
+
+
+def reference_conventional_allocate(gam, epsilon, phase1=reference_phase1_taf):
     K = gam.size
     equal = np.full(K, 1.0 / K)
-    tau_o, iters_tau = reference_phase1_taf(equal, gam, epsilon)
+    tau_o, iters_tau = phase1(equal, gam, epsilon)
     if K == 1:
         return AllocationResult(
             tau=tau_o,
@@ -419,15 +433,10 @@ def reference_conventional_allocate(gam, epsilon):
         for k in range(K):
             if rate_k(1.0 - epsilon, k) < target:
                 return None, inner
-            lo, hi = epsilon, 1.0 - epsilon
-            while hi - lo > epsilon:
-                mid = 0.5 * (lo + hi)
-                if rate_k(mid, k) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-                inner += 1
-            shares[k] = hi
+            _, shares[k], steps = reference_share_bisection(
+                lambda share: rate_k(share, k), target, epsilon
+            )
+            inner += steps
         return shares, inner
 
     target_lo = 0.0
@@ -465,6 +474,11 @@ def default_scenario_draws(K: int, trials: int, seed: int) -> np.ndarray:
     net = replace(net, K=K, p_c=(net.p_c[0],) * K, m_h=(net.m_h[0],) * K, m_g=(net.m_g[0],) * K)
     budgets = [make_link_budget(k, net, geom) for k, geom in enumerate(place_nodes(net))]
     return sample_gamma_matrix(budgets, net, np.random.default_rng(seed), trials)
+
+
+def pairs_of(gains, epsilon) -> int:
+    """Every (UAV, target) pair the per-draw baseline solves on ``gains``."""
+    return sum(len(gam) * conventional_allocate(gam, epsilon).iters_beta for gam in gains)
 
 
 @pytest.mark.parametrize("K", range(1, 11))
@@ -530,13 +544,96 @@ def test_per_draw_allocators_equal_the_reference_over_the_whole_range():
     assert 0 < raised < 120
 
 
-@pytest.mark.parametrize("gam", [(1.0, 1e200), (100.0, 1e170), (1.0, 1e250), (3.0, 1e-3, 1e290)])
-@pytest.mark.parametrize("epsilon", [0.3, 1e-2, 1e-4])
-def test_conventional_equals_the_reference_on_gains_hundreds_of_decades_apart(gam, epsilon):
-    # The strong UAVs' lookups start Newton from floors near 1e-200.
-    assert outcome(conventional_allocate, np.array(gam), epsilon) == outcome(
-        reference_conventional_allocate, np.array(gam), epsilon
-    )
+# Tolerances from the top of the range to its floor: the inner bisections
+# take 0 to 40 steps.
+PER_DRAW_EPSILONS = [0.4, 1e-2, 1e-4, 2e-5, 1e-7, EPSILON_MIN]
+
+
+@pytest.mark.parametrize(
+    "gam",
+    [
+        (1.0, 1e200), (100.0, 1e170), (1.0, 1e250), (3.0, 1e-3, 1e290),
+        (1e308,) * 4,  # whole-band rates near 1024 bit/s/Hz
+        (5e-5, 6e-5),  # SNRs below 0.01
+    ],
+)
+@pytest.mark.parametrize("epsilon", [0.3, *PER_DRAW_EPSILONS])
+def test_conventional_equals_the_reference_on_extreme_draws(gam, epsilon):
+    with np.errstate(over="ignore"):  # the reference's array rates at 1e308
+        expected = outcome(reference_conventional_allocate, np.array(gam), epsilon)
+    assert outcome(conventional_allocate, np.array(gam), epsilon) == expected
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6, 10, 64])
+@pytest.mark.parametrize("epsilon", PER_DRAW_EPSILONS)
+def test_conventional_equals_the_reference_across_the_gain_range(K, epsilon):
+    # Gains over 600 decades, where from K = 6 nearly every draw raises in
+    # phase 1, and over 18 decades: results, tallies, or error and message.
+    # Where the smallest gains' rates round to equal values, the reference's
+    # phase 1 follows another UAV (see TestPhase1Taf), so the reference runs
+    # the current phase 1 here.
+    def phase1(equal, gam, epsilon):
+        return allocation._phase1(gam.tolist(), epsilon)
+
+    rng = np.random.default_rng(100 * K + PER_DRAW_EPSILONS.index(epsilon))
+    for low, high in ((-300.0, 300.0), (-8.0, 10.0)):
+        for gam in 10.0 ** rng.uniform(low, high, size=(3, K)):
+            assert outcome(conventional_allocate, gam, epsilon) == outcome(
+                reference_conventional_allocate, gam, epsilon, phase1
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(), min_size=1, max_size=64),
+    targets=st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+    epsilon=st.sampled_from(PER_DRAW_EPSILONS),
+)
+def test_reference_share_bracket_is_non_decreasing_in_the_target(values, targets, epsilon):
+    # Whatever the rate at each midpoint, NaN and inf included, a midpoint
+    # that misses a target misses every higher one.  The per-draw baseline
+    # skips the midpoints that this decides.
+    def rate(share: float) -> float:
+        return values[hash(share) % len(values)]
+
+    low, high = sorted(targets)
+    lo_1, hi_1, _ = reference_share_bisection(rate, low, epsilon)
+    lo_2, hi_2, _ = reference_share_bisection(rate, high, epsilon)
+    assert lo_1 <= lo_2 and hi_1 <= hi_2
+
+
+def test_per_draw_baseline_rates_at_most_eight_midpoints_per_pair(monkeypatch):
+    # The plain loop rates all 14 midpoints of each (UAV, target) pair.
+    epsilon = load_config(TABLE1).network.epsilon
+    gains = default_scenario_draws(6, 200, 12)
+    pairs = pairs_of(gains, epsilon)
+    calls = 0
+    rate = allocation._rate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rate(*args)
+
+    monkeypatch.setattr(allocation, "_rate", counting)
+    for gam in gains:
+        conventional_allocate(gam, epsilon)
+    assert 0 < calls <= 8 * pairs
+
+
+def test_per_draw_baseline_builds_no_share_tree(monkeypatch):
+    def refuse(epsilon):
+        raise AssertionError(f"share tree built at epsilon={epsilon}")
+
+    monkeypatch.setattr(allocation, "_share_tree", refuse)
+    gains = default_scenario_draws(6, 5, 3)
+    for epsilon in PER_DRAW_EPSILONS:
+        for gam in gains:
+            assert outcome(conventional_allocate, gam, epsilon) == outcome(
+                reference_conventional_allocate, gam, epsilon
+            )
+    with pytest.raises(AssertionError, match="share tree"):
+        conventional_allocate_batch(gains, EPS)
 
 
 class TestProposedAllocate:
@@ -842,6 +939,15 @@ class TestAllocationResult:
         with pytest.raises(ConfigError, match="sum to 1"):
             AllocationResult(0.5, (0.6, 0.3), 0, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "beta",
+        [(1e308, 1e308, 0.2, 0.2), (1e308, 1e308, -1e308, -1e308, 1.0), (math.inf, -math.inf)],
+    )
+    def test_a_share_sum_that_math_fsum_cannot_take_is_a_config_error(self, beta):
+        # math.fsum raises OverflowError on the first two and ValueError on the last.
+        with pytest.raises(ConfigError, match=r"^beta must sum to 1 within 1e-12, got inf$"):
+            AllocationResult(0.5, beta, 0, 0, 0, 0)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError, match="non-negative"):
             AllocationResult(0.5, (1.0,), -1, 0, 0, 0)
@@ -1048,21 +1154,6 @@ def loop_starts(monkeypatch):
     return starts
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The arguments ``(lo, hi, one_minus_tau, c, target, epsilon)`` of each
-    loop the per-draw baseline runs."""
-    calls = []
-    bisect = allocation._bisect_share
-
-    def recording(*args):
-        calls.append(args)
-        return bisect(*args)
-
-    monkeypatch.setattr(allocation, "_bisect_share", recording)
-    return calls
-
-
 def assert_per_draw_equals_the_reference(gains, epsilon):
     for gam in gains:
         assert outcome(conventional_allocate, gam, epsilon) == outcome(
@@ -1070,14 +1161,10 @@ def assert_per_draw_equals_the_reference(gains, epsilon):
         )
 
 
-def pairs_of(gains, epsilon) -> int:
-    """Every (UAV, target) pair the per-draw baseline solves on ``gains``."""
-    return sum(len(gam) * conventional_allocate(gam, epsilon).iters_beta for gam in gains)
-
-
 class TestConventionalShareLookup:
-    """Both forms of the baseline look each inner bisection up in its
-    midpoint tree and run the loop wherever the leaf cannot be certified."""
+    """The batch baseline looks each inner bisection up in its midpoint tree
+    and runs the loop wherever the leaf cannot be certified.  The per-draw
+    form, which runs the loop, is checked against the reference alongside."""
 
     def test_tree_leaves_partition_the_share_bracket(self):
         tree = allocation._share_tree(EPS)
@@ -1086,8 +1173,6 @@ class TestConventionalShareLookup:
         # Every leaf is final: at most epsilon wide.
         assert tree.depth.size == 2**14 and np.all(tree.depth == 14)
         assert np.all(np.diff(tree.edges) <= EPS)
-        assert tree.edge_list == tuple(tree.edges.tolist())
-        assert tree.depth_list == tuple(tree.depth.tolist())
         # Deeper than the cap: every leaf is cut off there.
         tree = allocation._share_tree(1e-6)
         assert tree.depth.size == 2**16 and np.all(tree.depth == 16)
@@ -1103,16 +1188,15 @@ class TestConventionalShareLookup:
         binary = np.searchsorted(tree.edges, shares).clip(1, tree.depth.size) - 1
         assert np.array_equal(tree.leaf_of(shares), binary)
 
-    def test_per_draw_lookups_rarely_run_the_loop_on_the_default_scenario(self, fallbacks):
+    def test_batch_lookups_rarely_run_the_loop_on_the_default_scenario(self, loop_starts):
         gains = default_scenario_draws(6, 40, 9)
-        pairs = pairs_of(gains, EPS)
-        fallbacks.clear()
+        assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
+        assert sum(loop_starts) <= 0.01 * pairs_of(gains, EPS)
         assert_per_draw_equals_the_reference(gains, EPS)
-        assert len(fallbacks) <= 0.01 * pairs
 
     @pytest.mark.parametrize("leaves", [-1, 1])
     def test_a_threshold_one_leaf_off_falls_back_to_the_loop(
-        self, leaves, loop_starts, fallbacks, monkeypatch
+        self, leaves, loop_starts, monkeypatch
     ):
         edges = allocation._share_tree(EPS).edges
         width = edges[1] - edges[0]
@@ -1120,25 +1204,14 @@ class TestConventionalShareLookup:
         monkeypatch.setattr(
             allocation, "_share_threshold", lambda *args: solve(*args) + leaves * width
         )
-        # The per-draw form's leaf, moved alike (and clipped to the bracket).
-        search = allocation.bisect_right
-        monkeypatch.setattr(
-            allocation, "bisect_right",
-            lambda a, x, lo, hi: min(max(search(a, x, lo, hi) + leaves, lo), hi),
-        )
         gains = 10.0 ** np.random.default_rng(5).uniform(-1.0, 3.0, size=(40, 6))
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
         assert sum(loop_starts) > 0
-        pairs = pairs_of(gains, EPS)
-        fallbacks.clear()
         assert_per_draw_equals_the_reference(gains, EPS)
-        # Nearly every pair runs the loop, from the whole bracket.
-        assert len(fallbacks) > 0.9 * pairs
-        assert all(args[:2] == (EPS, 1.0 - EPS) for args in fallbacks)
 
     @pytest.mark.parametrize("node", [1024, 2731, 5000])
     def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
-        self, node, loop_starts, fallbacks
+        self, node, loop_starts
     ):
         # UAV 0 is the weaker one, so it alone sets tau and the first target;
         # UAV 1's gain puts its rate at the tree node's share on that target.
@@ -1153,12 +1226,9 @@ class TestConventionalShareLookup:
         gains = np.array([[g0, g1]])
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
         assert loop_starts[0] == 1
-        fallbacks.clear()
         assert_per_draw_equals_the_reference(gains, EPS)
-        # UAV 1 at the first target, and no other pair, runs the whole loop.
-        assert [args[:5] for args in fallbacks] == [(EPS, 1.0 - EPS, 1.0 - tau, tau * g1, target)]
 
-    def test_low_snr_pairs_always_run_the_loop(self, loop_starts, fallbacks):
+    def test_low_snr_pairs_always_run_the_loop(self, loop_starts):
         # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
         # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
         gains, epsilon = np.array([[5e-5, 6e-5]]), 2e-5
@@ -1168,24 +1238,14 @@ class TestConventionalShareLookup:
         result = conventional_allocate(gains[0], epsilon)
         inner = result.inner_iters_beta
         assert inner > 0 and 16 * sum(loop_starts) == inner
-        fallbacks.clear()
         assert_per_draw_equals_the_reference(gains, epsilon)
-        assert len(fallbacks) == 2 * result.iters_beta
-        assert all(args[:2] == (epsilon, 1.0 - epsilon) for args in fallbacks)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, EPSILON_MIN])
-    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon, fallbacks):
+    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon):
         rng = np.random.default_rng(23)
-        cut = allocation._share_tree(epsilon).edges[1] - epsilon  # a leaf at the cap
         for K in (2, 6):
             gains = 10.0 ** rng.uniform(-1.0, 3.0, size=(60, K))
             assert_batch_replays_scalar(
                 conventional_allocate, conventional_allocate_batch, gains, epsilon
             )
-            pairs = pairs_of(gains, epsilon)
-            fallbacks.clear()
             assert_per_draw_equals_the_reference(gains, epsilon)
-            # Every pair runs the loop below the cap, nearly all from a leaf.
-            assert len(fallbacks) == pairs
-            from_leaf = [args[1] - args[0] <= 1.5 * cut for args in fallbacks]
-            assert sum(from_leaf) > 0.99 * len(fallbacks)

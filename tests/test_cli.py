@@ -299,6 +299,12 @@ class TestOutage:
         assert rc == EXIT_CONFIG
         assert "sum to 1" in capsys.readouterr().err
 
+    def test_beta_sum_past_the_double_range_is_a_config_error(self, capsys):
+        beta = ["1e308", "1e308"] + ["0.2"] * 4
+        rc = main(["outage", TABLE1, "--tau", "0.5", "--beta", *beta, "--trials", "10"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: beta must sum to 1 within 1e-12, got sum inf\n"
+
     def test_explicit_allocation_echoed(self, tmp_path, capsys):
         path = config_file(tmp_path)
         rc = main(

@@ -105,6 +105,15 @@ class TestAllocation:
         with pytest.raises(ConfigError, match="sum"):
             Allocation(tau=0.4, beta=(0.25, 0.74))
 
+    @pytest.mark.parametrize(
+        "beta",
+        [(1e308, 1e308, 0.2, 0.2), (1e308, 1e308, -1e308, -1e308, 1.0), (math.inf, -math.inf)],
+    )
+    def test_a_share_sum_that_math_fsum_cannot_take_is_a_config_error(self, beta):
+        # math.fsum raises OverflowError on the first two and ValueError on the last.
+        with pytest.raises(ConfigError, match=r"^beta must sum to 1 within 1e-12, got sum inf$"):
+            Allocation(tau=0.5, beta=beta)
+
     def test_beta_bounds(self):
         with pytest.raises(ConfigError):
             Allocation(tau=0.4, beta=(0.0, 1.0))
