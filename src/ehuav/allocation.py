@@ -15,7 +15,10 @@ Four allocators share the same max-min-rate objective:
   the simplex of equal-step bandwidth shares (small K only).  It returns
   what visiting every grid point would, without visiting them: where each
   UAV's rate is non-decreasing in its share, the best worst-case rate at
-  a time split is an order statistic of the K per-UAV rate tables.
+  a time split is an order statistic of the K per-UAV rate tables.  Only
+  the time splits whose upper bound (a prefix maximum of each table)
+  reaches a value that another time split attains get full tables, and
+  ``op_count`` still counts every rate of the enumeration.
 
 Every allocator reports an abstract operation tally (``op_count``) so the
 complexity claims can be compared empirically.
@@ -69,7 +72,7 @@ import numpy as np
 
 from .channel import EPSILON_RULE, check
 from .errors import CapabilityError, ConfigError, EhuavError, NumericError
-from .outage import _LN2, Allocation, _rate, _share_sum
+from .outage import _LN2, Allocation, _check_split, _rate
 from .specfun import lambert_w0
 
 
@@ -115,11 +118,7 @@ class AllocationResult:
     op_count: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0,1), got {self.tau}")
-        total = _share_sum(self.beta)
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"beta must sum to 1 within 1e-12, got {total!r}")
+        _check_split(self.tau, self.beta)
         for name in _TALLIES:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -593,19 +592,23 @@ def _checked_batch(
     tau, beta, iters_tau, iters_beta, inner_iters_beta, op_count, errors: dict
 ) -> BatchAllocation:
     """The batch of these rows after the :class:`AllocationResult` checks,
-    row by row.  A row that fails them joins the failed draws in ``errors``;
-    the failed rows get NaN ``tau`` and ``beta`` and zero tallies.
+    row by row.  A row that fails them joins the failed draws in ``errors``
+    with the error :meth:`BatchAllocation.row` raises; the failed rows get
+    NaN ``tau`` and ``beta`` and zero tallies.
 
     The share sums are numpy's.  Any order of summing K positive shares is
     within ``(K - 1) * 2**-53`` of their exact sum, so only the rows whose
     sum lies within ``K * 2**-52`` of the bound are summed again with
-    ``math.fsum``, as :class:`AllocationResult` sums them."""
+    ``math.fsum``, as :class:`AllocationResult` sums them.  A row with a
+    share outside (0,1) ((0,1] for K=1, NaN included) fails whatever its
+    sum."""
     tallies = (iters_tau, iters_beta, inner_iters_beta, op_count)
     unchecked = BatchAllocation(tau, beta, *tallies)
     sums = beta.sum(axis=1)
     near = np.abs(np.abs(sums - 1.0) - 1e-12) <= beta.shape[1] * 2.0**-52
     sums[near] = [math.fsum(row) for row in beta[near].tolist()]
-    bad = ~((tau > 0.0) & (tau < 1.0)) | (np.abs(sums - 1.0) > 1e-12)
+    inside = (beta > 0.0) & ((beta <= 1.0) if beta.shape[1] == 1 else (beta < 1.0))
+    bad = ~((tau > 0.0) & (tau < 1.0)) | (np.abs(sums - 1.0) > 1e-12) | ~inside.all(axis=1)
     for t in np.flatnonzero(bad & _live(len(tau), errors)):
         errors[int(t)] = _error_of(unchecked.row, t)
     live = _live(len(tau), errors)
@@ -911,8 +914,26 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     and the first composition reaching it takes ``1 + #(table_k < v)``
     steps for every UAV but the last.  Rounding in ``log2`` can make a
     table decrease where its true slope is tiny (low SNR); such tau rows
-    take the minimum over the enumerated simplex instead.  Either way the
-    answer is the enumeration's, bit for bit.
+    take the minimum over the enumerated simplex instead.
+
+    Tau rows that cannot hold the first maximum get no full tables: in each
+    block of rows, two cheap bounds find them.  A row's value
+    is at least its worst rate at a reference composition (the near-equal
+    split in the first block, then the best composition so far), K rates
+    per row; the floor row, which has the largest such bound, is solved in
+    full, giving its value v0 and composition s0.  Take ``j = s0 - 1`` plus
+    one step for the UAV that is worst at s0, so ``sum(j) = grid_beta - K +
+    1``: every composition gives some UAV k at most ``j_k`` steps, so a
+    row's value is at most the largest of the first ``j_k`` entries of UAV
+    k's table, for some k.  That holds whether or not the tables rise, and
+    costs about 1/K of the full tables.  Only rows whose upper bound reaches
+    ``max(v0, best so far)`` are solved in full; a skipped row's value lies
+    below a value that an earlier or same-block row reaches.  Every bound
+    entry is a call of :func:`ehuav.outage._rate`, the same double as the
+    table entry.  So ``tau``, ``beta`` and every tie-break are the
+    enumeration's, bit for bit.  ``op_count`` still counts the
+    enumeration's rates: it is the complexity measure the allocators are
+    compared by, and it does not fall with the wall-clock time.
     """
     gam = np.array(_as_gamma(gamma))
     K = gam.size
@@ -933,11 +954,11 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     rows = max(1, _GRID_BLOCK_ELEMENTS // (K * share_axis.size))
     index = None  # table positions of the enumerated simplex, built on first use
 
-    best_rate = -math.inf
-    best_tau = math.nan  # every rate is >= 0, so the first block sets it
-    best_steps = (1,) * K
-    for start in range(0, grid_tau, rows):
-        tau = taus[start : start + rows, np.newaxis, np.newaxis]
+    def optima(tau: np.ndarray):
+        """The rate tables of the tau rows ``tau`` (shape ``(n, 1, 1)``), each
+        row's best worst-case rate, and a function giving the first
+        composition that reaches row i's."""
+        nonlocal index
         eff = share_axis * (1.0 - tau)
         # _rate(eff, tau * g) in place (its operation order), saving temporaries
         tables = np.divide(tau * gam[:, np.newaxis], eff)
@@ -945,15 +966,9 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
         np.log2(tables, out=tables)
         tables *= eff
         values = np.partition(tables.reshape(tau.shape[0], -1), rank, axis=1)[:, rank]
-        # rising[i]: every table of row i is non-decreasing.  Neighbours are
-        # compared along the whole block, and each pair that starts at a
-        # table's last entry is then ignored.  With one share step per UAV
-        # nothing is compared, hence rank > 0.
-        flat = tables.reshape(-1)
-        step_up = np.empty(flat.size, dtype=bool)
-        np.greater_equal(flat[1:], flat[:-1], out=step_up[:-1])
-        step_up.reshape(tables.shape)[..., -1] = True
-        rising = step_up.reshape(tau.shape[0], -1).all(axis=1) & (rank > 0)
+        # rising[i]: every table of row i is non-decreasing.  With one share
+        # step per UAV nothing is compared, hence rank > 0.
+        rising = (tables[..., 1:] >= tables[..., :-1]).all(axis=(1, 2)) & (rank > 0)
         pick = {}  # row -> first composition with the row's worst-case rate
         for i in np.flatnonzero(~rising).tolist():
             if index is None:
@@ -963,15 +978,50 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
                 np.minimum(worst, tables[i, k][index[k]], out=worst)
             pick[i] = int(worst.argmax())
             values[i] = worst[pick[i]]
-        i = int(np.argmax(values))
-        if values[i] > best_rate:
-            best_rate = float(values[i])
-            best_tau = float(taus[start + i])
-            if rising[i]:
-                head = 1 + np.count_nonzero(tables[i, :-1] < values[i], axis=1)
-                best_steps = (*head.tolist(), grid_beta - int(head.sum()))
-            else:
-                best_steps = tuple(1 + index[:, pick[i]])
+
+        def steps(i: int) -> tuple[int, ...]:
+            if not rising[i]:
+                return tuple((1 + index[:, pick[i]]).tolist())
+            head = ((tables[i, :-1] < values[i]).sum(axis=1) + 1).tolist()
+            return (*head, grid_beta - sum(head))
+
+        return tables, values, steps
+
+    best_rate = -math.inf
+    best_tau = math.nan  # every rate is >= 0, so the first block sets it
+    # Until a block has set it, the best composition is the near-equal split.
+    best_steps = tuple(grid_beta // K + (k < grid_beta % K) for k in range(K))
+    # An overflowing tau * g / eff rates inf, as in the enumeration.
+    with np.errstate(over="ignore"):
+        for start in range(0, grid_tau, rows):
+            tau = taus[start : start + rows, np.newaxis]
+            one_minus_tau = 1.0 - tau
+            # Lower bound: a row is worth at least its worst rate at the best
+            # composition so far.  The floor row i0 has the largest.
+            reference = share_axis[[s - 1 for s in best_steps]]
+            lower = _rate(reference * one_minus_tau, tau * gam).min(axis=1)
+            i0 = int(lower.argmax())
+            tables, values, steps = optima(tau[i0 : i0 + 1, :, np.newaxis])
+            # Upper bound: with j = s0 - 1 plus one step for the UAV that is
+            # worst at row i0's composition s0, sum(j) = grid_beta - K + 1, so
+            # every composition gives some UAV k at most j_k steps.  A row is
+            # then worth at most the largest of the first j_k entries of some
+            # UAV k's table, whether or not its tables rise.
+            j = [s - 1 for s in steps(0)]
+            at_s0 = [tables[0, k, n] for k, n in enumerate(j)]
+            j[at_s0.index(min(at_s0))] += 1
+            prefixes = np.concatenate([share_axis[:n] for n in j])
+            upper = _rate(prefixes * one_minus_tau, tau * np.repeat(gam, j)).max(axis=1)
+            # Only rows that may reach the floor can hold the first maximum.
+            candidates = np.flatnonzero(upper >= max(values[0], best_rate))
+            if not candidates.size:
+                continue
+            tables, values, steps = optima(tau[candidates, :, np.newaxis])
+            i = int(values.argmax())
+            if values[i] > best_rate:
+                best_rate = float(values[i])
+                best_tau = float(taus[start + candidates[i]])
+                best_steps = steps(i)
     return AllocationResult(
         tau=best_tau,
         beta=tuple(float(s) / grid_beta for s in best_steps),

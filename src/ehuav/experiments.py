@@ -348,8 +348,9 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
     if name == "equal_bandwidth":
         return equal_bandwidth_batch(gains, config.R_a)
     if name == "optimal":
-        # One grid search per draw; each is already array code over the
-        # whole tau grid.
+        # One grid search per draw; each is array code over the whole tau
+        # grid that builds full rate tables only for the tau rows its
+        # bounds cannot rule out.
         outcomes = []
         for gamma in gains:
             try:

@@ -35,6 +35,27 @@ def _share_sum(beta) -> float:
         return math.inf
 
 
+def _check_split(tau: float, beta) -> None:
+    """Raise ConfigError unless ``(tau, beta)`` obeys the rules of every
+    resource split (:class:`Allocation`, ``allocation.AllocationResult``):
+    tau in (0,1), and K >= 1 shares that sum to 1 within 1e-12, each in
+    (0,1), or (0,1] for K=1."""
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"tau must lie in (0,1), got {tau}")
+    if len(beta) == 0:
+        raise ConfigError("beta must be non-empty")
+    total = _share_sum(beta)
+    if abs(total - 1.0) > 1e-12:
+        raise ConfigError(f"beta must sum to 1 within 1e-12, got sum {total!r}")
+    if len(beta) == 1:
+        inside = 0.0 < beta[0] <= 1.0
+    else:
+        inside = all([0.0 < b < 1.0 for b in beta])  # NaN fails too
+    if not inside:
+        beta = tuple(map(float, beta))
+        raise ConfigError(f"every beta_k must lie in (0,1) (or (0,1] for K=1), got {beta}")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A (tau, beta-vector) resource split plus the signalling share nu_r.
@@ -51,21 +72,7 @@ class Allocation:
     def __post_init__(self) -> None:
         beta = tuple(map(float, self.beta))
         object.__setattr__(self, "beta", beta)
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0,1), got {self.tau}")
-        if len(beta) == 0:
-            raise ConfigError("beta must be non-empty")
-        total = _share_sum(beta)
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"beta must sum to 1 within 1e-12, got sum {total!r}")
-        if len(beta) == 1:
-            inside = 0.0 < beta[0] <= 1.0
-        else:
-            inside = all([0.0 < b < 1.0 for b in beta])  # NaN fails too
-        if not inside:
-            raise ConfigError(
-                f"every beta_k must lie in (0,1) (or (0,1] for K=1), got {beta}"
-            )
+        _check_split(self.tau, beta)
         if not 0.0 <= self.nu_r < 1.0:
             raise ConfigError(f"nu_r must lie in [0,1), got {self.nu_r}")
 

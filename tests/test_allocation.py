@@ -866,16 +866,63 @@ class TestExhaustiveOptimal:
     def test_low_snr_tables_that_decrease_match_the_enumeration(self):
         # At this SNR, rounding in log2(1 + x) makes the share tables
         # decrease in places, so the order statistic does not apply and
-        # every tau row is searched over the enumerated simplex.
+        # such tau rows are searched over the enumerated simplex.  The best
+        # row is the last one, and it is also the floor row of the bounds.
         gam = np.array([1e-11, 3e-12, 5e-12])
         grid_tau, grid_beta = 200, 100
-        tau = 100 / (grid_tau + 1)
-        eff = np.arange(1, grid_beta - 1, dtype=float) / grid_beta * (1.0 - tau)
-        tables = eff * np.log2(1.0 + tau * gam[:, np.newaxis] / eff)
-        assert np.any(np.diff(tables, axis=1) < 0.0)
-        got = exhaustive_optimal(gam, grid_tau=grid_tau, grid_beta=grid_beta)
         want = simplex_enumeration_optimal(gam, grid_tau, grid_beta)
+        assert want.tau == grid_tau / (grid_tau + 1)
+        for tau in (100 / (grid_tau + 1), want.tau):
+            eff = np.arange(1, grid_beta - 1, dtype=float) / grid_beta * (1.0 - tau)
+            tables = eff * np.log2(1.0 + tau * gam[:, np.newaxis] / eff)
+            assert np.any(np.diff(tables, axis=1) < 0.0)
+        got = exhaustive_optimal(gam, grid_tau=grid_tau, grid_beta=grid_beta)
         assert bits(got) == bits(want)
+
+    # The cases below (and the low-SNR one above, whose floor row has
+    # tables that do not rise) make the row bounds of exhaustive_optimal do
+    # work: rows skipped, blocks bounded by an earlier block's best, a floor
+    # row that is not the winner.  Each is compared with the enumeration bit
+    # for bit.
+
+    def test_the_winner_in_a_later_block_matches_the_enumeration(self):
+        # Ten tau rows per block: the best row lies in the ninth block.
+        gam = np.array([3.0, 40.0, 900.0])
+        want = simplex_enumeration_optimal(gam, 200, 100)
+        assert round(want.tau * 201) - 1 >= 10
+        with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 10 * 3 * 98):
+            assert bits(exhaustive_optimal(gam, grid_tau=200, grid_beta=100)) == bits(want)
+
+    @pytest.mark.parametrize("block", [1 << 18, 100])
+    def test_equal_maxima_keep_the_first_row(self, block):
+        # Rows 7 to 10 all reach an infinite worst-case rate, but the lower
+        # bound puts the floor row at row 0.  Their tables fall from inf to
+        # finite rates, so only the prefix maxima keep them above the floor.
+        gam = np.array([1.18e308, 2.9e306])
+        with np.errstate(over="ignore"):
+            want = simplex_enumeration_optimal(gam, 11, 52)
+            with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", block):
+                got = exhaustive_optimal(gam, grid_tau=11, grid_beta=52)
+            assert want.tau == 8 / 12
+            assert worst_rate(want.beta, 9 / 12, gam) == math.inf  # row 8 ties
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize(
+        "gains,grid",
+        [
+            ([12.0], (30, 5)),
+            ([3.0], (50, 1)),
+            ([3.0, 40.0], (40, 2)),
+            ([3.0, 40.0, 900.0], (40, 3)),
+        ],
+        ids=["K=1", "grid_beta=K=1", "grid_beta=K=2", "grid_beta=K=3"],
+    )
+    def test_single_uav_and_one_step_per_uav_match_the_enumeration(self, gains, grid):
+        gam = np.array(gains)
+        want = bits(simplex_enumeration_optimal(gam, *grid))
+        assert bits(exhaustive_optimal(gam, grid_tau=grid[0], grid_beta=grid[1])) == want
+        with mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 100):
+            assert bits(exhaustive_optimal(gam, grid_tau=grid[0], grid_beta=grid[1])) == want
 
     def test_large_k_is_refused(self):
         with pytest.raises(CapabilityError, match="K <= 3"):
@@ -940,12 +987,48 @@ class TestAllocationResult:
             AllocationResult(0.5, (0.6, 0.3), 0, 0, 0, 0)
 
     @pytest.mark.parametrize(
+        "tau,beta",
+        [
+            (0.5, (math.nan, 0.5)),
+            (0.5, (2.0, -1.0)),
+            (0.5, (1.0, 0.0)),
+            (0.5, (math.nan,)),
+            (0.5, (0.5,)),
+            (0.5, ()),
+            (0.5, (math.inf, -math.inf)),
+            (1.0, (0.5, 0.5)),
+            (math.nan, (1.0,)),
+        ],
+    )
+    def test_refuses_what_an_allocation_refuses_with_its_message(self, tau, beta):
+        # The first three shares sum to 1 (a NaN sum fails no tolerance test),
+        # so only the share range refuses them.
+        with pytest.raises(ConfigError) as want:
+            Allocation(tau=tau, beta=beta)
+        with pytest.raises(ConfigError) as got:
+            AllocationResult(tau, beta, 0, 0, 0, 0)
+        assert str(got.value) == str(want.value)
+
+    def test_a_batch_row_with_a_share_outside_the_unit_interval_fails(self):
+        tau = np.full(4, 0.5)
+        beta = np.array([[0.5, 0.5], [math.nan, 0.5], [2.0, -1.0], [0.25, 0.75]])
+        zeros = np.zeros(4, dtype=np.int64)
+        batch = allocation._checked_batch(tau, beta, zeros, zeros, zeros, zeros, {})
+        assert sorted(batch.errors) == [1, 2]
+        message = r"^every beta_k must lie in \(0,1\) \(or \(0,1\] for K=1\), got \("
+        for t in (1, 2):
+            assert np.isnan(batch.beta[t]).all()
+            with pytest.raises(ConfigError, match=message):
+                batch.row(t)
+        assert batch.row(3).beta == (0.25, 0.75)
+
+    @pytest.mark.parametrize(
         "beta",
         [(1e308, 1e308, 0.2, 0.2), (1e308, 1e308, -1e308, -1e308, 1.0), (math.inf, -math.inf)],
     )
     def test_a_share_sum_that_math_fsum_cannot_take_is_a_config_error(self, beta):
         # math.fsum raises OverflowError on the first two and ValueError on the last.
-        with pytest.raises(ConfigError, match=r"^beta must sum to 1 within 1e-12, got inf$"):
+        with pytest.raises(ConfigError, match=r"^beta must sum to 1 within 1e-12, got sum inf$"):
             AllocationResult(0.5, beta, 0, 0, 0, 0)
 
     def test_rejects_bad_counts(self):

@@ -1,6 +1,7 @@
 """CLI subcommands driven in-process: exit codes, stdout contracts, determinism."""
 
 import hashlib
+import warnings
 from unittest import mock
 
 import pytest
@@ -202,6 +203,20 @@ class TestAllocate:
         rc = main(["allocate", path, "--gamma", "4", "9", "--algorithm", "optimal"])
         assert rc == EXIT_OK
         assert "min_rate_bpshz:" in capsys.readouterr().out
+
+    def test_overflowing_grid_rates_print_no_warning(self, tmp_path, capsys):
+        # tau * g / eff overflows on the grid, so its rates are inf: the
+        # grid's defined result, with no numpy overflow warning on stderr.
+        argv = ["allocate", table1_with_k3(tmp_path), "--gamma", "1e308", "1e308", "1e308",
+                "--algorithm", "optimal"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "min_rate_bpshz: inf" in captured.out
 
     @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
     def test_epsilon_below_floor_maps_to_config_exit(self, tmp_path, capsys, algorithm):
