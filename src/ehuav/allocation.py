@@ -70,8 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EPSILON_RULE, check
-from .errors import CapabilityError, ConfigError, EhuavError, NumericError
+from .channel import EPSILON_RULE, R_A_RULE, check
+from .errors import ConfigError, EhuavError, NumericError
 from .outage import _LN2, Allocation, _check_split, _rate
 from .specfun import lambert_w0
 
@@ -308,8 +308,7 @@ def equal_bandwidth_taf(K: int, R_a: float) -> float:
     """
     if not isinstance(K, int) or K < 1:
         raise ConfigError(f"K must be an integer >= 1, got {K!r}")
-    if not R_a > 0.0:
-        raise ConfigError(f"R_a must be > 0, got {R_a}")
+    check((R_A_RULE,), {"R_a": R_a})
     q = K * R_a * _LN2
     w = lambert_w0(-math.exp(-1.0) * 2.0 ** (-K * R_a))
     tau = 1.0 - q / (1.0 + q + w)
@@ -938,7 +937,7 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     gam = np.array(_as_gamma(gamma))
     K = gam.size
     if K > 3:
-        raise CapabilityError(
+        raise ConfigError(
             f"exhaustive search supports K <= 3 (the share grid explodes), got K={K}"
         )
     if not (isinstance(grid_tau, int) and grid_tau >= 1):

@@ -1,5 +1,5 @@
-"""Scenario bounds, geometry, air-to-ground path loss, link budgets and
-channel sampling.
+"""Scenario bounds, block time, geometry, air-to-ground path loss, link
+budgets and channel sampling.
 
 The composite per-UAV channel gain is gamma_k = rho_k * G_h * G_g where G_h
 and G_g are independent gamma variates (integer Nakagami shape times antenna
@@ -27,6 +27,8 @@ from .specfun import GAMMA_INT_MAX
 # the full block, so a finite rate beta*(1-tau)*log2(1 + x) is below
 # log2 of the largest double, 1024 bit/s/Hz.
 EPSILON_MIN = 1e-12
+
+C_LIGHT = 3.0e8  # propagation speed c of the path loss and the block time, m/s
 
 # Most GCS-UAV pairs a scenario or a sweep point may have.  A sweep point
 # holds a few dozen (trials, K) arrays, so this bound and the bound on the
@@ -82,14 +84,29 @@ def _positive_rule(name: str) -> Rule:
     )
 
 
-def positive_block_time(velocity, f_c, c_light) -> bool:
-    """Whether the coherence block ``c_light / (velocity * f_c)`` is a
-    positive finite time.  An operand outside (0, inf) passes: its own rule
-    reports it."""
-    if not all(0 < x < math.inf for x in (velocity, f_c, c_light)):
+def block_time(velocity: float, f_c: float) -> float:
+    """The coherence block c / (velocity * f_c) in seconds, c = :data:`C_LIGHT`.
+
+    Raises :class:`ConfigError` unless both operands are positive and the
+    block is a positive finite time: the product may underflow to 0.0 or
+    overflow to inf, and the quotient may overflow.
+    """
+    if velocity > 0.0 and f_c > 0.0 and velocity * f_c > 0.0:
+        T = C_LIGHT / (velocity * f_c)
+        if 0.0 < T < math.inf:
+            return T
+    raise ConfigError(f"block time must be positive and finite at velocity={velocity}, f_c={f_c}")
+
+
+def positive_block_time(velocity, f_c) -> bool:
+    """Whether :func:`block_time` accepts the operands.  An operand outside
+    (0, inf) passes: its own rule reports it."""
+    if not (0 < velocity < math.inf and 0 < f_c < math.inf):
         return True
-    product = velocity * f_c  # may underflow to 0.0 or overflow to inf
-    return product > 0.0 and 0.0 < c_light / product < math.inf
+    try:
+        return block_time(velocity, f_c) > 0.0
+    except ConfigError:
+        return False
 
 
 def _per_uav_rules(name: str, test: Callable, requirement: str) -> tuple[Rule, Rule]:
@@ -108,6 +125,9 @@ EPSILON_RULE: Rule = (
     f"must lie in [{EPSILON_MIN:g}, 0.5), got {{epsilon}}",
 )
 
+# The allocators' closed-form equal split checks this rule on its own.
+R_A_RULE: Rule = _positive_rule("R_a")
+
 _NAKAGAMI = "Nakagami parameter must be integer >= 1 (the finite-sum CDF requires it)"
 
 NETWORK_RULES: tuple[Rule, ...] = (
@@ -117,15 +137,12 @@ NETWORK_RULES: tuple[Rule, ...] = (
         f"must be an integer in [1, {K_MAX}], got {{K}}",
     ),
     *(_count_rule(name) for name in ("N_c", "N_r", "N_s")),
-    *(
-        _positive_rule(name)
-        for name in ("B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a")
-    ),
+    *(_positive_rule(name) for name in ("f_c", "noise_power", "d_hat", "A_hat", "V_hat")),
+    R_A_RULE,
     (
         "V_hat",
-        lambda v: positive_block_time(v["V_hat"], v["f_c"], v["c_light"]),
-        "must give a positive finite block time c_light / (V_hat * f_c), "
-        "got V_hat={V_hat}, f_c={f_c}, c_light={c_light}",
+        lambda v: positive_block_time(v["V_hat"], v["f_c"]),
+        "must give a positive finite block time c / (V_hat * f_c), got V_hat={V_hat}, f_c={f_c}",
     ),
     ("zeta", lambda v: 0 < v["zeta"] <= 1, "must lie in (0,1], got {zeta}"),
     EPSILON_RULE,
@@ -192,9 +209,7 @@ class NetworkConfig:
     N_c: int
     N_r: int
     N_s: int
-    B: float
     f_c: float
-    c_light: float
     noise_power: float
     zeta: float
     p_c: tuple[float, ...]
@@ -278,9 +293,7 @@ def elevation_angle_deg(d: float, A: float) -> float:
     return math.degrees(math.atan2(A, d))
 
 
-def a2g_path_loss_db(
-    d: float, altitude: float, env: EnvironmentParams, f_c: float, c_light: float
-) -> float:
+def a2g_path_loss_db(d: float, altitude: float, env: EnvironmentParams, f_c: float) -> float:
     """Air-to-ground path loss in dB.
 
     Sigmoid LoS/NLoS excess term (elevation angle in degrees), a
@@ -296,7 +309,7 @@ def a2g_path_loss_db(
         1.0 + env.a * math.exp(-env.b * (theta - env.a))
     )
     distance_term = 10.0 * math.log10(math.hypot(d, altitude))
-    frequency_term = 20.0 * math.log10(4.0 * math.pi * f_c / c_light)
+    frequency_term = 20.0 * math.log10(4.0 * math.pi * f_c / C_LIGHT)
     return excess + distance_term + frequency_term + env.eta_nlos
 
 
@@ -304,8 +317,8 @@ def make_link_budget(k: int, config: NetworkConfig, geom: LinkGeometry) -> LinkB
     """Per-UAV derived constants for 0-based UAV index k."""
     if not 0 <= k < config.K:
         raise ConfigError(f"UAV index must lie in [0, {config.K}), got {k}")
-    pl_h = a2g_path_loss_db(geom.d_h, geom.altitude, config.env, config.f_c, config.c_light)
-    pl_g = a2g_path_loss_db(geom.d_g, geom.altitude, config.env, config.f_c, config.c_light)
+    pl_h = a2g_path_loss_db(geom.d_h, geom.altitude, config.env, config.f_c)
+    pl_g = a2g_path_loss_db(geom.d_g, geom.altitude, config.env, config.f_c)
     return LinkBudget(
         lam=10.0 ** (-pl_h / 10.0),
         mu=10.0 ** (-pl_g / 10.0),

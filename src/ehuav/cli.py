@@ -9,8 +9,9 @@ fig3       K sweep of iteration counts and min-rates (CSV)
 fig4       altitude x velocity sweep of outage probabilities (CSV)
 
 The sweep subcommands write their CSV, then run the sweep's trend checks
-from :mod:`ehuav.experiments`.  Exit codes: 0 success, 2 config/domain/
-capability error, 3 numeric failure, 4 trend assertion failure.
+from :mod:`ehuav.experiments`.  Exit codes: 0 success, 2 config error (a
+bad scenario, argument or problem size), 3 numeric failure, 4 trend
+assertion failure.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import equal_bandwidth_taf
-from .channel import sample_gamma_matrix
+from .channel import block_time, sample_gamma_matrix
 from .configio import load_config
 from .errors import ConfigError, EhuavError, NumericError, TrendError
 from .experiments import (
     ALGORITHMS,
     ExperimentRow,
     allocate_by_name,
-    block_time,
     fig3_trend_failures,
     fig4_trend_failures,
     link_budgets,
@@ -63,10 +63,10 @@ def _check_seed(seed: int) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     loaded = load_config(args.config)
     net = loaded.network
-    T = block_time(net.V_hat, net.f_c, net.c_light)
+    T = block_time(net.V_hat, net.f_c)
     print(f"config OK: {args.config}")
     print(
-        f"K={net.K}  B={net.B:g} Hz  f_c={net.f_c:g} Hz  "
+        f"K={net.K}  f_c={net.f_c:g} Hz  "
         f"noise_power={net.noise_power:.6g} W  R_a={net.R_a:g} bps/Hz"
     )
     print(f"block_time={T:.6g} s at V_hat={net.V_hat:g} m/s")
@@ -103,7 +103,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
     res = allocate_by_name(args.algorithm, gamma, net)
     value, worst = min_rate(res.as_allocation(), gamma)
-    T = block_time(net.V_hat, net.f_c, net.c_light)
+    T = block_time(net.V_hat, net.f_c)
     nu_r = overhead_share(args.algorithm, res.op_count, loaded.t_op, T)
     adjusted, _ = min_rate(res.as_allocation(nu_r=nu_r), gamma)
 
@@ -267,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except EhuavError as exc:  # config, domain and capability errors
+    except EhuavError as exc:  # config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

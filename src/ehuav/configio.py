@@ -164,8 +164,8 @@ def load_config(path) -> ExperimentSpec:
             kind = "names" if names else "numbers"
             report.add(f"experiment.{key}", f"must be a list of {kind}, got {raw!r}")
 
-    # The velocity rule also reads the network's f_c and c_light.
-    link = {key: net[key] for key in ("f_c", "c_light") if key in net}
+    # The velocity rule also reads the network's f_c.
+    link = {"f_c": net["f_c"]} if "f_c" in net else {}
     for section, rules, values in (
         ("network", NETWORK_RULES, net),
         ("environment", ENVIRONMENT_RULES, env),

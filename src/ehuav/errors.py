@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the library.
 
-The CLI maps these onto distinct exit codes (see :mod:`ehuav.cli`).
+The CLI maps each class onto one exit code (see :mod:`ehuav.cli`):
+ConfigError 2, NumericError 3, TrendError 4.
 """
 
 
@@ -9,19 +10,13 @@ class EhuavError(Exception):
 
 
 class ConfigError(EhuavError, ValueError):
-    """A parameter or invariant violation in scenario/config data."""
-
-
-class DomainError(EhuavError, ValueError):
-    """An argument outside a function's mathematical domain."""
+    """A bad input: a scenario or config value out of bounds, an argument
+    outside a function's domain, or a problem size beyond a guard (the
+    exhaustive grid's K <= 3)."""
 
 
 class NumericError(EhuavError, ArithmeticError):
     """Internal numeric inconsistency or failed convergence."""
-
-
-class CapabilityError(EhuavError):
-    """A request outside the guarded problem sizes (e.g. exhaustive search K > 3)."""
 
 
 class TrendError(EhuavError):

@@ -63,6 +63,7 @@ from .channel import (
     LinkGeometry,
     NetworkConfig,
     Rule,
+    block_time,
     check,
     integer_at_least,
     make_link_budget,
@@ -132,7 +133,7 @@ def _positive_list_rule(name: str) -> Rule:
 # Bounds of the sweep settings, read by ExperimentSpec, overhead_share and the
 # config loader's timing and experiment sections; rules as in
 # :data:`ehuav.channel.NETWORK_RULES`.  The velocity rule also reads the
-# network's ``f_c`` and ``c_light``, which the readers pass along.
+# network's ``f_c``, which the readers pass along.
 EXPERIMENT_RULES: tuple[Rule, ...] = (
     ("t_op", lambda v: 0.0 <= v["t_op"] < math.inf, "must be finite and >= 0, got {t_op}"),
     (
@@ -153,9 +154,9 @@ EXPERIMENT_RULES: tuple[Rule, ...] = (
     _positive_list_rule("velocities"),
     (
         "velocities",
-        lambda v: all(positive_block_time(x, v["f_c"], v["c_light"]) for x in v["velocities"]),
-        "must each give a positive finite block time c_light / (velocity * f_c) "
-        "with f_c={f_c} and c_light={c_light}, got {velocities}",
+        lambda v: all(positive_block_time(x, v["f_c"]) for x in v["velocities"]),
+        "must each give a positive finite block time c / (velocity * f_c) "
+        "with f_c={f_c}, got {velocities}",
     ),
     (
         "velocities",
@@ -168,15 +169,6 @@ EXPERIMENT_RULES: tuple[Rule, ...] = (
         f"must be a non-empty list drawn from {list(ALGORITHMS)}, got {{algorithms}}",
     ),
 )
-
-
-def block_time(V_hat: float, f_c: float, c_light: float) -> float:
-    """Coherence block length c/(V_hat*f_c) in seconds."""
-    if not (V_hat > 0.0 and f_c > 0.0 and c_light > 0.0):
-        raise ConfigError(
-            f"V_hat, f_c and c_light must be positive, got {V_hat}, {f_c}, {c_light}"
-        )
-    return c_light / (V_hat * f_c)
 
 
 def overhead_share(algorithm: str, op_count, t_op: float, T: float):
@@ -218,8 +210,7 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ("proposed", "conventional", "equal_bandwidth")
 
     def __post_init__(self) -> None:
-        link = {"f_c": self.network.f_c, "c_light": self.network.c_light}
-        check(EXPERIMENT_RULES, {**vars(self), **link})
+        check(EXPERIMENT_RULES, {**vars(self), "f_c": self.network.f_c})
         stored = {
             "t_op": float(self.t_op),
             "trials": int(self.trials),
@@ -384,7 +375,7 @@ def run_iterations_and_minrate_sweep(spec: ExperimentSpec) -> list[ExperimentRow
     nested baseline, zero for the closed-form equal split.
     """
     network = spec.network
-    T = block_time(network.V_hat, network.f_c, network.c_light)
+    T = block_time(network.V_hat, network.f_c)
     rows: list[ExperimentRow] = []
     for point, K in enumerate(spec.k_values):
         config = _config_for_k(network, K)
@@ -514,7 +505,7 @@ def _altitude_rows(spec: ExperimentSpec, points: range) -> list[ExperimentRow]:
                 continue
             mean_iters = float(batch.iterations.mean())
             for velocity in spec.velocities:
-                T = block_time(velocity, config.f_c, config.c_light)
+                T = block_time(velocity, config.f_c)
                 nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
                 rates = _charged_min_rates(batch, gam, nu_r)
                 p_hat = int(np.count_nonzero(rates < config.R_a)) / spec.trials

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import specfun
 from .channel import LinkBudget, NetworkConfig, sample_gamma_matrix
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, NumericError
 
 _LN2 = math.log(2.0)
 _MC_BLOCK = 65536  # fixed Monte-Carlo block size; see outage_monte_carlo
@@ -233,7 +233,7 @@ def gamma_product_cdf(
     raise :class:`NumericError`.
     """
     if x < 0.0:
-        raise DomainError(f"gamma_product_cdf requires x >= 0, got {x}")
+        raise ConfigError(f"gamma_product_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     n_h = int(m_h) * int(N_c)

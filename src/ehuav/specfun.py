@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, NumericError
+from .errors import ConfigError, NumericError
 
 _EULER_GAMMA = 0.5772156649015328606
 _LAMBERT_BRANCH_X = -math.exp(-1.0)  # -1/e, the left edge of W0's domain
@@ -29,10 +29,10 @@ def gamma_int(n: int) -> float:
     factorial; exact for small n, correctly rounded beyond that.
     """
     if n != int(n):
-        raise DomainError(f"gamma_int requires an integer argument, got {n!r}")
+        raise ConfigError(f"gamma_int requires an integer argument, got {n!r}")
     n = int(n)
     if n < 1 or n > GAMMA_INT_MAX:
-        raise DomainError(f"gamma_int requires 1 <= n <= {GAMMA_INT_MAX}, got {n}")
+        raise ConfigError(f"gamma_int requires 1 <= n <= {GAMMA_INT_MAX}, got {n}")
     return float(math.factorial(n - 1))
 
 
@@ -122,15 +122,15 @@ def bessel_k_orders(n: int, x: float) -> list[float]:
     higher one saturate at the largest finite double rather than raising.
     """
     if n != int(n):
-        raise DomainError(f"Bessel K requires an integer order, got {n!r}")
+        raise ConfigError(f"Bessel K requires an integer order, got {n!r}")
     n = int(n)
     if n < 0:
-        raise DomainError(
+        raise ConfigError(
             "Bessel K requires order >= 0; fold negative orders with the "
             f"K_-n = K_n symmetry first (got {n})"
         )
     if not x > 0.0:
-        raise DomainError(f"Bessel K requires x > 0, got {x}")
+        raise ConfigError(f"Bessel K requires x > 0, got {x}")
 
     k_prev, k_cur = _bessel_k01_series(x) if x <= 2.0 else _bessel_k01_chebyshev(x)
     if n == 0:
@@ -167,7 +167,7 @@ def lambert_w0(x: float) -> float:
     guess; residual |w e^w - x| <= 1e-12 * max(1, |x|).
     """
     if x < _LAMBERT_BRANCH_X:
-        raise DomainError(
+        raise ConfigError(
             f"lambert_w0 requires x >= -1/e ~ {_LAMBERT_BRANCH_X:.17g}, got {x}"
         )
 

@@ -25,6 +25,7 @@ from ehuav.allocation import (
     AllocationResult,
     conventional_allocate,
     conventional_allocate_batch,
+    equal_bandwidth_batch,
     equal_bandwidth_taf,
     exhaustive_optimal,
     proposed_allocate,
@@ -32,7 +33,7 @@ from ehuav.allocation import (
 )
 from ehuav.channel import EPSILON_MIN, make_link_budget, sample_gamma_matrix
 from ehuav.configio import load_config
-from ehuav.errors import CapabilityError, ConfigError, EhuavError, NumericError
+from ehuav.errors import ConfigError, EhuavError, NumericError
 from ehuav.experiments import place_nodes
 from ehuav.outage import Allocation, _rate, min_rate
 
@@ -131,6 +132,16 @@ class TestEqualBandwidthTaf:
             equal_bandwidth_taf(2.0, 1.0)
         with pytest.raises(ConfigError, match="R_a"):
             equal_bandwidth_taf(3, 0.0)
+
+    @pytest.mark.parametrize("R_a", [math.inf, math.nan])
+    def test_rejects_a_rate_target_outside_the_scenario_rule(self, R_a):
+        # An infinite R_a passed "> 0" and ended in a NaN time split, which
+        # raised the numeric-failure class for a bad argument.
+        message = rf"R_a must be finite and > 0, got {R_a}"
+        with pytest.raises(ConfigError, match=message):
+            equal_bandwidth_taf(6, R_a)
+        with pytest.raises(ConfigError, match=message):
+            equal_bandwidth_batch(np.ones((2, 6)), R_a)
 
     @settings(max_examples=60, deadline=None)
     @given(K=st.integers(1, 8), R_a=st.floats(0.2, 3.0))
@@ -925,7 +936,7 @@ class TestExhaustiveOptimal:
             assert bits(exhaustive_optimal(gam, grid_tau=grid[0], grid_beta=grid[1])) == want
 
     def test_large_k_is_refused(self):
-        with pytest.raises(CapabilityError, match="K <= 3"):
+        with pytest.raises(ConfigError, match="K <= 3"):
             exhaustive_optimal([1.0, 2.0, 3.0, 4.0], grid_tau=10, grid_beta=10)
 
     def test_rejects_bad_grids(self):

@@ -20,6 +20,7 @@ from ehuav.channel import (
     LinkGeometry,
     NetworkConfig,
     a2g_path_loss_db,
+    block_time,
     elevation_angle_deg,
     make_link_budget,
     sample_gamma_matrix,
@@ -41,9 +42,7 @@ def default_config(K: int = 6, **overrides) -> NetworkConfig:
         N_c=4,
         N_r=4,
         N_s=10,
-        B=1e6,
         f_c=F_C,
-        c_light=C_LIGHT,
         noise_power=NOISE,
         zeta=0.7,
         p_c=(0.1,) * K,
@@ -101,24 +100,24 @@ class TestElevationAngle:
 class TestPathLoss:
     def test_matches_independent_evaluation(self):
         for d, A in [(100.0, 120.0), (50.0, 60.0), (10.0, 300.0), (250.0, 35.0)]:
-            assert a2g_path_loss_db(d, A, ENV, F_C, C_LIGHT) == pytest.approx(
+            assert a2g_path_loss_db(d, A, ENV, F_C) == pytest.approx(
                 path_loss_by_hand(d, A), abs=1e-9
             )
 
     def test_frozen_values(self):
         # Regression anchors computed by the term-by-term evaluation above.
-        assert a2g_path_loss_db(100.0, 120.0, ENV, F_C, C_LIGHT) == pytest.approx(
+        assert a2g_path_loss_db(100.0, 120.0, ENV, F_C) == pytest.approx(
             63.255286465084005, abs=1e-9
         )
-        assert a2g_path_loss_db(50.0, 60.0, ENV, F_C, C_LIGHT) == pytest.approx(
+        assert a2g_path_loss_db(50.0, 60.0, ENV, F_C) == pytest.approx(
             60.24498650844419, abs=1e-9
         )
 
     def test_quadrupled_squared_distance_adds_3db(self):
         # Scaling (d, A) by 2 keeps the elevation angle; the distance term
         # grows by exactly 10*log10(2).
-        base = a2g_path_loss_db(100.0, 120.0, ENV, F_C, C_LIGHT)
-        scaled = a2g_path_loss_db(200.0, 240.0, ENV, F_C, C_LIGHT)
+        base = a2g_path_loss_db(100.0, 120.0, ENV, F_C)
+        scaled = a2g_path_loss_db(200.0, 240.0, ENV, F_C)
         assert scaled - base == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
 
     def test_overhead_limit_of_sigmoid_term(self):
@@ -132,14 +131,14 @@ class TestPathLoss:
         limit = (ENV.eta_los - ENV.eta_nlos) / (
             1.0 + ENV.a * math.exp(-ENV.b * (90.0 - ENV.a))
         )
-        value = a2g_path_loss_db(0.0, altitude, ENV, F_C, C_LIGHT)
+        value = a2g_path_loss_db(0.0, altitude, ENV, F_C)
         assert value - rest == pytest.approx(limit, abs=1e-12)
 
     def test_altitude_sweep_has_unique_interior_minimum(self):
         # At fixed ground distance the loss first falls (LoS takes over),
         # then rises (range loss wins): one interior minimum, no plateaus.
         alts = np.arange(10.0, 300.0 + 1e-9, 1.0)
-        loss = np.array([a2g_path_loss_db(50.0, a, ENV, F_C, C_LIGHT) for a in alts])
+        loss = np.array([a2g_path_loss_db(50.0, a, ENV, F_C) for a in alts])
         i = int(np.argmin(loss))
         assert 0 < i < len(alts) - 1
         steps = np.diff(loss)
@@ -197,6 +196,28 @@ class TestLinkBudget:
             assert 0.0 < budget.mu < 1.0
 
 
+class TestBlockTime:
+    def test_reference_velocity(self):
+        assert block_time(20.0, 2.4e9) == 6.25e-3
+
+    def test_half_speed_doubles_the_block(self):
+        assert block_time(10.0, 2.4e9) == 1.25e-2
+        assert block_time(40.0, 2.4e9) == 6.25e-3 / 2.0
+
+    def test_rejects_non_positive_inputs(self):
+        with pytest.raises(ConfigError, match="positive"):
+            block_time(0.0, 2.4e9)
+        with pytest.raises(ConfigError, match="positive"):
+            block_time(20.0, -1.0)
+
+    @pytest.mark.parametrize("velocity, f_c", [(1e-200, 1e-200), (1e200, 1e200), (1e-160, 1e-160)])
+    def test_rejects_a_product_that_underflows_or_overflows(self, velocity, f_c):
+        # The product underflows to 0.0 (a bare ZeroDivisionError), overflows
+        # to inf (a block of 0.0 s), or is so small that the block overflows.
+        with pytest.raises(ConfigError, match="positive and finite"):
+            block_time(velocity, f_c)
+
+
 class TestConfigValidation:
     def test_zeta_range(self):
         with pytest.raises(ConfigError, match=r"\(0,1\]"):
@@ -232,8 +253,8 @@ class TestConfigValidation:
                 default_config(epsilon=epsilon)
 
     def test_counts_and_shapes_become_ints_the_rest_floats(self):
-        cfg = default_config(K=2, N_c=4.0, B=1000000, p_c=(1, 2), m_h=(3.0, 2), m_g=[1, 1])
-        assert type(cfg.N_c) is int and type(cfg.B) is float
+        cfg = default_config(K=2, N_c=4.0, f_c=2400000000, p_c=(1, 2), m_h=(3.0, 2), m_g=[1, 1])
+        assert type(cfg.N_c) is int and type(cfg.f_c) is float
         assert cfg.p_c == (1.0, 2.0) and all(type(p) is float for p in cfg.p_c)
         assert cfg.m_h == (3, 2) and all(type(m) is int for m in cfg.m_h)
         assert cfg.m_g == (1, 1)

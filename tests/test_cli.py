@@ -23,9 +23,7 @@ NETWORK = {
     "N_c": 4,
     "N_r": 4,
     "N_s": 10,
-    "B": 1.0e6,
     "f_c": 2.4e9,
-    "c_light": 3.0e8,
     "noise_power": 3.9810717055349695e-15,
     "zeta": 0.7,
     "p_c": 0.1,
@@ -65,6 +63,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "config OK" in out
         assert "block_time=0.00625 s" in out
+        assert "B=" not in out
         assert "tau=0.192935949031" in out
         for column in ("pl_h_db", "pl_g_db", "lam", "mu", "rho"):
             assert column in out
@@ -635,7 +634,7 @@ class TestDeliverables:
 # ``optimal``, on a K=3 copy of it: the grid serves K <= 3 only).  Each
 # command exits 0 with nothing on stderr.
 TEXT_SHA256 = {
-    "validate": "5838c0481d95f992600d6e1c41d821efad6391eaa6daac67ea6c86c6bdc10b21",
+    "validate": "aebd4cc142c53c1e4e2fa16650707a7b78c617882366cfeadc9c51a6ae539ff1",
     "allocate proposed": "922091648a907d6f34be0a170d975534dda77655e9eec1b15c830a3faf11678b",
     "allocate conventional": "a3f0cfd0c8f171cf02b094a3b7f7bc67e822952b96381484c9e5ef97a4118b6e",
     "allocate equal_bandwidth": "8a2df5151f755494e05014797805ec28ed0a506495d11c612edde07746cd6117",

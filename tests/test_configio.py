@@ -25,9 +25,7 @@ BASE = {
         "N_c": 4,
         "N_r": 4,
         "N_s": 10,
-        "B": 1.0e6,
         "f_c": 2.4e9,
-        "c_light": 3.0e8,
         "noise_power": 3.9810717055349695e-15,
         "zeta": 0.7,
         "p_c": 0.1,
@@ -65,9 +63,7 @@ class TestShippedDefaults:
         net = loaded.network
         assert net.K == 6
         assert net.N_c == 4 and net.N_r == 4 and net.N_s == 10
-        assert net.B == 1.0e6
         assert net.f_c == 2.4e9
-        assert net.c_light == 3.0e8
         assert net.noise_power == 10.0**-14.4
         assert net.zeta == 0.7
         assert net.p_c == (0.1,) * 6
@@ -169,6 +165,17 @@ class TestErrorListing:
         assert "network.m_h" in message and "integer" in message
         assert "network.bogus" in message and "unknown key" in message
 
+    def test_bandwidth_and_light_speed_are_unknown_keys(self, tmp_path):
+        # The rates are per hertz, so the bandwidth cancels, and c is the
+        # constant channel.C_LIGHT: neither is a scenario setting.
+        data = deep_merge(BASE, {"network": {"B": 1.0e6, "c_light": 3.0e8}})
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, data))
+        message = str(err.value)
+        assert "2 problem(s)" in message
+        assert "\n  network.B: unknown key" in message
+        assert "\n  network.c_light: unknown key" in message
+
     def test_zeta_bound_named(self, tmp_path):
         data = deep_merge(BASE, {"network": {"zeta": 1.5}})
         with pytest.raises(ConfigError, match=r"must lie in \(0,1\], got 1.5"):
@@ -204,10 +211,10 @@ class TestErrorListing:
             load_config(str(path))
 
     def test_string_where_number_expected(self, tmp_path):
-        # The classic pitfall: "1.0e6" without a signed exponent is a string
+        # The classic pitfall: "2.4e9" without a signed exponent is a string
         # in YAML 1.1, so it must be rejected loudly, not coerced.
-        data = deep_merge(BASE, {"network": {"B": "1.0e6"}})
-        with pytest.raises(ConfigError, match=r"network\.B.*must be a number"):
+        data = deep_merge(BASE, {"network": {"f_c": "2.4e9"}})
+        with pytest.raises(ConfigError, match=r"network\.f_c.*must be a number"):
             load_config(dump(tmp_path, data))
 
     def test_per_uav_list_length_mismatch(self, tmp_path):
@@ -271,7 +278,7 @@ class TestErrorListing:
         ],
     )
     def test_velocity_without_a_block_time_rejected(self, tmp_path, section, key, value, f_c):
-        # velocity * f_c overflows, so the block time c_light / (velocity * f_c)
+        # velocity * f_c overflows, so the block time c / (velocity * f_c)
         # was 0.0, and fig4 failed after allocating, with no config path; or
         # it underflows to 0.0, and the division must not be tried.
         data = deep_merge(deep_merge(BASE, {"network": {"f_c": f_c}}), {section: {key: value}})
@@ -352,7 +359,7 @@ def assert_both_paths_report(tmp_path, section, trial, field, message):
     "section, field",
     [
         *(("network", field) for field in (
-            "B", "f_c", "c_light", "noise_power", "d_hat", "A_hat", "V_hat", "R_a", "p_c"
+            "f_c", "noise_power", "d_hat", "A_hat", "V_hat", "R_a", "p_c"
         )),
         ("environment", "a"),
         ("environment", "b"),
@@ -399,7 +406,7 @@ EXPERIMENT_VALUES = {
 
 
 # What the velocity rule reads of the network.
-LINK_VALUES = {key: BASE["network"][key] for key in ("f_c", "c_light")}
+LINK_VALUES = {"f_c": BASE["network"]["f_c"]}
 
 
 @pytest.mark.parametrize("rule", EXPERIMENT_RULES, ids=lambda rule: rule[0])

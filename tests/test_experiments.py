@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ehuav import experiments
+from ehuav.channel import block_time
 from ehuav.errors import ConfigError, EhuavError
 from ehuav.experiments import (
     ALGORITHMS,
@@ -18,7 +19,6 @@ from ehuav.experiments import (
     ExperimentSpec,
     allocate_batch_by_name,
     allocate_by_name,
-    block_time,
     fig4_trend_failures,
     overhead_share,
     place_nodes,
@@ -35,21 +35,6 @@ def by_algorithm(rows, sweep_value):
         for r in rows
         if r.sweep_value == pytest.approx(sweep_value)
     }
-
-
-class TestBlockTime:
-    def test_reference_velocity(self):
-        assert block_time(20.0, 2.4e9, 3.0e8) == 6.25e-3
-
-    def test_half_speed_doubles_the_block(self):
-        assert block_time(10.0, 2.4e9, 3.0e8) == 1.25e-2
-        assert block_time(40.0, 2.4e9, 3.0e8) == 6.25e-3 / 2.0
-
-    def test_rejects_non_positive_inputs(self):
-        with pytest.raises(ConfigError, match="positive"):
-            block_time(0.0, 2.4e9, 3.0e8)
-        with pytest.raises(ConfigError, match="positive"):
-            block_time(20.0, -1.0, 3.0e8)
 
 
 def rap_share(op_count, t_op: float = 2.5e-7, T: float = 6.25e-3):
@@ -427,7 +412,7 @@ def per_point_sweep(spec: ExperimentSpec) -> list[ExperimentRow]:
                 continue
             mean_iters = float(batch.iterations.mean())
             for velocity in spec.velocities:
-                T = block_time(velocity, config.f_c, config.c_light)
+                T = block_time(velocity, config.f_c)
                 nu_r = overhead_share(name, batch.op_count, spec.t_op, T)
                 rates = experiments._charged_min_rates(batch, gam, nu_r)
                 p_hat = int(np.count_nonzero(rates < config.R_a)) / spec.trials

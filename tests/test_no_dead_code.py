@@ -7,12 +7,19 @@ where another top-level statement of ``m`` loads it, where another module
 imports it with ``from .m import name``, or where code reads it as
 ``m.name``; loads inside the definition itself (recursion) do not count,
 and neither does a load of the same spelling in another module.
+
+Likewise every field of the scenario and sweep dataclasses is read as an
+attribute by some ``src`` computation.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from ehuav.channel import EnvironmentParams, NetworkConfig
+from ehuav.experiments import ExperimentSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ehuav"
 
@@ -78,3 +85,32 @@ def unused_definitions() -> list[str]:
 def test_every_top_level_definition_is_used_in_src():
     dead = [entry for entry in unused_definitions() if entry.split(":")[1] not in ALLOWED]
     assert dead == []
+
+
+# Where reading a field does not make it matter: the dataclasses' own checks
+# and the config summary that ``ehuav validate`` prints.
+INERT_READERS = {"__post_init__", "cmd_validate"}
+
+
+def attributes_read(node: ast.AST) -> set[str]:
+    """Every ``x.<attr>`` that ``node`` loads, outside :data:`INERT_READERS`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in INERT_READERS:
+        return set()
+    loaded = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    found = {node.attr} if loaded else set()
+    for child in ast.iter_child_nodes(node):
+        found |= attributes_read(child)
+    return found
+
+
+def test_every_scenario_field_is_read_in_src():
+    # A field that no computation reads is a setting that changes nothing.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    read = set().union(*map(attributes_read, trees))
+    inert = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (NetworkConfig, EnvironmentParams, ExperimentSpec)
+        for f in fields(cls)
+        if f.name not in read
+    ]
+    assert inert == []

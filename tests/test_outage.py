@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ehuav import outage
 from ehuav.allocation import equal_bandwidth_taf
 from ehuav.channel import LinkBudget, sample_gamma_matrix
-from ehuav.errors import ConfigError, DomainError, NumericError
+from ehuav.errors import ConfigError, NumericError
 from ehuav.experiments import link_budgets
 from ehuav.outage import (
     Allocation,
@@ -371,7 +371,7 @@ class TestGammaProductCdf:
         assert gamma_product_cdf(0.0, self.BUDGET, 3, 4, 3, 4) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             gamma_product_cdf(-1.0, self.BUDGET, 3, 4, 3, 4)
 
     def test_limit_at_infinity(self):

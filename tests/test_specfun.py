@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ehuav.errors import DomainError
+from ehuav.errors import ConfigError
 from ehuav import specfun
 from ehuav.specfun import (
     bessel_k_int,
@@ -77,11 +77,11 @@ class TestGammaInt:
         assert gamma_int(13) == prod * 12
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError, match="170"):
+        with pytest.raises(ConfigError, match="170"):
             gamma_int(171)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             gamma_int(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             gamma_int(2.5)
 
     @given(st.integers(min_value=1, max_value=169))
@@ -114,13 +114,13 @@ class TestBesselK:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_negative_order_rejected(self):
-        with pytest.raises(DomainError, match="symmetry"):
+        with pytest.raises(ConfigError, match="symmetry"):
             bessel_k_int(-3, 1.0)
 
     def test_nonpositive_x_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             bessel_k_int(0, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             bessel_k_int(2, -1.0)
 
     def test_orders_list_matches_single_orders_bitwise(self):
@@ -180,7 +180,7 @@ class TestLambertW0:
         assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-8)
 
     def test_below_branch_rejected(self):
-        with pytest.raises(DomainError, match="-1/e"):
+        with pytest.raises(ConfigError, match="-1/e"):
             lambert_w0(-0.3678794411714425)  # one step below -1/e
 
     @settings(max_examples=300)
