@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EPSILON_RULE, R_A_RULE, check
+from .channel import EPSILON_RULE, R_A_RULES, check
 from .errors import ConfigError, EhuavError, NumericError
 from .outage import _LN2, Allocation, _check_split, _rate
 from .specfun import lambert_w0
@@ -308,7 +308,7 @@ def equal_bandwidth_taf(K: int, R_a: float) -> float:
     """
     if not isinstance(K, int) or K < 1:
         raise ConfigError(f"K must be an integer >= 1, got {K!r}")
-    check((R_A_RULE,), {"R_a": R_a})
+    check(R_A_RULES, {"R_a": R_a})
     q = K * R_a * _LN2
     w = lambert_w0(-math.exp(-1.0) * 2.0 ** (-K * R_a))
     tau = 1.0 - q / (1.0 + q + w)

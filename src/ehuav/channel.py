@@ -125,8 +125,14 @@ EPSILON_RULE: Rule = (
     f"must lie in [{EPSILON_MIN:g}, 0.5), got {{epsilon}}",
 )
 
-# The allocators' closed-form equal split checks this rule on its own.
-R_A_RULE: Rule = _positive_rule("R_a")
+# The allocators' closed-form equal split checks these rules on its own.  No
+# finite rate reaches 1024 bit/s/Hz (see EPSILON_MIN); far above it the equal
+# split rounds to tau = 0.  The bound passes a value the first rule reports.
+R_A_RULES: tuple[Rule, Rule] = (
+    _positive_rule("R_a"),
+    ("R_a", lambda v: not 0 < v["R_a"] < math.inf or v["R_a"] < 1024,
+     "must be < 1024 (no finite rate reaches 1024 bit/s/Hz), got {R_a}"),
+)
 
 _NAKAGAMI = "Nakagami parameter must be integer >= 1 (the finite-sum CDF requires it)"
 
@@ -138,7 +144,7 @@ NETWORK_RULES: tuple[Rule, ...] = (
     ),
     *(_count_rule(name) for name in ("N_c", "N_r", "N_s")),
     *(_positive_rule(name) for name in ("f_c", "noise_power", "d_hat", "A_hat", "V_hat")),
-    R_A_RULE,
+    *R_A_RULES,
     (
         "V_hat",
         lambda v: positive_block_time(v["V_hat"], v["f_c"]),
@@ -267,18 +273,12 @@ class LinkBudget:
     lam: float
     mu: float
     rho: float
-    pl_h_db: float
-    pl_g_db: float
 
     def __post_init__(self) -> None:
         if not (self.lam > 0 and self.mu > 0 and self.rho > 0):
             raise ConfigError(
                 f"lam, mu, rho must be > 0, got {self.lam}, {self.mu}, {self.rho}"
             )
-        if self.lam != 10.0 ** (-self.pl_h_db / 10.0):
-            raise ConfigError("lam must equal 10**(-pl_h_db/10) exactly")
-        if self.mu != 10.0 ** (-self.pl_g_db / 10.0):
-            raise ConfigError("mu must equal 10**(-pl_g_db/10) exactly")
 
 
 def elevation_angle_deg(d: float, A: float) -> float:
@@ -323,8 +323,6 @@ def make_link_budget(k: int, config: NetworkConfig, geom: LinkGeometry) -> LinkB
         lam=10.0 ** (-pl_h / 10.0),
         mu=10.0 ** (-pl_g / 10.0),
         rho=config.zeta * config.p_c[k] / (config.N_s * config.noise_power),
-        pl_h_db=pl_h,
-        pl_g_db=pl_g,
     )
 
 

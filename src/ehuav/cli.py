@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import equal_bandwidth_taf
-from .channel import block_time, sample_gamma_matrix
+from .channel import a2g_path_loss_db, block_time, sample_gamma_matrix
 from .configio import load_config
 from .errors import ConfigError, EhuavError, NumericError, TrendError
 from .experiments import (
@@ -78,9 +78,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"{'pl_h_db':>9} {'pl_g_db':>9} {'lam':>12} {'mu':>12} {'rho':>12}"
     )
     for k, (geom, b) in enumerate(zip(place_nodes(net), link_budgets(net))):
+        pl_h = a2g_path_loss_db(geom.d_h, geom.altitude, net.env, net.f_c)
+        pl_g = a2g_path_loss_db(geom.d_g, geom.altitude, net.env, net.f_c)
         print(
             f"{k:>3} {geom.d_h:>9.3f} {geom.d_g:>9.3f} {geom.altitude:>8.2f} "
-            f"{b.pl_h_db:>9.3f} {b.pl_g_db:>9.3f} "
+            f"{pl_h:>9.3f} {pl_g:>9.3f} "
             f"{b.lam:>12.5e} {b.mu:>12.5e} {b.rho:>12.5e}"
         )
     return EXIT_OK

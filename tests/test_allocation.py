@@ -132,6 +132,8 @@ class TestEqualBandwidthTaf:
             equal_bandwidth_taf(2.0, 1.0)
         with pytest.raises(ConfigError, match="R_a"):
             equal_bandwidth_taf(3, 0.0)
+        with pytest.raises(ConfigError, match="R_a must be < 1024"):
+            equal_bandwidth_taf(6, 1.0e16)
 
     @pytest.mark.parametrize("R_a", [math.inf, math.nan])
     def test_rejects_a_rate_target_outside_the_scenario_rule(self, R_a):

@@ -148,14 +148,8 @@ class TestPathLoss:
 
 class TestLinkBudget:
     def test_lambda_from_60_db(self):
-        budget = LinkBudget(
-            lam=1e-6, mu=1e-6, rho=1e10, pl_h_db=60.0, pl_g_db=60.0
-        )
+        budget = LinkBudget(lam=1e-6, mu=1e-6, rho=1e10)
         assert budget.lam == 10.0 ** (-60.0 / 10.0)
-
-    def test_identity_enforced(self):
-        with pytest.raises(ConfigError, match="lam"):
-            LinkBudget(lam=1.1e-6, mu=1e-6, rho=1e10, pl_h_db=60.0, pl_g_db=60.0)
 
     def test_rho_from_defaults(self):
         cfg = default_config()
@@ -167,9 +161,10 @@ class TestLinkBudget:
         # (50 m from either end, 60 m up).  Values frozen from the
         # term-by-term path-loss oracle.
         cfg = default_config()
+        assert a2g_path_loss_db(50.0, 60.0, cfg.env, cfg.f_c) == pytest.approx(
+            60.24498650844419, abs=1e-9
+        )
         budget = make_link_budget(2, cfg, LinkGeometry(d_h=50.0, d_g=50.0, altitude=60.0))
-        assert budget.pl_h_db == pytest.approx(60.24498650844419, abs=1e-9)
-        assert budget.pl_g_db == budget.pl_h_db
         assert budget.lam == pytest.approx(9.451513285918016e-07, rel=1e-12)
         assert budget.mu == budget.lam
         assert budget.rho == pytest.approx(1758320502056.7073, rel=1e-12)
@@ -285,8 +280,6 @@ class TestSampling:
         lam=10.0 ** (-60.0 / 10.0),
         mu=10.0 ** (-55.0 / 10.0),
         rho=1e10,
-        pl_h_db=60.0,
-        pl_g_db=55.0,
     )
 
     def config(self) -> NetworkConfig:

@@ -67,6 +67,11 @@ class TestValidate:
         assert "tau=0.192935949031" in out
         for column in ("pl_h_db", "pl_g_db", "lam", "mu", "rho"):
             assert column in out
+        row = (
+            "  0    16.667    83.333    20.00    55.474    76.292"
+            "  2.83545e-06  2.34868e-08  1.75832e+12"
+        )
+        assert row in out.splitlines()
         # one line per UAV plus headers
         assert out.count("1.75832e+12") == 6
 
@@ -110,6 +115,14 @@ class TestValidate:
         assert "network.R_a: must be finite and > 0, got inf" in capsys.readouterr().err
         assert main(["outage", path, "--trials", "10"]) == EXIT_CONFIG
         assert "network.R_a" in capsys.readouterr().err
+
+    def test_unreachable_rate_requirement_is_a_config_error(self, tmp_path, capsys):
+        # R_a = 1e16 used to pass and round the equal split to tau = 0 (exit 3).
+        path = config_file(tmp_path, network={"R_a": 1.0e16})
+        assert main(["validate", path]) == EXIT_CONFIG
+        message = "network.R_a: must be < 1024 (no finite rate reaches 1024 bit/s/Hz), got 1e+16"
+        assert message in capsys.readouterr().err
+        assert main(["validate", config_file(tmp_path, network={"R_a": 1000.0})]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "key, values, message",

@@ -8,18 +8,18 @@ imports it with ``from .m import name``, or where code reads it as
 ``m.name``; loads inside the definition itself (recursion) do not count,
 and neither does a load of the same spelling in another module.
 
-Likewise every field of the scenario and sweep dataclasses is read as an
-attribute by some ``src`` computation.
+Likewise every field of every ``src`` dataclass is read as an attribute by
+some ``src`` computation.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
+import importlib
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from ehuav.channel import EnvironmentParams, NetworkConfig
-from ehuav.experiments import ExperimentSpec
+from ehuav.experiments import CSV_HEADER, ExperimentRow
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ehuav"
 
@@ -103,14 +103,34 @@ def attributes_read(node: ast.AST) -> set[str]:
     return found
 
 
+# Fields read by name rather than as ``x.<field>``: ``ExperimentRow.as_csv``
+# reads each CSV column with ``getattr``.
+READ_BY_NAME = {ExperimentRow: set(CSV_HEADER)}
+
+
+def src_dataclasses() -> list[type]:
+    """Every dataclass defined (not just imported) in a ``src`` module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "ehuav" if path.stem == "__init__" else f"ehuav.{path.stem}"
+        module = importlib.import_module(name)
+        found += [
+            cls
+            for cls in vars(module).values()
+            if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+        ]
+    return found
+
+
 def test_every_scenario_field_is_read_in_src():
-    # A field that no computation reads is a setting that changes nothing.
+    # A field that no computation reads is a setting that changes nothing, or
+    # a value stored beside the one that is used.
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
     read = set().union(*map(attributes_read, trees))
     inert = [
         f"{cls.__name__}.{f.name}"
-        for cls in (NetworkConfig, EnvironmentParams, ExperimentSpec)
+        for cls in src_dataclasses()
         for f in fields(cls)
-        if f.name not in read
+        if f.name not in read | READ_BY_NAME.get(cls, set())
     ]
     assert inert == []

@@ -42,12 +42,10 @@ def budget_from_losses(pl_h_db: float, pl_g_db: float, rho: float) -> LinkBudget
         lam=10.0 ** (-pl_h_db / 10.0),
         mu=10.0 ** (-pl_g_db / 10.0),
         rho=rho,
-        pl_h_db=pl_h_db,
-        pl_g_db=pl_g_db,
     )
 
 
-UNIT_BUDGET = LinkBudget(lam=1.0, mu=1.0, rho=1.0, pl_h_db=0.0, pl_g_db=0.0)  # x == u
+UNIT_BUDGET = LinkBudget(lam=1.0, mu=1.0, rho=1.0)  # x == u
 
 
 def mp_bessel_k01(z):
