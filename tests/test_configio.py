@@ -323,14 +323,18 @@ def as_yaml(value):
 NETWORK_VALUES = {**BASE["network"], **{key: (BASE["network"][key],) * 2 for key in PER_UAV}}
 
 
-@pytest.mark.parametrize(
-    "section, rule",
-    [
-        pytest.param(section, rule, id=f"{section}.{rule[0]}#{i}")
-        for section, rules in (("network", NETWORK_RULES), ("environment", ENVIRONMENT_RULES))
-        for i, rule in enumerate(rules)
-    ],
-)
+def rule_cases():
+    """One case per rule, named ``<section>.<field>#<n>`` with n the rule's
+    ordinal among its field's rules, so adding a rule renames no case of
+    another field."""
+    for section, rules in (("network", NETWORK_RULES), ("environment", ENVIRONMENT_RULES)):
+        seen = {}
+        for rule in rules:
+            seen[rule[0]] = seen.get(rule[0], 0) + 1
+            yield pytest.param(section, rule, id=f"{section}.{rule[0]}#{seen[rule[0]]}")
+
+
+@pytest.mark.parametrize("section, rule", list(rule_cases()))
 def test_dataclass_and_loader_report_each_rule_alike(tmp_path, section, rule):
     values = NETWORK_VALUES if section == "network" else BASE["environment"]
     rules = NETWORK_RULES if section == "network" else ENVIRONMENT_RULES

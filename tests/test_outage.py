@@ -6,11 +6,15 @@ at gains placed around the exact threshold.  The closed-form outage is
 cross-checked against the Monte-Carlo estimator and against mpmath, and the
 product-gamma CDF is pinned to its single-term reduction, to sampled
 quantiles and to a high-precision mpmath evaluation of the finite survival
-sum.
+sum, each of its branches on its own as well; the closed form also meets
+the benchmark's reference outages to 1e-13.
 """
 
+import json
 import math
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from ehuav import outage
 from ehuav.allocation import equal_bandwidth_taf
 from ehuav.channel import LinkBudget, sample_gamma_matrix
+from ehuav.configio import load_config
 from ehuav.errors import ConfigError, NumericError
 from ehuav.experiments import link_budgets
 from ehuav.outage import (
@@ -46,6 +51,7 @@ def budget_from_losses(pl_h_db: float, pl_g_db: float, rho: float) -> LinkBudget
 
 
 UNIT_BUDGET = LinkBudget(lam=1.0, mu=1.0, rho=1.0)  # x == u
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mp_bessel_k01(z):
@@ -372,6 +378,12 @@ class TestGammaProductCdf:
         with pytest.raises(ConfigError):
             gamma_product_cdf(-1.0, self.BUDGET, 3, 4, 3, 4)
 
+    def test_nan_threshold_rejected(self):
+        # It used to reach the survival branch and fail there with
+        # "Bessel K requires x > 0, got nan".
+        with pytest.raises(ConfigError, match=r"^gamma_product_cdf requires x >= 0, got nan$"):
+            gamma_product_cdf(math.nan, self.BUDGET, 3, 4, 3, 4)
+
     def test_limit_at_infinity(self):
         assert gamma_product_cdf(math.inf, self.BUDGET, 3, 4, 3, 4) == 1.0
         assert gamma_product_cdf(1e300, self.BUDGET, 3, 4, 3, 4) == pytest.approx(
@@ -582,7 +594,48 @@ class TestGammaProductCdf:
         assert J == stop
         oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=60))
         assert abs(value - oracle) <= 1e-12 * oracle
+        if u <= outage._U_ASCENDING:  # the ascending expansion serves u there
+            value = outage._ascending_cdf(u, n_h, n_g)
         assert gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1) == min(1.0, value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=-6.0, max_value=math.log10(outage._U_ASCENDING)),
+        a=st.integers(min_value=1, max_value=170),
+        b=st.integers(min_value=1, max_value=170),
+    )
+    @example(log10_u=math.log10(outage._U_ASCENDING), a=12, b=12)  # d = 0
+    @example(log10_u=math.log10(outage._U_ASCENDING), a=40, b=41)  # d = 1
+    @example(log10_u=math.log10(outage._U_ASCENDING), a=1, b=170)  # d = 169
+    @example(log10_u=-6.0, a=1, b=170)
+    @example(log10_u=0.0, a=100, b=100)  # F = 2.6e-315, subnormal
+    @example(log10_u=-2.0, a=60, b=130)  # F = 4.2e-322
+    def test_ascending_relative_error_against_mpmath(self, log10_u, a, b):
+        # The ascending expansion on its own, for every pair of shapes it
+        # serves; the oracle's precision follows the value as above.  Where
+        # F is subnormal the value may differ by its last place.
+        u = min(10.0**log10_u, outage._U_ASCENDING)
+        a, b = min(a, b), max(a, b)
+        value = outage._ascending_cdf(u, a, b)
+        dps = 40 + math.ceil(-math.log10(value)) if value > 0.0 else 400
+        oracle = float(mp_gamma_product_cdf(u, a, b, dps=dps))
+        assert abs(value - oracle) <= 1e-12 * oracle + math.ulp(0.0)
+
+    def test_ascending_and_series_agree_at_the_cutover(self):
+        # Both branches at the cutover and its neighbouring doubles, for all
+        # shape pairs up to 40; the dispatch takes the ascending expansion
+        # up to the cutover and the series above it.
+        cut = outage._U_ASCENDING
+        points = (math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf))
+        for a in range(1, 41):
+            for b in range(a, 41):
+                for u in points:
+                    series = outage._lower_tail_series(u, a, b)[0]
+                    assert abs(outage._ascending_cdf(u, a, b) - series) <= 1e-13 * series
+        ascending = outage._ascending_cdf(cut, 12, 12)
+        assert gamma_product_cdf(cut, UNIT_BUDGET, 12, 1, 12, 1) == ascending
+        series = outage._lower_tail_series(points[2], 12, 12)[0]
+        assert gamma_product_cdf(points[2], UNIT_BUDGET, 12, 1, 12, 1) == series
 
     def test_range(self):
         scale = self.BUDGET.rho * self.BUDGET.lam * self.BUDGET.mu
@@ -702,6 +755,23 @@ class TestClosedForm:
                 survival *= 1 - mp_gamma_product_cdf(u, n_h, n_g, dps=200)
             exact = 1 - survival
             assert abs(value / exact - 1) <= 1e-12, float(value / exact - 1)
+
+    def test_benchmark_reference_outages(self):
+        # The benchmark's 325 reference outages: Table 1's equal split over
+        # its altitude x rate grid, from 110-digit mpmath, down to ~4e-31.
+        # Its tail_ok_ratio counts a point within 1e-9, too loose to show a
+        # lost digit or two; the measured worst here is 2.3e-14.
+        table = json.loads((ROOT / "perfbench/reference/outage_tail.json").read_text())
+        network = load_config(ROOT / "configs/table1.yaml").network
+        assert len(table["points"]) == 325
+        for altitude, rate, reference in table["points"]:
+            config = replace(network, A_hat=float(altitude))
+            alloc = Allocation(
+                tau=equal_bandwidth_taf(config.K, rate), beta=(1.0 / config.K,) * config.K
+            )
+            value = outage_closed_form(alloc, link_budgets(config), config, rate_requirement=rate)
+            exact = mp.mpf(reference)
+            assert abs(value - exact) <= 1e-13 * exact, (altitude, rate, value, reference)
 
 
 class TestMonteCarlo:
