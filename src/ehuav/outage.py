@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import LinkBudget, NetworkConfig, sample_gamma_matrix
+from .channel import LinkBudget, NetworkConfig, integer_at_least, sample_gamma_matrix
 from .errors import ConfigError, NumericError
 
 _LN2 = math.log(2.0)
@@ -227,16 +227,16 @@ def gamma_product_cdf(
       up to 12), and so is a point where a power u^((m+n_g)/2) leaves the
       double range (large shapes at large u).
 
-    The series and the survival sum take every Bessel order they need from
-    one :func:`specfun.bessel_k_orders` pass at 2*sqrt(u).  The first two
-    branches keep full relative accuracy however small F is and underflow
-    to 0.0 only where F does.  The larger shape plays n_g there, so both
-    shapes must be at most 170 (the range of :func:`specfun.gamma_int`);
-    above that the survival sum is used at every u, which needs only
-    n_g <= 170.  The series serves only below ``_U_SERIES_MAX`` (1.24e5),
-    where K0(2 sqrt u) is a normal double.  Where the survival sum
-    overflows and the series cannot serve, :class:`NumericError` names u
-    and both shapes.
+    The shapes are those :data:`channel.NETWORK_RULES` accepts: m_h, N_c,
+    m_g and N_r integers >= 1 (3.0 counts) with n_h and n_g at most 170,
+    the range of :func:`specfun.gamma_int`; anything else is a
+    :class:`ConfigError`.  The series and the survival sum take every
+    Bessel order they need from one :func:`specfun.bessel_k_orders` pass at
+    2*sqrt(u).  The first two branches keep full relative accuracy however
+    small F is and underflow to 0.0 only where F does.  The series serves
+    only below ``_U_SERIES_MAX`` (1.24e5), where K0(2 sqrt u) is a normal
+    double.  Where the survival sum overflows and the series cannot serve,
+    :class:`NumericError` names u and both shapes.
 
     Relative error against mpmath, Hypothesis properties in the test suite:
     <= 1e-9 for shapes 1..12 and u in [1e-6, 1e3] (measured worst 3e-14, on
@@ -249,14 +249,20 @@ def gamma_product_cdf(
     """
     if not x >= 0.0:  # NaN fails too
         raise ConfigError(f"gamma_product_cdf requires x >= 0, got {x}")
+    try:  # NaN and inf leave a NaN remainder, and a non-number raises
+        whole = m_h % 1 == N_c % 1 == m_g % 1 == N_r % 1 == 0
+    except TypeError:
+        whole = False
+    n_max = specfun.GAMMA_INT_MAX
+    if not (whole and m_h >= 1 and N_c >= 1 and m_g >= 1 and N_r >= 1
+            and m_h * N_c <= n_max and m_g * N_r <= n_max):
+        raise ConfigError(
+            f"shapes must be integers >= 1 with m_h*N_c and m_g*N_r <= {n_max}, "
+            f"got m_h={m_h}, N_c={N_c}, m_g={m_g}, N_r={N_r}"
+        )
     if x == 0.0:
         return 0.0
-    n_h = int(m_h) * int(N_c)
-    n_g = int(m_g) * int(N_r)
-    if m_h != int(m_h) or m_g != int(m_g) or n_h < 1 or n_g < 1:
-        raise ConfigError(
-            f"shapes must be integers >= 1, got m_h={m_h}, N_c={N_c}, m_g={m_g}, N_r={N_r}"
-        )
+    n_h, n_g = int(m_h * N_c), int(m_g * N_r)
     u = x / (budget.rho * budget.lam * budget.mu)
     if u >= 1e6:
         # exp(-2*sqrt(u)) < 1e-868 crushes every polynomial factor; the
@@ -265,18 +271,17 @@ def gamma_product_cdf(
         return 1.0
     if u == 0.0:
         return 0.0
-    series_serves = max(n_h, n_g) <= specfun.GAMMA_INT_MAX and u < _U_SERIES_MAX
-    if series_serves and u <= _U_ASCENDING:
+    if u <= _U_ASCENDING:
         value = _ascending_cdf(u, min(n_h, n_g), max(n_h, n_g))
     else:
         value = None
-        if u >= _U_SERIES or not series_serves:
+        if u >= _U_SERIES:
             try:
                 value = _survival_cdf(u, n_h, n_g)
             except NumericError:  # a power of u past the double range
-                if not series_serves:
+                if u >= _U_SERIES_MAX:  # and the series cannot serve
                     raise
-        if series_serves and (value is None or value < _F_SERIES):
+        if value is None or (value < _F_SERIES and u < _U_SERIES_MAX):
             value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))[0]
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(
@@ -464,6 +469,17 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
     return total + remainder, J
 
 
+def _thresholds(alloc, budgets, config, rate_requirement) -> list[float]:
+    """Every X_k = snr_threshold(beta_k, tau, R_a, nu_c), R_a from
+    rate_requirement if given, else config.R_a: what both estimators read."""
+    if alloc.K != config.K or len(budgets) != config.K:
+        raise ConfigError(
+            f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"
+        )
+    R_a = config.R_a if rate_requirement is None else rate_requirement
+    return [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
+
+
 def outage_closed_form(
     alloc: Allocation,
     budgets: list[LinkBudget],
@@ -482,14 +498,8 @@ def outage_closed_form(
     overrides config.R_a when given (the config invariant keeps R_a > 0;
     the limit R_a -> 0 is still well-defined here and returns 0).
     """
-    if alloc.K != config.K or len(budgets) != config.K:
-        raise ConfigError(
-            f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"
-        )
-    R_a = config.R_a if rate_requirement is None else rate_requirement
     log_survival = 0.0
-    for k in range(config.K):
-        x_k = snr_threshold(alloc.beta[k], alloc.tau, R_a, alloc.nu_c)
+    for k, x_k in enumerate(_thresholds(alloc, budgets, config, rate_requirement)):
         if math.isinf(x_k):
             return 1.0
         f_k = gamma_product_cdf(
@@ -501,26 +511,13 @@ def outage_closed_form(
     return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
-def _outage_counter(alloc: Allocation, R_a: float):
-    """A function counting the rows of a ``(T, K)`` gain matrix in which some
-    gain_k is strictly below X_k = snr_threshold(beta_k, tau, R_a, nu_c).
-
-    Each row's smallest ratio gain_k / X_k is compared with 1; a gain below
-    X_k gives a quotient below 1 after rounding, so the count is that of
-    gain_k < X_k.  X_k = 0 gives an infinite (or NaN) ratio, never counted.
-    """
-    thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-
-    def count(gamma: np.ndarray) -> int:
-        ratio = np.empty(gamma.shape[0])
-        column = np.empty(gamma.shape[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(gamma[:, 0], thresholds[0], out=ratio)
-            for k in range(1, len(thresholds)):
-                np.minimum(ratio, np.divide(gamma[:, k], thresholds[k], out=column), out=ratio)
-        return int(np.count_nonzero(ratio < 1.0))
-
-    return count
+def _count_outages(gamma: np.ndarray, thresholds: list[float]) -> int:
+    """How many rows of the ``(T, K)`` gain matrix have some
+    gamma_k < thresholds[k]: one comparison per column, OR-ed across them."""
+    below = gamma[:, 0] < thresholds[0]
+    for k in range(1, len(thresholds)):
+        below |= gamma[:, k] < thresholds[k]
+    return int(np.count_nonzero(below))
 
 
 def outage_monte_carlo(
@@ -534,31 +531,31 @@ def outage_monte_carlo(
     """Monte-Carlo outage: fraction of blocks in which some UAV's composite
     gain gamma_k is strictly below its SNR threshold X_k.
 
-    X_k is :func:`snr_threshold`, the one :func:`outage_closed_form` uses,
-    so both estimate the same event; a negative or NaN R_a raises its
-    :class:`ConfigError`.  The rate is increasing in the gain, so this is
-    the event "minimum rate < R_a" with X_k exact to a few ulp instead of
-    each rate's rounding.
+    The thresholds are the list :func:`outage_closed_form` reads, so both
+    estimate the same event; a negative or NaN R_a raises the
+    :class:`ConfigError` of :func:`snr_threshold`.  The rate is increasing
+    in the gain, so this is the event "minimum rate < R_a" with X_k exact
+    to a few ulp instead of each rate's rounding.  Each block's gains are
+    compared with the thresholds directly, column by column: X_k = 0 puts
+    no gain below it, X_k = inf every finite one.
 
     Trials are drawn in fixed 65536-draw blocks, so memory stays bounded
     whatever ``trials`` is.  Block b samples from its own child stream
     SeedSequence(seed, spawn_key=(b,)), so a given (seed, trials) always
-    gives the same estimate.  ``trials`` must lie in ``[1, MC_TRIALS_MAX]``.
+    gives the same estimate.  ``trials`` must be an integer in
+    ``[1, MC_TRIALS_MAX]`` and ``seed`` an integer >= 0 (3.0 counts for
+    either); anything else is a :class:`ConfigError` naming the argument.
     """
     if not 1 <= trials <= MC_TRIALS_MAX:
         raise ConfigError(f"trials must lie in [1, {MC_TRIALS_MAX}], got {trials}")
-    if alloc.K != config.K or len(budgets) != config.K:
-        raise ConfigError(
-            f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"
-        )
-    R_a = config.R_a if rate_requirement is None else rate_requirement
-    count = _outage_counter(alloc, R_a)
-
-    def count_block(block: int) -> int:
-        n = min(_MC_BLOCK, trials - block * _MC_BLOCK)
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if not integer_at_least(value, least):
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+    trials, seed = int(trials), int(seed)
+    thresholds = _thresholds(alloc, budgets, config, rate_requirement)
+    outages = 0
+    for block in range((trials + _MC_BLOCK - 1) // _MC_BLOCK):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        return count(sample_gamma_matrix(budgets, config, rng, n))
-
-    n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
-    outages = sum(count_block(b) for b in range(n_blocks))
+        n = min(_MC_BLOCK, trials - block * _MC_BLOCK)
+        outages += _count_outages(sample_gamma_matrix(budgets, config, rng, n), thresholds)
     return OutageEstimate(p_out=outages / trials, trials=trials)

@@ -28,7 +28,7 @@ def gamma_int(n: int) -> float:
     The upper bound guards against double-precision overflow of the
     factorial; exact for small n, correctly rounded beyond that.
     """
-    if n != int(n):
+    if n % 1 != 0:  # NaN and inf leave a NaN remainder
         raise ConfigError(f"gamma_int requires an integer argument, got {n!r}")
     n = int(n)
     if n < 1 or n > GAMMA_INT_MAX:
@@ -121,7 +121,7 @@ def bessel_k_orders(n: int, x: float) -> list[float]:
     order.  Where it overflows (tiny x at high order) that entry and every
     higher one saturate at the largest finite double rather than raising.
     """
-    if n != int(n):
+    if n % 1 != 0:  # NaN and inf leave a NaN remainder
         raise ConfigError(f"Bessel K requires an integer order, got {n!r}")
     n = int(n)
     if n < 0:
@@ -163,12 +163,13 @@ def _lambert_branch_series(p: float) -> float:
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert-W function: w >= -1 with w*e^w = x.
 
-    Defined for x >= -1/e.  Halley iteration from a branch-aware initial
-    guess; residual |w e^w - x| <= 1e-12 * max(1, |x|).
+    Defined for finite x >= -1/e; NaN and inf are a :class:`ConfigError`.
+    Halley iteration from a branch-aware initial guess; residual
+    |w e^w - x| <= 1e-12 * max(1, |x|).
     """
-    if x < _LAMBERT_BRANCH_X:
+    if not _LAMBERT_BRANCH_X <= x < math.inf:  # NaN fails too
         raise ConfigError(
-            f"lambert_w0 requires x >= -1/e ~ {_LAMBERT_BRANCH_X:.17g}, got {x}"
+            f"lambert_w0 requires finite x >= -1/e ~ {_LAMBERT_BRANCH_X:.17g}, got {x}"
         )
 
     s = math.e * x + 1.0

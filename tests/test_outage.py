@@ -1,13 +1,15 @@
 """Rate, SNR-threshold, and outage checks.
 
 The SNR threshold is checked against mpmath, and so is the Monte-Carlo
-estimator's decision of each trial (some gain strictly below its threshold)
-at gains placed around the exact threshold.  The closed-form outage is
-cross-checked against the Monte-Carlo estimator and against mpmath, and the
-product-gamma CDF is pinned to its single-term reduction, to sampled
-quantiles and to a high-precision mpmath evaluation of the finite survival
-sum, each of its branches on its own as well; the closed form also meets
-the benchmark's reference outages to 1e-13.
+count step's decision of each trial (some gain strictly below its
+threshold, one comparison per column) at gains placed around the exact
+threshold; whole estimates are checked against a direct count of the same
+blocks.  The closed-form outage is cross-checked against the Monte-Carlo
+estimator and against mpmath, and the product-gamma CDF is pinned to its
+single-term reduction, to sampled quantiles and to a high-precision mpmath
+evaluation of the finite survival sum, each of its branches on its own as
+well; it takes exactly the shapes the scenario rules take.  The closed form
+also meets the benchmark's reference outages to 1e-13.
 """
 
 import json
@@ -436,9 +438,39 @@ class TestGammaProductCdf:
             oracle = float(mp_gamma_product_cdf(u, n_h, n_g, dps=400))
             value = gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
             assert abs(value - oracle) <= 1e-9 * oracle
-        # Beyond it the survival sum still serves n_h > 170, as long as
-        # n_g <= 170; it cancels (F is 1.3e-18 here), but it does not raise.
-        assert 0.0 <= gamma_product_cdf(30.0, UNIT_BUDGET, 180, 1, 12, 1) < 1e-12
+        # Beyond it the scenario rules refuse the shapes, and so does the
+        # CDF: its survival-only path for them dropped every term from
+        # m = 171 on, where m! overflows.
+        with pytest.raises(ConfigError, match="<= 170"):
+            gamma_product_cdf(30.0, UNIT_BUDGET, 180, 1, 12, 1)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            (170, 1, 3, 1), (1, 170, 3, 1), (3, 1, 170, 1), (3, 1, 1, 170),
+            (171, 1, 3, 1), (1, 171, 3, 1), (3, 1, 171, 1), (3, 1, 1, 171),
+            (85, 2, 3, 1), (86, 2, 3, 1), (3.0, 2.0, 3, 1),
+            (1.5, 1, 3, 1), (1, 1.5, 3, 1), (3, 1, 1.5, 1), (3, 1, 1, 1.5),
+            (math.nan, 1, 3, 1), (1, math.nan, 3, 1), (3, 1, math.nan, 1), (3, 1, 1, math.nan),
+            (math.inf, 1, 3, 1), (1, math.inf, 3, 1), (3, 1, math.inf, 1), (3, 1, 1, math.inf),
+            (0, 1, 3, 1), (1, 0, 3, 1), (3, 1, 0, 1), (3, 1, 1, 0),
+            (-1, -3, 3, 1), (3, 1, -1, -3),
+        ],
+    )
+    def test_shape_domain_is_the_scenario_rules(self, shapes):
+        # The CDF takes exactly the shapes NetworkConfig takes.  N_c = 1.5
+        # was truncated to 1, and m_h = nan raised a bare ValueError.
+        m_h, N_c, m_g, N_r = shapes
+        try:
+            default_config(K=1, m_h=(m_h,), N_c=N_c, m_g=(m_g,), N_r=N_r)
+            config_accepts = True
+        except ConfigError:
+            config_accepts = False
+        if config_accepts:
+            assert 0.0 < gamma_product_cdf(1.0, UNIT_BUDGET, m_h, N_c, m_g, N_r) < 1.0
+        else:
+            with pytest.raises(ConfigError, match="^shapes must be integers >= 1"):
+                gamma_product_cdf(1.0, UNIT_BUDGET, m_h, N_c, m_g, N_r)
 
     def test_survival_overflow_is_a_numeric_error(self):
         # Shapes the config rules allow (both <= 170) can still push
@@ -838,6 +870,29 @@ class TestMonteCarlo:
                 self.alloc(), [self.BUDGET] * 2, self.config(), trials=0, seed=1
             )
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [
+            (1.5, 1, "trials must be an integer >= 1, got 1.5"),
+            (10, -1, "seed must be an integer >= 0, got -1"),
+            (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (10, math.nan, "seed must be an integer >= 0, got nan"),
+        ],
+    )
+    def test_argument_types_validated(self, trials, seed, message):
+        # trials = 1.5 passed the range check and then failed in range();
+        # numpy refused seed = -1 with a ValueError, seed = 1.5 with a TypeError.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            outage_monte_carlo(
+                self.alloc(), [self.BUDGET] * 2, self.config(), trials=trials, seed=seed
+            )
+
+    def test_integral_floats_count_as_integers(self):
+        args = (self.alloc(), [self.BUDGET] * 2, self.config())
+        est = outage_monte_carlo(*args, trials=70_000.0, seed=7.0)
+        assert est == outage_monte_carlo(*args, trials=70_000, seed=7)
+        assert type(est.trials) is int
+
     @pytest.mark.parametrize("R_a", [-1.0, math.nan])
     def test_negative_or_nan_requirement_is_refused(self, R_a):
         # The closed form's check, not a count of 0.
@@ -879,7 +934,7 @@ class TestOutageEvent:
         # with the other UAV's gain at inf.  Every row farther from the exact
         # threshold than the computed X_k's error bound (4 e ln2 + 6 ulp,
         # see TestSnrThreshold) is counted exactly where gain < X.
-        count = outage._outage_counter(alloc, R_a)
+        thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
         decided = 0
         for k, beta_k in enumerate(alloc.beta):
             with mp.workdps(60):
@@ -891,7 +946,8 @@ class TestOutageEvent:
                         continue
                     row = np.full((1, 2), math.inf)
                     row[0, k] = gain
-                    assert count(row) == int(mp.mpf(gain) < exact), (k, j)
+                    below = int(mp.mpf(gain) < exact)
+                    assert outage._count_outages(row, thresholds) == below, (k, j)
                     decided += 1
         assert decided >= 100  # of 122: the margin reaches j = +-2 only near e = 1000
 
@@ -900,8 +956,17 @@ class TestOutageEvent:
         # gain below it.
         gamma = np.array([[0.0, 0.0], [1e-300, 1e300], [math.inf, math.inf]])
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
-        assert outage._outage_counter(alloc, 0.0)(gamma) == 0
-        assert outage._outage_counter(alloc, 1e9)(gamma) == 2
+        for R_a, outages in ((0.0, 0), (1e9, 2)):
+            thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
+            assert outage._count_outages(gamma, thresholds) == outages
+
+    def test_zero_gain_at_a_zero_threshold_leaves_the_other_column_decisive(self):
+        # A zero gain is not below a zero threshold, but the row's other gain
+        # still decides it.  The former ratio form took 0/0 = NaN, and the
+        # row's minimum ratio then hid the other column's outage.
+        assert outage._count_outages(np.array([[0.0, 0.0]]), [0.0, 1.0]) == 1
+        assert outage._count_outages(np.array([[0.0, 0.0]]), [1.0, 0.0]) == 1
+        assert outage._count_outages(np.array([[0.0, 2.0]]), [0.0, 1.0]) == 0
 
     @pytest.mark.parametrize("trials", [1, 65535, 65537])
     def test_blocks_count_as_a_direct_comparison(self, trials):

@@ -89,6 +89,25 @@ class TestGammaInt:
         assert gamma_int(n + 1) == pytest.approx(n * gamma_int(n), rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gamma_int(math.nan), "integer argument, got nan"),
+        (lambda: gamma_int(math.inf), "integer argument, got inf"),
+        (lambda: bessel_k_orders(math.nan, 1.0), "integer order, got nan"),
+        (lambda: lambert_w0(math.nan), "finite x >= -1/e .* got nan"),
+        (lambda: lambert_w0(math.inf), "finite x >= -1/e .* got inf"),
+    ],
+    ids=["gamma_int-nan", "gamma_int-inf", "bessel_k_orders-nan", "lambert_w0-nan",
+         "lambert_w0-inf"],
+)
+def test_non_finite_arguments_are_config_errors(call, message):
+    # They raised ValueError and OverflowError, and lambert_w0 ran its 200
+    # Halley steps before a NumericError.
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
 class TestBesselK:
     def test_oracle_examples(self):
         # Frozen from the quadrature oracle above.
