@@ -8,6 +8,7 @@ simulation oracle for the analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import LinkBudget, NetworkConfig, integer_at_least, sample_gamma_matrix
+from .channel import K_MAX, LinkBudget, NetworkConfig, integer_at_least, sample_gamma_matrix
 from .errors import ConfigError, NumericError
 
 _LN2 = math.log(2.0)
@@ -176,12 +177,14 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
 
 
 # Up to this normalised threshold u the product-gamma CDF is summed as its
-# ascending residue expansion, with no Bessel function.  On a 2-core Xeon it
-# takes 3-12 us per call up to u = 3 against 11-25 us for the lower-tail
-# series, and is still the faster at u = 6; but it cancels as u grows:
-# against mpmath, for shapes up to 170, its worst relative error measured
-# 4.9e-14 up to u = 3, 1.1e-13 on (3, 4.38], 8.5e-13 on (4.38, 6] and 8.7e-12
-# on (6, 9].  The cutover stays below 4.38, the smallest u of any analytic
+# ascending residue expansion, with no Bessel function.  On a 2-core Xeon,
+# with its shape pair's table built, it takes 1-5 us per call up to u = 3
+# for shapes up to 12 (1-9 us up to 170) against 12-21 us for the lower-tail
+# series, and is still the faster at u = 6 (3-4 us against 13-14 us); but it
+# cancels as u grows: against mpmath, for shapes up to 170, its worst
+# relative error measured 3.8e-14 up to u = 3 (6900 random points),
+# 6.6e-14 on (3, 4.38], 4.4e-13 on (4.38, 6] and 5.2e-12 on (6, 9] (600
+# each).  The cutover stays below 4.38, the smallest u of any analytic
 # point of configs/fig4_r05.yaml, so that sweep keeps its series values.
 _U_ASCENDING = 3.0
 # Below this normalised threshold u the product-gamma CDF is summed as its
@@ -200,6 +203,14 @@ _F_SERIES = 0.03
 # only while K0 is a normal double, below u = 124377: shapes (27, 107) at
 # u = 1.3e5, where K0 is subnormal, came out 5.2e-10 off relative.
 _U_SERIES_MAX = 1.24e5
+_NORMAL_MIN = sys.float_info.min
+# Ascending-expansion tables kept at once (_ascending_table): every shape
+# pair of a scenario, at most K_MAX UAVs, and as many again.
+_ASCENDING_PAIRS = 2 * K_MAX
+# Rows of an ascending table: at u = _U_ASCENDING the stop rule fires within
+# 17 rows for every pair of shapes up to 170 (324 pairs, among them (2, 2)
+# and (170, 170), need all 17).
+_ASCENDING_ROWS = 24
 
 
 def gamma_product_cdf(
@@ -236,14 +247,16 @@ def gamma_product_cdf(
     small F is and underflow to 0.0 only where F does.  The series serves
     only below ``_U_SERIES_MAX`` (1.24e5), where K0(2 sqrt u) is a normal
     double.  Where the survival sum overflows and the series cannot serve,
-    :class:`NumericError` names u and both shapes.
+    :class:`NumericError` names u and both shapes.  Where rho*lam*mu leaves
+    the normal doubles, u is formed without that product (an overflowing u
+    gives 1.0).
 
     Relative error against mpmath, Hypothesis properties in the test suite:
     <= 1e-9 for shapes 1..12 and u in [1e-6, 1e3] (measured worst 3e-14, on
     the series near F = 1) and for shapes up to 40 and u in [1e-3, 1e3];
     <= 1e-12 on the series for shapes up to 40 and u in [1e-6, 60), and on
     the ascending expansion for shapes up to 170 and u in [1e-6, 3]
-    (measured worst 4.9e-14).  Values drifting past [0,1] by less than 1e-9
+    (measured worst 3.8e-14).  Values drifting past [0,1] by less than 1e-9
     are clamped; larger violations raise :class:`NumericError`.  A NaN x is
     a :class:`ConfigError`, as a negative one is.
     """
@@ -260,19 +273,38 @@ def gamma_product_cdf(
             f"shapes must be integers >= 1 with m_h*N_c and m_g*N_r <= {n_max}, "
             f"got m_h={m_h}, N_c={N_c}, m_g={m_g}, N_r={N_r}"
         )
-    if x == 0.0:
-        return 0.0
-    n_h, n_g = int(m_h * N_c), int(m_g * N_r)
-    u = x / (budget.rho * budget.lam * budget.mu)
-    if u >= 1e6:
+    return _product_cdf(x, budget, int(m_h * N_c), int(m_g * N_r))
+
+
+def _normalised(x: float, budget: LinkBudget) -> float:
+    """u = x / (rho*lam*mu) where that product is not a normal double: x's
+    and each factor's binary mantissas are divided and their exponents
+    subtracted, so u is rounded three times and an overflow gives inf."""
+    mantissa, exponent = math.frexp(x)
+    for factor in (budget.rho, budget.lam, budget.mu):
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _product_cdf(x: float, budget: LinkBudget, n_h: int, n_g: int) -> float:
+    """:func:`gamma_product_cdf` at x >= 0 for integer shapes n_h, n_g in
+    [1, 170], unchecked: u (through :func:`_normalised` where rho*lam*mu is
+    not a normal double), the branch dispatch and the clamp."""
+    scale = budget.rho * budget.lam * budget.mu
+    u = x / scale if _NORMAL_MIN <= scale < math.inf else _normalised(x, budget)
+    if u <= _U_ASCENDING:
+        if u == 0.0:
+            return 0.0
+        value = _ascending_cdf(u, n_h, n_g) if n_h <= n_g else _ascending_cdf(u, n_g, n_h)
+    elif u >= 1e6:
         # exp(-2*sqrt(u)) < 1e-868 crushes every polynomial factor; the
         # survival sum is far below double resolution, but its power-of-u
         # prefactors would overflow if evaluated.
         return 1.0
-    if u == 0.0:
-        return 0.0
-    if u <= _U_ASCENDING:
-        value = _ascending_cdf(u, min(n_h, n_g), max(n_h, n_g))
     else:
         value = None
         if u >= _U_SERIES:
@@ -283,6 +315,8 @@ def gamma_product_cdf(
                     raise
         if value is None or (value < _F_SERIES and u < _U_SERIES_MAX):
             value = _lower_tail_series(u, min(n_h, n_g), max(n_h, n_g))[0]
+    if 0.0 < value <= 1.0:
+        return value
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise NumericError(
             f"product-gamma CDF left [0,1] by more than 1e-9: {value!r} at x={x}"
@@ -290,7 +324,43 @@ def gamma_product_cdf(
     return min(1.0, max(0.0, value))
 
 
-def _ascending_cdf(u: float, a: int, b: int) -> float:
+@functools.lru_cache(maxsize=_ASCENDING_PAIRS)
+def _ascending_table(a: int, b: int, length: int) -> tuple:
+    """What :func:`_ascending_cdf` needs of shapes a <= b without u:
+    ``(coefficients, w0, ratio, shift, rows)``.
+
+    ``coefficients`` are the k-terms' (-1)^k Gamma(d-k) / (Gamma(d) k! (a+k)),
+    k = d-1 down to 0, each rounded once from exact integers; ``w0`` is
+    1 / (Gamma(d) d!), 1 at d = 0; ``ratio`` and ``shift`` scale
+    Gamma(d) / (Gamma(a) Gamma(b)) = ratio 2^-shift with ratio in [0.5, 2).
+    Row j of the ``length`` rows is ``((-1)^d/(b+j), psi(j+1) + psi(d+j+1) +
+    1/(b+j), 1/((j+1)(d+j+1)), 4/(j+1), 2^61/(b+j))``, the digammas carried
+    from -2 gamma as running harmonic sums, so a longer table repeats a
+    shorter one's rows.
+    """
+    d = b - a
+    top = math.factorial(max(d, 1) - 1)  # Gamma(d), read as 1 at d = 0
+    coefficients = tuple(
+        (-1) ** k * math.factorial(d - 1 - k) / (top * math.factorial(k) * (a + k))
+        for k in reversed(range(d))
+    )
+    w0 = 1 / (top * math.factorial(d))
+    sign = -1.0 if d & 1 else 1.0
+    den = math.factorial(a - 1) * math.factorial(b - 1)
+    shift = den.bit_length() - top.bit_length()
+    harmonic = -2.0 * specfun._EULER_GAMMA
+    for k in range(1, d + 1):
+        harmonic += 1.0 / k
+    rows = []
+    for j in range(length):
+        inv = 1.0 / (b + j)
+        rows.append((sign * inv, harmonic + inv, 1.0 / ((j + 1) * (d + j + 1)),
+                     4.0 / (j + 1), 2.0**61 * inv))
+        harmonic += 1.0 / (j + 1) + 1.0 / (d + j + 1)
+    return coefficients, w0, (top << shift) / den, shift, tuple(rows)
+
+
+def _ascending_cdf(u: float, a: int, b: int, length: int = _ASCENDING_ROWS) -> float:
     """F(u) for shapes a <= b <= 170 from the residue expansion of its
     Meijer-G form, G^{2,1}_{1,3}(u | 1; a, b, 0) / (Gamma(a) Gamma(b)).
 
@@ -298,12 +368,23 @@ def _ascending_cdf(u: float, a: int, b: int) -> float:
     give
     F = [sum_{k<d} (-1)^k Gamma(d-k) u^(a+k) / (k! (a+k))
          + (-1)^d sum_{j>=0} u^(b+j) B_j / (j! (d+j)! (b+j))] / (Gamma(a) Gamma(b)),
-    B_j = psi(j+1) + psi(d+j+1) + 1/(b+j) - ln u, with psi(m) = -gamma + H_{m-1}
-    carried as running harmonic sums.  Both sums are taken relative to
-    P = Gamma(d) u^a / (Gamma(a) Gamma(b)) (Gamma(0) read as 1): the k-terms
-    are (-1)^k r_k / (a+k), r_k = Gamma(d-k) u^k / (Gamma(d) k!), summed in
-    full, and the j-terms (-1)^d w_j B_j / (b+j), with
+    B_j = psi(j+1) + psi(d+j+1) + 1/(b+j) - ln u, with psi(m) = -gamma + H_{m-1}.
+    Both sums are taken relative to P = Gamma(d) u^a / (Gamma(a) Gamma(b))
+    (Gamma(0) read as 1): the k-terms are (-1)^k r_k / (a+k),
+    r_k = Gamma(d-k) u^k / (Gamma(d) k!), summed in full as a polynomial in
+    u by Horner's rule, and the j-terms (-1)^d w_j B_j / (b+j), with
     w_j = u^(d+j) / (Gamma(d) j! (d+j)!).
+
+    Everything here that does not depend on u comes from one table per
+    shape pair, :func:`_ascending_table`, built on the pair's first call (never
+    at import) and kept while it is among the last ``_ASCENDING_PAIRS``
+    tables used: the polynomial's coefficients, w_0 / u^d, the prefactor's
+    exact ratio, and per row j the signed reciprocal (-1)^d/(b+j), the
+    constant part of B_j, the term-ratio factor 1/((j+1)(d+j+1)) and the
+    bound's 4/(j+1) and 2^61/(b+j).  Its ``_ASCENDING_ROWS`` rows suffice for
+    every pair up to u = ``_U_ASCENDING``; a sum whose stop rule has not
+    fired by the last row is summed again on a table twice as long, so the
+    value never depends on the table's length.
 
     The j-sum stops at the first J where rho = u / ((J+1)(d+J+1)), the ratio
     w_{J+1} / w_J (falling with J), is at most 1/2 and
@@ -318,42 +399,30 @@ def _ascending_cdf(u: float, a: int, b: int) -> float:
     underflow.  The sums cancel as u grows (B_j changes sign, and the k-terms
     alternate): see ``_U_ASCENDING`` for the measured error.
     """
-    d = b - a
+    coefficients, w, ratio, shift, rows = _ascending_table(a, b, length)
     log_u = math.log(u)
     total = 0.0
-    w = 1.0  # (-1)^d w_j, from w_0 = u^d / (Gamma(d) d!), 1 at d = 0
-    psi = -2.0 * specfun._EULER_GAMMA - log_u  # B_j - 1/(b+j) once H_d is added
-    if d:
-        r = 1.0
-        for k in range(d - 1):
-            total += -r / (a + k) if k & 1 else r / (a + k)
-            r *= u / ((k + 1) * (d - 1 - k))
-            psi += 1.0 / (k + 1)
-        total += r / (b - 1) if d & 1 else -r / (b - 1)
-        psi += 1.0 / d
-        w = -r * u / d if d & 1 else r * u / d
-    j = 0
-    while True:
-        inv = 1.0 / (b + j)
-        bracket = psi + inv
-        total += w * bracket * inv
-        j += 1
-        rho = u / (j * (d + j))
-        rest = 2.0**60 * abs(w) * rho * (2.0 * abs(bracket) + 8.0 / j) * inv  # 2^60 x bound
-        if rho <= 0.5 and rest <= abs(total):
-            break
-        psi += 1.0 / j + 1.0 / (d + j)
+    for c in coefficients:
+        total = total * u + c
+    w *= u ** (b - a)  # w_0; the rows carry the sign (-1)^d
+    for signed_inv, constant, step, four, bound in rows:
+        bracket = constant - log_u
+        total += w * bracket * signed_inv
+        rho = u * step
+        if rho <= 0.5:
+            rest = w * rho * (abs(bracket) + four) * bound  # 2^60 x the bound
+            if rest <= total or rest <= -total:
+                break
         w *= rho
+    else:  # the stop rule has not fired within the table's rows
+        return _ascending_cdf(u, a, b, 2 * length)
 
-    # P = m^a 2^(e a) num/den with u = m 2^e (m in [0.5, 1), so m^a >= 2^-170)
-    # and num/den = Gamma(d)/(Gamma(a) Gamma(b)) <= 1 rounded once from the
-    # exact integers, scaled by 2^shift into [0.5, 2): no factor leaves the
+    # P = m^a 2^(e a) ratio 2^-shift with u = m 2^e (m in [0.5, 1), so
+    # m^a >= 2^-170) and ratio = Gamma(d)/(Gamma(a) Gamma(b)) 2^shift in
+    # [0.5, 2) rounded once from the exact integers: no factor leaves the
     # normal doubles before the one ldexp, which rounds only a subnormal F.
     mantissa, exponent = math.frexp(u)
-    num = math.factorial(max(d, 1) - 1)
-    den = math.factorial(a - 1) * math.factorial(b - 1)
-    shift = den.bit_length() - num.bit_length()
-    return math.ldexp(mantissa**a * ((num << shift) / den) * total, exponent * a - shift)
+    return math.ldexp(mantissa**a * ratio * total, exponent * a - shift)
 
 
 def _survival_cdf(u: float, n_h: int, n_g: int) -> float:
@@ -490,8 +559,9 @@ def outage_closed_form(
 
     Exact for channel-independent allocations.  Composed as
     -expm1(sum_k log1p(-F_k)), which keeps the relative accuracy of small
-    F_k (1 - prod loses every digit below 1e-16); each F_k comes from
-    :func:`gamma_product_cdf`.  Relative error at most 2.3e-14 (measured)
+    F_k (1 - prod loses every digit below 1e-16); each F_k comes from the
+    unchecked core of :func:`gamma_product_cdf`, as the config's shapes
+    passed the same rule.  Relative error at most 1.1e-14 (measured)
     on the benchmark's 325 reference outages (110-digit mpmath, outages down
     to ~4e-31).
     An infinite threshold or any F_k == 1 gives 1.0.  rate_requirement
@@ -500,11 +570,7 @@ def outage_closed_form(
     """
     log_survival = 0.0
     for k, x_k in enumerate(_thresholds(alloc, budgets, config, rate_requirement)):
-        if math.isinf(x_k):
-            return 1.0
-        f_k = gamma_product_cdf(
-            x_k, budgets[k], config.m_h[k], config.N_c, config.m_g[k], config.N_r
-        )
+        f_k = _product_cdf(x_k, budgets[k], config.m_h[k] * config.N_c, config.m_g[k] * config.N_r)
         if f_k == 1.0:
             return 1.0
         log_survival += math.log1p(-f_k)

@@ -289,6 +289,32 @@ class TestOutage:
         assert "empirical_outage: 1 " in out
         assert "verdict: PASS\n" in out
 
+    def test_underflowing_gain_scale_is_certain_outage(self, tmp_path, capsys):
+        # At f_c = 1e100 every budget factor is positive (lam and mu about
+        # 5e-188, rho 1.76e12) but rho * lam * mu underflows to 0; u was
+        # divided by it, a ZeroDivisionError traceback.  u overflows
+        # instead, and every sampled gain underflows to 0.
+        with open(TABLE1, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+        data["network"]["f_c"] = 1.0e100
+        path = tmp_path / "fc.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["outage", str(path), "--trials", "500"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "analytic_outage: 1\n" in out
+        assert "empirical_outage: 1 " in out
+        assert "verdict: PASS\n" in out
+        # Every analytic outage is 1, so the altitude curve has no unique
+        # minimum: a trend failure, with the CSV written.
+        csv = tmp_path / "fig4.csv"
+        assert main(["fig4", str(path), "--out", str(csv)]) == EXIT_TREND
+        err = capsys.readouterr().err
+        assert err.startswith("error: trend assertion failed:\n")
+        assert "analytic equal-bandwidth curve has no unique minimum" in err
+        assert "Traceback" not in err
+        assert csv.exists()
+
     def test_small_rate_target_keeps_the_analytic_digits(self, capsys):
         # mpmath gives 5.90478183601086e-106; the subtraction 2^e - 1 in the
         # thresholds gives 5.90478281289e-106.

@@ -8,12 +8,17 @@ blocks.  The closed-form outage is cross-checked against the Monte-Carlo
 estimator and against mpmath, and the product-gamma CDF is pinned to its
 single-term reduction, to sampled quantiles and to a high-precision mpmath
 evaluation of the finite survival sum, each of its branches on its own as
-well; it takes exactly the shapes the scenario rules take.  The closed form
-also meets the benchmark's reference outages to 1e-13.
+well; it takes exactly the shapes the scenario rules take.  The ascending
+expansion's per-shape-pair tables give the same bits cold, warm, evicted or
+too short, and the series and survival bits are pinned by a hash.  The
+closed form also meets the benchmark's reference outages to 1e-13.
 """
 
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -681,6 +686,101 @@ class TestGammaProductCdf:
         p = gamma_product_cdf(z * scale, self.BUDGET, 3, 4, 3, 4)
         assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize(
+        "budget, x",
+        [
+            # rho * lam * mu is about 1e-309, subnormal
+            (LinkBudget(lam=1e-200, mu=1e-200, rho=1e91), 3e-308),  # u = 30
+            (LinkBudget(lam=1e-200, mu=1e-200, rho=1e91), 2e-309),  # u = 2
+            # rho * lam * mu overflows to inf: x / inf gave F = 0
+            (LinkBudget(lam=1e103, mu=1e103, rho=1e103), 1e308),  # u = 0.1
+        ],
+    )
+    def test_scale_outside_the_normal_doubles(self, budget, x):
+        # u is formed from the mantissas and exponents of x and the three
+        # factors, so it is the exact quotient to a few ulp.
+        u = float(mp.mpf(x) / (mp.mpf(budget.rho) * mp.mpf(budget.lam) * mp.mpf(budget.mu)))
+        expected = gamma_product_cdf(u, UNIT_BUDGET, 1, 1, 2, 1)
+        assert 0.0 < expected < 1.0
+        value = gamma_product_cdf(x, budget, 1, 1, 2, 1)
+        assert value == pytest.approx(expected, rel=4e-15, abs=0.0)
+
+    def test_scale_that_underflows_to_zero(self):
+        # rho * lam * mu is 0.0 here; x / 0.0 raised ZeroDivisionError.
+        budget = LinkBudget(lam=1e-200, mu=1e-200, rho=1.0)
+        assert gamma_product_cdf(1e-300, budget, 3, 4, 3, 4) == 1.0  # u = 1e100
+        assert gamma_product_cdf(1.0, budget, 3, 4, 3, 4) == 1.0  # u overflows
+        assert gamma_product_cdf(0.0, budget, 3, 4, 3, 4) == 0.0
+
+    def test_series_and_survival_bits_are_pinned(self):
+        # sha256 of float.hex over a grid above the ascending cutover: 45
+        # series points, 36 survival values, 15 survival values below 0.03
+        # recomputed by the series and 12 survival overflows served by it.
+        # (12, 3) and (170, 12) take the survival sum with n_h > n_g.
+        grid = (3.5, 4.38, 10.0, 30.0, 59.99, 60.0, 65.0, 100.0, 300.0, 1e3, 1e4, 1e5)
+        shapes = ((1, 1), (3, 12), (12, 3), (12, 12), (30, 30), (1, 170), (170, 12),
+                  (60, 170), (170, 170))
+        values = [gamma_product_cdf(u, UNIT_BUDGET, n_h, 1, n_g, 1)
+                  for n_h, n_g in shapes for u in grid]
+        digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == "c50a8d0ab3074e6c07835adaf5cecfe70af5674122e24fb77225461a78d27508"
+
+
+class TestAscendingTable:
+    """The per-shape-pair tables of the ascending expansion: built on first
+    use, cached, and never a cause of a different value."""
+
+    POINTS = (1e-6, 0.5, 3.0, 10.0, 100.0, 1e5)  # ascending, series, survival
+    SHAPES = ((12, 12), (3, 12), (1, 170), (40, 170), (170, 170))
+
+    def values(self):
+        return [gamma_product_cdf(u, UNIT_BUDGET, a, 1, b, 1).hex()
+                for a, b in self.SHAPES for u in self.POINTS]
+
+    def test_cold_and_warm_tables_give_the_same_bits(self):
+        outage._ascending_table.cache_clear()
+        cold = self.values()
+        assert outage._ascending_table.cache_info().currsize == len(self.SHAPES)
+        assert self.values() == cold
+        assert outage._ascending_table.cache_info().misses == len(self.SHAPES)
+
+    def test_eviction_changes_no_value(self):
+        before = self.values()
+        for b in range(1, outage._ASCENDING_PAIRS + 1):  # as many other pairs as are kept
+            outage._ascending_cdf(1.0, 1, b)
+        info = outage._ascending_table.cache_info()
+        assert info.currsize == outage._ASCENDING_PAIRS
+        assert self.values() == before
+        assert outage._ascending_table.cache_info().misses == info.misses + len(self.SHAPES)
+
+    def test_import_builds_no_table(self):
+        code = "import ehuav.outage as o; print(o._ascending_table.cache_info().currsize)"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout == "0\n"
+
+    @pytest.mark.parametrize("a, b", [(1, 170), (170, 170), (12, 12), (1, 1)])
+    def test_extreme_pairs_from_a_cold_table(self, a, b):
+        outage._ascending_table.cache_clear()
+        value = outage._ascending_cdf(3.0, a, b)
+        dps = 40 + math.ceil(-math.log10(value)) if value > 0.0 else 400
+        oracle = float(mp_gamma_product_cdf(3.0, a, b, dps=dps))
+        assert abs(value - oracle) <= 1e-12 * oracle + math.ulp(0.0)
+
+    @pytest.mark.parametrize("u", [1e-6, 0.5, 3.0, 30.0])
+    def test_a_short_table_is_extended_not_truncated(self, u):
+        # A sum whose stop rule has not fired by the last row is summed
+        # again on a longer table, whose rows begin with the shorter one's:
+        # one row gives the bits of the default length, and so does u = 30,
+        # which needs more rows than the default.
+        for a, b in ((12, 12), (3, 12), (1, 170), (170, 170)):
+            value = outage._ascending_cdf(u, a, b)
+            assert outage._ascending_cdf(u, a, b, 1) == value
+            assert outage._ascending_cdf(u, a, b, 256) == value
+
 
 class TestClosedForm:
     BUDGET = budget_from_losses(60.0, 62.0, 1e11)
@@ -792,7 +892,7 @@ class TestClosedForm:
         # The benchmark's 325 reference outages: Table 1's equal split over
         # its altitude x rate grid, from 110-digit mpmath, down to ~4e-31.
         # Its tail_ok_ratio counts a point within 1e-9, too loose to show a
-        # lost digit or two; the measured worst here is 2.3e-14.
+        # lost digit or two; the measured worst here is 1.1e-14.
         table = json.loads((ROOT / "perfbench/reference/outage_tail.json").read_text())
         network = load_config(ROOT / "configs/table1.yaml").network
         assert len(table["points"]) == 325
