@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,14 +300,19 @@ def a2g_path_loss_db(d: float, altitude: float, env: EnvironmentParams, f_c: flo
     10*log10(sqrt(d^2 + A^2)) distance term, the 20*log10(4*pi*f_c/c)
     frequency term, and the NLoS floor.  The distance term's coefficient is
     10 (not the free-space 20) by explicit model fidelity; see the altitude
-    trend notes in the README.
+    trend notes in the README.  Where ``b (a - theta)`` is past the range
+    of ``exp`` (``a: 1e8``, or ``b >= 170`` at low elevations) the excess
+    term takes its limit 0, the NLoS floor alone.
     """
     if not f_c > 0:
         raise ConfigError(f"f_c must be > 0, got {f_c}")
     theta = elevation_angle_deg(d, altitude)
-    excess = (env.eta_los - env.eta_nlos) / (
-        1.0 + env.a * math.exp(-env.b * (theta - env.a))
-    )
+    try:
+        excess = (env.eta_los - env.eta_nlos) / (
+            1.0 + env.a * math.exp(-env.b * (theta - env.a))
+        )
+    except OverflowError:  # the exponent is past exp's range: the limit, pure NLoS
+        excess = 0.0
     distance_term = 10.0 * math.log10(math.hypot(d, altitude))
     frequency_term = 20.0 * math.log10(4.0 * math.pi * f_c / C_LIGHT)
     return excess + distance_term + frequency_term + env.eta_nlos
@@ -317,38 +322,49 @@ def make_link_budget(k: int, config: NetworkConfig, geom: LinkGeometry) -> LinkB
     """Per-UAV derived constants for 0-based UAV index k."""
     if not 0 <= k < config.K:
         raise ConfigError(f"UAV index must lie in [0, {config.K}), got {k}")
-    pl_h = a2g_path_loss_db(geom.d_h, geom.altitude, config.env, config.f_c)
-    pl_g = a2g_path_loss_db(geom.d_g, geom.altitude, config.env, config.f_c)
     return LinkBudget(
-        lam=10.0 ** (-pl_h / 10.0),
-        mu=10.0 ** (-pl_g / 10.0),
+        lam=_hop_gain("energy", k, geom.d_h, geom.altitude, config),
+        mu=_hop_gain("identification", k, geom.d_g, geom.altitude, config),
         rho=config.zeta * config.p_c[k] / (config.N_s * config.noise_power),
     )
 
 
-def sample_gamma_matrix(
+def _hop_gain(hop: str, k: int, d: float, altitude: float, config: NetworkConfig) -> float:
+    """The linear average gain 10^(-PL/10) of one hop.  A gain past the
+    double range (a path loss below about -3083 dB, as at ``f_c: 1e-300``)
+    is a :class:`ConfigError` naming f_c and the gain."""
+    pl = a2g_path_loss_db(d, altitude, config.env, config.f_c)
+    try:
+        return 10.0 ** (-pl / 10.0)
+    except OverflowError:
+        raise ConfigError(
+            f"f_c={config.f_c} gives UAV {k}'s {hop} hop a path loss of {pl:.6g} dB, "
+            f"whose gain 10^(-PL/10) is past the double range"
+        ) from None
+
+
+def gamma_columns(
     budgets: list[LinkBudget],
     config: NetworkConfig,
     rng: np.random.Generator,
     trials: int,
-) -> np.ndarray:
-    """(trials, K) C-ordered matrix of composite gains, drawn UAV by UAV.
+) -> Iterator[np.ndarray]:
+    """Yield each UAV's ``trials`` composite gains in turn, k ascending.
 
-    Draw order is fixed (k ascending; energy hop before identification
-    hop), so a given generator state always yields the same matrix.  Each
-    hop is drawn in place into one reused buffer by ``standard_gamma`` and
-    scaled there, and column k is written as ``(rho * (lam * S_h)) *
-    (mu * S_g)``.  ``Generator.gamma(shape, scale)`` is
+    Column k is ``(rho * (lam * S_h)) * (mu * S_g)``: the energy hop's
+    ``standard_gamma`` draws, then the identification hop's, each drawn in
+    place into one of two ``trials``-long buffers allocated once per call
+    and scaled there.  ``Generator.gamma(shape, scale)`` is
     ``scale * standard_gamma(shape)`` element by element, so these are the
     values (and the stream) of drawing G_h and G_g with ``rng.gamma`` and
-    multiplying out ``rho * G_h * G_g``; the test suite pins their sha256.
-    Besides the result, only two ``trials``-long buffers are allocated.
+    multiplying out ``rho * G_h * G_g``.  The yielded array is a buffer the
+    next column overwrites; a caller that stops early leaves the later
+    UAVs undrawn.
     """
     if len(budgets) != config.K:
         raise ConfigError(
             f"expected one budget per UAV (K={config.K}), got {len(budgets)}"
         )
-    out = np.empty((trials, config.K))
     g_h = np.empty(trials)
     g_g = np.empty(trials)
     for k, budget in enumerate(budgets):
@@ -357,5 +373,22 @@ def sample_gamma_matrix(
         g_h *= budget.rho
         rng.standard_gamma(config.m_g[k] * config.N_r, size=trials, out=g_g)
         g_g *= budget.mu
-        np.multiply(g_h, g_g, out=out[:, k])
+        g_h *= g_g
+        yield g_h
+
+
+def sample_gamma_matrix(
+    budgets: list[LinkBudget],
+    config: NetworkConfig,
+    rng: np.random.Generator,
+    trials: int,
+) -> np.ndarray:
+    """(trials, K) C-ordered matrix of composite gains: column k is the k-th
+    column of :func:`gamma_columns`, so a given generator state always
+    yields the same matrix; the test suite pins its sha256.  Besides the
+    result, only the generator's two ``trials``-long buffers are allocated.
+    """
+    out = np.empty((trials, config.K))
+    for k, column in enumerate(gamma_columns(budgets, config, rng, trials)):
+        out[:, k] = column
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import K_MAX, LinkBudget, NetworkConfig, integer_at_least, sample_gamma_matrix
+from .channel import K_MAX, LinkBudget, NetworkConfig, gamma_columns, integer_at_least
 from .errors import ConfigError, NumericError
 
 _LN2 = math.log(2.0)
@@ -156,14 +156,26 @@ def snr_threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
     R_a) and where eff * nu_c underflows to 0 (certain outage); a zero R_a
     gives 0.0 even where eff/tau overflows or eff * nu_c underflows.
     """
+    _check_threshold_args(tau, (beta_k,), R_a, nu_c)
+    return _threshold(beta_k, tau, R_a, nu_c)
+
+
+def _check_threshold_args(tau: float, beta, R_a: float, nu_c: float) -> None:
+    """Raise the ConfigError of :func:`snr_threshold` for the first argument
+    outside its range, in the order tau, each beta_k, R_a, nu_c."""
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0,1), got {tau}")
-    if not 0.0 < beta_k <= 1.0:
-        raise ConfigError(f"beta_k must lie in (0,1], got {beta_k}")
+    for beta_k in beta:
+        if not 0.0 < beta_k <= 1.0:
+            raise ConfigError(f"beta_k must lie in (0,1], got {beta_k}")
     if not R_a >= 0.0:  # NaN fails too
         raise ConfigError(f"R_a must be >= 0, got {R_a}")
     if not nu_c > 0.0:
         raise ConfigError(f"nu_c must be > 0, got {nu_c}")
+
+
+def _threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
+    """:func:`snr_threshold` on arguments already checked."""
     eff = beta_k * (1.0 - tau)
     if eff * nu_c == 0.0:  # the data share underflows: no positive rate fits
         return math.inf if R_a > 0.0 else 0.0
@@ -540,13 +552,16 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
 
 def _thresholds(alloc, budgets, config, rate_requirement) -> list[float]:
     """Every X_k = snr_threshold(beta_k, tau, R_a, nu_c), R_a from
-    rate_requirement if given, else config.R_a: what both estimators read."""
+    rate_requirement if given, else config.R_a: what both estimators read.
+    The arguments shared by every UAV are checked once."""
     if alloc.K != config.K or len(budgets) != config.K:
         raise ConfigError(
             f"allocation/budgets must match K={config.K}, got {alloc.K}/{len(budgets)}"
         )
     R_a = config.R_a if rate_requirement is None else rate_requirement
-    return [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
+    tau, beta, nu_c = alloc.tau, alloc.beta, alloc.nu_c
+    _check_threshold_args(tau, beta, R_a, nu_c)
+    return [_threshold(b, tau, R_a, nu_c) for b in beta]
 
 
 def outage_closed_form(
@@ -577,12 +592,19 @@ def outage_closed_form(
     return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
-def _count_outages(gamma: np.ndarray, thresholds: list[float]) -> int:
-    """How many rows of the ``(T, K)`` gain matrix have some
-    gamma_k < thresholds[k]: one comparison per column, OR-ed across them."""
-    below = gamma[:, 0] < thresholds[0]
-    for k in range(1, len(thresholds)):
-        below |= gamma[:, k] < thresholds[k]
+def _count_outages(columns, thresholds: list[float]) -> int:
+    """How many trials have some gamma_k < thresholds[k], given the gain
+    columns in UAV order: one comparison per column, OR-ed across them.
+    The columns are read one at a time, and none after the one that puts
+    every trial below its threshold."""
+    below = None
+    for column, x in zip(columns, thresholds):
+        if below is None:
+            below = column < x
+        else:
+            below |= column < x
+        if below.all():
+            break
     return int(np.count_nonzero(below))
 
 
@@ -605,10 +627,14 @@ def outage_monte_carlo(
     compared with the thresholds directly, column by column: X_k = 0 puts
     no gain below it, X_k = inf every finite one.
 
-    Trials are drawn in fixed 65536-draw blocks, so memory stays bounded
-    whatever ``trials`` is.  Block b samples from its own child stream
-    SeedSequence(seed, spawn_key=(b,)), so a given (seed, trials) always
-    gives the same estimate.  ``trials`` must be an integer in
+    Trials are drawn in fixed 65536-draw blocks.  Block b samples from its
+    own child stream SeedSequence(seed, spawn_key=(b,)), so a given
+    (seed, trials) always gives the same estimate.  Each UAV's gains come
+    from :func:`channel.gamma_columns` one column at a time and are
+    compared as they come, so no (block, K) matrix is formed and memory
+    stays O(block) whatever K and ``trials`` are.  A block stops drawing
+    once every one of its trials is an outage: the rest of its stream
+    would change no count.  ``trials`` must be an integer in
     ``[1, MC_TRIALS_MAX]`` and ``seed`` an integer >= 0 (3.0 counts for
     either); anything else is a :class:`ConfigError` naming the argument.
     """
@@ -623,5 +649,5 @@ def outage_monte_carlo(
     for block in range((trials + _MC_BLOCK - 1) // _MC_BLOCK):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         n = min(_MC_BLOCK, trials - block * _MC_BLOCK)
-        outages += _count_outages(sample_gamma_matrix(budgets, config, rng, n), thresholds)
+        outages += _count_outages(gamma_columns(budgets, config, rng, n), thresholds)
     return OutageEstimate(p_out=outages / trials, trials=trials)

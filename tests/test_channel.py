@@ -22,6 +22,7 @@ from ehuav.channel import (
     a2g_path_loss_db,
     block_time,
     elevation_angle_deg,
+    gamma_columns,
     make_link_budget,
     sample_gamma_matrix,
 )
@@ -134,6 +135,27 @@ class TestPathLoss:
         value = a2g_path_loss_db(0.0, altitude, ENV, F_C)
         assert value - rest == pytest.approx(limit, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "env, d",
+        [
+            (EnvironmentParams(a=1.0e8, b=0.16, eta_los=1.0, eta_nlos=20.0), 100.0),
+            (EnvironmentParams(a=9.61, b=170.0, eta_los=1.0, eta_nlos=20.0), 2000.0),
+            (EnvironmentParams(a=9.61, b=1.0e300, eta_los=1.0, eta_nlos=20.0), 1000.0),
+        ],
+    )
+    def test_sigmoid_past_the_exp_range_takes_its_nlos_limit(self, env, d):
+        # b (a - theta) is past exp's range (710): the excess term's limit is
+        # 0, so the loss is the distance and frequency terms plus the NLoS
+        # floor alone, where exp used to raise OverflowError.
+        altitude = 120.0
+        assert env.b * (env.a - elevation_angle_deg(d, altitude)) > 710.0
+        rest = (
+            10.0 * math.log10(math.hypot(d, altitude))
+            + 20.0 * math.log10(4.0 * math.pi * F_C / C_LIGHT)
+            + env.eta_nlos
+        )
+        assert a2g_path_loss_db(d, altitude, env, F_C) == rest
+
     def test_altitude_sweep_has_unique_interior_minimum(self):
         # At fixed ground distance the loss first falls (LoS takes over),
         # then rises (range loss wins): one interior minimum, no plateaus.
@@ -176,6 +198,18 @@ class TestLinkBudget:
             make_link_budget(6, cfg, geom)
         with pytest.raises(ConfigError):
             make_link_budget(-1, cfg, geom)
+
+    def test_hop_gain_past_the_double_range_is_a_config_error(self):
+        # At f_c = 1e-300 the frequency term is about -6170 dB, and
+        # 10^(-PL/10) raised OverflowError.
+        cfg = default_config(f_c=1.0e-300)
+        geom = LinkGeometry(d_h=50.0, d_g=50.0, altitude=60.0)
+        with pytest.raises(
+            ConfigError,
+            match=r"^f_c=1e-300 gives UAV 0's energy hop a path loss of -6\d{3}(\.\d+)? dB, "
+            r"whose gain 10\^\(-PL/10\) is past the double range$",
+        ):
+            make_link_budget(0, cfg, geom)
 
     def test_gains_below_unity_on_default_line(self):
         cfg = default_config()
@@ -343,6 +377,18 @@ class TestSampling:
         assert gains.shape == (trials, 6)
         assert gains.flags.c_contiguous
         assert hashlib.sha256(gains.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("trials", [1, 37, 1000])
+    def test_columns_are_the_matrix_columns(self, trials):
+        # The same stream: column k of the matrix is the k-th yielded column.
+        cfg = default_config(K=6)
+        budgets = link_budgets(cfg)
+        gains = sample_gamma_matrix(budgets, cfg, np.random.default_rng(123), trials)
+        columns = gamma_columns(budgets, cfg, np.random.default_rng(123), trials)
+        for k, column in enumerate(columns):
+            assert column.shape == (trials,)
+            assert np.array_equal(column, gains[:, k])
+        assert k == cfg.K - 1
 
     def test_budget_count_checked(self):
         cfg = default_config(K=2, p_c=(0.1, 0.1), m_h=(3, 3), m_g=(3, 3))

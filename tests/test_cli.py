@@ -1,6 +1,7 @@
 """CLI subcommands driven in-process: exit codes, stdout contracts, determinism."""
 
 import hashlib
+import re
 import warnings
 from unittest import mock
 
@@ -315,6 +316,35 @@ class TestOutage:
         assert "Traceback" not in err
         assert csv.exists()
 
+    def test_overflowing_hop_gain_is_a_config_error(self, tmp_path, capsys):
+        # At f_c = 1e-300 the path loss is about -6100 dB and 10^(-PL/10)
+        # raised OverflowError, a traceback with exit 1: the mirror image of
+        # f_c = 1e100 above.
+        with open(TABLE1, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+        data["network"]["f_c"] = 1.0e-300
+        path = tmp_path / "fc.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: f_c=1e-300 gives UAV 0's energy hop a path loss of -[0-9.]+ dB, "
+            r"whose gain 10\^\(-PL/10\) is past the double range\n",
+            err,
+        ), err
+
+    def test_sigmoid_exponent_past_the_exp_range_validates(self, tmp_path, capsys):
+        # environment.a = 1e8 put exp(-b (theta - a)) past the double range,
+        # an OverflowError traceback with exit 1; the excess term now takes
+        # its limit 0, pure NLoS.
+        with open(TABLE1, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+        data["environment"]["a"] = 1.0e8
+        path = tmp_path / "a.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_small_rate_target_keeps_the_analytic_digits(self, capsys):
         # mpmath gives 5.90478183601086e-106; the subtraction 2^e - 1 in the
         # thresholds gives 5.90478281289e-106.
@@ -340,7 +370,7 @@ class TestOutage:
 
     def test_trials_above_the_bound_are_refused_before_sampling(self, capsys):
         trials = str(MC_TRIALS_MAX + 1)
-        with mock.patch("ehuav.outage.sample_gamma_matrix") as sample:
+        with mock.patch("ehuav.outage.gamma_columns") as sample:
             assert main(["outage", TABLE1, "--trials", trials]) == EXIT_CONFIG
         sample.assert_not_called()
         assert capsys.readouterr().err == (

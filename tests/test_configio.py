@@ -3,10 +3,13 @@
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 
+from ehuav import configio
 from ehuav.channel import (
     ENVIRONMENT_RULES,
     NETWORK_RULES,
@@ -18,6 +21,10 @@ from ehuav.channel import (
 from ehuav.configio import load_config
 from ehuav.errors import ConfigError
 from ehuav.experiments import DEFAULT_T_OP, EXPERIMENT_RULES, ExperimentSpec
+
+ROOT = Path(__file__).resolve().parent.parent
+# The pure-Python parser, and libyaml's where PyYAML was built with it.
+LOADERS = (yaml.SafeLoader, *([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []))
 
 BASE = {
     "network": {
@@ -204,11 +211,21 @@ class TestErrorListing:
         with pytest.raises(ConfigError, match="cannot read config file"):
             load_config(str(tmp_path / "nope.yaml"))
 
-    def test_invalid_yaml_reports_position(self, tmp_path):
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_invalid_yaml_reports_position(self, tmp_path, loader):
         path = tmp_path / "broken.yaml"
         path.write_text("network: {K: 2\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"(?s)invalid YAML.*line \d+, column \d+"):
+        with mock.patch.object(configio, "_LOADER", loader), pytest.raises(
+            ConfigError, match=r"(?s)invalid YAML.*line \d+, column \d+"
+        ):
             load_config(str(path))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=str)
+    def test_both_loaders_give_the_same_document(self, path):
+        # load_config parses with libyaml where PyYAML has it.
+        text = path.read_text(encoding="utf-8")
+        documents = [yaml.load(text, Loader=loader) for loader in LOADERS]
+        assert documents[0] == documents[-1]
 
     def test_string_where_number_expected(self, tmp_path):
         # The classic pitfall: "2.4e9" without a signed exponent is a string

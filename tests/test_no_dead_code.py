@@ -23,10 +23,12 @@ from ehuav.experiments import CSV_HEADER, ExperimentRow
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ehuav"
 
-# Read from outside src: package metadata, and functions the benchmark
-# harness traces (gamma_product_cdf is also the library's checked CDF,
-# whose unchecked core outage_closed_form calls).
-ALLOWED = {"__version__", "bessel_k_int", "gamma_product_cdf"}
+# Read from outside src: package metadata, functions the benchmark harness
+# traces (gamma_product_cdf is also the library's checked CDF, whose
+# unchecked core outage_closed_form calls), and snr_threshold, the checked
+# threshold the harness's reference builder reads (both estimators check
+# the shared arguments once and call its unchecked core).
+ALLOWED = {"__version__", "bessel_k_int", "gamma_product_cdf", "snr_threshold"}
 
 
 def defined_names(node: ast.stmt) -> list[str]:

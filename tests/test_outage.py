@@ -4,8 +4,10 @@ The SNR threshold is checked against mpmath, and so is the Monte-Carlo
 count step's decision of each trial (some gain strictly below its
 threshold, one comparison per column) at gains placed around the exact
 threshold; whole estimates are checked against a direct count of the same
-blocks.  The closed-form outage is cross-checked against the Monte-Carlo
-estimator and against mpmath, and the product-gamma CDF is pinned to its
+blocks.  Each block is drawn and decided column by column: the count equals
+that of the sampler's matrix, a saturated block stops drawing, and no
+(block, K) array is allocated.  The closed-form outage is cross-checked
+against the Monte-Carlo estimator and against mpmath, and the product-gamma CDF is pinned to its
 single-term reduction, to sampled quantiles and to a high-precision mpmath
 evaluation of the finite survival sum, each of its branches on its own as
 well; it takes exactly the shapes the scenario rules take.  The ascending
@@ -20,8 +22,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +35,7 @@ from hypothesis import strategies as st
 
 from ehuav import outage
 from ehuav.allocation import equal_bandwidth_taf
-from ehuav.channel import LinkBudget, sample_gamma_matrix
+from ehuav.channel import LinkBudget, gamma_columns, sample_gamma_matrix
 from ehuav.configio import load_config
 from ehuav.errors import ConfigError, NumericError
 from ehuav.experiments import link_budgets
@@ -1047,7 +1051,7 @@ class TestOutageEvent:
                     row = np.full((1, 2), math.inf)
                     row[0, k] = gain
                     below = int(mp.mpf(gain) < exact)
-                    assert outage._count_outages(row, thresholds) == below, (k, j)
+                    assert outage._count_outages(row.T, thresholds) == below, (k, j)
                     decided += 1
         assert decided >= 100  # of 122: the margin reaches j = +-2 only near e = 1000
 
@@ -1058,15 +1062,15 @@ class TestOutageEvent:
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         for R_a, outages in ((0.0, 0), (1e9, 2)):
             thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-            assert outage._count_outages(gamma, thresholds) == outages
+            assert outage._count_outages(gamma.T, thresholds) == outages
 
     def test_zero_gain_at_a_zero_threshold_leaves_the_other_column_decisive(self):
         # A zero gain is not below a zero threshold, but the row's other gain
         # still decides it.  The former ratio form took 0/0 = NaN, and the
         # row's minimum ratio then hid the other column's outage.
-        assert outage._count_outages(np.array([[0.0, 0.0]]), [0.0, 1.0]) == 1
-        assert outage._count_outages(np.array([[0.0, 0.0]]), [1.0, 0.0]) == 1
-        assert outage._count_outages(np.array([[0.0, 2.0]]), [0.0, 1.0]) == 0
+        assert outage._count_outages(np.array([[0.0, 0.0]]).T, [0.0, 1.0]) == 1
+        assert outage._count_outages(np.array([[0.0, 0.0]]).T, [1.0, 0.0]) == 1
+        assert outage._count_outages(np.array([[0.0, 2.0]]).T, [0.0, 1.0]) == 0
 
     @pytest.mark.parametrize("trials", [1, 65535, 65537])
     def test_blocks_count_as_a_direct_comparison(self, trials):
@@ -1116,3 +1120,114 @@ class TestOutageEvent:
                     )
                     expected = count_below_thresholds(alloc, budgets, cfg, trials, seed, R_a)
                     assert est.p_out == expected / trials, (K, R_a, nu_r)
+
+
+def pilot_thresholds(budgets, config, levels):
+    """Thresholds at the given quantile levels of each UAV's gain, read from
+    a pilot sample of another stream."""
+    pilot = sample_gamma_matrix(budgets, config, np.random.default_rng(99), 4096)
+    return [float(np.quantile(pilot[:, k], q)) for k, q in enumerate(levels)]
+
+
+def budgets_at_quantiles(alloc, config, levels):
+    """Unit-path-gain budgets whose rho puts each X_k at the given quantile
+    level of its UAV's gain, read from a pilot sample."""
+    rng = np.random.default_rng(len(levels))
+    budgets = []
+    for k, q in enumerate(levels):
+        x = snr_threshold(alloc.beta[k], alloc.tau, config.R_a, alloc.nu_c)
+        product = rng.standard_gamma(config.m_h[k] * config.N_c, size=4096)
+        product *= rng.standard_gamma(config.m_g[k] * config.N_r, size=4096)
+        budgets.append(LinkBudget(lam=1.0, mu=1.0, rho=x / np.quantile(product, q)))
+    return budgets
+
+
+def counted(columns, drawn):
+    """``columns``, appending one to ``drawn`` per column taken."""
+    for column in columns:
+        drawn.append(1)
+        yield column
+
+
+class TestColumnPath:
+    """outage_monte_carlo draws and decides each block column by column."""
+
+    @pytest.mark.parametrize("K", [1, 2, 6, 64])
+    @pytest.mark.parametrize("edge", ["interior", "zero", "infinite-last"])
+    def test_column_path_counts_as_the_matrix_columns(self, K, edge):
+        # X_k = 0 puts no gain below it and X_k = inf every one; an infinite
+        # last threshold saturates the block only at its last column.
+        cfg = default_config(K)
+        budgets = link_budgets(cfg)
+        thresholds = pilot_thresholds(budgets, cfg, np.linspace(0.001, 0.02, K))
+        if edge == "zero":
+            thresholds[::2] = [0.0] * len(thresholds[::2])
+        elif edge == "infinite-last":
+            thresholds[-1] = math.inf
+        for n in (1, 777):
+            drawn = []
+            columns = gamma_columns(budgets, cfg, np.random.default_rng(n), n)
+            count = outage._count_outages(counted(columns, drawn), thresholds)
+            gains = sample_gamma_matrix(budgets, cfg, np.random.default_rng(n), n)
+            assert count == outage._count_outages(gains.T, thresholds)
+            assert count == np.count_nonzero((gains < thresholds).any(axis=1))
+            if edge == "infinite-last":
+                assert count == n
+            assert len(drawn) == K or count == n
+
+    @pytest.mark.parametrize("K", [1, 2, 6, 64])
+    def test_partial_last_block_counts_as_the_matrix_columns(self, K):
+        # 65536 + 1000 trials: one full block and a partial one, each from
+        # its own stream; rho puts each X_k at a quantile of up to 2%.
+        cfg = default_config(K)
+        alloc = Allocation(tau=0.4, beta=(1.0 / K,) * K)
+        budgets = budgets_at_quantiles(alloc, cfg, np.linspace(0.001, 0.02, K))
+        trials = 66536
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=5)
+        assert 0.0 < est.p_out < 1.0
+        assert est.p_out * trials == count_below_thresholds(alloc, budgets, cfg, trials, 5, cfg.R_a)
+
+    def test_saturated_block_stops_drawing(self):
+        # An infinite first threshold puts every trial below it: the block
+        # draws one column of six, and the count is the whole block.
+        cfg = default_config(6)
+        budgets = link_budgets(cfg)
+        thresholds = [math.inf] + pilot_thresholds(budgets, cfg, [0.01] * 6)[1:]
+        drawn = []
+        columns = gamma_columns(budgets, cfg, np.random.default_rng(3), 1000)
+        assert outage._count_outages(counted(columns, drawn), thresholds) == 1000
+        assert len(drawn) == 1
+
+    def test_saturated_default_stops_early_with_the_same_estimate(self):
+        # Table 1 at its own R_a is an outage in nearly every trial (analytic
+        # 0.99999999998): each block stops after its first column of six,
+        # and the estimate is the full count of the same blocks.
+        cfg = load_config(ROOT / "configs" / "table1.yaml").network
+        budgets = link_budgets(cfg)
+        alloc = Allocation(
+            tau=equal_bandwidth_taf(cfg.K, cfg.R_a), beta=(1.0 / cfg.K,) * cfg.K
+        )
+        drawn = []
+        with mock.patch.object(
+            outage, "gamma_columns", lambda *args: counted(gamma_columns(*args), drawn)
+        ):
+            est = outage_monte_carlo(alloc, budgets, cfg, trials=100_000, seed=0)
+        assert len(drawn) == 2  # the first UAV's column in each of the two blocks
+        expected = count_below_thresholds(alloc, budgets, cfg, 100_000, 0, cfg.R_a)
+        assert est.p_out * 100_000 == expected
+
+    def test_no_block_by_K_matrix_is_allocated(self):
+        # A 65536 x 64 gain matrix is 32 MiB; the column path holds two
+        # 65536-double buffers and two 65536-byte masks at a time.
+        K = 64
+        cfg = default_config(K)
+        alloc = Allocation(tau=0.4, beta=(1.0 / K,) * K)
+        budgets = budgets_at_quantiles(alloc, cfg, [0.005] * K)
+        tracemalloc.start()
+        try:
+            est = outage_monte_carlo(alloc, budgets, cfg, trials=65536, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < est.p_out < 1.0  # every column was drawn
+        assert peak < 4 * 65536 * 8  # 2 MiB, a sixteenth of the (65536, 64) matrix
