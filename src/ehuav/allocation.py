@@ -27,7 +27,9 @@ Every allocator works on the full block.  Each rate scales linearly with
 the data-phase share ``nu_c``, so the max-min point does not depend on it,
 and the rates here are those at ``nu_c = 1``.  The signalling is charged
 afterwards: :func:`ehuav.experiments.overhead_share` gives the share
-``nu_r`` that :meth:`AllocationResult.as_allocation` attaches.
+``nu_r`` that :meth:`AllocationResult.as_allocation` attaches.  Whether an
+algorithm pays at all is the charged flag of its entry in the algorithm
+table of :mod:`ehuav.experiments`.
 
 The two-phase scheme, the nested baseline and the equal split also come in
 batch forms (``*_batch``) that take a ``(T, K)`` matrix of channel draws and
@@ -73,7 +75,7 @@ import numpy as np
 from .channel import EPSILON_RULE, R_A_RULES, check
 from .errors import ConfigError, EhuavError, NumericError
 from .outage import _LN2, Allocation, _check_split, _rate
-from .specfun import lambert_w0
+from .specfun import _lambert_branch_offset, lambert_w0
 
 
 # Tau rows of the grid search are evaluated in blocks of at most this many
@@ -304,14 +306,22 @@ def equal_bandwidth_taf(K: int, R_a: float) -> float:
     """Optimal time split when the band is shared equally by K UAVs.
 
     Closed form via the principal Lambert-W branch; depends on K and R_a
-    only through their product.
+    only through their product (``q = K R_a ln 2`` below).  Where
+    ``p = sqrt(-2 expm1(-q)) < 1e-3``, W0's argument lies within 2e-7 of its
+    branch point -1/e, and ``1 + w`` is taken straight from W0's branch
+    series: ``1 + q + w`` would lose its digits to cancellation (and round
+    to 0 near ``R_a = 1e-18``).
     """
     if not isinstance(K, int) or K < 1:
         raise ConfigError(f"K must be an integer >= 1, got {K!r}")
     check(R_A_RULES, {"R_a": R_a})
     q = K * R_a * _LN2
-    w = lambert_w0(-math.exp(-1.0) * 2.0 ** (-K * R_a))
-    tau = 1.0 - q / (1.0 + q + w)
+    p = math.sqrt(-2.0 * math.expm1(-q))
+    if p < 1e-3:
+        tau = 1.0 - q / (q + _lambert_branch_offset(p))
+    else:
+        w = lambert_w0(-math.exp(-1.0) * 2.0 ** (-K * R_a))
+        tau = 1.0 - q / (1.0 + q + w)
     if not 0.0 < tau < 1.0:
         raise NumericError(f"equal-bandwidth time split left (0,1): {tau!r}")
     return tau

@@ -319,13 +319,22 @@ def a2g_path_loss_db(d: float, altitude: float, env: EnvironmentParams, f_c: flo
 
 
 def make_link_budget(k: int, config: NetworkConfig, geom: LinkGeometry) -> LinkBudget:
-    """Per-UAV derived constants for 0-based UAV index k."""
+    """Per-UAV derived constants for 0-based UAV index k.  An SNR scale past
+    the double range (as at ``noise_power: 5e-324``) is a
+    :class:`ConfigError` naming the four keys it is made of."""
     if not 0 <= k < config.K:
         raise ConfigError(f"UAV index must lie in [0, {config.K}), got {k}")
+    rho = config.zeta * config.p_c[k] / (config.N_s * config.noise_power)
+    if not math.isfinite(rho):
+        raise ConfigError(
+            f"zeta={config.zeta}, p_c={config.p_c[k]}, N_s={config.N_s} and "
+            f"noise_power={config.noise_power} give UAV {k} an SNR scale "
+            "zeta * p_c / (N_s * noise_power) past the double range"
+        )
     return LinkBudget(
         lam=_hop_gain("energy", k, geom.d_h, geom.altitude, config),
         mu=_hop_gain("identification", k, geom.d_g, geom.altitude, config),
-        rho=config.zeta * config.p_c[k] / (config.N_s * config.noise_power),
+        rho=rho,
     )
 
 

@@ -12,10 +12,11 @@ same channel draws at a sweep point, the allocators work on the full
 block (they take no data-phase share), and each algorithm is then charged
 for its own signalling: ``op_count`` abstract operations at ``t_op``
 seconds each out of the block time ``T``, giving the overhead share
-``nu_r`` that shrinks the data phase to ``nu_c = 1 - nu_r``.  The grid
-benchmark is charged nothing (it stands for an offline optimum), and the
-closed-form equal split converges without iterating, so both keep
-``nu_r = 0`` (:func:`overhead_share`).
+``nu_r`` that shrinks the data phase to ``nu_c = 1 - nu_r``
+(:func:`overhead_share`).  Whether an algorithm is charged is the flag of
+its entry in the algorithm table ``_ALLOCATORS``: only the grid benchmark,
+which stands for an offline optimum, is not.  The closed-form equal split
+is charged for a tally of zero, so both keep ``nu_r = 0``.
 
 The runners allocate with the batch allocators, then charge and take the
 min-rate as array expressions.  ``fig3`` makes one batch call per (point,
@@ -23,8 +24,10 @@ algorithm) over the point's ``(trials, K)`` draw matrix, since K differs
 between its points.  ``fig4``'s points share K and differ only in their
 gains, so it stacks the draw matrices of consecutive points and makes one
 call per algorithm over the stack, within the memory bound of one point
-at ``TRIALS_MAX`` x ``K_MAX`` draws.  :func:`allocate_by_name` is the
-per-draw path of the ``allocate`` subcommand.
+at ``TRIALS_MAX`` x ``K_MAX`` draws.  The batch dispatcher
+:func:`allocate_batch_by_name` and the per-draw one :func:`allocate_by_name`
+(the ``allocate`` subcommand's path) read the same table; an algorithm
+with no batch form there runs its per-draw form on each draw.
 
 The trend checks :func:`fig3_trend_failures` and :func:`fig4_trend_failures`
 read the runners' rows back: a fig4 row is labelled by :func:`fig4_label`,
@@ -88,7 +91,17 @@ CSV_HEADER = (
     "seed",
 )
 
-ALGORITHMS = ("proposed", "conventional", "equal_bandwidth", "optimal")
+# name -> (per-draw form, batch form or None, charged); a form looks its allocator up per call.
+_ALLOCATORS = {
+    "proposed": (lambda g, c: proposed_allocate(g, c.epsilon),
+                 lambda g, c: proposed_allocate_batch(g, c.epsilon), True),
+    "conventional": (lambda g, c: conventional_allocate(g, c.epsilon),
+                     lambda g, c: conventional_allocate_batch(g, c.epsilon), True),
+    "equal_bandwidth": (lambda g, c: equal_bandwidth_batch(np.atleast_2d(g), c.R_a).row(0),
+                        lambda g, c: equal_bandwidth_batch(g, c.R_a), True),
+    "optimal": (lambda g, c: exhaustive_optimal(g, *OPTIMAL_GRID), None, False),
+}
+ALGORITHMS = tuple(_ALLOCATORS)
 
 EQUAL_BANDWIDTH_ANALYTIC = "equal_bandwidth_analytic"
 """The fig4 row of the closed-form equal-split outage at each altitude."""
@@ -176,13 +189,13 @@ def overhead_share(algorithm: str, op_count, t_op: float, T: float):
 
     The share of the block spent signalling, min(op_count*t_op/T, 1-1e-6),
     elementwise over an array of operation counts; a single count gives a
-    float.  The grid benchmark models an offline optimum and is charged
-    nothing.
+    float.  An algorithm its ``_ALLOCATORS`` entry marks uncharged (the
+    grid benchmark, an offline optimum) pays nothing.
     """
     if not T > 0.0:
         raise ConfigError(f"block time must be positive, got {T}")
     ops = np.asarray(op_count)
-    if algorithm == "optimal":
+    if not _allocator(algorithm)[2]:
         ops = np.zeros_like(ops)
     if np.any(ops < 0):
         raise ConfigError(f"op_count must be >= 0, got {ops.min()}")
@@ -313,17 +326,15 @@ def _point_draws(
     return sample_gamma_matrix(budgets, config, rng, spec.trials)
 
 
+def _allocator(name: str):
+    if name not in _ALLOCATORS:
+        raise ConfigError(f"unknown algorithm {name!r}")
+    return _ALLOCATORS[name]
+
+
 def allocate_by_name(name: str, gamma: np.ndarray, config: NetworkConfig) -> AllocationResult:
     """Run the named allocator on one channel draw."""
-    if name == "proposed":
-        return proposed_allocate(gamma, config.epsilon)
-    if name == "conventional":
-        return conventional_allocate(gamma, config.epsilon)
-    if name == "equal_bandwidth":
-        return equal_bandwidth_batch(np.atleast_2d(gamma), config.R_a).row(0)
-    if name == "optimal":
-        return exhaustive_optimal(gamma, *OPTIMAL_GRID)
-    raise ConfigError(f"unknown algorithm {name!r}")
+    return _allocator(name)[0](gamma, config)
 
 
 def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) -> BatchAllocation:
@@ -332,24 +343,16 @@ def allocate_batch_by_name(name: str, gains: np.ndarray, config: NetworkConfig) 
     Row t is ``allocate_by_name(name, gains[t], config)``: the same result,
     or a raise of the same error (see :class:`BatchAllocation`).
     """
-    if name == "proposed":
-        return proposed_allocate_batch(gains, config.epsilon)
-    if name == "conventional":
-        return conventional_allocate_batch(gains, config.epsilon)
-    if name == "equal_bandwidth":
-        return equal_bandwidth_batch(gains, config.R_a)
-    if name == "optimal":
-        # One grid search per draw; each is array code over the whole tau
-        # grid that builds full rate tables only for the tau rows its
-        # bounds cannot rule out.
-        outcomes = []
-        for gamma in gains:
-            try:
-                outcomes.append(allocate_by_name(name, gamma, config))
-            except EhuavError as exc:
-                outcomes.append(exc)
-        return BatchAllocation.stack(outcomes, gains.shape[1])
-    raise ConfigError(f"unknown algorithm {name!r}")
+    batch = _allocator(name)[1]
+    if batch is not None:
+        return batch(gains, config)
+    outcomes = []
+    for gamma in gains:
+        try:
+            outcomes.append(allocate_by_name(name, gamma, config))
+        except EhuavError as exc:
+            outcomes.append(exc)
+    return BatchAllocation.stack(outcomes, gains.shape[1])
 
 
 def _charged_min_rates(batch: BatchAllocation, gains: np.ndarray, nu_r: np.ndarray) -> np.ndarray:

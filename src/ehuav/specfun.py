@@ -155,9 +155,12 @@ def bessel_k_int(order: int, x: float) -> float:
     return bessel_k_orders(order, x)[-1]
 
 
-def _lambert_branch_series(p: float) -> float:
-    """W0 near the branch point: series in p = sqrt(2(e*x + 1))."""
-    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
+def _lambert_branch_offset(p: float) -> float:
+    """1 + W0 near the branch point: series in p = sqrt(2(e*x + 1)).
+
+    Summed without the -1, so it keeps the digits of a 1 + W0 far below 1.
+    """
+    return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
 
 
 def lambert_w0(x: float) -> float:
@@ -179,9 +182,9 @@ def lambert_w0(x: float) -> float:
     if p < 1e-3:
         # Within O(p^5) ~ 1e-15 of the true root; Halley's denominator
         # degenerates this close to w = -1, so return the series value.
-        return _lambert_branch_series(p)
+        return -1.0 + _lambert_branch_offset(p)
 
-    w = _lambert_branch_series(p) if x < -0.25 else math.log1p(x)
+    w = -1.0 + _lambert_branch_offset(p) if x < -0.25 else math.log1p(x)
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x

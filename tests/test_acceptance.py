@@ -236,6 +236,33 @@ def test_a06_outage_altitude_curve_has_interior_minimum():
     )
 
 
+@pytest.mark.parametrize(
+    "R_a, minima",
+    [
+        (0.5, {40.0: 80.0, 60.0: 120.0, 100.0: 200.0}),
+        (1.0, {40.0: 80.0, 60.0: 115.0, 100.0: 160.0}),
+    ],
+)
+def test_a06_cause_the_minimum_follows_the_horizontal_distance(R_a, minima):
+    """Where a06's minimum lies: on a 5 m grid over 30-300 m, the analytic
+    equal-bandwidth outage is lowest near A_hat/d_hat ~ 2, for it is there
+    that the charging hops, which all share the elevation atan(A_hat/d_hat),
+    are best.  The shipped d_hat = 100 m puts it past the 150 m sweep; a
+    minimum inside 70-110 m needs d_hat ~ 35-55 m."""
+    altitudes = [float(a) for a in range(30, 301, 5)]
+    found = {}
+    for d_hat in minima:
+        net = replace(network(), d_hat=d_hat, R_a=R_a)
+        alloc = Allocation(tau=equal_bandwidth_taf(net.K, R_a), beta=(1.0 / net.K,) * net.K)
+        curve = [
+            outage_closed_form(alloc, budgets_for(cfg), cfg)
+            for cfg in (replace(net, A_hat=a) for a in altitudes)
+        ]
+        assert curve.count(min(curve)) == 1
+        found[d_hat] = altitudes[curve.index(min(curve))]
+    assert found == minima
+
+
 def test_a07_velocity_widens_outage_gap_at_90m():
     """Conventional-minus-proposed empirical outage gap non-decreasing in
     velocity at 90 m altitude (paired draws across velocities)."""

@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,21 @@ class TestEqualBandwidthTaf:
             equal_bandwidth_taf(6, R_a)
         with pytest.raises(ConfigError, match=message):
             equal_bandwidth_batch(np.ones((2, 6)), R_a)
+
+    @pytest.mark.parametrize("K", [1, 6, 64])
+    @pytest.mark.parametrize("R_a", [1e-8, 1e-10, 1e-13, 1e-16, 1e-18, 1e-24, 1e-30])
+    def test_tiny_rate_target_matches_mpmath(self, K, R_a):
+        # 1 + q + w cancels near W0's branch point: it put 1 - tau 1.5e-7
+        # off at R_a = 1e-10 (K = 6) and rounded to 0 at 1e-18, a
+        # ZeroDivisionError.
+        with mpmath.workdps(60):
+            q = K * mpmath.mpf(R_a) * mpmath.log(2)
+            exact = float(1 - q / (1 + q + mpmath.lambertw(-mpmath.exp(-1 - q)).real))
+        assert abs(equal_bandwidth_taf(K, R_a) - exact) <= math.ulp(exact)
+
+    def test_split_that_rounds_to_one_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match=r"left \(0,1\): 1.0"):
+            equal_bandwidth_taf(6, 1e-40)
 
     @settings(max_examples=60, deadline=None)
     @given(K=st.integers(1, 8), R_a=st.floats(0.2, 3.0))

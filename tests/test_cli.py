@@ -53,6 +53,16 @@ def config_file(tmp_path, *, network=None, timing=None, experiment=None):
     return str(path)
 
 
+def table1_with(tmp_path, section: str = "network", **values) -> str:
+    """A copy of the shipped scenario with some values of one section replaced."""
+    with open(TABLE1, encoding="utf-8") as handle:
+        data = yaml.safe_load(handle)
+    data[section].update(values)
+    path = tmp_path / "table1.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return str(path)
+
+
 def sha256(path) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
@@ -145,6 +155,30 @@ class TestValidate:
         assert main(["validate", path]) == EXIT_CONFIG
         assert f"\n  experiment.{key}: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("noise_power", 5.0e-324), ("p_c", 1.0e300)])
+    def test_infinite_snr_scale_is_a_config_error(self, tmp_path, capsys, key, value):
+        # rho = inf used to pass validate; allocate then refused every gain
+        # with a message that named no config key.
+        path = table1_with(tmp_path, **{key: value})
+        for argv in (["validate", path], ["allocate", path, "--seed", "1"]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert re.fullmatch(
+                r"error: zeta=0.7, p_c=\S+, N_s=10 and noise_power=\S+ give UAV 0 an SNR "
+                r"scale zeta \* p_c / \(N_s \* noise_power\) past the double range\n",
+                err,
+            ), err
+
+    def test_tiny_rate_target_validates(self, tmp_path, capsys):
+        # 1 + q + w in the equal split rounded to 0 at R_a = 1e-18: a
+        # ZeroDivisionError traceback, exit 1.  At 1e-40 the split itself
+        # rounds to 1.
+        assert main(["validate", table1_with(tmp_path, R_a=1.0e-18)]) == EXIT_OK
+        assert "equal-bandwidth time split tau=0.999999998558\n" in capsys.readouterr().out
+        assert main(["validate", table1_with(tmp_path, R_a=1.0e-40)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "error: numeric failure: equal-bandwidth time split left (0,1): 1.0\n"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/does/not/exist.yaml"]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err
@@ -220,7 +254,7 @@ class TestAllocate:
     def test_overflowing_grid_rates_print_no_warning(self, tmp_path, capsys):
         # tau * g / eff overflows on the grid, so its rates are inf: the
         # grid's defined result, with no numpy overflow warning on stderr.
-        argv = ["allocate", table1_with_k3(tmp_path), "--gamma", "1e308", "1e308", "1e308",
+        argv = ["allocate", table1_with(tmp_path, K=3), "--gamma", "1e308", "1e308", "1e308",
                 "--algorithm", "optimal"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -295,13 +329,9 @@ class TestOutage:
         # 5e-188, rho 1.76e12) but rho * lam * mu underflows to 0; u was
         # divided by it, a ZeroDivisionError traceback.  u overflows
         # instead, and every sampled gain underflows to 0.
-        with open(TABLE1, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-        data["network"]["f_c"] = 1.0e100
-        path = tmp_path / "fc.yaml"
-        path.write_text(yaml.safe_dump(data), encoding="utf-8")
-        assert main(["validate", str(path)]) == EXIT_OK
-        assert main(["outage", str(path), "--trials", "500"]) == EXIT_OK
+        path = table1_with(tmp_path, f_c=1.0e100)
+        assert main(["validate", path]) == EXIT_OK
+        assert main(["outage", path, "--trials", "500"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "analytic_outage: 1\n" in out
         assert "empirical_outage: 1 " in out
@@ -309,7 +339,7 @@ class TestOutage:
         # Every analytic outage is 1, so the altitude curve has no unique
         # minimum: a trend failure, with the CSV written.
         csv = tmp_path / "fig4.csv"
-        assert main(["fig4", str(path), "--out", str(csv)]) == EXIT_TREND
+        assert main(["fig4", path, "--out", str(csv)]) == EXIT_TREND
         err = capsys.readouterr().err
         assert err.startswith("error: trend assertion failed:\n")
         assert "analytic equal-bandwidth curve has no unique minimum" in err
@@ -320,12 +350,8 @@ class TestOutage:
         # At f_c = 1e-300 the path loss is about -6100 dB and 10^(-PL/10)
         # raised OverflowError, a traceback with exit 1: the mirror image of
         # f_c = 1e100 above.
-        with open(TABLE1, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-        data["network"]["f_c"] = 1.0e-300
-        path = tmp_path / "fc.yaml"
-        path.write_text(yaml.safe_dump(data), encoding="utf-8")
-        assert main(["validate", str(path)]) == EXIT_CONFIG
+        path = table1_with(tmp_path, f_c=1.0e-300)
+        assert main(["validate", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert re.fullmatch(
             r"error: f_c=1e-300 gives UAV 0's energy hop a path loss of -[0-9.]+ dB, "
@@ -337,12 +363,8 @@ class TestOutage:
         # environment.a = 1e8 put exp(-b (theta - a)) past the double range,
         # an OverflowError traceback with exit 1; the excess term now takes
         # its limit 0, pure NLoS.
-        with open(TABLE1, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-        data["environment"]["a"] = 1.0e8
-        path = tmp_path / "a.yaml"
-        path.write_text(yaml.safe_dump(data), encoding="utf-8")
-        assert main(["validate", str(path)]) == EXIT_OK
+        path = table1_with(tmp_path, "environment", a=1.0e8)
+        assert main(["validate", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     def test_small_rate_target_keeps_the_analytic_digits(self, capsys):
@@ -674,13 +696,9 @@ class TestDeliverables:
         assert sha256(out) == FIG4_SHA256
 
     def test_fig4_at_30_trials_reproduces_its_pin(self, tmp_path, capsys):
-        with open(TABLE1, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-        data["experiment"]["trials"] = 30
-        config = tmp_path / "trials30.yaml"
-        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        config = table1_with(tmp_path, "experiment", trials=30)
         out = tmp_path / "fig4.csv"
-        assert main(["fig4", str(config), "--out", str(out)]) == EXIT_TREND
+        assert main(["fig4", config, "--out", str(out)]) == EXIT_TREND
         assert capsys.readouterr().err == (
             "error: trend assertion failed:\n"
             "analytic equal-bandwidth minimum sits on the sweep boundary at 150 m\n"
@@ -713,15 +731,6 @@ TEXT_SHA256 = {
 }
 
 
-def table1_with_k3(tmp_path) -> str:
-    with open(TABLE1, encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
-    data["network"]["K"] = 3
-    path = tmp_path / "k3.yaml"
-    path.write_text(yaml.safe_dump(data), encoding="utf-8")
-    return str(path)
-
-
 class TestTextOutput:
     """The printed output of validate, allocate and outage, byte for byte."""
 
@@ -748,7 +757,7 @@ class TestTextOutput:
         ],
     )
     def test_stdout_is_pinned(self, name, argv, tmp_path, capsys):
-        argv = [arg if arg is not None else table1_with_k3(tmp_path) for arg in argv]
+        argv = [arg if arg is not None else table1_with(tmp_path, K=3) for arg in argv]
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == ""

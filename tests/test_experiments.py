@@ -189,9 +189,36 @@ class TestAllocateBatchByName:
             for t in range(len(gains)):
                 assert batch.row(t) == allocate_by_name(name, gains[t], config)
 
-    def test_unknown_algorithm(self):
+    @pytest.mark.parametrize(
+        "dispatch, gains",
+        [(allocate_batch_by_name, np.ones((1, 2))), (allocate_by_name, np.ones(2))],
+    )
+    def test_unknown_algorithm(self, dispatch, gains):
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            allocate_batch_by_name("greedy", np.ones((1, 2)), default_config(2))
+            dispatch("greedy", gains, default_config(2))
+
+    def test_algorithm_list_order(self):
+        assert ALGORITHMS == ("proposed", "conventional", "equal_bandwidth", "optimal")
+
+    def test_dispatchers_call_the_module_names(self, monkeypatch):
+        """A tracer rebinds the allocators' names in this module; both
+        dispatchers must call whatever the names hold at call time."""
+        calls = []
+
+        def recorder(name, original):
+            def record(*args):
+                calls.append(name)
+                return original(*args)
+
+            return record
+
+        for name in ("proposed_allocate", "proposed_allocate_batch"):
+            monkeypatch.setattr(experiments, name, recorder(name, getattr(experiments, name)))
+        config = default_config(2)
+        gains = np.array([[2.0, 3.0], [4.0, 1.0]])
+        allocate_by_name("proposed", gains[0], config)
+        allocate_batch_by_name("proposed", gains, config)
+        assert calls == ["proposed_allocate", "proposed_allocate_batch"]
 
     @pytest.mark.parametrize("gain", [np.inf, 0.0, -1.0, np.nan])
     def test_equal_split_refuses_bad_gains_per_draw_and_in_batch(self, gain):
