@@ -305,20 +305,30 @@ def _update_cap(K: int, epsilon: float) -> int:
 def equal_bandwidth_taf(K: int, R_a: float) -> float:
     """Optimal time split when the band is shared equally by K UAVs.
 
-    Closed form via the principal Lambert-W branch; depends on K and R_a
-    only through their product (``q = K R_a ln 2`` below).  Where
-    ``p = sqrt(-2 expm1(-q)) < 1e-3``, W0's argument lies within 2e-7 of its
-    branch point -1/e, and ``1 + w`` is taken straight from W0's branch
-    series: ``1 + q + w`` would lose its digits to cancellation (and round
-    to 0 near ``R_a = 1e-18``).
+    Closed form via the principal Lambert-W branch,
+    ``tau = 1 - q / (1 + q + w)`` with ``w = W0(-exp(-1 - q))``; depends on K
+    and R_a only through their product ``q = K R_a ln 2``.  Near W0's branch
+    point, where ``p = sqrt(-2 expm1(-q)) < 0.25``, ``v = 1 + w`` is found
+    from q itself, so W0's argument is never rounded: the branch point
+    magnifies that rounding by about 1/p^2 (tau was 640 ulp off at K = 1,
+    R_a = 1e-6).  Below ``p = 1e-3`` v is W0's branch series in p, within
+    O(p^5); from there it is the root in (0, 1) of
+    ``v + log1p(-v) + q = 0``, three Newton steps from that series value
+    (its error, at most 5e-5 at p = 0.25, is squared each step).  Tau is
+    then within a few ulp of its exact value.  ``1 + q + w`` would lose its
+    digits to cancellation there (and round to 0 near ``R_a = 1e-18``).
     """
     if not isinstance(K, int) or K < 1:
         raise ConfigError(f"K must be an integer >= 1, got {K!r}")
     check(R_A_RULES, {"R_a": R_a})
     q = K * R_a * _LN2
     p = math.sqrt(-2.0 * math.expm1(-q))
-    if p < 1e-3:
-        tau = 1.0 - q / (q + _lambert_branch_offset(p))
+    if p < 0.25:
+        v = _lambert_branch_offset(p)  # 1 + w
+        if p >= 1e-3:
+            for _ in range(3):  # Newton on f(v) = v + log1p(-v) + q, f' = -v/(1-v)
+                v += (v + math.log1p(-v) + q) * (1.0 - v) / v
+        tau = 1.0 - q / (q + v)
     else:
         w = lambert_w0(-math.exp(-1.0) * 2.0 ** (-K * R_a))
         tau = 1.0 - q / (1.0 + q + w)

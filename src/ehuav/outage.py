@@ -9,6 +9,7 @@ simulation oracle for the analysis.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -192,7 +193,8 @@ def _threshold(beta_k: float, tau: float, R_a: float, nu_c: float) -> float:
 # ascending residue expansion, with no Bessel function.  On a 2-core Xeon,
 # with its shape pair's table built, it takes 1-5 us per call up to u = 3
 # for shapes up to 12 (1-9 us up to 170) against 12-21 us for the lower-tail
-# series, and is still the faster at u = 6 (3-4 us against 13-14 us); but it
+# series, and is still the faster at u = 6 (3-4 us against 13-14 us; the
+# series' own table takes about a fifth off those); but it
 # cancels as u grows: against mpmath, for shapes up to 170, its worst
 # relative error measured 3.8e-14 up to u = 3 (6900 random points),
 # 6.6e-14 on (3, 4.38], 4.4e-13 on (4.38, 6] and 5.2e-12 on (6, 9] (600
@@ -216,13 +218,20 @@ _F_SERIES = 0.03
 # u = 1.3e5, where K0 is subnormal, came out 5.2e-10 off relative.
 _U_SERIES_MAX = 1.24e5
 _NORMAL_MIN = sys.float_info.min
-# Ascending-expansion tables kept at once (_ascending_table): every shape
-# pair of a scenario, at most K_MAX UAVs, and as many again.
+# Tables of each kind kept at once (_ascending_table, _series_table,
+# _survival_table): every shape pair of a scenario, at most K_MAX UAVs, and
+# as many again.  Each table is built on its pair's first call, never at
+# import, and the least recently used one goes first.
 _ASCENDING_PAIRS = 2 * K_MAX
+_shape_table = functools.lru_cache(maxsize=_ASCENDING_PAIRS)
 # Rows of an ascending table: at u = _U_ASCENDING the stop rule fires within
 # 17 rows for every pair of shapes up to 170 (324 pairs, among them (2, 2)
 # and (170, 170), need all 17).
 _ASCENDING_ROWS = 24
+# Rows of a series table, J - n_g = 0 .. 127: below u = _U_SERIES the series
+# stops by J = n_g + 120 (at most ten rows past n_g + ceil(2u)); rows past
+# the table are made as they are needed, by the same operations.
+_SERIES_ROWS = 128
 
 
 def gamma_product_cdf(
@@ -253,9 +262,11 @@ def gamma_product_cdf(
     The shapes are those :data:`channel.NETWORK_RULES` accepts: m_h, N_c,
     m_g and N_r integers >= 1 (3.0 counts) with n_h and n_g at most 170,
     the range of :func:`specfun.gamma_int`; anything else is a
-    :class:`ConfigError`.  The series and the survival sum take every
-    Bessel order they need from one :func:`specfun.bessel_k_orders` pass at
-    2*sqrt(u).  The first two branches keep full relative accuracy however
+    :class:`ConfigError`.  The survival sum takes every Bessel order it
+    needs from one :func:`specfun.bessel_k_orders` pass at 2*sqrt(u), and
+    the series K0 and K1 from that pass's unchecked core.  Each branch reads
+    what does not depend on u from a per-shape table built on first use.
+    The first two branches keep full relative accuracy however
     small F is and underflow to 0.0 only where F does.  The series serves
     only below ``_U_SERIES_MAX`` (1.24e5), where K0(2 sqrt u) is a normal
     double.  Where the survival sum overflows and the series cannot serve,
@@ -336,7 +347,7 @@ def _product_cdf(x: float, budget: LinkBudget, n_h: int, n_g: int) -> float:
     return min(1.0, max(0.0, value))
 
 
-@functools.lru_cache(maxsize=_ASCENDING_PAIRS)
+@_shape_table
 def _ascending_table(a: int, b: int, length: int) -> tuple:
     """What :func:`_ascending_cdf` needs of shapes a <= b without u:
     ``(coefficients, w0, ratio, shift, rows)``.
@@ -437,30 +448,102 @@ def _ascending_cdf(u: float, a: int, b: int, length: int = _ASCENDING_ROWS) -> f
     return math.ldexp(mantissa**a * ratio * total, exponent * a - shift)
 
 
-def _survival_cdf(u: float, n_h: int, n_g: int) -> float:
-    """F(u) = 1 - (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!."""
-    sqrt_u = math.sqrt(u)
+@_shape_table
+def _survival_table(n_h: int, n_g: int) -> tuple:
+    """What :func:`_survival_cdf` needs of shapes n_h, n_g without u:
+    ``(order, gamma_ng, finite, overflowing)``.
+
+    ``order`` is the highest Bessel order the sum reads,
+    max(n_g, n_h - 1 - n_g), and ``gamma_ng`` is Gamma(n_g).  Term m has the
+    row ``(m + n_g, |n_g - m|, c_m)``: the power's exponent, the Bessel
+    index and c_m = 2 / (m! Gamma(n_g)), with m! the running float product
+    1 * 2 * ... * m.  Where m! Gamma(n_g) leaves the double range (n_g near
+    170) the row goes to ``overflowing`` with c_m = 2 / m!, and its term
+    divides the power by Gamma(n_g) instead; m! grows with m, so those rows
+    are the last ones.
+    """
     gamma_ng = specfun.gamma_int(n_g)
-    bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
-    terms = []
+    finite, overflowing = [], []
     factorial_m = 1.0
+    for m in range(n_h):
+        if m > 0:
+            factorial_m *= m
+        denominator = factorial_m * gamma_ng
+        if denominator < math.inf:
+            finite.append((m + n_g, abs(n_g - m), 2.0 / denominator))
+        else:
+            overflowing.append((m + n_g, abs(n_g - m), 2.0 / factorial_m))
+    return max(n_g, n_h - 1 - n_g), gamma_ng, tuple(finite), tuple(overflowing)
+
+
+def _survival_cdf(u: float, n_h: int, n_g: int) -> float:
+    """F(u) = 1 - (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!.
+
+    Term m is c_m sqrt(u)^(m+n_g) K_{|n_g-m|}(2 sqrt u), with c_m, the
+    exponent and the Bessel index read from the pair's table,
+    :func:`_survival_table` (kept as the ascending tables are); every order
+    comes from one :func:`specfun.bessel_k_orders` pass at 2 sqrt(u), and
+    the terms are added by ``math.fsum``.  A power past the double range is
+    a :class:`NumericError` naming u and both shapes.
+    """
+    order, gamma_ng, finite, overflowing = _survival_table(n_h, n_g)
+    sqrt_u = math.sqrt(u)
+    bessel = specfun.bessel_k_orders(order, 2.0 * sqrt_u)
     try:
-        for m in range(n_h):
-            if m > 0:
-                factorial_m *= m
-            power = sqrt_u ** (m + n_g)
-            denominator = factorial_m * gamma_ng
-            if denominator < math.inf:
-                term = 2.0 / denominator * power * bessel[abs(n_g - m)]
-            else:  # m! * Gamma(n_g) past the double range (n_g near 170)
-                term = 2.0 / factorial_m * (power / gamma_ng) * bessel[abs(n_g - m)]
-            terms.append(term)
+        terms = [c * sqrt_u ** e * bessel[v] for e, v, c in finite]
+        terms += [c * (sqrt_u ** e / gamma_ng) * bessel[v] for e, v, c in overflowing]
     except OverflowError:  # sqrt_u ** (m + n_g) past the double range
         raise NumericError(
             f"product-gamma survival sum overflows at u={u!r} "
             f"for shapes n_h={n_h}, n_g={n_g}"
         ) from None
     return 1.0 - math.fsum(terms)
+
+
+def _series_row(n_g: int, i: int) -> tuple:
+    """Row J = n_g + i of the series recurrence for shape n_g:
+    ``(J (J+1), J - n_g, J + 1, (J+3-n_g)/(J+2), (J+1)(J+1-n_g))``, the
+    integers as (exact) floats and the Markov factor rounded once."""
+    J = n_g + i
+    return float(J * (J + 1)), float(i), float(J + 1), (i + 3) / (J + 2), float((J + 1) * (i + 1))
+
+
+def _remainder_row(n_g: int, k: int) -> tuple:
+    """Row k of the series remainder for shape n_g: ``(n_g + k, k + 1,
+    k (k+1))`` as (exact) floats."""
+    return float(n_g + k), float(k + 1), float(k * (k + 1))
+
+
+@_shape_table
+def _series_table(n_g: int) -> tuple:
+    """What :func:`_lower_tail_series` needs of shape n_g without u:
+    ``(gamma_ng, factorials, log_factorials, rows, steps)``.
+
+    ``gamma_ng`` is Gamma(n_g); ``factorials[j]`` is j! for j <= n_g,
+    rounded once from the exact integer; ``log_factorials[i]`` is
+    lgamma(i + 1) for i <= n_g + _SERIES_ROWS; ``rows`` and ``steps`` are
+    the first ``_SERIES_ROWS`` rows of :func:`_series_row` and
+    :func:`_remainder_row`.  None of it depends on the other shape, so one
+    table serves every n_h.
+    """
+    factorials = tuple(float(math.factorial(j)) for j in range(n_g + 1))
+    log_factorials = tuple(math.lgamma(i + 1) for i in range(n_g + _SERIES_ROWS + 1))
+    rows = tuple(_series_row(n_g, i) for i in range(_SERIES_ROWS))
+    steps = tuple(_remainder_row(n_g, k) for k in range(_SERIES_ROWS))
+    return specfun.gamma_int(n_g), factorials, log_factorials, rows, steps
+
+
+def _table_rows(table: tuple, row, n_g: int, count: int):
+    """Rows 0 .. count - 1 of a series table: a slice of ``table``, followed
+    by rows made by ``row(n_g, i)`` where ``count`` lies past it."""
+    if count <= len(table):
+        return table[:count]
+    return itertools.chain(table, map(row, itertools.repeat(n_g), range(len(table), count)))
+
+
+def _log_factorial(table: tuple, i: int) -> float:
+    """lgamma(i + 1): from ``table`` where it reaches i, else computed."""
+    return table[i] if i < len(table) else math.lgamma(i + 1)
 
 
 def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
@@ -489,64 +572,83 @@ def _lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
       u/(j-n_g+1) <= 1/2), halving from j = J+1, where w_{J+1} <= w_J/(2(J+1)).
       So B_J = w_J (1 + 1.65 (2.16 + |ln u| + ln(J+1)))/J bounds the rest; its
       factor after w_J falls with J, so B follows w by u/((J+1)(V+1)).
+
+    Everything here that does not depend on u comes from n_g's table,
+    :func:`_series_table` (kept as the ascending tables are): Gamma(n_g),
+    the factorials j! and the log-factorials lgamma(i + 1); per J the
+    recurrence's integer operands J (J+1), J - n_g and J + 1, the Markov
+    factor (J+3-n_g)/(J+2) by which A_J falls and the B-loop's divisor
+    (J+1)(J+1-n_g); and per k the remainder's n_g + k, k + 1 and k (k+1),
+    from which its divisor (k+1)(V-k) is formed exactly.  Its
+    ``_SERIES_ROWS`` rows cover every J below u = ``_U_SERIES``; rows and
+    log-factorials past the table (the series also serves larger u, up to
+    ``_U_SERIES_MAX``) are computed as they are needed by the same
+    operations, so no value depends on the table's length.  K0 and K1 come
+    from the unchecked core of :func:`specfun.bessel_k_orders`.
     """
-    gamma_ng = specfun.gamma_int(n_g)
-    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u))
-    s_prev, s_cur = k0, math.sqrt(u) * k1  # s_0, s_1
+    gamma_ng, factorials, log_factorials, rows, steps = _series_table(n_g)
+    sqrt_u = math.sqrt(u)
+    k0, k1 = specfun._bessel_k01(2.0 * sqrt_u)
+    s_prev, s_cur = k0, sqrt_u * k1  # s_0, s_1
     scaled = [s_prev, s_cur]  # scaled[v] = s_v for v <= n_g - n_h
     for v in range(1, n_g - n_h):
         s_prev, s_cur = s_cur, u * s_prev + v * s_cur
         scaled.append(s_cur)
 
+    # T_j for j from min(n_h, n_g - 1) to n_g: the sum's low terms, and the
+    # recurrence's start T_{n_g-1}, T_{n_g}.
+    low = range(min(n_h, n_g - 1), n_g + 1)
     log_u = math.log(u)
     if n_g * log_u < 700.0 and 2.0 * min(scaled) / gamma_ng >= sys.float_info.min:
-
-        def low_term(j: int) -> float:  # T_j for j <= n_g
-            return 2.0 * scaled[n_g - j] / gamma_ng * (u ** j / math.factorial(j))
-
+        terms = [2.0 * scaled[n_g - j] / gamma_ng * (u ** j / factorials[j]) for j in low]
     else:  # u^j or s_v / Gamma(n_g) would leave the double range
-
-        def low_term(j: int) -> float:
-            log_t = math.log(2.0 * scaled[n_g - j]) + j * log_u
-            return math.exp(log_t - math.lgamma(n_g) - math.lgamma(j + 1))
-
-    total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
-    t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
-    log_scale = n_g * log_u - math.lgamma(n_g)  # log(u^n_g / Gamma(n_g))
+        log_gamma_ng = log_factorials[n_g - 1]
+        terms = [math.exp(math.log(2.0 * scaled[n_g - j]) + j * log_u - log_gamma_ng
+                          - log_factorials[j]) for j in low]
+    total = math.fsum(terms[n_h - low.start:])
+    t_prev, t_cur = terms[-2:]
+    log_scale = n_g * log_u - log_factorials[n_g - 1]  # log(u^n_g / Gamma(n_g))
     cut_from = n_g + math.ceil(2.0 * u)
     # A_J never rises with J and S_J <= F <= 1, so where 2^60 A_J is above 2
     # at J = cut_from - 1 the Markov rule cannot stop the sum before cut_from.
-    last = log_scale - log_u + math.lgamma(cut_from + 2 - n_g) - math.lgamma(cut_from + 1)
+    last = (log_scale - log_u + _log_factorial(log_factorials, cut_from + 1 - n_g)
+            - _log_factorial(log_factorials, cut_from))
     if 2.0**60 * math.exp(last) > 2.0:
-        for J in range(n_g, cut_from):
-            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+        for jj, jn, j1, _, _ in _table_rows(rows, _series_row, n_g, cut_from - n_g):
+            t_prev, t_cur = t_cur, t_prev * u / jj + t_cur * jn / j1
             total += t_cur
     else:
-        tail = 2.0**61 * math.exp(log_scale - log_u - math.lgamma(n_g + 2))  # 2^60 A_J
-        for J in range(n_g, cut_from):
+        tail = 2.0**61 * math.exp(log_scale - log_u - log_factorials[n_g + 1])  # 2^60 A_J
+        markov_rows = _table_rows(rows, _series_row, n_g, cut_from - n_g)
+        for J, (jj, jn, j1, markov, _) in enumerate(markov_rows, n_g):
             if tail <= total:
                 return total, J
-            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+            t_prev, t_cur = t_cur, t_prev * u / jj + t_cur * jn / j1
             total += t_cur
-            tail *= (J + 3 - n_g) / (J + 2)
+            tail *= markov
 
     J = cut_from
-    log_w = log_scale + (J - n_g) * log_u - math.lgamma(J + 1) - math.lgamma(J + 1 - n_g)
+    log_w = (log_scale + (J - n_g) * log_u - _log_factorial(log_factorials, J)
+             - _log_factorial(log_factorials, J - n_g))
     cut = 2.0**60 * math.exp(log_w) * (1.0 + 1.65 * (2.16 + abs(log_u) + math.log(J + 1))) / J
     while cut > total:  # 2^60 B_J
-        t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+        i = J - n_g
+        jj, jn, j1, _, following = rows[i] if i < len(rows) else _series_row(n_g, i)
+        t_prev, t_cur = t_cur, t_prev * u / jj + t_cur * jn / j1
         total += t_cur
         J += 1
-        cut *= u / (J * (J - n_g))
+        cut *= u / following
 
-    a_k = math.exp(log_scale - math.lgamma(J + 1) + math.lgamma(J + 1 - n_g))
+    a_k = math.exp(log_scale - _log_factorial(log_factorials, J)
+                   + _log_factorial(log_factorials, J - n_g))
     remainder = 0.0
-    for k in range(J - n_g):
-        term = a_k / (n_g + k)
+    neg_u, width = -u, float(J - n_g)
+    for shifted, k_plus, k_times in _table_rows(steps, _remainder_row, n_g, J - n_g):
+        term = a_k / shifted  # n_g + k
         remainder += term
         if abs(term) <= 1e-17 * remainder:
             break
-        a_k *= -u / ((k + 1) * (J - n_g - k))
+        a_k *= neg_u / (k_plus * width - k_times)  # (k+1) V - k (k+1) < 2^53, exact
     return total + remainder, J
 
 

@@ -110,6 +110,11 @@ def _bessel_k01_chebyshev(x: float) -> tuple[float, float]:
     return k0, k1
 
 
+def _bessel_k01(x: float) -> tuple[float, float]:
+    """K0 and K1 at x > 0, unchecked: the series up to x = 2, Chebyshev beyond."""
+    return _bessel_k01_series(x) if x <= 2.0 else _bessel_k01_chebyshev(x)
+
+
 def bessel_k_orders(n: int, x: float) -> list[float]:
     """``[K_0(x), K_1(x), ..., K_n(x)]`` from one K0/K1 evaluation, integer n >= 0.
 
@@ -132,7 +137,7 @@ def bessel_k_orders(n: int, x: float) -> list[float]:
     if not x > 0.0:
         raise ConfigError(f"Bessel K requires x > 0, got {x}")
 
-    k_prev, k_cur = _bessel_k01_series(x) if x <= 2.0 else _bessel_k01_chebyshev(x)
+    k_prev, k_cur = _bessel_k01(x)
     if n == 0:
         return [k_prev]
     values = [k_prev, k_cur]

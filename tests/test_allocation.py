@@ -157,6 +157,20 @@ class TestEqualBandwidthTaf:
             exact = float(1 - q / (1 + q + mpmath.lambertw(-mpmath.exp(-1 - q)).real))
         assert abs(equal_bandwidth_taf(K, R_a) - exact) <= math.ulp(exact)
 
+    @pytest.mark.parametrize("K", [1, 6, 64])
+    def test_small_rate_targets_match_mpmath_within_4_ulp(self, K):
+        # W0's argument -exp(-1) 2^(-K R_a), rounded before W0 sees it, is
+        # magnified near the branch point by about 1/p^2: tau was 640 ulp
+        # off at K = 1, R_a = 1e-6 and 754 at K = 6, R_a = 1.8e-7.  Solving
+        # for 1 + w from q below p = 0.25 leaves it within 1 ulp there; W0
+        # still serves p >= 0.25 (K R_a above about 0.046).
+        for R_a in np.geomspace(1e-7, 0.05, 60).tolist():
+            with mpmath.workdps(60):
+                q = K * mpmath.mpf(R_a) * mpmath.log(2)
+                exact = 1 - q / (1 + q + mpmath.lambertw(-mpmath.exp(-1 - q)).real)
+            tau = equal_bandwidth_taf(K, R_a)
+            assert abs(tau - exact) <= 4 * math.ulp(tau), R_a
+
     def test_split_that_rounds_to_one_is_a_numeric_error(self):
         with pytest.raises(NumericError, match=r"left \(0,1\): 1.0"):
             equal_bandwidth_taf(6, 1e-40)

@@ -10,9 +10,10 @@ that of the sampler's matrix, a saturated block stops drawing, and no
 against the Monte-Carlo estimator and against mpmath, and the product-gamma CDF is pinned to its
 single-term reduction, to sampled quantiles and to a high-precision mpmath
 evaluation of the finite survival sum, each of its branches on its own as
-well; it takes exactly the shapes the scenario rules take.  The ascending
-expansion's per-shape-pair tables give the same bits cold, warm, evicted or
-too short, and the series and survival bits are pinned by a hash.  The
+well; it takes exactly the shapes the scenario rules take.  The three
+branches' per-shape tables give the same bits cold, warm, evicted or too
+short, the tabled series and survival sum match their untabled forms bit
+for bit, and the series and survival bits are pinned by a hash.  The
 closed form also meets the benchmark's reference outages to 1e-13.
 """
 
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehuav import outage
+from ehuav import outage, specfun
 from ehuav.allocation import equal_bandwidth_taf
 from ehuav.channel import LinkBudget, gamma_columns, sample_gamma_matrix
 from ehuav.configio import load_config
@@ -103,6 +104,125 @@ def mp_gamma_product_cdf(u: float, n_h: int, n_g: int, dps: int):
             u ** (mp.mpf(m + n_g) / 2) * k[abs(n_g - m)] / mp.factorial(m) for m in range(n_h)
         )
         return 1 - 2 * survival / mp.factorial(n_g - 1)
+
+
+# The series and the survival sum as they were before their per-shape
+# tables, kept verbatim as the reference the tabled forms must match bit for
+# bit.
+
+
+def untabled_survival_cdf(u: float, n_h: int, n_g: int) -> float:
+    """F(u) = 1 - (2/Gamma(n_g)) sum_{m<n_h} u^((m+n_g)/2) K_{|n_g-m|}(2 sqrt u) / m!."""
+    sqrt_u = math.sqrt(u)
+    gamma_ng = specfun.gamma_int(n_g)
+    bessel = specfun.bessel_k_orders(max(n_g, n_h - 1 - n_g), 2.0 * sqrt_u)
+    terms = []
+    factorial_m = 1.0
+    try:
+        for m in range(n_h):
+            if m > 0:
+                factorial_m *= m
+            power = sqrt_u ** (m + n_g)
+            denominator = factorial_m * gamma_ng
+            if denominator < math.inf:
+                term = 2.0 / denominator * power * bessel[abs(n_g - m)]
+            else:  # m! * Gamma(n_g) past the double range (n_g near 170)
+                term = 2.0 / factorial_m * (power / gamma_ng) * bessel[abs(n_g - m)]
+            terms.append(term)
+    except OverflowError:  # sqrt_u ** (m + n_g) past the double range
+        raise NumericError(
+            f"product-gamma survival sum overflows at u={u!r} "
+            f"for shapes n_h={n_h}, n_g={n_g}"
+        ) from None
+    return 1.0 - math.fsum(terms)
+
+
+def untabled_lower_tail_series(u: float, n_h: int, n_g: int) -> tuple[float, int]:
+    """``(F(u), J)``: F = sum_{j>=n_h} T_j for shapes n_h <= n_g, and the
+    last index J summed.
+
+    T_j = (2/Gamma(n_g)) u^((j+n_g)/2) K_{|j-n_g|}(2 sqrt u) / j! = P(N = j),
+    N Poisson with mean u/S, S ~ Gamma(n_g).  For j <= n_g,
+    T_j = (2/Gamma(n_g)) u^j s_{n_g-j} / j! with s_v = u^(v/2) K_v(2 sqrt u)
+    (s_{v+1} = u s_{v-1} + v s_v, below Gamma(v)/2), from logarithms where
+    u^j or s_v/Gamma(n_g) would leave the normal doubles.  Above n_g,
+    T_{j+1} = T_{j-1} u/(j(j+1)) + T_j (j-n_g)/(j+1) runs from J = n_g until
+    a bound on what S_J = sum_{n_h<=j<=J} T_j leaves out is <= 2^-60 S_J:
+
+    * Up to J = n_g + ceil(2u), F = S_J once A_J is, where
+      A_J = u^r (J+1-r)! / (Gamma(n_g) (J+1)!) >= P(N > J), r = n_g - 1, is
+      Markov's inequality on N (N-1) ... (N-r+1), of mean u^r Gamma(n_g-r)/Gamma(n_g).
+    * From there (V = J - n_g >= 2u), F = S_J + R_J once B_J is.  The finite
+      part of the ascending series of K_v (DLMF 10.31.1) telescopes over j > J
+      to R_J = (u^n_g/Gamma(n_g)) sum_{k<V} (-u)^k (V-k)! / (k! (n_g+k) J!),
+      whose terms alternate and at least halve (ratio u/((k+1)(V-k)) <= u/V);
+      they are summed until one is below 1e-17 of the sum.  With
+      w_J = u^J / (Gamma(n_g) J! V!), R_J leaves out that sum over k >= V (at
+      most w_J/J) and the log and I_v part of each K_v: at most
+      1.65 w_j (2.16 + |ln u| + ln(j-n_g+1)) in T_j (|psi(m)| <= 0.58 + ln m,
+      u/(j-n_g+1) <= 1/2), halving from j = J+1, where w_{J+1} <= w_J/(2(J+1)).
+      So B_J = w_J (1 + 1.65 (2.16 + |ln u| + ln(J+1)))/J bounds the rest; its
+      factor after w_J falls with J, so B follows w by u/((J+1)(V+1)).
+    """
+    gamma_ng = specfun.gamma_int(n_g)
+    k0, k1 = specfun.bessel_k_orders(1, 2.0 * math.sqrt(u))
+    s_prev, s_cur = k0, math.sqrt(u) * k1  # s_0, s_1
+    scaled = [s_prev, s_cur]  # scaled[v] = s_v for v <= n_g - n_h
+    for v in range(1, n_g - n_h):
+        s_prev, s_cur = s_cur, u * s_prev + v * s_cur
+        scaled.append(s_cur)
+
+    log_u = math.log(u)
+    if n_g * log_u < 700.0 and 2.0 * min(scaled) / gamma_ng >= sys.float_info.min:
+
+        def low_term(j: int) -> float:  # T_j for j <= n_g
+            return 2.0 * scaled[n_g - j] / gamma_ng * (u ** j / math.factorial(j))
+
+    else:  # u^j or s_v / Gamma(n_g) would leave the double range
+
+        def low_term(j: int) -> float:
+            log_t = math.log(2.0 * scaled[n_g - j]) + j * log_u
+            return math.exp(log_t - math.lgamma(n_g) - math.lgamma(j + 1))
+
+    total = math.fsum(low_term(j) for j in range(n_h, n_g + 1))
+    t_prev, t_cur = low_term(n_g - 1), low_term(n_g)
+    log_scale = n_g * log_u - math.lgamma(n_g)  # log(u^n_g / Gamma(n_g))
+    cut_from = n_g + math.ceil(2.0 * u)
+    # A_J never rises with J and S_J <= F <= 1, so where 2^60 A_J is above 2
+    # at J = cut_from - 1 the Markov rule cannot stop the sum before cut_from.
+    last = log_scale - log_u + math.lgamma(cut_from + 2 - n_g) - math.lgamma(cut_from + 1)
+    if 2.0**60 * math.exp(last) > 2.0:
+        for J in range(n_g, cut_from):
+            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+            total += t_cur
+    else:
+        tail = 2.0**61 * math.exp(log_scale - log_u - math.lgamma(n_g + 2))  # 2^60 A_J
+        for J in range(n_g, cut_from):
+            if tail <= total:
+                return total, J
+            t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+            total += t_cur
+            tail *= (J + 3 - n_g) / (J + 2)
+
+    J = cut_from
+    log_w = log_scale + (J - n_g) * log_u - math.lgamma(J + 1) - math.lgamma(J + 1 - n_g)
+    cut = 2.0**60 * math.exp(log_w) * (1.0 + 1.65 * (2.16 + abs(log_u) + math.log(J + 1))) / J
+    while cut > total:  # 2^60 B_J
+        t_prev, t_cur = t_cur, t_prev * u / (J * (J + 1)) + t_cur * (J - n_g) / (J + 1)
+        total += t_cur
+        J += 1
+        cut *= u / (J * (J - n_g))
+
+    a_k = math.exp(log_scale - math.lgamma(J + 1) + math.lgamma(J + 1 - n_g))
+    remainder = 0.0
+    for k in range(J - n_g):
+        term = a_k / (n_g + k)
+        remainder += term
+        if abs(term) <= 1e-17 * remainder:
+            break
+        a_k *= -u / ((k + 1) * (J - n_g - k))
+    return total + remainder, J
+
 
 
 class TestAllocation:
@@ -730,41 +850,114 @@ class TestGammaProductCdf:
         assert digest == "c50a8d0ab3074e6c07835adaf5cecfe70af5674122e24fb77225461a78d27508"
 
 
-class TestAscendingTable:
-    """The per-shape-pair tables of the ascending expansion: built on first
-    use, cached, and never a cause of a different value."""
+class TestShapeTables:
+    """The per-shape tables of the three CDF branches (ascending expansion,
+    lower-tail series, survival sum): built on first use, never at import,
+    cached, and never a cause of a different value.  The tabled series and
+    survival sum give the bits of their untabled forms."""
 
     POINTS = (1e-6, 0.5, 3.0, 10.0, 100.0, 1e5)  # ascending, series, survival
     SHAPES = ((12, 12), (3, 12), (1, 170), (40, 170), (170, 170))
+    # Tables the points build: one per pair for the ascending expansion and
+    # the survival sum, one per larger shape (12 and 170) for the series.
+    BUILT = {"_ascending_table": 5, "_series_table": 2, "_survival_table": 5}
+    # For each table, calls that build _ASCENDING_PAIRS tables of keys that
+    # SHAPES does not use.
+    FILL = {
+        "_ascending_table": lambda: [outage._ascending_cdf(1.0, 1, b) for b in range(1, 129)],
+        "_series_table": lambda: [outage._lower_tail_series(10.0, 1, n) for n in range(41, 169)],
+        "_survival_table": lambda: [outage._survival_cdf(100.0, 1, b) for b in range(1, 129)],
+    }
 
     def values(self):
         return [gamma_product_cdf(u, UNIT_BUDGET, a, 1, b, 1).hex()
                 for a, b in self.SHAPES for u in self.POINTS]
 
-    def test_cold_and_warm_tables_give_the_same_bits(self):
-        outage._ascending_table.cache_clear()
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_cold_and_warm_tables_give_the_same_bits(self, name):
+        table = getattr(outage, name)
+        table.cache_clear()
         cold = self.values()
-        assert outage._ascending_table.cache_info().currsize == len(self.SHAPES)
+        assert table.cache_info().currsize == table.cache_info().misses == self.BUILT[name]
         assert self.values() == cold
-        assert outage._ascending_table.cache_info().misses == len(self.SHAPES)
+        assert table.cache_info().misses == self.BUILT[name]
 
-    def test_eviction_changes_no_value(self):
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_eviction_changes_no_value(self, name):
+        table = getattr(outage, name)
         before = self.values()
-        for b in range(1, outage._ASCENDING_PAIRS + 1):  # as many other pairs as are kept
-            outage._ascending_cdf(1.0, 1, b)
-        info = outage._ascending_table.cache_info()
-        assert info.currsize == outage._ASCENDING_PAIRS
+        assert len(self.FILL[name]()) == outage._ASCENDING_PAIRS
+        info = table.cache_info()
+        assert info.currsize == info.maxsize == outage._ASCENDING_PAIRS
         assert self.values() == before
-        assert outage._ascending_table.cache_info().misses == info.misses + len(self.SHAPES)
+        assert table.cache_info().misses == info.misses + self.BUILT[name]
 
     def test_import_builds_no_table(self):
-        code = "import ehuav.outage as o; print(o._ascending_table.cache_info().currsize)"
+        code = ("import ehuav.outage as o; print(*(t.cache_info().currsize for t in "
+                "(o._ascending_table, o._series_table, o._survival_table)))")
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
         )
-        assert run.stdout == "0\n"
+        assert run.stdout == "0 0 0\n"
+
+    def test_a_short_series_table_gives_the_same_bits(self):
+        # Rows and log-factorials past the table are made by the same
+        # operations, so a one-row table gives the default table's bits,
+        # as it does where the series runs far past the table (u = 1e4).
+        points = (3.5, 10.0, 59.99, 1e3, 1e4)
+        shapes = ((1, 1), (12, 12), (3, 40), (60, 170), (170, 170))
+        default = [outage._lower_tail_series(u, a, b) for a, b in shapes for u in points]
+        outage._series_table.cache_clear()
+        try:
+            with mock.patch.object(outage, "_SERIES_ROWS", 1):
+                short = [outage._lower_tail_series(u, a, b) for a, b in shapes for u in points]
+        finally:
+            outage._series_table.cache_clear()
+        assert [(v.hex(), J) for v, J in short] == [(v.hex(), J) for v, J in default]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=math.log10(outage._U_ASCENDING),
+                          max_value=math.log10(outage._U_SERIES_MAX), exclude_max=True),
+        a=st.integers(min_value=1, max_value=170),
+        b=st.integers(min_value=1, max_value=170),
+    )
+    @example(log10_u=3.0, a=60, b=170)  # past the table's rows
+    @example(log10_u=5.0, a=60, b=170)
+    @example(log10_u=math.log10(59.99), a=1, b=1)  # the table's last rows
+    @example(log10_u=math.log10(3.5), a=170, b=170)
+    def test_series_matches_its_untabled_form_bit_for_bit(self, log10_u, a, b):
+        # Over the series' whole domain: below u = 60, and beyond, where it
+        # serves small survival values and survival overflows.
+        u = 10.0**log10_u
+        a, b = min(a, b), max(a, b)
+        value, J = outage._lower_tail_series(u, a, b)
+        reference, J_reference = untabled_lower_tail_series(u, a, b)
+        assert (value.hex(), J) == (reference.hex(), J_reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log10_u=st.floats(min_value=math.log10(outage._U_SERIES), max_value=6.0,
+                          exclude_max=True),
+        n_h=st.integers(min_value=1, max_value=170),
+        n_g=st.integers(min_value=1, max_value=170),
+    )
+    @example(log10_u=math.log10(2000.0), n_h=12, n_g=170)  # m! Gamma(n_g) overflows
+    @example(log10_u=3.0, n_h=60, n_g=170)  # a power overflows
+    @example(log10_u=math.log10(60.0), n_h=170, n_g=1)
+    def test_survival_matches_its_untabled_form_bit_for_bit(self, log10_u, n_h, n_g):
+        # Values, and the NumericError where a power overflows.
+        u = 10.0**log10_u
+
+        def outcome(survival):
+            try:
+                return survival(u, n_h, n_g).hex()
+            except NumericError as exc:
+                return str(exc)
+
+        assert outcome(outage._survival_cdf) == outcome(untabled_survival_cdf)
 
     @pytest.mark.parametrize("a, b", [(1, 170), (170, 170), (12, 12), (1, 1)])
     def test_extreme_pairs_from_a_cold_table(self, a, b):
