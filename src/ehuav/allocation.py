@@ -337,11 +337,22 @@ def equal_bandwidth_taf(K: int, R_a: float) -> float:
     return tau
 
 
-def _bracket_error(lo: float, hi: float, d_lo: float, d_hi: float) -> NumericError:
-    return NumericError(
+def _bracket_error(epsilon: float, d_lo: float, d_hi: float, g: float, K: int) -> NumericError:
+    """Phase 1's error for the bracket [epsilon, 1 - epsilon], with the
+    weakest gain g of K.  Where the slope still rises at 1 - epsilon the
+    message names the cause: at the equal split 1 - tau* is about
+    sqrt(K g / 2), so tau* lies past the bracket once g < 2 epsilon^2 / K."""
+    message = (
         "min-rate derivative does not bracket a maximum on "
-        f"[{lo}, {hi}]: d(lo)={d_lo!r}, d(hi)={d_hi!r}"
+        f"[{epsilon}, {1.0 - epsilon}]: d(lo)={d_lo!r}, d(hi)={d_hi!r}"
     )
+    if d_hi >= 0.0:
+        message += (
+            f"; the min rate still rises at tau = 1 - epsilon, so the optimal time "
+            f"split lies above it: the weakest gain g={g!r} is below about "
+            f"2*epsilon**2/K = {2.0 * epsilon**2 / K:.6g}"
+        )
+    return NumericError(message)
 
 
 def _cap_error(cap: int, gap: float, epsilon: float, K: int, tau: float) -> NumericError:
@@ -378,7 +389,7 @@ def _phase1(gains: list[float], epsilon: float) -> tuple[float, int]:
     d_lo = _rate_slope(b, g, lo)
     d_hi = _rate_slope(b, g, hi)
     if not (d_lo > 0.0 and d_hi < 0.0):
-        raise _bracket_error(lo, hi, d_lo, d_hi)
+        raise _bracket_error(epsilon, d_lo, d_hi, g, len(gains))
     iters = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
@@ -592,7 +603,7 @@ def _phase1_batch(
     active = (d_lo > 0.0) & (d_hi < 0.0)
     for t in np.flatnonzero(~active):
         errors.setdefault(
-            int(t), _bracket_error(epsilon, 1.0 - epsilon, float(d_lo[t]), float(d_hi[t]))
+            int(t), _bracket_error(epsilon, float(d_lo[t]), float(d_hi[t]), float(g[t]), K)
         )
     active &= _live(T, errors)
     iters = np.zeros(T, dtype=np.int64)

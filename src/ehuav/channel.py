@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,28 +352,30 @@ def _hop_gain(hop: str, k: int, d: float, altitude: float, config: NetworkConfig
         ) from None
 
 
-def gamma_columns(
+def sample_gamma_matrix(
     budgets: list[LinkBudget],
     config: NetworkConfig,
     rng: np.random.Generator,
     trials: int,
-) -> Iterator[np.ndarray]:
-    """Yield each UAV's ``trials`` composite gains in turn, k ascending.
+) -> np.ndarray:
+    """(trials, K) C-ordered matrix of composite gains, one UAV column at a
+    time, k ascending.
 
     Column k is ``(rho * (lam * S_h)) * (mu * S_g)``: the energy hop's
     ``standard_gamma`` draws, then the identification hop's, each drawn in
-    place into one of two ``trials``-long buffers allocated once per call
-    and scaled there.  ``Generator.gamma(shape, scale)`` is
-    ``scale * standard_gamma(shape)`` element by element, so these are the
-    values (and the stream) of drawing G_h and G_g with ``rng.gamma`` and
-    multiplying out ``rho * G_h * G_g``.  The yielded array is a buffer the
-    next column overwrites; a caller that stops early leaves the later
-    UAVs undrawn.
+    place into one of two ``trials``-long buffers and scaled there; besides
+    the result, those two buffers are all that is allocated.
+    ``Generator.gamma(shape, scale)`` is ``scale * standard_gamma(shape)``
+    element by element, so these are the values (and the stream) of drawing
+    G_h and G_g with ``rng.gamma`` and multiplying out ``rho * G_h * G_g``:
+    a given generator state always yields the same matrix, and the test
+    suite pins its sha256.
     """
     if len(budgets) != config.K:
         raise ConfigError(
             f"expected one budget per UAV (K={config.K}), got {len(budgets)}"
         )
+    out = np.empty((trials, config.K))
     g_h = np.empty(trials)
     g_g = np.empty(trials)
     for k, budget in enumerate(budgets):
@@ -382,22 +384,5 @@ def gamma_columns(
         g_h *= budget.rho
         rng.standard_gamma(config.m_g[k] * config.N_r, size=trials, out=g_g)
         g_g *= budget.mu
-        g_h *= g_g
-        yield g_h
-
-
-def sample_gamma_matrix(
-    budgets: list[LinkBudget],
-    config: NetworkConfig,
-    rng: np.random.Generator,
-    trials: int,
-) -> np.ndarray:
-    """(trials, K) C-ordered matrix of composite gains: column k is the k-th
-    column of :func:`gamma_columns`, so a given generator state always
-    yields the same matrix; the test suite pins its sha256.  Besides the
-    result, only the generator's two ``trials``-long buffers are allocated.
-    """
-    out = np.empty((trials, config.K))
-    for k, column in enumerate(gamma_columns(budgets, config, rng, trials)):
-        out[:, k] = column
+        np.multiply(g_h, g_g, out=out[:, k])
     return out

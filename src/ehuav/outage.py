@@ -2,8 +2,8 @@
 
 Per-UAV rate, the SNR outage threshold X_k, the closed-form outage
 probability P(some gamma_k < X_k) built from the product-of-gammas CDF, and
-a deterministic Monte-Carlo estimator of the same event that serves as the
-simulation oracle for the analysis.
+a deterministic conditional Monte-Carlo estimator of the same event that
+serves as the simulation oracle for the analysis.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import K_MAX, LinkBudget, NetworkConfig, gamma_columns, integer_at_least
+from .channel import K_MAX, LinkBudget, NetworkConfig, integer_at_least
 from .errors import ConfigError, NumericError
 
 _LN2 = math.log(2.0)
@@ -89,7 +89,14 @@ class Allocation:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """Empirical outage probability with its binomial standard error."""
+    """Empirical outage probability with a bound on its standard error.
+
+    ``p_out`` is the mean of ``trials`` per-trial values in [0, 1] (the
+    conditional outage probabilities of :func:`outage_monte_carlo`).  A
+    variable in [0, 1] with mean p has variance at most p (1 - p), so
+    ``std_err`` = sqrt(p_out (1 - p_out) / trials) bounds the estimate's
+    standard error; it is the binomial one for a 0/1 count.
+    """
 
     p_out: float
     trials: int
@@ -300,9 +307,13 @@ def gamma_product_cdf(
 
 
 def _normalised(x: float, budget: LinkBudget) -> float:
-    """u = x / (rho*lam*mu) where that product is not a normal double: x's
-    and each factor's binary mantissas are divided and their exponents
+    """u = x / (rho*lam*mu), the threshold over the gain's scale, as both
+    estimators read it.  Where that product is not a normal double,
+    x's and each factor's binary mantissas are divided and their exponents
     subtracted, so u is rounded three times and an overflow gives inf."""
+    scale = budget.rho * budget.lam * budget.mu
+    if _NORMAL_MIN <= scale < math.inf:
+        return x / scale
     mantissa, exponent = math.frexp(x)
     for factor in (budget.rho, budget.lam, budget.mu):
         m, e = math.frexp(factor)
@@ -315,10 +326,9 @@ def _normalised(x: float, budget: LinkBudget) -> float:
 
 def _product_cdf(x: float, budget: LinkBudget, n_h: int, n_g: int) -> float:
     """:func:`gamma_product_cdf` at x >= 0 for integer shapes n_h, n_g in
-    [1, 170], unchecked: u (through :func:`_normalised` where rho*lam*mu is
-    not a normal double), the branch dispatch and the clamp."""
-    scale = budget.rho * budget.lam * budget.mu
-    u = x / scale if _NORMAL_MIN <= scale < math.inf else _normalised(x, budget)
+    [1, 170], unchecked: u from :func:`_normalised`, the branch dispatch
+    and the clamp."""
+    u = _normalised(x, budget)
     if u <= _U_ASCENDING:
         if u == 0.0:
             return 0.0
@@ -694,20 +704,48 @@ def outage_closed_form(
     return 0.0 - math.expm1(log_survival)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
-def _count_outages(columns, thresholds: list[float]) -> int:
-    """How many trials have some gamma_k < thresholds[k], given the gain
-    columns in UAV order: one comparison per column, OR-ed across them.
-    The columns are read one at a time, and none after the one that puts
-    every trial below its threshold."""
-    below = None
-    for column, x in zip(columns, thresholds):
-        if below is None:
-            below = column < x
-        else:
-            below |= column < x
-        if below.all():
-            break
-    return int(np.count_nonzero(below))
+# Past this y, Q(n, y) = e^-y sum_{i<n} y^i / i! is below 1e-127 for every
+# shape n <= 170 (and still falls with y), so 1 - Q rounds to 1.0; at it,
+# e^-y is a normal double and the sum, below e^y, is finite.
+_Y_CAP = 700.0
+# A trial's survival at most this is an outage to the last bit: 1 - s
+# rounds to 1.0 (2^-54 is half an ulp below 1), and every later column
+# only multiplies s by a Q in [0, 1].
+_SATURATED = 2.0**-54
+
+
+@_shape_table
+def _poisson_coefficients(n: int) -> tuple:
+    """1/i! for i = n-1 down to 0, each rounded once from the exact integer:
+    the Horner coefficients of :func:`_gamma_survival` for shape n."""
+    return tuple(1 / math.factorial(i) for i in reversed(range(n)))
+
+
+def _gamma_survival(y: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Q(n, y) = P(Gamma(n, 1) > y) = e^-y sum_{i<n} y^i / i! into ``out``,
+    for an integer shape n in [1, 170] and y >= 0 (inf included).
+
+    y is capped at ``_Y_CAP`` in place and then overwritten with e^-y; the
+    sum is taken by Horner's rule from the shape's coefficient table,
+    :func:`_poisson_coefficients`, and the value is clamped to at most 1.
+    Term i of the sum carries at most 2i + 1 roundings of Horner's rule and
+    one of its coefficient; the exponential (within 1.07 * 2^-53 relative
+    against mpmath, counted as 2), the product and the caller's 1 - Q add
+    at most 3.5 more.  To first order in 2^-53 the computed 1 - Q is off
+    by at most (2 y P(N <= n-2) + 6) 2^-53 <= (2n + 4) 2^-53, N Poisson
+    with mean y.  The worst measured against mpmath is 17 * 2^-53 (n = 170
+    near y = 148), inside (n + 3) 2^-53 at every shape tested.
+    """
+    np.minimum(y, _Y_CAP, out=y)
+    coefficients = _poisson_coefficients(n)
+    out.fill(coefficients[0])
+    for c in coefficients[1:]:
+        out *= y
+        out += c
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    out *= y
+    return np.minimum(out, 1.0, out=out)
 
 
 def outage_monte_carlo(
@@ -718,25 +756,33 @@ def outage_monte_carlo(
     seed: int,
     rate_requirement: float | None = None,
 ) -> OutageEstimate:
-    """Monte-Carlo outage: fraction of blocks in which some UAV's composite
+    """Conditional Monte-Carlo outage: the mean over trials of the
+    probability, given one hop's gain per UAV, that some UAV's composite
     gain gamma_k is strictly below its SNR threshold X_k.
 
     The thresholds are the list :func:`outage_closed_form` reads, so both
     estimate the same event; a negative or NaN R_a raises the
     :class:`ConfigError` of :func:`snr_threshold`.  The rate is increasing
-    in the gain, so this is the event "minimum rate < R_a" with X_k exact
-    to a few ulp instead of each rate's rounding.  Each block's gains are
-    compared with the thresholds directly, column by column: X_k = 0 puts
-    no gain below it, X_k = inf every finite one.
+    in the gain, so this is the event "minimum rate < R_a".  With
+    u_k = X_k / (rho lam mu) from :func:`_normalised`, UAV k is in outage
+    when S_h S_g < u_k.  Each trial draws only the hop S with the larger
+    shape; given S, the other hop (shape n, the smaller) is below
+    y_k = u_k / S with probability 1 - Q(n, y_k), a finite sum
+    (:func:`_gamma_survival`).  The UAVs are independent, so the trial's
+    value is 1 - prod_k Q(n_k, y_k), a number in [0, 1] whose mean is the
+    outage; by Rao-Blackwell its variance is never above the crude 0/1
+    count's.  X_k = 0 (u_k = 0) makes Q = 1 and draws nothing; X_k = inf
+    makes Q(n, _Y_CAP), so 1 - Q is exactly 1.
 
     Trials are drawn in fixed 65536-draw blocks.  Block b samples from its
     own child stream SeedSequence(seed, spawn_key=(b,)), so a given
-    (seed, trials) always gives the same estimate.  Each UAV's gains come
-    from :func:`channel.gamma_columns` one column at a time and are
-    compared as they come, so no (block, K) matrix is formed and memory
-    stays O(block) whatever K and ``trials`` are.  A block stops drawing
-    once every one of its trials is an outage: the rest of its stream
-    would change no count.  ``trials`` must be an integer in
+    (seed, trials) always gives the same estimate.  Each UAV's hop is drawn
+    with ``standard_gamma`` into a reused block-long buffer and folded into
+    the trials' running survival prod_k Q_k as it comes, so no (block, K)
+    matrix is formed and memory stays three block buffers whatever K and
+    ``trials`` are.  A block stops drawing once every trial's survival is
+    at most ``_SATURATED`` (2^-54): from there its 1 - survival rounds to
+    1.0 whatever the later columns give.  ``trials`` must be an integer in
     ``[1, MC_TRIALS_MAX]`` and ``seed`` an integer >= 0 (3.0 counts for
     either); anything else is a :class:`ConfigError` naming the argument.
     """
@@ -746,10 +792,25 @@ def outage_monte_carlo(
         if not integer_at_least(value, least):
             raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
     trials, seed = int(trials), int(seed)
-    thresholds = _thresholds(alloc, budgets, config, rate_requirement)
-    outages = 0
+    hops = []  # (u_k, drawn shape, summed shape) of every UAV with u_k > 0
+    for k, x_k in enumerate(_thresholds(alloc, budgets, config, rate_requirement)):
+        u = _normalised(x_k, budgets[k])
+        if u != 0.0:
+            n_h, n_g = config.m_h[k] * config.N_c, config.m_g[k] * config.N_r
+            hops.append((u, max(n_h, n_g), min(n_h, n_g)))
+    size = min(trials, _MC_BLOCK)
+    drawn, survival, q = np.empty(size), np.empty(size), np.empty(size)
+    total = 0.0
     for block in range((trials + _MC_BLOCK - 1) // _MC_BLOCK):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         n = min(_MC_BLOCK, trials - block * _MC_BLOCK)
-        outages += _count_outages(gamma_columns(budgets, config, rng, n), thresholds)
-    return OutageEstimate(p_out=outages / trials, trials=trials)
+        y, alive = drawn[:n], survival[:n]
+        alive.fill(1.0)
+        for u, drawn_shape, summed_shape in hops:
+            rng.standard_gamma(drawn_shape, size=n, out=y)
+            np.divide(u, y, out=y)
+            alive *= _gamma_survival(y, summed_shape, q[:n])
+            if alive.max() <= _SATURATED:
+                break
+        total += float(np.subtract(1.0, alive, out=alive).sum())
+    return OutageEstimate(p_out=total / trials, trials=trials)

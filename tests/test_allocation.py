@@ -289,6 +289,24 @@ class TestLowSnrBoundary:
             messages.add(str(info.value))
         assert len(messages) == 1
 
+    def test_the_message_names_the_cause_in_scenario_terms(self):
+        # The slope still rises at 1 - epsilon: the message says so and
+        # gives the weakest gain beside the bound 2 epsilon^2 / K.
+        cause = (
+            "; the min rate still rises at tau = 1 - epsilon, so the optimal time split "
+            "lies above it: the weakest gain g=1e-09 is below about "
+            "2*epsilon**2/K = 6.66667e-09"
+        )
+        for call in self.calls([1e-9, 1.0, 1.0]):
+            with pytest.raises(NumericError, match=self.BRACKET) as info:
+                call()
+            assert str(info.value).endswith(cause)
+        falling = str(allocation._bracket_error(EPS, -1.0, -2.0, 5.0, 3))
+        assert falling == (
+            "min-rate derivative does not bracket a maximum on [0.0001, 0.9999]: "
+            "d(lo)=-1.0, d(hi)=-2.0"
+        )
+
     def test_above_the_bound_every_form_allocates(self):
         for call in self.calls([1e-6, 1.0, 1.0]):
             assert 0.0 < call().tau < 1.0
@@ -391,7 +409,7 @@ def reference_phase1_taf(bet, gam, epsilon):
     d_lo = reference_dmin_rate_dtau(bet, gam, lo)
     d_hi = reference_dmin_rate_dtau(bet, gam, hi)
     if not (d_lo > 0.0 and d_hi < 0.0):
-        raise allocation._bracket_error(lo, hi, d_lo, d_hi)
+        raise allocation._bracket_error(epsilon, d_lo, d_hi, float(np.min(gam)), gam.size)
     iters = 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)

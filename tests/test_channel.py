@@ -22,7 +22,6 @@ from ehuav.channel import (
     a2g_path_loss_db,
     block_time,
     elevation_angle_deg,
-    gamma_columns,
     make_link_budget,
     sample_gamma_matrix,
 )
@@ -377,18 +376,6 @@ class TestSampling:
         assert gains.shape == (trials, 6)
         assert gains.flags.c_contiguous
         assert hashlib.sha256(gains.tobytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("trials", [1, 37, 1000])
-    def test_columns_are_the_matrix_columns(self, trials):
-        # The same stream: column k of the matrix is the k-th yielded column.
-        cfg = default_config(K=6)
-        budgets = link_budgets(cfg)
-        gains = sample_gamma_matrix(budgets, cfg, np.random.default_rng(123), trials)
-        columns = gamma_columns(budgets, cfg, np.random.default_rng(123), trials)
-        for k, column in enumerate(columns):
-            assert column.shape == (trials,)
-            assert np.array_equal(column, gains[:, k])
-        assert k == cfg.K - 1
 
     def test_budget_count_checked(self):
         cfg = default_config(K=2, p_c=(0.1, 0.1), m_h=(3, 3), m_g=(3, 3))

@@ -392,7 +392,7 @@ class TestOutage:
 
     def test_trials_above_the_bound_are_refused_before_sampling(self, capsys):
         trials = str(MC_TRIALS_MAX + 1)
-        with mock.patch("ehuav.outage.gamma_columns") as sample:
+        with mock.patch("numpy.random.default_rng") as sample:
             assert main(["outage", TABLE1, "--trials", trials]) == EXIT_CONFIG
         sample.assert_not_called()
         assert capsys.readouterr().err == (
@@ -727,7 +727,7 @@ TEXT_SHA256 = {
     "allocate equal_bandwidth": "8a2df5151f755494e05014797805ec28ed0a506495d11c612edde07746cd6117",
     "allocate optimal K=3": "c7d236ce916ff88c9d15666f60026de1613364372132e88b2cdbe7164c4202c8",
     "allocate --gamma": "2a2ea38738470170bab41509aecbb339a620b83db126fc09abf0a3f2044de82e",
-    "outage": "ccf07eef07f9fbafd6272200aac2103050ff6666a27bbaea7f1cbf0973178a3b",
+    "outage": "a8a1f25b12bfa31142f63de21b17ecb1a77c4a6226ec6dbe9a78460aba14685c",
 }
 
 

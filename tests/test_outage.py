@@ -1,12 +1,12 @@
 """Rate, SNR-threshold, and outage checks.
 
-The SNR threshold is checked against mpmath, and so is the Monte-Carlo
-count step's decision of each trial (some gain strictly below its
-threshold, one comparison per column) at gains placed around the exact
-threshold; whole estimates are checked against a direct count of the same
-blocks.  Each block is drawn and decided column by column: the count equals
-that of the sampler's matrix, a saturated block stops drawing, and no
-(block, K) array is allocated.  The closed-form outage is cross-checked
+The SNR threshold is checked against mpmath, and so is the finite sum
+Q(n, y) that the conditional Monte-Carlo estimator puts in place of one
+hop's draw, within its stated error bound; whole estimates are checked
+against a direct recomputation of the same blocks with scipy's incomplete
+gamma.  Each block is drawn column by column: a saturated block stops
+drawing, and no (block, K) array is allocated.  The tail at 5e-7 that a
+0/1 count of 1e5 trials misses is seen.  The closed-form outage is cross-checked
 against the Monte-Carlo estimator and against mpmath, and the product-gamma CDF is pinned to its
 single-term reduction, to sampled quantiles and to a high-precision mpmath
 evaluation of the finite survival sum, each of its branches on its own as
@@ -31,12 +31,13 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehuav import outage, specfun
 from ehuav.allocation import equal_bandwidth_taf
-from ehuav.channel import LinkBudget, gamma_columns, sample_gamma_matrix
+from ehuav.channel import LinkBudget
 from ehuav.configio import load_config
 from ehuav.errors import ConfigError, NumericError
 from ehuav.experiments import link_budgets
@@ -1135,11 +1136,13 @@ class TestMonteCarlo:
 
     def test_block_streams_are_pinned_across_a_partial_block(self):
         # 100000 trials are one full 65536-trial block and one partial one;
-        # the count pins both blocks' SeedSequence(7, spawn_key=(b,)) streams.
+        # the estimate pins both blocks' SeedSequence(7, spawn_key=(b,))
+        # streams.  It is a sum of 1e5 finite sums through np.exp, whose last
+        # bit may differ between SIMD builds, so the pin allows 1e-12.
         est = outage_monte_carlo(
             self.alloc(), [self.BUDGET] * 2, self.config(), trials=100_000, seed=7
         )
-        assert est.p_out == 58957 / 100_000
+        assert est.p_out == pytest.approx(0.5894997159952423, rel=1e-12, abs=0)
 
     def test_seed_actually_matters(self):
         a = outage_monte_carlo(
@@ -1200,81 +1203,87 @@ class TestMonteCarlo:
             )
 
 
-def count_below_thresholds(alloc, budgets, config, trials, seed, R_a):
-    """Outage count of outage_monte_carlo's blocks, each trial decided by
-    comparing every gain with its threshold directly."""
-    x = np.array([snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta])
-    outages = 0
+def conditional_reference(alloc, budgets, config, trials, seed, R_a):
+    """outage_monte_carlo's estimate recomputed without its early stop:
+    the same block streams, each UAV with X_k > 0 drawing its larger-shape
+    hop in turn, and Q(n, y) from scipy's regularised upper incomplete
+    gamma."""
+    x = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
+    total = 0.0
     for block in range((trials + 65535) // 65536):
         n = min(65536, trials - block * 65536)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        gamma = sample_gamma_matrix(budgets, config, rng, n)
-        outages += int(np.count_nonzero((gamma < x).any(axis=1)))
-    return outages
+        survival = np.ones(n)
+        for k, (x_k, budget) in enumerate(zip(x, budgets)):
+            if x_k == 0.0:
+                continue
+            shapes = (config.m_h[k] * config.N_c, config.m_g[k] * config.N_r)
+            drawn = rng.standard_gamma(max(shapes), size=n)
+            survival *= gammaincc(min(shapes), x_k / (budget.rho * budget.lam * budget.mu) / drawn)
+        total += float((1.0 - survival).sum())
+    return total / trials
 
 
-class TestOutageEvent:
-    """A Monte-Carlo trial is an outage where some gain_k < X_k."""
+def reference_tolerance(config):
+    """Twice the summed error bound of the UAVs' 1 - Q, (2n + 4) 2^-53 each,
+    as an absolute tolerance on a mean: scipy's Q is as accurate."""
+    shapes = [min(h * config.N_c, g * config.N_r) for h, g in zip(config.m_h, config.m_g)]
+    return 2.0 * sum(2 * n + 4 for n in shapes) * 2.0**-53
 
-    @pytest.mark.parametrize("R_a", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 50.0])
-    @pytest.mark.parametrize(
-        "alloc",
-        [
-            Allocation(tau=0.1, beta=(0.25, 0.75)),
-            Allocation(tau=0.3, beta=(0.25, 0.75), nu_r=0.3),
-            Allocation(tau=0.6, beta=(0.25, 0.75)),
-            Allocation(tau=0.6, beta=(0.25, 0.75), nu_r=0.3),
-        ],
-    )
-    def test_trials_are_decided_on_the_exact_side_of_the_threshold(self, alloc, R_a):
-        # Gains at the 60-digit threshold times (1 + j 1e-13), j = -30..30,
-        # with the other UAV's gain at inf.  Every row farther from the exact
-        # threshold than the computed X_k's error bound (4 e ln2 + 6 ulp,
-        # see TestSnrThreshold) is counted exactly where gain < X.
-        thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-        decided = 0
-        for k, beta_k in enumerate(alloc.beta):
-            with mp.workdps(60):
-                exact, exponent = mp_snr_threshold(beta_k, alloc.tau, R_a, alloc.nu_c)
-                margin = (4.0 * float(exponent) * math.log(2) + 6.0) * math.ulp(float(exact))
-                for j in range(-30, 31):
-                    gain = float(exact * (1 + j * mp.mpf("1e-13")))
-                    if abs(mp.mpf(gain) - exact) <= margin:
-                        continue
-                    row = np.full((1, 2), math.inf)
-                    row[0, k] = gain
-                    below = int(mp.mpf(gain) < exact)
-                    assert outage._count_outages(row.T, thresholds) == below, (k, j)
-                    decided += 1
-        assert decided >= 100  # of 122: the margin reaches j = +-2 only near e = 1000
 
-    def test_zero_and_infinite_thresholds(self):
-        # X = 0 (R_a = 0) puts no gain below it; X = inf puts every finite
-        # gain below it.
-        gamma = np.array([[0.0, 0.0], [1e-300, 1e300], [math.inf, math.inf]])
-        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
-        for R_a, outages in ((0.0, 0), (1e9, 2)):
-            thresholds = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
-            assert outage._count_outages(gamma.T, thresholds) == outages
+class TestGammaSurvival:
+    """The finite sum Q(n, y) = e^-y sum_{i<n} y^i / i! that replaces the
+    second hop's draw, against mpmath's regularised incomplete gamma."""
 
-    def test_zero_gain_at_a_zero_threshold_leaves_the_other_column_decisive(self):
-        # A zero gain is not below a zero threshold, but the row's other gain
-        # still decides it.  The former ratio form took 0/0 = NaN, and the
-        # row's minimum ratio then hid the other column's outage.
-        assert outage._count_outages(np.array([[0.0, 0.0]]).T, [0.0, 1.0]) == 1
-        assert outage._count_outages(np.array([[0.0, 0.0]]).T, [1.0, 0.0]) == 1
-        assert outage._count_outages(np.array([[0.0, 2.0]]).T, [0.0, 1.0]) == 0
+    @pytest.mark.parametrize("n", [1, 2, 12, 40, 170])
+    def test_one_minus_q_is_within_its_error_bound(self, n):
+        cap = outage._Y_CAP
+        ys = [0.0, 5e-324, 1e-300, 1e-100, 1e-30, 1e-10, 1e-5, 1e-3, 0.1, 0.5, 1.0, 2.0,
+              n / 2, n - 1, n, n + 1, 1.5 * n, 2 * n + 10, 3 * n + 30, cap / 2, cap,
+              1e3, 1e300, math.inf]
+        y = np.array(ys)
+        q = outage._gamma_survival(y.copy(), n, np.empty(len(ys)))
+        assert np.all((0.0 <= q) & (q <= 1.0))
+        for y_i, q_i in zip(ys, q):
+            value = 1.0 - q_i
+            exact = mp.gammainc(n, 0, y_i, regularized=True)  # P(Gamma(n) < y)
+            # (2 y P(N <= n-2) + 6) 2^-53 at the capped y, N Poisson(y).
+            y_c = min(y_i, cap)
+            tail = mp.gammainc(n - 1, y_c, mp.inf, regularized=True) if n > 1 else 0
+            bound = (2 * y_c * float(tail) + 6) * 2.0**-53
+            assert abs(value - exact) <= bound, (n, y_i, value, exact)
+            assert bound <= (2 * n + 4) * 2.0**-53
+            if y_i >= cap:
+                assert value == 1.0, (n, y_i)
+        assert 1.0 - q[0] == 0.0  # Q(n, 0) = 1 exactly
+
+    def test_the_cap_is_past_every_shape_s_last_bit(self):
+        # Q falls as y grows and rises with n: at the cap the largest shape's
+        # survival is far below half an ulp of 1, so 1 - Q rounds to 1.0.
+        assert mp.gammainc(170, outage._Y_CAP, mp.inf, regularized=True) < 2.0**-54
+        assert math.exp(-outage._Y_CAP) >= sys.float_info.min
+        assert mp.fsum(mp.mpf(outage._Y_CAP) ** i / mp.factorial(i) for i in range(170)) < sys.float_info.max
+
+    def test_coefficients_are_reciprocal_factorials_rounded_once(self):
+        table = outage._poisson_coefficients(12)
+        assert len(table) == 12
+        assert table == tuple(float(mp.mpf(1) / mp.factorial(i)) for i in reversed(range(12)))
+
+
+class TestConditionalEstimate:
+    """A trial's value is 1 - prod_k Q(n_k, u_k / S_k), S_k each UAV's
+    larger-shape hop drawn from the block's own stream."""
 
     @pytest.mark.parametrize("trials", [1, 65535, 65537])
-    def test_blocks_count_as_a_direct_comparison(self, trials):
+    def test_blocks_match_a_direct_conditional_reference(self, trials):
         cfg = default_config(K=2)
         alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
         budgets = [budget_from_losses(60.0, 62.0, 1e11)] * 2
         est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=11)
-        expected = count_below_thresholds(alloc, budgets, cfg, trials, 11, cfg.R_a)
-        assert est.p_out == expected / trials
+        expected = conditional_reference(alloc, budgets, cfg, trials, 11, cfg.R_a)
+        assert est.p_out == pytest.approx(expected, rel=0, abs=reference_tolerance(cfg))
 
-    def test_seeded_scenarios_count_as_a_direct_comparison(self):
+    def test_seeded_scenarios_match_a_direct_conditional_reference(self):
         # Random scenarios over K 1-8, both signalling shares, shapes up to
         # 170 and gains spread around each threshold.
         rng = np.random.default_rng(2024)
@@ -1305,21 +1314,55 @@ class TestOutageEvent:
                         product *= 10.0 ** (-pl_h / 10.0) * 10.0 ** (-pl_g / 10.0)
                         quantile = np.quantile(product, rng.uniform(0.0, 0.3))
                         rho = x / quantile if 0.0 < x < 1e200 else 1.0
-                        budgets.append(budget_from_losses(pl_h, pl_g, rho))
+                        budgets.append(budget_from_losses(float(pl_h), float(pl_g), float(rho)))
                     trials = int(rng.integers(1, 3000))
                     seed = int(rng.integers(0, 2**32))
                     est = outage_monte_carlo(
                         alloc, budgets, cfg, trials=trials, seed=seed, rate_requirement=R_a
                     )
-                    expected = count_below_thresholds(alloc, budgets, cfg, trials, seed, R_a)
-                    assert est.p_out == expected / trials, (K, R_a, nu_r)
+                    expected = conditional_reference(alloc, budgets, cfg, trials, seed, R_a)
+                    assert est.p_out == pytest.approx(
+                        expected, rel=0, abs=reference_tolerance(cfg)
+                    ), (K, R_a, nu_r)
 
+    def test_zero_and_infinite_thresholds_are_exact(self):
+        # X_k = 0 puts no trial into outage and draws nothing; one infinite
+        # X_k puts every trial into outage, 1 - Q rounding to exactly 1.
+        cfg = default_config(K=2)
+        budgets = [budget_from_losses(60.0, 62.0, 1e11)] * 2
+        alloc = Allocation(tau=0.3, beta=(1e-6, 1.0 - 1e-6))
+        assert snr_threshold(alloc.beta[0], alloc.tau, cfg.R_a, 1.0) == math.inf
+        assert outage_monte_carlo(alloc, budgets, cfg, trials=70_000, seed=3).p_out == 1.0
+        zero = outage_monte_carlo(alloc, budgets, cfg, trials=70_000, seed=3, rate_requirement=0.0)
+        assert zero.p_out == 0.0
 
-def pilot_thresholds(budgets, config, levels):
-    """Thresholds at the given quantile levels of each UAV's gain, read from
-    a pilot sample of another stream."""
-    pilot = sample_gamma_matrix(budgets, config, np.random.default_rng(99), 4096)
-    return [float(np.quantile(pilot[:, k], q)) for k, q in enumerate(levels)]
+    def test_a_scale_outside_the_normal_doubles_is_read_as_the_closed_form_reads_it(self):
+        # rho * lam * mu = 1e-308 is subnormal: u comes from the mantissas
+        # in both estimators, and the estimate meets the closed form.
+        cfg = default_config(K=2)
+        alloc = Allocation(tau=0.3, beta=(0.5, 0.5))
+        budgets = [LinkBudget(lam=1e-160, mu=1e-150, rho=1e2)] * 2
+        scale = budgets[0].rho * budgets[0].lam * budgets[0].mu
+        assert 0.0 < scale < sys.float_info.min
+        R_a = 5e-307
+        analytic = outage_closed_form(alloc, budgets, cfg, rate_requirement=R_a)
+        assert 0.05 < analytic < 0.95
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=20_000, seed=4, rate_requirement=R_a)
+        assert abs(est.p_out - analytic) <= 3.0 * math.sqrt(analytic * (1.0 - analytic) / 20_000)
+
+    def test_the_tail_at_150_m_is_seen_at_1e5_trials(self):
+        # Table 1 at 150 m with R_a = 0.3: the closed form is 5.03e-7, and a
+        # 0/1 count of 1e5 trials reads 0 (a vacuous PASS).  The conditional
+        # estimate is positive and inside the analytic 3-sigma band.
+        cfg = replace(load_config(ROOT / "configs" / "table1.yaml").network, A_hat=150.0)
+        budgets = link_budgets(cfg)
+        alloc = Allocation(tau=equal_bandwidth_taf(cfg.K, 0.3), beta=(1.0 / cfg.K,) * cfg.K)
+        analytic = outage_closed_form(alloc, budgets, cfg, rate_requirement=0.3)
+        assert analytic == pytest.approx(5.031e-7, rel=1e-3)
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=10**5, seed=1, rate_requirement=0.3)
+        band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / 10**5)
+        assert est.p_out > 0.0
+        assert abs(est.p_out - analytic) <= band
 
 
 def budgets_at_quantiles(alloc, config, levels):
@@ -1335,41 +1378,11 @@ def budgets_at_quantiles(alloc, config, levels):
     return budgets
 
 
-def counted(columns, drawn):
-    """``columns``, appending one to ``drawn`` per column taken."""
-    for column in columns:
-        drawn.append(1)
-        yield column
-
-
 class TestColumnPath:
-    """outage_monte_carlo draws and decides each block column by column."""
+    """outage_monte_carlo folds each block into its survival column by column."""
 
     @pytest.mark.parametrize("K", [1, 2, 6, 64])
-    @pytest.mark.parametrize("edge", ["interior", "zero", "infinite-last"])
-    def test_column_path_counts_as_the_matrix_columns(self, K, edge):
-        # X_k = 0 puts no gain below it and X_k = inf every one; an infinite
-        # last threshold saturates the block only at its last column.
-        cfg = default_config(K)
-        budgets = link_budgets(cfg)
-        thresholds = pilot_thresholds(budgets, cfg, np.linspace(0.001, 0.02, K))
-        if edge == "zero":
-            thresholds[::2] = [0.0] * len(thresholds[::2])
-        elif edge == "infinite-last":
-            thresholds[-1] = math.inf
-        for n in (1, 777):
-            drawn = []
-            columns = gamma_columns(budgets, cfg, np.random.default_rng(n), n)
-            count = outage._count_outages(counted(columns, drawn), thresholds)
-            gains = sample_gamma_matrix(budgets, cfg, np.random.default_rng(n), n)
-            assert count == outage._count_outages(gains.T, thresholds)
-            assert count == np.count_nonzero((gains < thresholds).any(axis=1))
-            if edge == "infinite-last":
-                assert count == n
-            assert len(drawn) == K or count == n
-
-    @pytest.mark.parametrize("K", [1, 2, 6, 64])
-    def test_partial_last_block_counts_as_the_matrix_columns(self, K):
+    def test_partial_last_block_matches_the_conditional_reference(self, K):
         # 65536 + 1000 trials: one full block and a partial one, each from
         # its own stream; rho puts each X_k at a quantile of up to 2%.
         cfg = default_config(K)
@@ -1378,36 +1391,28 @@ class TestColumnPath:
         trials = 66536
         est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=5)
         assert 0.0 < est.p_out < 1.0
-        assert est.p_out * trials == count_below_thresholds(alloc, budgets, cfg, trials, 5, cfg.R_a)
+        expected = conditional_reference(alloc, budgets, cfg, trials, 5, cfg.R_a)
+        assert est.p_out == pytest.approx(expected, rel=0, abs=reference_tolerance(cfg))
 
-    def test_saturated_block_stops_drawing(self):
-        # An infinite first threshold puts every trial below it: the block
-        # draws one column of six, and the count is the whole block.
-        cfg = default_config(6)
-        budgets = link_budgets(cfg)
-        thresholds = [math.inf] + pilot_thresholds(budgets, cfg, [0.01] * 6)[1:]
-        drawn = []
-        columns = gamma_columns(budgets, cfg, np.random.default_rng(3), 1000)
-        assert outage._count_outages(counted(columns, drawn), thresholds) == 1000
-        assert len(drawn) == 1
-
-    def test_saturated_default_stops_early_with_the_same_estimate(self):
-        # Table 1 at its own R_a is an outage in nearly every trial (analytic
-        # 0.99999999998): each block stops after its first column of six,
-        # and the estimate is the full count of the same blocks.
+    def test_an_infinite_first_threshold_stops_each_block_at_its_first_column(self):
+        # A share of 1e-6 makes the first UAV's X_k infinite: every trial's
+        # survival is Q(n, cap) < 2^-54 after one column of six, so each of
+        # the two blocks draws once, and the estimate is exactly 1.
         cfg = load_config(ROOT / "configs" / "table1.yaml").network
         budgets = link_budgets(cfg)
-        alloc = Allocation(
-            tau=equal_bandwidth_taf(cfg.K, cfg.R_a), beta=(1.0 / cfg.K,) * cfg.K
-        )
+        alloc = Allocation(tau=0.5, beta=(1e-6,) + ((1.0 - 1e-6) / 5,) * 5)
         drawn = []
-        with mock.patch.object(
-            outage, "gamma_columns", lambda *args: counted(gamma_columns(*args), drawn)
-        ):
+
+        class Counting(np.random.Generator):
+            def standard_gamma(self, *args, **kwargs):
+                drawn.append(1)
+                return super().standard_gamma(*args, **kwargs)
+
+        with mock.patch.object(np.random, "default_rng", lambda seq: Counting(np.random.PCG64(seq))):
             est = outage_monte_carlo(alloc, budgets, cfg, trials=100_000, seed=0)
-        assert len(drawn) == 2  # the first UAV's column in each of the two blocks
-        expected = count_below_thresholds(alloc, budgets, cfg, 100_000, 0, cfg.R_a)
-        assert est.p_out * 100_000 == expected
+        assert len(drawn) == 2
+        assert est.p_out == 1.0
+        assert est == outage_monte_carlo(alloc, budgets, cfg, trials=100_000, seed=0)
 
     def test_no_block_by_K_matrix_is_allocated(self):
         # A 65536 x 64 gain matrix is 32 MiB; the column path holds two
