@@ -377,6 +377,25 @@ class TestSampling:
         assert gains.flags.c_contiguous
         assert hashlib.sha256(gains.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("trials", [1, 37, 1000])
+    def test_columns_are_the_matrix_columns(self, trials):
+        # The same stream, drawn by hand: UAV by UAV, the energy hop's
+        # column and then the identification hop's.  Distinct shapes and
+        # budgets per UAV make any other order show.
+        cfg = default_config(K=4, m_h=(1, 2, 3, 4), m_g=(4, 1, 3, 2), p_c=(0.1, 0.2, 0.3, 0.4))
+        budgets = [
+            make_link_budget(k, cfg, LinkGeometry(d_h=100.0 + 30 * k, d_g=80.0, altitude=120.0))
+            for k in range(4)
+        ]
+        gains = sample_gamma_matrix(budgets, cfg, np.random.default_rng(123), trials)
+        rng = np.random.default_rng(123)
+        for k, budget in enumerate(budgets):
+            s_h = rng.standard_gamma(cfg.m_h[k] * cfg.N_c, size=trials)
+            s_g = rng.standard_gamma(cfg.m_g[k] * cfg.N_r, size=trials)
+            column = (budget.rho * (budget.lam * s_h)) * (budget.mu * s_g)
+            assert np.array_equal(gains[:, k], column), k
+        assert gains.shape == (trials, 4)
+
     def test_budget_count_checked(self):
         cfg = default_config(K=2, p_c=(0.1, 0.1), m_h=(3, 3), m_g=(3, 3))
         with pytest.raises(ConfigError):

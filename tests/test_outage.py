@@ -2,10 +2,11 @@
 
 The SNR threshold is checked against mpmath, and so is the finite sum
 Q(n, y) that the conditional Monte-Carlo estimator puts in place of one
-hop's draw, within its stated error bound; whole estimates are checked
-against a direct recomputation of the same blocks with scipy's incomplete
-gamma.  Each block is drawn column by column: a saturated block stops
-drawing, and no (block, K) array is allocated.  The tail at 5e-7 that a
+hop's draw, within its stated error bound, and so is each trial's value at
+the exact 60-digit threshold; whole estimates are checked against a direct
+recomputation of the same blocks with scipy's incomplete gamma.  Each block
+is drawn column by column: a UAV with u_k = 0 draws nothing, a saturated
+block stops drawing, and no (block, K) array is allocated.  The tail at 5e-7 that a
 0/1 count of 1e5 trials misses is seen.  The closed-form outage is cross-checked
 against the Monte-Carlo estimator and against mpmath, and the product-gamma CDF is pinned to its
 single-term reduction, to sampled quantiles and to a high-precision mpmath
@@ -1205,9 +1206,10 @@ class TestMonteCarlo:
 
 def conditional_reference(alloc, budgets, config, trials, seed, R_a):
     """outage_monte_carlo's estimate recomputed without its early stop:
-    the same block streams, each UAV with X_k > 0 drawing its larger-shape
-    hop in turn, and Q(n, y) from scipy's regularised upper incomplete
-    gamma."""
+    the same block streams, each UAV with u_k = X_k / (rho lam mu) > 0
+    drawing its larger-shape hop in turn, and Q(n, y) from scipy's
+    regularised upper incomplete gamma.  A scale that underflows to 0
+    makes u_k infinite."""
     x = [snr_threshold(b, alloc.tau, R_a, alloc.nu_c) for b in alloc.beta]
     total = 0.0
     for block in range((trials + 65535) // 65536):
@@ -1215,11 +1217,13 @@ def conditional_reference(alloc, budgets, config, trials, seed, R_a):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         survival = np.ones(n)
         for k, (x_k, budget) in enumerate(zip(x, budgets)):
-            if x_k == 0.0:
+            with np.errstate(divide="ignore", over="ignore"):
+                u = np.float64(x_k) / (budget.rho * budget.lam * budget.mu)
+            if u == 0.0:
                 continue
             shapes = (config.m_h[k] * config.N_c, config.m_g[k] * config.N_r)
             drawn = rng.standard_gamma(max(shapes), size=n)
-            survival *= gammaincc(min(shapes), x_k / (budget.rho * budget.lam * budget.mu) / drawn)
+            survival *= gammaincc(min(shapes), u / drawn)
         total += float((1.0 - survival).sum())
     return total / trials
 
@@ -1229,6 +1233,57 @@ def reference_tolerance(config):
     as an absolute tolerance on a mean: scipy's Q is as accurate."""
     shapes = [min(h * config.N_c, g * config.N_r) for h, g in zip(config.m_h, config.m_g)]
     return 2.0 * sum(2 * n + 4 for n in shapes) * 2.0**-53
+
+
+class TestOutageEvent:
+    """A trial's value is the probability, given its drawn hops, that some
+    gain_k is below the exact threshold X_k."""
+
+    @pytest.mark.parametrize("R_a", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 50.0])
+    @pytest.mark.parametrize(
+        "alloc",
+        [
+            Allocation(tau=0.1, beta=(0.25, 0.75)),
+            Allocation(tau=0.3, beta=(0.25, 0.75), nu_r=0.3),
+            Allocation(tau=0.6, beta=(0.25, 0.75)),
+            Allocation(tau=0.6, beta=(0.25, 0.75), nu_r=0.3),
+        ],
+    )
+    def test_trials_are_valued_at_the_exact_threshold(self, alloc, R_a):
+        # One 64-trial block against mpmath at the 60-digit thresholds, with
+        # the block's own draws: the mean of 1 - prod_k Q(n, X_k / (rho S_k)).
+        # rho puts each u_k near the median of its gain.  The computed X_k
+        # is within max(10, 4 e ln2 + 6) ulp of the exact one (see
+        # TestSnrThreshold) and u_k / S_k adds two roundings; 1 - Q moves
+        # by at most max_y y f_n(y) = n^n e^-n / (n-1)! times that relative
+        # error, and 1 - Q itself is within (2n + 4) 2^-53.
+        cfg = default_config(K=2)
+        shapes = (cfg.m_h[0] * cfg.N_c, cfg.m_g[0] * cfg.N_r)
+        n = min(shapes)
+        budgets, exact, tolerance = [], [], 64 * 2.0**-53
+        with mp.workdps(60):
+            slope = mp.mpf(n) ** n * mp.exp(-n) / mp.factorial(n - 1)
+            for beta_k in alloc.beta:
+                x = snr_threshold(beta_k, alloc.tau, R_a, alloc.nu_c)
+                x_exact, exponent = mp_snr_threshold(beta_k, alloc.tau, R_a, alloc.nu_c)
+                assert 0.0 < x < math.inf
+                budgets.append(LinkBudget(lam=1.0, mu=1.0, rho=x / (shapes[0] * shapes[1])))
+                exact.append(x_exact / mp.mpf(budgets[-1].rho))
+                ulps = max(10.0, 4.0 * float(exponent) * math.log(2) + 6.0)
+                tolerance += float(slope) * (ulps * 2.0**-52 + 2.0**-52) + (2 * n + 4) * 2.0**-53
+            rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(0,)))
+            drawn = [rng.standard_gamma(max(shapes), size=64) for _ in budgets]
+            values = []
+            for trial in range(64):
+                survival = mp.mpf(1)
+                for u, column in zip(exact, drawn):
+                    y = u / mp.mpf(float(column[trial]))
+                    survival *= mp.gammainc(n, y, mp.inf, regularized=True)
+                values.append(1 - survival)
+            expected = float(mp.fsum(values) / 64)
+        est = outage_monte_carlo(alloc, budgets, cfg, trials=64, seed=17, rate_requirement=R_a)
+        assert 0.0 < expected < 1.0
+        assert abs(est.p_out - expected) <= tolerance, (est.p_out, expected, tolerance)
 
 
 class TestGammaSurvival:
@@ -1378,8 +1433,48 @@ def budgets_at_quantiles(alloc, config, levels):
     return budgets
 
 
+def counting_rng(drawn):
+    """A default_rng stand-in whose generators append one to ``drawn`` per
+    ``standard_gamma`` call."""
+
+    class Counting(np.random.Generator):
+        def standard_gamma(self, *args, **kwargs):
+            drawn.append(1)
+            return super().standard_gamma(*args, **kwargs)
+
+    return lambda seq: Counting(np.random.PCG64(seq))
+
+
 class TestColumnPath:
     """outage_monte_carlo folds each block into its survival column by column."""
+
+    @pytest.mark.parametrize("K", [1, 2, 6, 64])
+    @pytest.mark.parametrize("edge", ["interior", "zero", "infinite-last"])
+    def test_column_path_matches_the_conditional_reference(self, K, edge):
+        # rho puts each X_k at a quantile of up to 2%.  An infinite rho makes
+        # u_k = 0 for every other UAV, which then draws nothing; a scale
+        # that underflows to 0 makes the last u_k infinite, which saturates
+        # the block only at its last column.
+        cfg = default_config(K)
+        alloc = Allocation(tau=0.4, beta=(1.0 / K,) * K)
+        budgets = budgets_at_quantiles(alloc, cfg, np.linspace(0.001, 0.02, K))
+        columns = K
+        if edge == "zero":
+            budgets[::2] = [LinkBudget(lam=1.0, mu=1.0, rho=math.inf)] * len(budgets[::2])
+            columns = K // 2
+        elif edge == "infinite-last":
+            budgets[-1] = LinkBudget(lam=1e-200, mu=1e-200, rho=1e-200)
+        for trials in (1, 777):
+            drawn = []
+            with mock.patch.object(np.random, "default_rng", counting_rng(drawn)):
+                est = outage_monte_carlo(alloc, budgets, cfg, trials=trials, seed=trials)
+            expected = conditional_reference(alloc, budgets, cfg, trials, trials, cfg.R_a)
+            assert est.p_out == pytest.approx(expected, rel=0, abs=reference_tolerance(cfg))
+            assert len(drawn) == columns
+            if edge == "infinite-last":
+                assert est.p_out == 1.0
+            elif columns == 0:
+                assert est.p_out == 0.0
 
     @pytest.mark.parametrize("K", [1, 2, 6, 64])
     def test_partial_last_block_matches_the_conditional_reference(self, K):
@@ -1402,13 +1497,7 @@ class TestColumnPath:
         budgets = link_budgets(cfg)
         alloc = Allocation(tau=0.5, beta=(1e-6,) + ((1.0 - 1e-6) / 5,) * 5)
         drawn = []
-
-        class Counting(np.random.Generator):
-            def standard_gamma(self, *args, **kwargs):
-                drawn.append(1)
-                return super().standard_gamma(*args, **kwargs)
-
-        with mock.patch.object(np.random, "default_rng", lambda seq: Counting(np.random.PCG64(seq))):
+        with mock.patch.object(np.random, "default_rng", counting_rng(drawn)):
             est = outage_monte_carlo(alloc, budgets, cfg, trials=100_000, seed=0)
         assert len(drawn) == 2
         assert est.p_out == 1.0
