@@ -16,8 +16,9 @@ Four allocators share the same max-min-rate objective:
   what visiting every grid point would, without visiting them: where each
   UAV's rate is non-decreasing in its share, the best worst-case rate at
   a time split is an order statistic of the K per-UAV rate tables.  Only
-  the time splits whose upper bound (a prefix maximum of each table)
-  reaches a value that another time split attains get full tables, and
+  the time splits whose upper bound (one rate per UAV, at the largest
+  share a composition may leave it, plus a rounding margin) reaches a
+  value that another time split attains get full tables, and
   ``op_count`` still counts every rate of the enumeration.
 
 Every allocator reports an abstract operation tally (``op_count``) so the
@@ -88,13 +89,22 @@ _GRID_BLOCK_ELEMENTS = 1 << 18
 _SHARE_TREE_DEPTH = 16
 # Newton steps towards each inner bisection's share threshold per target.
 _SHARE_NEWTON_STEPS = 4
-# The batch baseline uses a tabulated leaf only where the rates at its ends
-# clear the target by this relative margin.  A rate computed in doubles is
-# within about 5u / ln(1 + q) + 10u (u = 2**-53) of the exact rate, with
-# q = tau*g/eff its SNR, and q is smallest at the whole band: at
-# q >= _LOOKUP_MIN_SNR that is below 6e-14, so the margin covers the rounding
-# of any other share's rate, decided with either log2.  Above
-# _LOOKUP_MAX_SNR, q could overflow at the smallest share.
+# One rounding bound serves two readers.  A rate computed in doubles by
+# outage._rate, with either log2, is within about 5u / ln(1 + q) + 10u
+# (u = 2**-53) of the exact rate of its operands, with q = tau*g/eff its SNR.
+# q falls as the share grows, so over one UAV's shares the bound is widest at
+# the smallest q, at the largest share: where that q >= _LOOKUP_MIN_SNR, it is
+# below 6e-14, and where q at the smallest share is at most _LOOKUP_MAX_SNR,
+# no share's q overflows.  Within that range, the relative margin
+# _LOOKUP_MARGIN covers the rounding of every share's rate:
+# * the batch baseline's leaf certification (:func:`_inner_shares`) uses a
+#   tabulated leaf only where the rates at its ends clear the target by the
+#   margin, so every other share's rate is decided as the loop decides it;
+# * the grid search's row bound (:func:`_row_bound`) takes each UAV's rate at
+#   the largest share it bounds, times 1 + margin.  The exact rate rises with
+#   the share, so every computed rate at a smaller share is at most the
+#   computed one there times (1 + d) / (1 - d) <= 1 + 1.2e-13, d <= 6e-14
+#   being the bound at that share.
 _LOOKUP_MARGIN = 1e-12
 _LOOKUP_MIN_SNR = 1e-2
 _LOOKUP_MAX_SNR = 1e300
@@ -927,6 +937,29 @@ def _compositions(grid_beta: int, K: int) -> np.ndarray:
     return np.stack([i + 1, c - i, grid_beta - 1 - c])
 
 
+def _row_bound(tau, gam, share_axis, j) -> np.ndarray:
+    """Upper bound of the best worst-case rate of each grid row ``tau``
+    (shape ``(n, 1)``), given that every composition gives some UAV k at
+    most ``j[k]`` share steps.
+
+    Such a row is worth at most the largest of the first ``j[k]`` entries
+    of UAV k's rate table, for some k.  The exact rate rises with the
+    share, so that entry is the ``j[k]``-th up to rounding, and the bound
+    is the largest of those K rates times ``1 + _LOOKUP_MARGIN``, whose
+    comment gives the rounding argument.  Rows where a bounding UAV's SNR leaves the margin's range
+    (below ``_LOOKUP_MIN_SNR`` at its ``j[k]``-th step, or above
+    ``_LOOKUP_MAX_SNR`` at its first) get ``+inf``.
+    """
+    used = [k for k, n in enumerate(j) if n]
+    c = tau * gam[used]
+    one_minus_tau = 1.0 - tau
+    eff = share_axis[[j[k] - 1 for k in used]] * one_minus_tau
+    first = share_axis[0] * one_minus_tau
+    inside = (c / eff >= _LOOKUP_MIN_SNR) & (c / first <= _LOOKUP_MAX_SNR)
+    upper = _rate(eff, c).max(axis=1) * (1.0 + _LOOKUP_MARGIN)
+    return np.where(inside.all(axis=1), upper, math.inf)
+
+
 def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult:
     """Max-min rate over a tau grid and a share simplex.
 
@@ -955,15 +988,18 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
     one step for the UAV that is worst at s0, so ``sum(j) = grid_beta - K +
     1``: every composition gives some UAV k at most ``j_k`` steps, so a
     row's value is at most the largest of the first ``j_k`` entries of UAV
-    k's table, for some k.  That holds whether or not the tables rise, and
-    costs about 1/K of the full tables.  Only rows whose upper bound reaches
-    ``max(v0, best so far)`` are solved in full; a skipped row's value lies
-    below a value that an earlier or same-block row reaches.  Every bound
-    entry is a call of :func:`ehuav.outage._rate`, the same double as the
-    table entry.  So ``tau``, ``beta`` and every tie-break are the
-    enumeration's, bit for bit.  ``op_count`` still counts the
-    enumeration's rates: it is the complexity measure the allocators are
-    compared by, and it does not fall with the wall-clock time.
+    k's table, for some k.  The exact rate rises with the share, so the
+    largest is the ``j_k``-th entry up to rounding: :func:`_row_bound`
+    takes that rate times ``1 + _LOOKUP_MARGIN``, at most K rates per row.
+    Rows whose SNR leaves the margin's range (low SNR, where tables may
+    decrease, or rates that may overflow) get an infinite bound.  Only rows
+    whose upper bound reaches ``max(v0, best so far)`` are solved in full; a
+    skipped row's value lies below a value that an earlier or same-block row
+    reaches.  A looser bound only adds rows, which their full tables decide
+    exactly, so ``tau``, ``beta`` and every tie-break are the enumeration's,
+    bit for bit.  ``op_count`` still counts the enumeration's rates: it is
+    the complexity measure the allocators are compared by, and it does not
+    fall with the wall-clock time.
     """
     gam = np.array(_as_gamma(gamma))
     K = gam.size
@@ -1034,14 +1070,11 @@ def exhaustive_optimal(gamma, grid_tau: int, grid_beta: int) -> AllocationResult
             tables, values, steps = optima(tau[i0 : i0 + 1, :, np.newaxis])
             # Upper bound: with j = s0 - 1 plus one step for the UAV that is
             # worst at row i0's composition s0, sum(j) = grid_beta - K + 1, so
-            # every composition gives some UAV k at most j_k steps.  A row is
-            # then worth at most the largest of the first j_k entries of some
-            # UAV k's table, whether or not its tables rise.
+            # every composition gives some UAV k at most j_k steps.
             j = [s - 1 for s in steps(0)]
             at_s0 = [tables[0, k, n] for k, n in enumerate(j)]
             j[at_s0.index(min(at_s0))] += 1
-            prefixes = np.concatenate([share_axis[:n] for n in j])
-            upper = _rate(prefixes * one_minus_tau, tau * np.repeat(gam, j)).max(axis=1)
+            upper = _row_bound(tau, gam, share_axis, j)
             # Only rows that may reach the floor can hold the first maximum.
             candidates = np.flatnonzero(upper >= max(values[0], best_rate))
             if not candidates.size:

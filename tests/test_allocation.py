@@ -1038,6 +1038,116 @@ class TestExhaustiveOptimal:
         assert abs(math.fsum(res.beta) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("log2", [np.log2, math.log2], ids=["np.log2", "math.log2"])
+def test_rates_are_within_the_rounding_bound_of_the_lookup_margin(log2):
+    # The bound that _LOOKUP_MARGIN rests on, for both of its readers:
+    # |computed - exact| <= (5u / ln(1 + q) + 10u) * exact for q from
+    # _LOOKUP_MIN_SNR to _LOOKUP_MAX_SNR and eff across the normal doubles,
+    # the exact rate being that of the double operands eff and c = q * eff.
+    u = 2.0**-53
+    rng = np.random.default_rng(31)
+    eff = np.append(2.0 ** rng.uniform(-1022.0, 1024.0, 2500), [2.0**-1022] * 2 + [1.0] * 2)
+    q = np.append(10.0 ** rng.uniform(-2.0, 300.0, 2500), [1e-2, 1e300, 1e-2, 1e300])
+    with np.errstate(over="ignore"):
+        c = q * eff
+        rates = _rate(eff, c) if log2 is np.log2 else np.array(
+            [_rate(e, g, 1.0, log2) for e, g in zip(eff.tolist(), c.tolist())]
+        )
+    finite = np.isfinite(rates) & np.isfinite(c)
+    assert finite.sum() > 1500
+    with mpmath.workdps(60):
+        ln2 = mpmath.log(2)
+        for e, g, r in zip(eff[finite].tolist(), c[finite].tolist(), rates[finite].tolist()):
+            e, g = mpmath.mpf(e), mpmath.mpf(g)
+            assert allocation._LOOKUP_MIN_SNR * (1 - 1e-15) <= g / e
+            assert g / e <= allocation._LOOKUP_MAX_SNR * (1 + 1e-15)
+            ln1q = mpmath.log1p(g / e)
+            exact = e * ln1q / ln2
+            assert abs(r - exact) <= (5 * u / ln1q + 10 * u) * exact, (e, g)
+
+
+@pytest.fixture
+def rated(monkeypatch):
+    """The number of elements each ``allocation._rate`` call rates."""
+    sizes = []
+    rate = allocation._rate
+
+    def recording(eff, c, *args):
+        sizes.append(np.broadcast(eff, c).size)
+        return rate(eff, c, *args)
+
+    monkeypatch.setattr(allocation, "_rate", recording)
+    return sizes
+
+
+@pytest.fixture
+def infinite_bounds(monkeypatch):
+    """The number of tau rows each row-bound pass of the grid leaves at +inf."""
+    counts = []
+    bound = allocation._row_bound
+
+    def recording(*args):
+        upper = bound(*args)
+        counts.append(int(np.count_nonzero(upper == math.inf)))
+        return upper
+
+    monkeypatch.setattr(allocation, "_row_bound", recording)
+    return counts
+
+
+class TestGridRowBound:
+    """The grid bounds each tau row with one rate per UAV (``_row_bound``).
+    The work pins are measured: K rates per row for the lower bound and at
+    most K for the upper one, where a table prefix would rate up to
+    grid_beta - K + 1 shares per row."""
+
+    def test_rates_per_call_on_the_single_draw_stream(self, rated):
+        # The first five K = 3 draws of perfbench's single-draw stream.
+        seed = np.random.SeedSequence(2024, spawn_key=(3,))
+        per_call = []
+        for gam in default_scenario_draws(3, 100, seed)[:5]:
+            rated.clear()
+            exhaustive_optimal(gam, grid_tau=200, grid_beta=100)
+            per_call.append(sum(rated))
+        assert per_call == [1200] * 5
+
+    def test_rates_per_call_on_an_a05_draw(self, rated):
+        gam = default_scenario_draws(3, 100, 2024)[0]
+        exhaustive_optimal(gam, grid_tau=1000, grid_beta=500)
+        # Six blocks of at most 175 rows: 3 rates per row for each bound.
+        assert rated == [525] * 10 + [375] * 2
+
+    @pytest.mark.parametrize(
+        "gains,grid_beta,inf_rows",
+        [
+            ([1.7e308, 1.5e308, 1.6e308], 10, 20),
+            ([1.7e308, 1.5e308], 10, 20),
+            ([1.7e308, 2.0], 2, 0),
+        ],
+    )
+    def test_overflowing_rates_reach_the_infinite_bound(
+        self, gains, grid_beta, inf_rows, infinite_bounds
+    ):
+        # The cases of TestExhaustiveOptimal's overflow test.  In the last,
+        # only the UAV with gain 2.0 is bounded, whose rates stay finite.
+        with np.errstate(over="ignore"), mock.patch.object(allocation, "_GRID_BLOCK_ELEMENTS", 10):
+            exhaustive_optimal(np.array(gains), grid_tau=20, grid_beta=grid_beta)
+        assert sum(infinite_bounds) == inf_rows
+
+    def test_low_snr_rows_reach_the_infinite_bound(self, infinite_bounds):
+        # The case of TestExhaustiveOptimal's low-SNR test: every row's SNR
+        # lies below _LOOKUP_MIN_SNR.
+        exhaustive_optimal(np.array([1e-11, 3e-12, 5e-12]), grid_tau=200, grid_beta=100)
+        assert infinite_bounds == [200]
+
+    def test_rows_whose_rates_fall_from_inf_reach_the_infinite_bound(self, infinite_bounds):
+        # The case of TestExhaustiveOptimal's equal-maxima test, where the
+        # rate at a row's last bounded share alone would skip the winner.
+        with np.errstate(over="ignore"):
+            exhaustive_optimal(np.array([1.18e308, 2.9e306]), grid_tau=11, grid_beta=52)
+        assert infinite_bounds == [11]
+
+
 class TestAllocationResult:
     def test_rejects_bad_tau(self):
         with pytest.raises(ConfigError, match="tau"):
