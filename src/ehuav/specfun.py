@@ -1,11 +1,13 @@
 """Self-contained special functions used by the closed-form outage analysis.
 
-Three functions are needed: the gamma function at positive integers, the
+Two functions are needed: the gamma function at positive integers and the
 modified Bessel function of the second kind at integer order (singly, or
-every order up to n in one pass), and the principal branch of the Lambert-W
-function.  All are pure Python with an explicit error budget, and K0/K1 at
-a bounded cost; the test suite checks them against quadrature, mpmath and
-defining-identity oracles.
+every order up to n in one pass).  The equal-bandwidth time split reads
+only the branch series of the principal Lambert-W branch; the branch
+itself (:func:`lambert_w0`) is kept for the benchmark harness, which traces
+it, and for its tests.  All are pure Python with an explicit error budget,
+and K0/K1 at a bounded cost; the test suite checks them against
+quadrature, mpmath and defining-identity oracles.
 """
 
 from __future__ import annotations

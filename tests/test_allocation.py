@@ -147,7 +147,7 @@ class TestEqualBandwidthTaf:
             equal_bandwidth_batch(np.ones((2, 6)), R_a)
 
     @pytest.mark.parametrize("K", [1, 6, 64])
-    @pytest.mark.parametrize("R_a", [1e-8, 1e-10, 1e-13, 1e-16, 1e-18, 1e-24, 1e-30])
+    @pytest.mark.parametrize("R_a", [1e-8, 1e-10, 1e-13, 1e-16, 1e-18, 1e-24, 1e-30, 1e-32])
     def test_tiny_rate_target_matches_mpmath(self, K, R_a):
         # 1 + q + w cancels near W0's branch point: it put 1 - tau 1.5e-7
         # off at R_a = 1e-10 (K = 6) and rounded to 0 at 1e-18, a
@@ -161,10 +161,14 @@ class TestEqualBandwidthTaf:
     def test_small_rate_targets_match_mpmath_within_4_ulp(self, K):
         # W0's argument -exp(-1) 2^(-K R_a), rounded before W0 sees it, is
         # magnified near the branch point by about 1/p^2: tau was 640 ulp
-        # off at K = 1, R_a = 1e-6 and 754 at K = 6, R_a = 1.8e-7.  Solving
-        # for 1 + w from q below p = 0.25 leaves it within 1 ulp there; W0
-        # still serves p >= 0.25 (K R_a above about 0.046).
-        for R_a in np.geomspace(1e-7, 0.05, 60).tolist():
+        # off at K = 1, R_a = 1e-6 and 754 at K = 6, R_a = 1.8e-7.  Far from
+        # it, 1 - q / (1 + q + w) cancels as tau falls: more than 4 ulp off
+        # from K R_a = 4.6 up, and 14890 ulp at K = 64, R_a = 901.  Solving
+        # for 1 + w from q at every rate keeps tau within 3 ulp.  At K = 1,
+        # R_a = 52.28... the start 1 - exp(-1 - q) rounds to 1 - 2**-53, just
+        # left of the root, and the first Newton step rounds to 1.0, where a
+        # second step's log1p(-v) would be a domain error.
+        for R_a in np.geomspace(1e-7, 1023, 120).tolist() + [52.28145950110455]:
             with mpmath.workdps(60):
                 q = K * mpmath.mpf(R_a) * mpmath.log(2)
                 exact = 1 - q / (1 + q + mpmath.lambertw(-mpmath.exp(-1 - q)).real)
