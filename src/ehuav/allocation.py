@@ -46,8 +46,12 @@ The batch baseline does not step through its inner share bisections:
 each one's final bracket is looked up in the bisection's midpoint tree
 (:func:`_share_tree`) and certified by the rates at its two ends, and the
 pairs that cannot be certified run the loop (:func:`_inner_shares`).  The
-per-draw baseline runs the loop itself, and rates only the midpoints that
-the targets it has already solved leave undecided.  The plain loop stays
+per-draw baseline runs the loop itself, but only at the targets that the
+monotone feasibility of its outer bisection leaves undecided, two per draw
+where a predicted flip is right, and there it rates only the midpoints that
+the targets already evaluated leave undecided.  Its ``inner_iters_beta``
+and ``op_count`` still count every step of the nested bisection, as
+:func:`exhaustive_optimal` counts its enumeration.  The plain loop stays
 in the tests as the reference.  The batch phase 1 decides each
 step's sign with ``np.log2`` and recomputes only the near-zero slopes
 exactly (:func:`_slope_rises`).  Every rate is one call of
@@ -90,6 +94,14 @@ _GRID_BLOCK_ELEMENTS = 1 << 18
 _SHARE_TREE_DEPTH = 16
 # Newton steps towards each inner bisection's share threshold per target.
 _SHARE_NEWTON_STEPS = 4
+# Caps of the per-draw baseline's predicted flip (:func:`_predicted_flip`):
+# Newton steps towards the equal-rate point, then leaf-end crossings.  The
+# prediction only picks the two targets evaluated first, so no result or
+# tally depends on them.  On default-scenario draws three steps put it
+# within a few leaf ends of the flip: at most 3 crossings at K = 6 (1000
+# draws), 9 at K = 64 (300).
+_FLIP_NEWTON_STEPS = 3
+_FLIP_LEAF_STEPS = 16
 # One rounding bound serves two readers.  A rate computed in doubles by
 # outage._rate, with either log2, is within about 5u / ln(1 + q) + 10u
 # (u = 2**-53) of the exact rate of its operands, with q = tau*g/eff its SNR.
@@ -497,6 +509,106 @@ def _fits_the_band(shares: list) -> bool:
     return float(np.sum(shares)) <= 1.0
 
 
+@functools.lru_cache(maxsize=4)
+def _uniform_depth(epsilon: float) -> int | None:
+    """The depth D of every leaf of the baseline's inner share bisection
+    (the loop from ``[epsilon, 1 - epsilon]`` while ``hi - lo > epsilon``),
+    or None where this test cannot prove that they all have one depth.
+
+    A bracket at depth j is the exact bisection's, of width ``W / 2**j``,
+    up to rounding: each midpoint adds at most ``2**-53`` to its ends'
+    error (they lie in (0, 1)), and the loop's ``hi - lo`` and ``W``
+    itself at most ``2**-53`` each, so the width the loop compares is
+    within ``(2 j + 2) 2**-53`` of it.  Where the widths at depth ``D - 1``
+    exceed epsilon and those at depth D do not, by more than that, every
+    leaf has depth D.  Where some width at depth D may equal epsilon, as
+    for ``epsilon = 0.1`` and every ``1 / (2**D + 2)``, the leaves lie at
+    depths D and D + 1.
+    """
+    width = (1.0 - epsilon) - epsilon
+    depth = 0
+    while math.ldexp(width, -depth) > epsilon:
+        depth += 1
+    margin = (2 * depth + 4) * 2.0**-53
+    if math.ldexp(width, -depth) <= epsilon - margin and (
+        depth == 0 or math.ldexp(width, 1 - depth) > epsilon + margin
+    ):
+        return depth
+    return None
+
+
+def _predicted_flip(
+    tau_gam: list[float], one_minus_tau: float, epsilon: float, depth: int
+) -> float:
+    """The largest target whose inner shares fit the band, as predicted
+    from the leaves of width ``w`` at the inner bisection's uniform depth;
+    NaN where the arithmetic fails.
+
+    First the equal-rate point of the max-min program: the rate T at which
+    the effective shares ``x_k``, each solving ``x log2(1 + c_k / x) = T``,
+    sum to ``(1 - tau)(1 - K w / 2)``, each share's loop ending on average
+    half a leaf above its threshold.  The start is the harmonic mean of the
+    rates at equal shares, with each ``x_k`` scaled to it; each of
+    :data:`_FLIP_NEWTON_STEPS` steps is one Newton step per ``x_k`` on
+    ``x ln(1 + c / x) = T ln 2`` and one on T over their sum.  Then each
+    share is rounded up to the end of its leaf, ``epsilon + w * i``, and T
+    moves to the rate at which the next share crosses a leaf end, for at
+    most :data:`_FLIP_LEAF_STEPS` crossings, until the sum is at most 1
+    just up to the flip and above 1 past it.
+    """
+    K = len(tau_gam)
+    w = math.ldexp((1.0 - epsilon) - epsilon, -depth)
+    budget = one_minus_tau * (1.0 - K * w / 2.0)
+    share = budget / K
+    try:
+        rates = [_rate(share, c, 1.0, math.log2) for c in tau_gam]
+        target = K / sum(1.0 / r for r in rates)
+        xs = [share * target / r for r in rates]
+        for step in range(_FLIP_NEWTON_STEPS + 1):
+            goal = target * _LN2
+            slope = 0.0  # d(sum x_k) / d(goal)
+            for k, c in enumerate(tau_gam):
+                x = xs[k]
+                z = c / x
+                log1p_z = math.log1p(z)
+                d = log1p_z - z / (1.0 + z)
+                xs[k] = x - (x * log1p_z - goal) / d
+                slope += 1.0 / d
+            if step < _FLIP_NEWTON_STEPS:  # the last pass fits the shares to T
+                target += (budget - sum(xs)) / (slope * _LN2)
+        ends = [epsilon + w * (math.floor((x / one_minus_tau - epsilon) / w) + 1) for x in xs]
+        fits = sum(ends) <= 1.0
+        # Each share's next crossing: the rate at its leaf's end if the sum
+        # fits (T may grow to it), else at the leaf's start.
+        move = w if fits else -w
+        cross = [_rate((e if fits else e - w) * one_minus_tau, c, 1.0, math.log2)
+                 for e, c in zip(ends, tau_gam)]
+        for _ in range(_FLIP_LEAF_STEPS):
+            target = min(cross) if fits else max(cross)
+            k = cross.index(target)
+            ends[k] += move
+            if (sum(ends) <= 1.0) != fits:
+                break
+            e = ends[k] if fits else ends[k] - w
+            cross[k] = _rate(e * one_minus_tau, tau_gam[k], 1.0, math.log2)
+    except (ArithmeticError, ValueError):
+        return math.nan
+    return target
+
+
+def _outer_leaf(x: float, top: float, epsilon: float) -> tuple[float, float]:
+    """The leaf ``[lo, hi]`` of the baseline's target bisection of
+    ``[0, top]`` that holds ``x``; a node goes to the leaf above it."""
+    lo, hi = 0.0, top
+    while hi - lo > epsilon:
+        mid = 0.5 * (lo + hi)
+        if x < mid:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     """Nested-bisection baseline for the same max-min program.
 
@@ -505,19 +617,34 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     a common target rate: each candidate target needs one inner bisection
     per UAV for the smallest share achieving it, and the candidate is
     feasible when those shares sum to at most 1.  The last feasible share
-    vector is normalized to sum exactly 1.  ``inner_iters_beta`` counts
-    every step of the inner bisections.
+    vector is normalized to sum exactly 1.  The tallies are those of that
+    nested bisection: ``iters_beta`` counts its targets, and
+    ``inner_iters_beta`` and ``op_count`` count every step of every inner
+    bisection, as :func:`exhaustive_optimal` counts its enumeration.
 
-    Each inner bisection is the plain loop, but it rates only some of its
-    midpoints.  At a fixed midpoint, ``rate >= target`` can only turn false
-    as the target grows, whatever the rate (NaN and inf included), so a
-    UAV's final bracket does not move down as the target grows.  Every
-    target the outer bisection tries lies between ``target_lo`` and
-    ``target_hi``, whose brackets it has already found: a midpoint at or
-    below the final ``lo`` at ``target_lo`` goes up, one at or above the
-    final ``hi`` at ``target_hi`` goes down, and only those strictly between
-    are rated.  The steps before the first rated midpoint are the same at
-    every later target, so each loop resumes from there.
+    The function returns what that loop returns, bit for bit, without
+    solving every target.  At a fixed midpoint, ``rate >= target`` can only
+    turn false as the target grows, whatever the rate (NaN and inf
+    included), so each UAV's final bracket never moves down as the target
+    grows, and the shares' sum (:func:`_fits_the_band`) never falls.  So a
+    target at or below an evaluated feasible one is feasible, and one at or
+    above an evaluated infeasible one is not.  The outer bisection is
+    replayed with that rule, and only the targets it leaves undecided are
+    evaluated: each inner bisection is the plain loop, which rates only the
+    midpoints strictly between the final ``lo`` at the nearest evaluated
+    target below and the final ``hi`` at the nearest one above (the others
+    go up or down as there).  The last feasible target of the path is the
+    largest evaluated feasible one, since no node of the bisection lies
+    inside its final bracket, so ``best`` is always that target's shares.
+
+    Where :func:`_uniform_depth` proves that every inner bisection takes D
+    steps, ``inner_iters_beta`` is ``iters_beta * K * D``, and the two ends
+    of the outer bisection's leaf that holds the predicted flip
+    (:func:`_predicted_flip`) are evaluated before the replay.  Where the
+    prediction is right they decide the whole path.  Every later evaluation
+    is a node of the path, so a wrong or NaN prediction costs at most two
+    evaluations more than the path's length, and no result depends on it.
+    Elsewhere every node of the path is evaluated, to count its steps.
     """
     gains = _as_gamma(gamma)
     K = len(gains)
@@ -535,35 +662,21 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
     one_minus_tau = 1.0 - tau_o
     tau_gam = [tau_o * g for g in gains]
     eff = (1.0 - epsilon) * one_minus_tau
-    target_lo = 0.0
     target_hi = min(_rate(eff, c, 1.0, math.log2) for c in tau_gam)  # the whole-band rates
-    # Per UAV: the final lo of its share bisection at target_lo, the final hi
-    # at target_hi, and the last bisection's bracket and step count at its
-    # first rate evaluation.
-    low = [epsilon] * K
-    high = [1.0 - epsilon] * K
-    start = [(epsilon, 1.0 - epsilon, 0)] * K
-    best = [epsilon] * K  # the trivially feasible zero-rate shares
-    iters_beta = 0
-    inner_total = 0
-    while target_hi - target_lo > epsilon:
-        target = 0.5 * (target_lo + target_hi)
+    # The largest evaluated feasible target with each UAV's final lo and hi
+    # there, and the smallest evaluated infeasible one with each final hi.
+    # Both targets are NaN before their first, so every comparison fails.
+    known_lo, low, best = math.nan, [epsilon] * K, [epsilon] * K
+    known_hi, high = math.nan, [1.0 - epsilon] * K
+    steps = 0
+
+    def evaluate(target: float) -> bool:
         # Every target lies below the smallest whole-band rate, so every UAV
         # reaches it; the smallest share that does is its loop's final hi.
-        los, his = [], []
-        for k, c in enumerate(tau_gam):
-            lo, hi, steps = start[k]
-            floor, ceiling = low[k], high[k]
-            while hi - lo > epsilon:
-                mid = 0.5 * (lo + hi)
-                if mid <= floor:
-                    lo = mid
-                elif mid >= ceiling:
-                    hi = mid
-                else:
-                    break
-                steps += 1
-            start[k] = (lo, hi, steps)
+        nonlocal known_lo, low, best, known_hi, high, steps
+        los, his, n = [], [], 0
+        for c, floor, ceiling in zip(tau_gam, low, high):
+            lo, hi = epsilon, 1.0 - epsilon
             while hi - lo > epsilon:
                 mid = 0.5 * (lo + hi)
                 if floor < mid and (
@@ -572,12 +685,35 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
                     hi = mid
                 else:
                     lo = mid
-                steps += 1
+                n += 1
             los.append(lo)
             his.append(hi)
-            inner_total += steps
-        iters_beta += 1
+        steps += n
         feasible = _fits_the_band(his)
+        if feasible:
+            known_lo, low, best = target, los, his
+        else:
+            known_hi, high = target, his
+        return feasible
+
+    depth = _uniform_depth(epsilon)
+    # A finite target_hi lies below 1024 bit/s/Hz, so every midpoint of the
+    # outer bisection falls strictly inside its bracket (see the stall test).
+    if depth is not None and epsilon < target_hi < math.inf:
+        flip = _predicted_flip(tau_gam, one_minus_tau, epsilon, depth)
+        if 0.0 < flip < target_hi:
+            for node in _outer_leaf(flip, target_hi, epsilon):
+                if 0.0 < node < target_hi:  # the ends of [0, target_hi] are no nodes
+                    evaluate(node)
+    target_lo = 0.0
+    iters_beta = 0
+    while target_hi - target_lo > epsilon:
+        target = 0.5 * (target_lo + target_hi)
+        if depth is None or not (target <= known_lo or target >= known_hi):
+            feasible = evaluate(target)
+        else:
+            feasible = target <= known_lo
+        iters_beta += 1
         # Unreachable for finite targets: they lie below 1024 bit/s/Hz, where
         # doubles are at most 2.3e-13 apart, so a bracket wider than epsilon
         # (>= EPSILON_MIN = 1e-12) has its midpoint strictly inside.  The
@@ -585,9 +721,11 @@ def conventional_allocate(gamma, epsilon: float) -> AllocationResult:
         if target == (target_lo if feasible else target_hi):
             raise _stall_error(target_lo, target_hi, epsilon)
         if feasible:
-            target_lo, low, best = target, los, his
+            target_lo = target
         else:
-            target_hi, high = target, his
+            target_hi = target
+    # Without a uniform depth, only the path's nodes were evaluated.
+    inner_total = steps if depth is None else iters_beta * K * depth
     best = np.array(best)
     best = best / best.sum()
     return AllocationResult(

@@ -6,17 +6,20 @@ One document, four sections — ``network``, ``environment``, ``timing``,
 cost and sweep settings of :class:`~ehuav.experiments.ExperimentSpec`, which
 :func:`load_config` returns; the last two sections are optional, and what
 they leave out takes the ``ExperimentSpec`` defaults.  This module checks
-only the file's shape: unknown sections and keys, required keys, numbers (a
+the file's shape: unknown sections and keys, required keys, numbers (a
 YAML bool is not one), lists, and the per-UAV scalars that broadcast to
 every UAV.  The bounds are the rule tables
 :data:`~ehuav.channel.NETWORK_RULES`, :data:`~ehuav.channel.ENVIRONMENT_RULES`
 and :data:`~ehuav.experiments.EXPERIMENT_RULES`, which the dataclasses check
 too.  *All* problems are reported at once, each prefixed with its dotted
-key path.
+key path.  A file that passes them must also give every UAV a link budget
+whose gains stay normal doubles (:func:`_check_link_budgets`).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import fields
 
 import yaml
@@ -30,7 +33,7 @@ from .channel import (
     violations,
 )
 from .errors import ConfigError
-from .experiments import EXPERIMENT_RULES, ExperimentSpec
+from .experiments import EXPERIMENT_RULES, ExperimentSpec, link_budgets
 
 _NETWORK_KEYS = tuple(f.name for f in fields(NetworkConfig) if f.name != "env")
 _NETWORK_SCALARS = tuple(key for key in _NETWORK_KEYS if key not in PER_UAV)
@@ -179,6 +182,27 @@ def load_config(path) -> ExperimentSpec:
             report.add(f"{section}.{field}", message)
     report.raise_if_any()
 
-    return ExperimentSpec(
-        network=NetworkConfig(**net, env=EnvironmentParams(**env)), **cost, **exp
-    )
+    network = NetworkConfig(**net, env=EnvironmentParams(**env))
+    _check_link_budgets(network, report)
+    report.raise_if_any()
+    return ExperimentSpec(network=network, **cost, **exp)
+
+
+def _check_link_budgets(network: NetworkConfig, report: _Report) -> None:
+    """Each UAV's hop gains lam and mu, and its gain scale rho*lam*mu in
+    the order the sampler multiplies, must be normal, finite doubles.
+
+    Each draw is that scale times two Gamma draws, so where the scale
+    rounds to 0 or inf (``d_hat`` or ``A_hat`` at 1e300) every gain does,
+    and where it or a hop gain is subnormal, draws round to 0 (``p_c`` at
+    5e-324 with unit shapes): the allocators refuse such gains.
+    """
+    for k, budget in enumerate(link_budgets(network)):
+        scale = budget.rho * budget.lam * budget.mu
+        if not all(sys.float_info.min <= v < math.inf for v in (budget.lam, budget.mu, scale)):
+            report.add(
+                "network",
+                f"UAV {k}'s link budget lam={budget.lam:.6g}, mu={budget.mu:.6g}, "
+                f"rho*lam*mu={scale:.6g}: each must be a normal, finite double "
+                f"(>= {sys.float_info.min:.6g}), or its channel gains round to 0 or inf",
+            )

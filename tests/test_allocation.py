@@ -701,6 +701,113 @@ def test_per_draw_baseline_builds_no_share_tree(monkeypatch):
         conventional_allocate_batch(gains, EPS)
 
 
+def counted_targets(monkeypatch):
+    """One entry per per-draw baseline call from here on: the targets it
+    evaluates (each evaluation sums its shares once)."""
+    counts = []
+    fits = allocation._fits_the_band
+
+    def counting(shares):
+        counts[-1] += 1
+        return fits(shares)
+
+    def allocate(gam, epsilon):
+        counts.append(0)
+        return conventional_allocate(gam, epsilon)
+
+    monkeypatch.setattr(allocation, "_fits_the_band", counting)
+    return counts, allocate
+
+
+# Tolerances whose share-tree leaves lie at two depths, D and D + 1: a
+# bracket at depth D is as wide as epsilon up to rounding.
+TWO_DEPTH_EPSILONS = [0.1] + [1.0 / (2**D + 2) for D in range(2, 15)]
+
+
+@pytest.mark.parametrize("epsilon", TWO_DEPTH_EPSILONS)
+def test_two_depth_tolerances_evaluate_every_target(epsilon, monkeypatch):
+    # The uniform-depth test proves nothing there, so every target of the
+    # path is evaluated and its steps counted, as the reference counts them.
+    D = round(math.log2(1.0 / epsilon - 2.0))
+    assert set(allocation._share_tree(epsilon).depth.tolist()) == {D, D + 1}
+    assert allocation._uniform_depth(epsilon) is None
+    counts, allocate = counted_targets(monkeypatch)
+    gains = default_scenario_draws(6, 4, 21)
+    for gam in [*gains, *10.0 ** np.random.default_rng(D).uniform(-1.0, 3.0, size=(4, 5))]:
+        expected = outcome(reference_conventional_allocate, gam, epsilon)
+        assert outcome(allocate, gam, epsilon) == expected
+        assert counts[-1] == expected[3]
+
+
+def test_uniform_depth_agrees_with_the_share_tree():
+    # Tolerances whose whole tree fits under the tabulation cap.
+    rng = np.random.default_rng(17)
+    epsilons = 10.0 ** rng.uniform(math.log10(4e-5), math.log10(0.49), 250)
+    for epsilon in [*epsilons.tolist(), 0.4, EPS]:
+        depths = set(allocation._share_tree(epsilon).depth.tolist())
+        assert max(depths) < allocation._SHARE_TREE_DEPTH
+        depth = allocation._uniform_depth(epsilon)
+        # Proved, or leaves at two depths.
+        assert depths == ({depth} if depth is not None else {min(depths), min(depths) + 1})
+    # Exactly at a depth's width the margin proves neither side, so a tree
+    # of one depth goes unproved and every target is evaluated.
+    assert set(allocation._share_tree(0.25).depth.tolist()) == {1}
+    assert allocation._uniform_depth(0.25) is None
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, EPS, 2e-5, 1e-7, EPSILON_MIN])
+def test_uniform_depth_counts_the_reference_steps(epsilon):
+    D = allocation._uniform_depth(epsilon)
+    assert D is not None
+    for gam in default_scenario_draws(6, 10, 31):
+        res = reference_conventional_allocate(gam, epsilon)
+        assert res.inner_iters_beta == res.iters_beta * 6 * D
+
+
+@pytest.mark.parametrize("where", ["zero", "top", "nan", "inf", "bottom leaf", "far leaf"])
+def test_a_wrong_prediction_costs_time_only(where, monkeypatch):
+    # The prediction only picks the first two targets: whatever it says,
+    # the result is the reference's, and every other target evaluated is a
+    # node of the path.
+    def predicted(tau_gam, one_minus_tau, epsilon, depth):
+        top = min(_rate((1.0 - epsilon) * one_minus_tau, c, 1.0, math.log2) for c in tau_gam)
+        return {
+            "zero": 0.0, "top": top, "nan": math.nan, "inf": math.inf,
+            "bottom leaf": 1e-9 * top, "far leaf": 0.93 * top,
+        }[where]
+
+    monkeypatch.setattr(allocation, "_predicted_flip", predicted)
+    counts, allocate = counted_targets(monkeypatch)
+    gains = [*default_scenario_draws(6, 10, 4), *default_scenario_draws(3, 10, 5)]
+    for epsilon in (EPS, 1e-2, 1e-7):
+        for gam in gains:
+            expected = outcome(reference_conventional_allocate, gam, epsilon)
+            assert outcome(allocate, gam, epsilon) == expected
+            assert counts[-1] <= expected[3] + 2
+
+
+def test_per_draw_baseline_evaluates_two_targets_per_default_draw(monkeypatch):
+    # Measured on these 200 draws: 2.00 targets evaluated per draw (2 on
+    # every draw) and 153.1 rate calls per draw, where evaluating each of
+    # the path's 14.9 targets takes 623.5.  The bounds leave 10% headroom.
+    epsilon = load_config(TABLE1).network.epsilon
+    gains = default_scenario_draws(6, 200, 12)
+    counts, allocate = counted_targets(monkeypatch)
+    calls = 0
+    rate = allocation._rate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rate(*args)
+
+    monkeypatch.setattr(allocation, "_rate", counting)
+    for gam in gains:
+        allocate(gam, epsilon)
+    assert np.mean(counts) <= 2.2
+    assert calls / len(gains) <= 170
+
+
 class TestProposedAllocate:
     def test_bookkeeping_and_conservation(self):
         for seed in range(40):

@@ -324,27 +324,42 @@ class TestOutage:
         assert "empirical_outage: 1 " in out
         assert "verdict: PASS\n" in out
 
-    def test_underflowing_gain_scale_is_certain_outage(self, tmp_path, capsys):
-        # At f_c = 1e100 every budget factor is positive (lam and mu about
-        # 5e-188, rho 1.76e12) but rho * lam * mu underflows to 0; u was
-        # divided by it, a ZeroDivisionError traceback.  u overflows
-        # instead, and every sampled gain underflows to 0.
-        path = table1_with(tmp_path, f_c=1.0e100)
-        assert main(["validate", path]) == EXIT_OK
-        assert main(["outage", path, "--trials", "500"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "analytic_outage: 1\n" in out
-        assert "empirical_outage: 1 " in out
-        assert "verdict: PASS\n" in out
-        # Every analytic outage is 1, so the altitude curve has no unique
-        # minimum: a trend failure, with the CSV written.
-        csv = tmp_path / "fig4.csv"
-        assert main(["fig4", path, "--out", str(csv)]) == EXIT_TREND
-        err = capsys.readouterr().err
-        assert err.startswith("error: trend assertion failed:\n")
-        assert "analytic equal-bandwidth curve has no unique minimum" in err
-        assert "Traceback" not in err
-        assert csv.exists()
+    @pytest.mark.parametrize(
+        "values, scale",
+        [
+            # Every budget factor is positive (at f_c = 1e100 lam and mu are
+            # about 5e-188, rho 1.76e12), but rho * lam * mu underflows to 0,
+            # and so does every sampled gain.
+            ({"f_c": 1.0e100}, "0"),
+            ({"d_hat": 1.0e300}, "0"),
+            ({"A_hat": 1.0e300}, "0"),
+            # A subnormal scale: with unit shapes, draws round to 0.
+            ({"p_c": 5.0e-324, "m_h": 1, "m_g": 1, "N_c": 1, "N_r": 1}, r"[0-9.]+e-3\d\d"),
+        ],
+    )
+    def test_gain_scale_past_the_normal_range_is_a_config_error(
+        self, tmp_path, capsys, values, scale
+    ):
+        # validate and outage exited 0 on these configs, while allocate
+        # refused every gain with a message that named no config key.
+        path = table1_with(tmp_path, **values)
+        csv = str(tmp_path / "out.csv")
+        for argv in (
+            ["validate", path],
+            ["allocate", path, "--seed", "1"],
+            ["outage", path, "--trials", "100"],
+            ["fig3", path, "--out", csv],
+            ["fig4", path, "--out", csv],
+        ):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: "), err
+            assert re.search(
+                rf"\n  network: UAV 0's link budget lam=\S+, mu=\S+, rho\*lam\*mu={scale}: "
+                r"each must be a normal, finite double \(>= 2\.22507e-308\), "
+                r"or its channel gains round to 0 or inf\n",
+                err,
+            ), err
 
     def test_overflowing_hop_gain_is_a_config_error(self, tmp_path, capsys):
         # At f_c = 1e-300 the path loss is about -6100 dB and 10^(-PL/10)
