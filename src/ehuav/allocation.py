@@ -42,15 +42,18 @@ A failing draw does not stop the others; only a malformed matrix or a bad
 ``epsilon`` or ``R_a`` makes the batch call itself raise.
 Phase 1, phase 2 and the baseline's outer target bisection replay the
 per-draw loops: the same brackets, stopping tests and operation order.
-The batch baseline does not step through its inner share bisections:
-each one's final bracket is looked up in the bisection's midpoint tree
-(:func:`_share_tree`) and certified by the rates at its two ends, and the
-pairs that cannot be certified run the loop (:func:`_inner_shares`).  The
-per-draw baseline runs the loop itself, but only at the targets that the
-monotone feasibility of its outer bisection leaves undecided, two per draw
-where a predicted flip is right, and there it rates only the midpoints that
-the targets already evaluated leave undecided.  Its ``inner_iters_beta``
-and ``op_count`` still count every step of the nested bisection, as
+Both baselines evaluate only the targets that the monotone feasibility of
+the outer bisection leaves undecided, two per draw where a predicted flip
+is right; the batch form predicts every row's flip at once
+(:func:`_predicted_flips`) and evaluates those two targets of all rows in
+two calls, so the rows it decides skip the outer loop.  The batch baseline
+does not step through its inner share bisections: each one's final bracket
+is looked up in the bisection's midpoint tree (:func:`_share_tree`) and
+certified by the rates at its two ends, and the pairs that cannot be
+certified run the loop (:func:`_inner_shares`).  The per-draw baseline
+runs the loop itself, and rates only the midpoints that the targets
+already evaluated leave undecided.  In both forms ``inner_iters_beta`` and
+``op_count`` still count every step of the nested bisection, as
 :func:`exhaustive_optimal` counts its enumeration.  The plain loop stays
 in the tests as the reference.  The batch phase 1 decides each
 step's sign with ``np.log2`` and recomputes only the near-zero slopes
@@ -102,6 +105,14 @@ _SHARE_NEWTON_STEPS = 4
 # draws), 9 at K = 64 (300).
 _FLIP_NEWTON_STEPS = 3
 _FLIP_LEAF_STEPS = 16
+# The batch baseline's predicted flips (:func:`_predicted_flips`) take at most
+# this many Newton steps, and stop once no row's target moves by more than
+# epsilon times _BATCH_FLIP_STOP; their leaf-end crossings are capped as
+# above.  On fig4's 2600 stacked default draws, 3 steps leave 175 rows whose
+# prediction misses the flip's leaf (137 of them at 30 m), 8 leave 2.  An
+# array step costs little; more steps would cost the per-draw form time.
+_BATCH_FLIP_NEWTON_STEPS = 8
+_BATCH_FLIP_STOP = 2.0**-6
 # One rounding bound serves two readers.  A rate computed in doubles by
 # outage._rate, with either log2, is within about 5u / ln(1 + q) + 10u
 # (u = 2**-53) of the exact rate of its operands, with q = tau*g/eff its SNR.
@@ -993,14 +1004,96 @@ def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup, start):
     return hi, counts.sum(axis=1), share
 
 
+def _predicted_flips(tau_gam, one_minus_tau, epsilon: float, depth: int) -> np.ndarray:
+    """:func:`_predicted_flip` on every row of ``tau_gam`` (shape ``(n, K)``,
+    with ``one_minus_tau`` of shape ``(n, 1)``): the same steps on arrays,
+    with ``np.log2``, and up to :data:`_BATCH_FLIP_NEWTON_STEPS` Newton
+    steps; NaN or inf where the arithmetic fails.  A prediction only picks
+    the targets evaluated first, so its bits need not be the per-draw
+    form's."""
+    K = tau_gam.shape[1]
+    w = math.ldexp((1.0 - epsilon) - epsilon, -depth)
+    budget = one_minus_tau[:, 0] * (1.0 - K * w / 2.0)
+    share = (budget / K)[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rates = _rate(share, tau_gam)
+        target = K / (1.0 / rates).sum(axis=1)
+        xs = share * target[:, np.newaxis] / rates
+        for step in range(_BATCH_FLIP_NEWTON_STEPS + 1):
+            goal = target[:, np.newaxis] * _LN2
+            z = tau_gam / xs
+            log1p_z = np.log1p(z)
+            d = log1p_z - z / (1.0 + z)
+            xs = xs - (xs * log1p_z - goal) / d
+            if step < _BATCH_FLIP_NEWTON_STEPS:  # the last pass fits the shares to T
+                shift = (budget - xs.sum(axis=1)) / ((1.0 / d).sum(axis=1) * _LN2)
+                target = target + shift
+                if not (np.abs(shift) > _BATCH_FLIP_STOP * epsilon).any():
+                    break
+        ends = epsilon + w * (np.floor((xs / one_minus_tau - epsilon) / w) + 1.0)
+        fits = ends.sum(axis=1) <= 1.0
+        move = np.where(fits, w, -w)
+        # Each share's next crossing: the rate at its leaf's end if the sum
+        # fits (T may grow to it), else at the leaf's start.
+        start = np.where(fits, 0.0, w)
+        cross = _rate((ends - start[:, np.newaxis]) * one_minus_tau, tau_gam)
+        rows = np.arange(target.size)  # the rows whose sum has not passed 1
+        for _ in range(_FLIP_LEAF_STEPS):
+            here = cross[rows]
+            k = np.where(fits[rows], here.argmin(axis=1), here.argmax(axis=1))
+            target[rows] = cross[rows, k]
+            ends[rows, k] += move[rows]
+            going = (ends[rows].sum(axis=1) <= 1.0) == fits[rows]
+            rows, k = rows[going], k[going]
+            if not rows.size:
+                break
+            cross[rows, k] = _rate(
+                (ends[rows, k] - start[rows]) * one_minus_tau[rows, 0], tau_gam[rows, k]
+            )
+    return target
+
+
+def _outer_leaves(x, top, epsilon: float, walking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_outer_leaf` of each ``x`` in the target bisection of
+    ``[0, top]``, for the ``walking`` rows (the others keep ``[0, top]``),
+    and each leaf's depth."""
+    lo, hi = np.zeros_like(top), top.copy()
+    depth = np.zeros(top.shape, dtype=np.int64)
+    while True:
+        walking = walking & (hi - lo > epsilon)
+        if not walking.any():
+            return lo, hi, depth
+        mid = 0.5 * (lo + hi)
+        below = x < mid
+        hi = np.where(walking & below, mid, hi)
+        lo = np.where(walking & ~below, mid, lo)
+        depth += walking
+
+
 def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
 
-    The outer target bisection runs on the draws still bracketing, and each
-    target's inner share bisections come from :func:`_inner_shares`.  Every
-    UAV reaches every target with the whole band (the targets lie below the
-    smallest whole-band rate), so every (draw, UAV) pair bisects.  Errors as
-    in :func:`proposed_allocate_batch`.
+    Each target's inner share bisections come from :func:`_inner_shares`.
+    Every UAV reaches every target with the whole band (the targets lie
+    below the smallest whole-band rate), so every (draw, UAV) pair bisects.
+    Feasibility is monotone in the target, as :func:`conventional_allocate`
+    shows, and decided by the same rule: a target at or below an evaluated
+    feasible one is feasible, one at or above an evaluated infeasible one
+    is not.
+
+    Where :func:`_uniform_depth` proves that every inner bisection takes D
+    steps, each row's flip is predicted (:func:`_predicted_flips`) and the
+    two ends of the outer leaf that holds it are evaluated first, in two
+    calls over all rows.  A row whose lower end is 0 or feasible and whose
+    upper end is the top or infeasible is decided: its path is the route to
+    that leaf, its ``iters_beta`` the leaf's depth and ``best`` the shares
+    at the lower end.  The other rows (a wrong or NaN prediction, or no
+    finite top) run the outer bisection in lockstep, evaluating only the
+    targets the rule leaves undecided; where no depth is proved that is
+    every target, to count its steps.  ``inner_iters_beta`` and
+    ``op_count`` still count every step of the nested bisection,
+    ``iters_beta * K * D`` where D is proved.  Errors as in
+    :func:`proposed_allocate_batch`.
     """
     gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
@@ -1019,30 +1112,63 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     share = np.full((T, K), np.nan)  # each pair's share threshold at the last target
     target_lo = np.zeros(T)
     target_hi = whole_band.min(axis=1)
-    best = np.full((T, K), epsilon)
+    # The largest evaluated feasible target with its shares, and the
+    # smallest evaluated infeasible one; NaN before the first, so every
+    # comparison with them fails.
+    known_lo, best = np.full(T, np.nan), np.full((T, K), epsilon)
+    known_hi = np.full(T, np.nan)
     iters_beta = zeros.copy()
     inner_total = zeros.copy()
+
+    def evaluate(rows, target) -> np.ndarray:
+        hi, inner, share[rows] = _inner_shares(
+            one_minus_tau[rows], tau_gam[rows], target[:, np.newaxis], epsilon,
+            lookup[rows], share[rows],
+        )
+        inner_total[rows] += inner
+        feasible = hi.sum(axis=1) <= 1.0
+        known_lo[rows[feasible]] = target[feasible]
+        best[rows[feasible]] = hi[feasible]
+        known_hi[rows[~feasible]] = np.fmin(known_hi[rows[~feasible]], target[~feasible])
+        return feasible
+
     outer = _live(T, errors)
+    depth = _uniform_depth(epsilon)
+    if depth is not None:
+        # A finite target_hi lies below 1024 bit/s/Hz, so every midpoint of
+        # the walk falls strictly inside its bracket.
+        flip = _predicted_flips(tau_gam, one_minus_tau, epsilon, depth)
+        walking = outer & (target_hi > epsilon) & (target_hi < math.inf)
+        walking &= (flip > 0.0) & (flip < target_hi)
+        lo, hi, steps = _outer_leaves(flip, target_hi, epsilon, walking)
+        for node in (lo, hi):  # ascending, so known_lo ends at the larger feasible one
+            rows = np.flatnonzero(walking & (node > 0.0) & (node < target_hi))
+            evaluate(rows, node[rows])
+        decided = walking & ((lo == 0.0) | (known_lo == lo))
+        decided &= (hi == target_hi) | (known_hi == hi)
+        iters_beta[decided] = steps[decided]
+        outer &= ~decided
     while True:
         outer &= target_hi - target_lo > epsilon
         rows = np.flatnonzero(outer)
         if not rows.size:
             break
         target = 0.5 * (target_lo[rows] + target_hi[rows])
-        hi, inner, share[rows] = _inner_shares(
-            one_minus_tau[rows], tau_gam[rows], target[:, np.newaxis], epsilon,
-            lookup[rows], share[rows],
-        )
-        inner_total[rows] += inner
+        # Without predicted targets, known_lo and known_hi are ends of the
+        # row's bracket, which its midpoint never reaches: all are evaluated.
+        feasible = target <= known_lo[rows]
+        undecided = np.flatnonzero(~(feasible | (target >= known_hi[rows])))
+        if undecided.size:
+            feasible[undecided] = evaluate(rows[undecided], target[undecided])
         iters_beta[rows] += 1
-        feasible = hi.sum(axis=1) <= 1.0
         stalled = target == np.where(feasible, target_lo[rows], target_hi[rows])
         for t in rows[stalled]:
             errors[int(t)] = _stall_error(float(target_lo[t]), float(target_hi[t]), epsilon)
         outer[rows[stalled]] = False
         target_lo[rows[feasible]] = target[feasible]
-        best[rows[feasible]] = hi[feasible]
         target_hi[rows[~feasible]] = target[~feasible]
+    if depth is not None:
+        inner_total = iters_beta * K * depth
     beta = best / best.sum(axis=1, keepdims=True)
     return _checked_batch(
         tau, beta, iters_tau, iters_beta, inner_total, iters_tau * K + inner_total, errors

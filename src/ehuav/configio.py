@@ -13,14 +13,15 @@ every UAV.  The bounds are the rule tables
 and :data:`~ehuav.experiments.EXPERIMENT_RULES`, which the dataclasses check
 too.  *All* problems are reported at once, each prefixed with its dotted
 key path.  A file that passes them must also give every UAV a link budget
-whose gains stay normal doubles (:func:`_check_link_budgets`).
+whose gains stay normal doubles, in the scenario and at every point of the
+two sweeps (:func:`_check_link_budgets`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import yaml
 
@@ -33,7 +34,7 @@ from .channel import (
     violations,
 )
 from .errors import ConfigError
-from .experiments import EXPERIMENT_RULES, ExperimentSpec, link_budgets
+from .experiments import EXPERIMENT_RULES, ExperimentSpec, _config_for_k, link_budgets
 
 _NETWORK_KEYS = tuple(f.name for f in fields(NetworkConfig) if f.name != "env")
 _NETWORK_SCALARS = tuple(key for key in _NETWORK_KEYS if key not in PER_UAV)
@@ -183,26 +184,53 @@ def load_config(path) -> ExperimentSpec:
     report.raise_if_any()
 
     network = NetworkConfig(**net, env=EnvironmentParams(**env))
-    _check_link_budgets(network, report)
+    spec = ExperimentSpec(network=network, **cost, **exp)
+    _check_link_budgets(spec, report)
     report.raise_if_any()
-    return ExperimentSpec(network=network, **cost, **exp)
+    return spec
 
 
-def _check_link_budgets(network: NetworkConfig, report: _Report) -> None:
+def _check_link_budgets(spec: ExperimentSpec, report: _Report) -> None:
     """Each UAV's hop gains lam and mu, and its gain scale rho*lam*mu in
-    the order the sampler multiplies, must be normal, finite doubles.
+    the order the sampler multiplies, must be normal, finite doubles: in
+    the scenario, and at every altitude of ``fig4`` and every K of ``fig3``,
+    whose geometries differ.
 
     Each draw is that scale times two Gamma draws, so where the scale
     rounds to 0 or inf (``d_hat`` or ``A_hat`` at 1e300) every gain does,
     and where it or a hop gain is subnormal, draws round to 0 (``p_c`` at
-    5e-324 with unit shapes): the allocators refuse such gains.
+    5e-324 with unit shapes): the allocators refuse such gains.  A sweep
+    value is checked only where the scenario passes, and reports its first
+    failing UAV; the K sweep only where the per-UAV values are uniform, as
+    ``fig3`` requires.
     """
-    for k, budget in enumerate(link_budgets(network)):
+    network = spec.network
+    problems = _budget_problems(network)
+    for problem in problems:
+        report.add("network", problem)
+    if problems:
+        return
+    sweeps = [("experiment.altitudes", f"A_hat={a:g}", replace(network, A_hat=a))
+              for a in spec.altitudes]
+    try:
+        sweeps += [("experiment.k_values", f"K={K}", _config_for_k(network, K))
+                   for K in spec.k_values]
+    except ConfigError:  # fig3 refuses the scenario with its own message
+        pass
+    for path, value, config in sweeps:
+        for problem in _budget_problems(config)[:1]:
+            report.add(path, f"at {value}, {problem}")
+
+
+def _budget_problems(config: NetworkConfig) -> list[str]:
+    """One message per UAV whose link budget fails the normal-double rule."""
+    problems = []
+    for k, budget in enumerate(link_budgets(config)):
         scale = budget.rho * budget.lam * budget.mu
         if not all(sys.float_info.min <= v < math.inf for v in (budget.lam, budget.mu, scale)):
-            report.add(
-                "network",
+            problems.append(
                 f"UAV {k}'s link budget lam={budget.lam:.6g}, mu={budget.mu:.6g}, "
                 f"rho*lam*mu={scale:.6g}: each must be a normal, finite double "
-                f"(>= {sys.float_info.min:.6g}), or its channel gains round to 0 or inf",
+                f"(>= {sys.float_info.min:.6g}), or its channel gains round to 0 or inf"
             )
+    return problems

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, golden
 
-from ehuav import allocation
+from ehuav import allocation, experiments
 from ehuav.allocation import (
     AllocationResult,
     conventional_allocate,
@@ -808,6 +808,85 @@ def test_per_draw_baseline_evaluates_two_targets_per_default_draw(monkeypatch):
     assert calls / len(gains) <= 170
 
 
+@pytest.fixture
+def batch_evaluations(monkeypatch):
+    """The rows of each ``_inner_shares`` call the batch baseline makes: one
+    call per evaluated target of those rows."""
+    rows = []
+    inner = allocation._inner_shares
+
+    def counting(one_minus_tau, *args):
+        rows.append(len(one_minus_tau))
+        return inner(one_minus_tau, *args)
+
+    monkeypatch.setattr(allocation, "_inner_shares", counting)
+    return rows
+
+
+@pytest.mark.parametrize("where", ["zero", "top", "nan", "inf", "far leaf", "random leaf"])
+def test_a_wrong_batch_prediction_costs_time_only(where, monkeypatch):
+    # The batch's predictions only pick the first two targets of each row:
+    # whatever they say, every row is the per-draw call's, bit for bit.
+    rng = np.random.default_rng(8)
+
+    def predicted(tau_gam, one_minus_tau, epsilon, depth):
+        top = _rate((1.0 - epsilon) * one_minus_tau, tau_gam).min(axis=1)
+        return {
+            "zero": 0.0 * top, "top": top, "nan": np.nan * top, "inf": np.inf * top,
+            "far leaf": 0.93 * top, "random leaf": rng.uniform(0.0, 1.0, top.size) * top,
+        }[where]
+
+    monkeypatch.setattr(allocation, "_predicted_flips", predicted)
+    gains = [
+        default_scenario_draws(6, 20, 4), default_scenario_draws(3, 20, 5),
+        10.0 ** rng.uniform(-1.0, 3.0, size=(20, 4)),
+    ]
+    for epsilon in (EPS, 1e-2, 1e-7):
+        for gam in gains:
+            assert_batch_replays_scalar(
+                conventional_allocate, conventional_allocate_batch, gam, epsilon
+            )
+
+
+@pytest.mark.parametrize("epsilon", TWO_DEPTH_EPSILONS)
+def test_two_depth_tolerances_batch_evaluates_every_target(epsilon, batch_evaluations, monkeypatch):
+    # No depth is proved, so nothing is predicted and each row evaluates
+    # every target of its path, as the per-draw call does.
+    def refuse(*args):
+        raise AssertionError("predicted a flip without a uniform depth")
+
+    monkeypatch.setattr(allocation, "_predicted_flips", refuse)
+    rng = np.random.default_rng(round(1.0 / epsilon))
+    for gains in (default_scenario_draws(6, 6, 21), 10.0 ** rng.uniform(-1.0, 3.0, size=(6, 5))):
+        assert_batch_replays_scalar(
+            conventional_allocate, conventional_allocate_batch, gains, epsilon
+        )
+        batch_evaluations.clear()
+        result = conventional_allocate_batch(gains, epsilon)
+        assert sum(batch_evaluations) == result.iters_beta.sum()
+
+
+def test_batch_baseline_evaluates_two_targets_per_fig4_draw(batch_evaluations):
+    # fig4's stack: the 13 altitudes x 200 draws of configs/table1.yaml in
+    # one batch call.  Measured: 13 _inner_shares calls, the two predicted
+    # targets of 2598 rows and then 11 lockstep targets of the other 2 rows
+    # (one prediction NaN, one above the top, as in the per-draw form), so
+    # 22 rows evaluated beyond the two.  The bounds leave about 15% and
+    # 100% headroom.
+    spec = load_config(TABLE1)
+    configs = [replace(spec.network, A_hat=altitude) for altitude in spec.altitudes]
+    stack = np.concatenate([
+        experiments._point_draws(experiments.link_budgets(config), config, spec, point)
+        for point, config in enumerate(configs)
+    ])
+    assert stack.shape == (2600, 6)
+    result = conventional_allocate_batch(stack, spec.network.epsilon)
+    assert not result.errors
+    assert min(batch_evaluations[:2]) >= 2590
+    assert len(batch_evaluations) <= 15
+    assert sum(batch_evaluations[2:]) <= 44
+
+
 class TestProposedAllocate:
     def test_bookkeeping_and_conservation(self):
         for seed in range(40):
@@ -1519,6 +1598,15 @@ def loop_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def every_batch_target(monkeypatch):
+    """The batch baseline with its predicted flips NaN: it evaluates every
+    target of each path, the first at the midpoint of ``[0, top]``."""
+    monkeypatch.setattr(
+        allocation, "_predicted_flips", lambda tau_gam, *args: np.full(len(tau_gam), np.nan)
+    )
+
+
 def assert_per_draw_equals_the_reference(gains, epsilon):
     for gam in gains:
         assert outcome(conventional_allocate, gam, epsilon) == outcome(
@@ -1576,7 +1664,7 @@ class TestConventionalShareLookup:
 
     @pytest.mark.parametrize("node", [1024, 2731, 5000])
     def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
-        self, node, loop_starts
+        self, node, loop_starts, every_batch_target
     ):
         # UAV 0 is the weaker one, so it alone sets tau and the first target;
         # UAV 1's gain puts its rate at the tree node's share on that target.
@@ -1593,7 +1681,7 @@ class TestConventionalShareLookup:
         assert loop_starts[0] == 1
         assert_per_draw_equals_the_reference(gains, EPS)
 
-    def test_low_snr_pairs_always_run_the_loop(self, loop_starts):
+    def test_low_snr_pairs_always_run_the_loop(self, loop_starts, every_batch_target):
         # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
         # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
         gains, epsilon = np.array([[5e-5, 6e-5]]), 2e-5

@@ -361,6 +361,41 @@ class TestOutage:
                 err,
             ), err
 
+    @pytest.mark.parametrize(
+        "network, experiment, message",
+        [
+            # fig4 aborted every allocator at 1e300 m and still exited 0.
+            ({}, {"altitudes": [100, 1.0e300]}, r"experiment\.altitudes: at A_hat=1e\+300, "),
+            # A subnormal gain scale at K = 7 only: the geometry depends on K.
+            (
+                {"p_c": 1.995262314971282e-308, "m_h": 1, "m_g": 1, "N_c": 1, "N_r": 1},
+                {"altitudes": [120], "k_values": [6, 7]},
+                r"experiment\.k_values: at K=7, ",
+            ),
+        ],
+    )
+    def test_sweep_point_past_the_normal_range_is_a_config_error(
+        self, tmp_path, capsys, network, experiment, message
+    ):
+        with open(TABLE1, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+        data["network"].update(network)
+        data["experiment"].update(experiment, trials=20)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        csv = str(tmp_path / "out.csv")
+        for argv in (["validate", str(path)], ["fig3", str(path), "--out", csv],
+                     ["fig4", str(path), "--out", csv]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: 1 problem(s)\n  "), err
+            assert re.search(
+                message + r"UAV \d+'s link budget lam=\S+, mu=\S+, rho\*lam\*mu=\S+: "
+                r"each must be a normal, finite double",
+                err,
+            ), err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_overflowing_hop_gain_is_a_config_error(self, tmp_path, capsys):
         # At f_c = 1e-300 the path loss is about -6100 dB and 10^(-PL/10)
         # raised OverflowError, a traceback with exit 1: the mirror image of
