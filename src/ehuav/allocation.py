@@ -40,14 +40,14 @@ run the per-draw algorithm on every row at once, so row ``t`` of the result
 same result bit for bit, tallies included, or a raise of the same error.
 A failing draw does not stop the others; only a malformed matrix or a bad
 ``epsilon`` or ``R_a`` makes the batch call itself raise.
-Phase 1, phase 2 and the baseline's outer target bisection replay the
-per-draw loops: the same brackets, stopping tests and operation order.
-Both baselines evaluate only the targets that the monotone feasibility of
-the outer bisection leaves undecided, two per draw where a predicted flip
-is right; the batch form predicts every row's flip at once
-(:func:`_predicted_flips`) and evaluates those two targets of all rows in
-two calls, so the rows it decides skip the outer loop.  The batch baseline
-does not step through its inner share bisections: each one's final bracket
+Phase 1 and phase 2 replay the per-draw loops: the same brackets,
+stopping tests and operation order.  Both baselines evaluate only the
+targets that the monotone feasibility of the outer bisection leaves
+undecided, two per draw where a predicted flip is right; the batch form
+predicts every row's flip at once (:func:`_predicted_flips`) and evaluates
+those two targets of all rows in two calls, and each row they leave
+undecided is its per-draw call.  The batch baseline does not step through
+its inner share bisections at those two targets: each one's final bracket
 is looked up in the bisection's midpoint tree (:func:`_share_tree`) and
 certified by the rates at its two ends, and the pairs that cannot be
 certified run the loop (:func:`_inner_shares`).  The per-draw baseline
@@ -875,11 +875,11 @@ class _ShareTree:
 
     The inner bisection starts at ``[epsilon, 1 - epsilon]`` and halves the
     bracket until it is at most epsilon wide, so for a given epsilon its
-    brackets form one fixed tree.  Leaf ``i`` is ``[edges[i], edges[i + 1]]``
-    at depth ``depth[i]``; it is final when at most epsilon wide, and
-    otherwise was cut off at :data:`_SHARE_TREE_DEPTH`.  The edges are the
-    midpoints the loop computes, with the same operations, so a leaf's
-    width is the loop's ``hi - lo`` there.
+    brackets form one fixed tree.  Leaf ``i`` is ``[edges[i], edges[i + 1]]``;
+    it is final when at most epsilon wide, and otherwise was cut off at
+    :data:`_SHARE_TREE_DEPTH`.  The edges are the midpoints the loop
+    computes, with the same operations, so a leaf's width is the loop's
+    ``hi - lo`` there.
 
     ``first_leaf`` maps equal buckets of the bracket, each narrower than
     every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
@@ -888,7 +888,6 @@ class _ShareTree:
     """
 
     edges: np.ndarray
-    depth: np.ndarray
     first_leaf: np.ndarray
     bucket_scale: float
 
@@ -897,56 +896,45 @@ class _ShareTree:
         edges (a NaN share gets leaf 0)."""
         position = np.fmax((share - self.edges[0]) * self.bucket_scale, 0.0)
         leaf = self.first_leaf[np.fmin(position, self.first_leaf.size - 1).astype(np.intp)]
-        return np.minimum(leaf + (share > self.edges[leaf + 1]), self.depth.size - 1)
+        return np.minimum(leaf + (share > self.edges[leaf + 1]), self.edges.size - 2)
 
 
 @functools.lru_cache(maxsize=4)
 def _share_tree(epsilon: float) -> _ShareTree:
     """The :class:`_ShareTree` of ``epsilon``, built on first use."""
     lo, hi = np.array([epsilon]), np.array([1.0 - epsilon])
-    leaf_lo, leaf_depth = [], []
-    for depth in range(_SHARE_TREE_DEPTH + 1):
-        if depth == _SHARE_TREE_DEPTH:
-            leaf_lo.append(lo)
-            leaf_depth.append(np.full(lo.size, depth))
-            break
+    leaf_lo = []
+    for _ in range(_SHARE_TREE_DEPTH):
         split = hi - lo > epsilon
         leaf_lo.append(lo[~split])
-        leaf_depth.append(np.full(np.count_nonzero(~split), depth))
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    leaf_lo = np.concatenate(leaf_lo)
-    order = np.argsort(leaf_lo)
-    edges = np.append(leaf_lo[order], 1.0 - epsilon)
+    edges = np.append(np.sort(np.concatenate([*leaf_lo, lo])), 1.0 - epsilon)
     bucket = np.diff(edges).min() * (1.0 - 1e-9)
     starts = epsilon + bucket * np.arange(int((edges[-1] - epsilon) / bucket) + 1)
-    depth = np.concatenate(leaf_depth)[order]
     tree = _ShareTree(
         edges=edges,
-        depth=depth,
-        first_leaf=np.searchsorted(edges, starts, side="right").clip(1, order.size) - 1,
+        first_leaf=np.searchsorted(edges, starts, side="right").clip(1, edges.size - 1) - 1,
         bucket_scale=1.0 / bucket,
     )
-    for table in (tree.edges, tree.depth, tree.first_leaf):
+    for table in (tree.edges, tree.first_leaf):
         table.setflags(write=False)  # cached and shared by every caller
     return tree
 
 
-def _share_threshold(start, one_minus_tau, tau_gam, target_col) -> np.ndarray:
-    """Newton steps from the share ``start`` towards the share at which the
-    rate reaches the target.
+def _share_threshold(one_minus_tau, tau_gam, target_col) -> np.ndarray:
+    """Newton steps towards the share at which the rate reaches the target.
 
     The steps run on the effective share ``x = share * (1 - tau)``, solving
-    ``x * log2(1 + c / x) = target`` with ``c = tau * g``.  The rate is
-    increasing and concave in x, so every step lands at or below the root,
-    and so does the floor ``c * a**2 / (1 - a**2)`` with
-    ``a = target * ln2 / c`` (from ``ln(1 + z) < z / sqrt(1 + z)``).
+    ``x * log2(1 + c / x) = target`` with ``c = tau * g``, from the floor
+    ``c * a**2 / (1 - a**2)`` with ``a = target * ln2 / c``, which lies below
+    the root (from ``ln(1 + z) < z / sqrt(1 + z)``).  The rate is increasing
+    and concave in x, so every step lands at or below the root too.
     """
     goal = target_col * _LN2
     a = goal / tau_gam
-    floor = tau_gam * a * a / (1.0 - a * a)
-    x = np.fmax(start * one_minus_tau, floor)  # a NaN start takes the floor
+    x = floor = tau_gam * a * a / (1.0 - a * a)
     for _ in range(_SHARE_NEWTON_STEPS):
         z = tau_gam / x
         log1p_z = np.log1p(z)
@@ -954,54 +942,52 @@ def _share_threshold(start, one_minus_tau, tau_gam, target_col) -> np.ndarray:
     return x / one_minus_tau
 
 
-def _bisect_shares(lo, hi, bisecting, one_minus_tau, tau_gam, target_col, epsilon, counts):
+def _bisect_shares(lo, hi, bisecting, one_minus_tau, tau_gam, target_col, epsilon):
     """The baseline's inner share bisection on the ``bisecting`` pairs, from
-    their ``lo``/``hi`` brackets: the final ``hi`` and the per-pair
-    ``counts`` plus the steps taken."""
+    their ``lo``/``hi`` brackets: the final ``hi``."""
     while True:
         bisecting = bisecting & (hi - lo > epsilon)
         if not bisecting.any():
-            return hi, counts
+            return hi
         mid = 0.5 * (lo + hi)
         up = _reaches(mid, one_minus_tau, tau_gam, target_col)
         hi = np.where(bisecting & up, mid, hi)
         lo = np.where(bisecting & ~up, mid, lo)
-        counts = counts + bisecting
 
 
-def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup, start):
-    """Each inner bisection's final ``hi``, each row's inner count, and the
-    located share thresholds, to start from at the next target.
+def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup):
+    """Each inner bisection's final ``hi`` at the targets ``target_col``.
 
     A pair's bisection ends in the leaf of :func:`_share_tree` that holds its
-    share threshold, where the rate reaches the target.  Newton from
-    ``start`` locates the threshold and :meth:`_ShareTree.leaf_of` its
-    leaf.  The leaf is taken where the pair is in ``lookup`` and the rates
-    at both its ends clear the target by :data:`_LOOKUP_MARGIN`: then every
-    midpoint the loop tests above the leaf reaches the target and every one
-    below misses it, as the loop decides them.  The other pairs, and those whose leaf was
-    cut off at the tree's depth cap (from that leaf on), run the loop.
+    share threshold, where the rate reaches the target.  Newton
+    (:func:`_share_threshold`) locates the threshold and
+    :meth:`_ShareTree.leaf_of` its leaf.  The leaf is taken where the pair
+    is in ``lookup`` and the rates at both its ends clear the target by
+    :data:`_LOOKUP_MARGIN`: then every midpoint the loop tests above the
+    leaf reaches the target and every one below misses it, as the loop
+    decides them.  The other pairs run the loop from the whole bracket, and
+    those whose leaf is wider than epsilon (cut off at the tree's depth
+    cap) from that leaf.
     """
     tree = _share_tree(epsilon)
-    edges, depth = tree.edges, tree.depth
+    edges = tree.edges
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        share = _share_threshold(start, one_minus_tau, tau_gam, target_col)
+        share = _share_threshold(one_minus_tau, tau_gam, target_col)
         leaf = tree.leaf_of(share)
         a, b = edges[leaf], edges[leaf + 1]
         above = _rate(b * one_minus_tau, tau_gam) >= target_col * (1.0 + _LOOKUP_MARGIN)
         below = _rate(a * one_minus_tau, tau_gam) <= target_col * (1.0 - _LOOKUP_MARGIN)
-    found = lookup & (above | (leaf == depth.size - 1)) & (below | (leaf == 0))
+    found = lookup & (above | (leaf == edges.size - 2)) & (below | (leaf == 0))
     lo = np.where(found, a, epsilon)
     hi = np.where(found, b, 1.0 - epsilon)
-    counts = np.where(found, depth[leaf], 0)
     pending = hi - lo > epsilon
     redo = np.flatnonzero(pending.any(axis=1))
     if redo.size:
-        hi[redo], counts[redo] = _bisect_shares(
+        hi[redo] = _bisect_shares(
             lo[redo], hi[redo], pending[redo], one_minus_tau[redo], tau_gam[redo],
-            target_col[redo], epsilon, counts[redo],
+            target_col[redo], epsilon,
         )
-    return hi, counts.sum(axis=1), share
+    return hi
 
 
 def _predicted_flips(tau_gam, one_minus_tau, epsilon: float, depth: int) -> np.ndarray:
@@ -1073,26 +1059,19 @@ def _outer_leaves(x, top, epsilon: float, walking) -> tuple[np.ndarray, np.ndarr
 def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
 
-    Each target's inner share bisections come from :func:`_inner_shares`.
-    Every UAV reaches every target with the whole band (the targets lie
-    below the smallest whole-band rate), so every (draw, UAV) pair bisects.
-    Feasibility is monotone in the target, as :func:`conventional_allocate`
-    shows, and decided by the same rule: a target at or below an evaluated
-    feasible one is feasible, one at or above an evaluated infeasible one
-    is not.
-
-    Where :func:`_uniform_depth` proves that every inner bisection takes D
-    steps, each row's flip is predicted (:func:`_predicted_flips`) and the
-    two ends of the outer leaf that holds it are evaluated first, in two
-    calls over all rows.  A row whose lower end is 0 or feasible and whose
-    upper end is the top or infeasible is decided: its path is the route to
-    that leaf, its ``iters_beta`` the leaf's depth and ``best`` the shares
-    at the lower end.  The other rows (a wrong or NaN prediction, or no
-    finite top) run the outer bisection in lockstep, evaluating only the
-    targets the rule leaves undecided; where no depth is proved that is
-    every target, to count its steps.  ``inner_iters_beta`` and
-    ``op_count`` still count every step of the nested bisection,
-    ``iters_beta * K * D`` where D is proved.  Errors as in
+    Where :func:`_uniform_depth` proves that every inner share bisection
+    takes D steps, each row's flip is predicted (:func:`_predicted_flips`)
+    and the two ends of the outer leaf that holds it are evaluated, in two
+    :func:`_inner_shares` calls over all rows.  Every UAV reaches every
+    target with the whole band (the targets lie below the smallest
+    whole-band rate), so every (draw, UAV) pair bisects.  Feasibility is
+    monotone in the target, as :func:`conventional_allocate` shows, so a
+    row whose lower end is 0 or feasible and whose upper end is the top or
+    infeasible is decided: its path is the route to that leaf, its
+    ``iters_beta`` the leaf's depth, ``best`` the shares at the lower end
+    and ``inner_iters_beta`` ``iters_beta * K * D``.  Every other row (a
+    wrong or NaN prediction, a top that is not finite, or no proved depth)
+    is the per-draw call on its draw.  Errors as in
     :func:`proposed_allocate_batch`.
     """
     gam, errors = _as_gain_matrix(gains, epsilon)
@@ -1102,74 +1081,46 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     if K == 1:
         return _checked_batch(tau, np.ones((T, 1)), iters_tau, zeros, zeros, iters_tau, errors)
 
-    one_minus_tau = 1.0 - tau[:, np.newaxis]
-    tau_gam = tau[:, np.newaxis] * gam
-    eff = (1.0 - epsilon) * one_minus_tau
-    snr = tau_gam / eff
-    whole_band = _rate(eff, tau_gam, log2=_log2_exact)
-    # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
-    lookup = (snr >= _LOOKUP_MIN_SNR) & (snr * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR)
-    share = np.full((T, K), np.nan)  # each pair's share threshold at the last target
-    target_lo = np.zeros(T)
-    target_hi = whole_band.min(axis=1)
-    # The largest evaluated feasible target with its shares, and the
-    # smallest evaluated infeasible one; NaN before the first, so every
-    # comparison with them fails.
-    known_lo, best = np.full(T, np.nan), np.full((T, K), epsilon)
-    known_hi = np.full(T, np.nan)
+    live = _live(T, errors)
+    decided = np.zeros(T, dtype=bool)
+    best = np.full((T, K), epsilon)
     iters_beta = zeros.copy()
     inner_total = zeros.copy()
-
-    def evaluate(rows, target) -> np.ndarray:
-        hi, inner, share[rows] = _inner_shares(
-            one_minus_tau[rows], tau_gam[rows], target[:, np.newaxis], epsilon,
-            lookup[rows], share[rows],
-        )
-        inner_total[rows] += inner
-        feasible = hi.sum(axis=1) <= 1.0
-        known_lo[rows[feasible]] = target[feasible]
-        best[rows[feasible]] = hi[feasible]
-        known_hi[rows[~feasible]] = np.fmin(known_hi[rows[~feasible]], target[~feasible])
-        return feasible
-
-    outer = _live(T, errors)
     depth = _uniform_depth(epsilon)
     if depth is not None:
+        one_minus_tau = 1.0 - tau[:, np.newaxis]
+        tau_gam = tau[:, np.newaxis] * gam
+        eff = (1.0 - epsilon) * one_minus_tau
+        snr = tau_gam / eff
+        target_hi = _rate(eff, tau_gam, log2=_log2_exact).min(axis=1)  # the whole-band rates
+        # Where the tabulated leaves may be used (see _LOOKUP_MARGIN).
+        lookup = (snr >= _LOOKUP_MIN_SNR) & (snr * (1.0 - epsilon) / epsilon <= _LOOKUP_MAX_SNR)
         # A finite target_hi lies below 1024 bit/s/Hz, so every midpoint of
         # the walk falls strictly inside its bracket.
         flip = _predicted_flips(tau_gam, one_minus_tau, epsilon, depth)
-        walking = outer & (target_hi > epsilon) & (target_hi < math.inf)
-        walking &= (flip > 0.0) & (flip < target_hi)
-        lo, hi, steps = _outer_leaves(flip, target_hi, epsilon, walking)
-        for node in (lo, hi):  # ascending, so known_lo ends at the larger feasible one
-            rows = np.flatnonzero(walking & (node > 0.0) & (node < target_hi))
-            evaluate(rows, node[rows])
-        decided = walking & ((lo == 0.0) | (known_lo == lo))
-        decided &= (hi == target_hi) | (known_hi == hi)
+        decided = live & (target_hi > epsilon) & (target_hi < math.inf)
+        decided &= (flip > 0.0) & (flip < target_hi)
+        lo, hi, steps = _outer_leaves(flip, target_hi, epsilon, decided)
+        # A decided row is feasible at its leaf's lower end, infeasible at its upper.
+        for node, wanted in ((lo, True), (hi, False)):
+            rows = np.flatnonzero(decided & (node > 0.0) & (node < target_hi))
+            shares = _inner_shares(
+                one_minus_tau[rows], tau_gam[rows], node[rows, np.newaxis], epsilon, lookup[rows]
+            )
+            feasible = shares.sum(axis=1) <= 1.0
+            decided[rows[feasible != wanted]] = False
+            if wanted:
+                best[rows] = shares
         iters_beta[decided] = steps[decided]
-        outer &= ~decided
-    while True:
-        outer &= target_hi - target_lo > epsilon
-        rows = np.flatnonzero(outer)
-        if not rows.size:
-            break
-        target = 0.5 * (target_lo[rows] + target_hi[rows])
-        # Without predicted targets, known_lo and known_hi are ends of the
-        # row's bracket, which its midpoint never reaches: all are evaluated.
-        feasible = target <= known_lo[rows]
-        undecided = np.flatnonzero(~(feasible | (target >= known_hi[rows])))
-        if undecided.size:
-            feasible[undecided] = evaluate(rows[undecided], target[undecided])
-        iters_beta[rows] += 1
-        stalled = target == np.where(feasible, target_lo[rows], target_hi[rows])
-        for t in rows[stalled]:
-            errors[int(t)] = _stall_error(float(target_lo[t]), float(target_hi[t]), epsilon)
-        outer[rows[stalled]] = False
-        target_lo[rows[feasible]] = target[feasible]
-        target_hi[rows[~feasible]] = target[~feasible]
-    if depth is not None:
         inner_total = iters_beta * K * depth
     beta = best / best.sum(axis=1, keepdims=True)
+    for t in np.flatnonzero(live & ~decided):
+        try:
+            row = conventional_allocate(gam[t], epsilon)
+        except EhuavError as exc:
+            errors[int(t)] = exc
+            continue
+        beta[t], iters_beta[t], inner_total[t] = row.beta, row.iters_beta, row.inner_iters_beta
     return _checked_batch(
         tau, beta, iters_tau, iters_beta, inner_total, iters_tau * K + inner_total, errors
     )

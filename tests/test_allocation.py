@@ -724,12 +724,19 @@ def counted_targets(monkeypatch):
 TWO_DEPTH_EPSILONS = [0.1] + [1.0 / (2**D + 2) for D in range(2, 15)]
 
 
+def leaf_depths(epsilon) -> set[int]:
+    """The depths of the share tree's leaves, read off their widths: a
+    leaf at depth j is ``(1 - 2 epsilon) / 2**j`` wide, up to rounding."""
+    widths = np.diff(allocation._share_tree(epsilon).edges)
+    return set(np.round(np.log2((1.0 - 2.0 * epsilon) / widths)).astype(int).tolist())
+
+
 @pytest.mark.parametrize("epsilon", TWO_DEPTH_EPSILONS)
 def test_two_depth_tolerances_evaluate_every_target(epsilon, monkeypatch):
     # The uniform-depth test proves nothing there, so every target of the
     # path is evaluated and its steps counted, as the reference counts them.
     D = round(math.log2(1.0 / epsilon - 2.0))
-    assert set(allocation._share_tree(epsilon).depth.tolist()) == {D, D + 1}
+    assert leaf_depths(epsilon) == {D, D + 1}
     assert allocation._uniform_depth(epsilon) is None
     counts, allocate = counted_targets(monkeypatch)
     gains = default_scenario_draws(6, 4, 21)
@@ -744,14 +751,14 @@ def test_uniform_depth_agrees_with_the_share_tree():
     rng = np.random.default_rng(17)
     epsilons = 10.0 ** rng.uniform(math.log10(4e-5), math.log10(0.49), 250)
     for epsilon in [*epsilons.tolist(), 0.4, EPS]:
-        depths = set(allocation._share_tree(epsilon).depth.tolist())
+        depths = leaf_depths(epsilon)
         assert max(depths) < allocation._SHARE_TREE_DEPTH
         depth = allocation._uniform_depth(epsilon)
         # Proved, or leaves at two depths.
         assert depths == ({depth} if depth is not None else {min(depths), min(depths) + 1})
     # Exactly at a depth's width the margin proves neither side, so a tree
     # of one depth goes unproved and every target is evaluated.
-    assert set(allocation._share_tree(0.25).depth.tolist()) == {1}
+    assert leaf_depths(0.25) == {1}
     assert allocation._uniform_depth(0.25) is None
 
 
@@ -848,10 +855,26 @@ def test_a_wrong_batch_prediction_costs_time_only(where, monkeypatch):
             )
 
 
+@pytest.fixture
+def per_draw_rows(monkeypatch):
+    """The K of each row the batch baseline hands to its per-draw call."""
+    rows = []
+    allocate = allocation.conventional_allocate
+
+    def recording(gamma, epsilon):
+        rows.append(len(gamma))
+        return allocate(gamma, epsilon)
+
+    monkeypatch.setattr(allocation, "conventional_allocate", recording)
+    return rows
+
+
 @pytest.mark.parametrize("epsilon", TWO_DEPTH_EPSILONS)
-def test_two_depth_tolerances_batch_evaluates_every_target(epsilon, batch_evaluations, monkeypatch):
-    # No depth is proved, so nothing is predicted and each row evaluates
-    # every target of its path, as the per-draw call does.
+def test_two_depth_tolerances_batch_delegates_every_row(
+    epsilon, batch_evaluations, per_draw_rows, monkeypatch
+):
+    # No depth is proved, so nothing is predicted or looked up: every row
+    # is its per-draw call.
     def refuse(*args):
         raise AssertionError("predicted a flip without a uniform depth")
 
@@ -861,18 +884,17 @@ def test_two_depth_tolerances_batch_evaluates_every_target(epsilon, batch_evalua
         assert_batch_replays_scalar(
             conventional_allocate, conventional_allocate_batch, gains, epsilon
         )
-        batch_evaluations.clear()
-        result = conventional_allocate_batch(gains, epsilon)
-        assert sum(batch_evaluations) == result.iters_beta.sum()
+        per_draw_rows.clear()
+        assert not conventional_allocate_batch(gains, epsilon).errors
+        assert not batch_evaluations
+        assert per_draw_rows == [gains.shape[1]] * len(gains)
 
 
-def test_batch_baseline_evaluates_two_targets_per_fig4_draw(batch_evaluations):
+def test_batch_baseline_evaluates_two_targets_per_fig4_draw(batch_evaluations, per_draw_rows):
     # fig4's stack: the 13 altitudes x 200 draws of configs/table1.yaml in
-    # one batch call.  Measured: 13 _inner_shares calls, the two predicted
-    # targets of 2598 rows and then 11 lockstep targets of the other 2 rows
-    # (one prediction NaN, one above the top, as in the per-draw form), so
-    # 22 rows evaluated beyond the two.  The bounds leave about 15% and
-    # 100% headroom.
+    # one batch call.  The two predicted targets decide 2598 rows; the
+    # other 2 (one prediction NaN, one above the top, as in the per-draw
+    # form) are their per-draw calls.
     spec = load_config(TABLE1)
     configs = [replace(spec.network, A_hat=altitude) for altitude in spec.altitudes]
     stack = np.concatenate([
@@ -882,9 +904,66 @@ def test_batch_baseline_evaluates_two_targets_per_fig4_draw(batch_evaluations):
     assert stack.shape == (2600, 6)
     result = conventional_allocate_batch(stack, spec.network.epsilon)
     assert not result.errors
-    assert min(batch_evaluations[:2]) >= 2590
-    assert len(batch_evaluations) <= 15
-    assert sum(batch_evaluations[2:]) <= 44
+    assert len(batch_evaluations) == 2 and min(batch_evaluations) >= 2590
+    assert per_draw_rows == [6, 6]
+
+
+def test_batch_baseline_evaluates_two_targets_per_fig3_draw(batch_evaluations, per_draw_rows):
+    # fig3's nine batch calls, K = 2..10 with 200 draws each.  The two
+    # predicted targets of each call decide all but 10 of the 1800 rows,
+    # all at K = 2, which are their per-draw calls.
+    spec = load_config(TABLE1)
+    for point, K in enumerate(spec.k_values):
+        config = experiments._config_for_k(spec.network, K)
+        gains = experiments._point_draws(experiments.link_budgets(config), config, spec, point)
+        assert not conventional_allocate_batch(gains, spec.network.epsilon).errors
+    assert len(spec.k_values) == 9 and len(batch_evaluations) == 18
+    assert per_draw_rows == [2] * 10
+
+
+def test_a_delegated_row_that_raises_holds_its_error(per_draw_rows, monkeypatch):
+    # Rows 2 and 5 go to their per-draw calls (NaN predictions), and the
+    # call on row 5 raises: that row holds its error, every other row is
+    # its per-draw call.
+    gains = default_scenario_draws(6, 8, 14)
+    predict = allocation._predicted_flips
+
+    def predicted(*args):
+        flips = predict(*args)
+        flips[[2, 5]] = np.nan
+        return flips
+
+    failure = NumericError("row 5 failed")
+    per_draw = allocation.conventional_allocate  # as per_draw_rows records it
+
+    def allocate(gamma, epsilon):
+        if np.array_equal(gamma, gains[5]):
+            raise failure
+        return per_draw(gamma, epsilon)
+
+    monkeypatch.setattr(allocation, "_predicted_flips", predicted)
+    monkeypatch.setattr(allocation, "conventional_allocate", allocate)
+    result = conventional_allocate_batch(gains, EPS)
+    assert result.errors == {5: failure}
+    assert per_draw_rows == [6]
+    assert_batch_replays_scalar(allocate, conventional_allocate_batch, gains, EPS)
+
+
+def test_op_count_advantage_narrows_as_k_grows():
+    # The speed claim, measured: the median op_count of the two-phase scheme
+    # and of the nested baseline on 60 default draws per K.  The baseline
+    # costs about 9x the two-phase scheme at K = 6 and 1.6x at K = 64.
+    epsilon = load_config(TABLE1).network.epsilon
+    medians = {}
+    for K in (2, 6, 16, 32, 64):
+        gains = default_scenario_draws(K, 60, 5)
+        medians[K] = tuple(
+            float(np.median(batch(gains, epsilon).op_count))
+            for batch in (proposed_allocate_batch, conventional_allocate_batch)
+        )
+    assert medians == {
+        2: (32, 476), 6: (146, 1344), 16: (766, 3584), 32: (2478, 6720), 64: (8494, 13440),
+    }
 
 
 class TestProposedAllocate:
@@ -1599,12 +1678,16 @@ def loop_starts(monkeypatch):
 
 
 @pytest.fixture
-def every_batch_target(monkeypatch):
-    """The batch baseline with its predicted flips NaN: it evaluates every
-    target of each path, the first at the midpoint of ``[0, top]``."""
-    monkeypatch.setattr(
-        allocation, "_predicted_flips", lambda tau_gam, *args: np.full(len(tau_gam), np.nan)
-    )
+def half_the_top_first(monkeypatch):
+    """The batch baseline with each predicted flip just above half the top:
+    the lower end of its leaf, the first target evaluated, is the midpoint
+    of ``[0, top]``."""
+
+    def predicted(tau_gam, one_minus_tau, epsilon, depth):
+        top = _rate((1.0 - epsilon) * one_minus_tau, tau_gam).min(axis=1)
+        return 0.5 * top * (1.0 + 1e-9)
+
+    monkeypatch.setattr(allocation, "_predicted_flips", predicted)
 
 
 def assert_per_draw_equals_the_reference(gains, epsilon):
@@ -1624,11 +1707,11 @@ class TestConventionalShareLookup:
         assert tree.edges[0] == EPS and tree.edges[-1] == 1.0 - EPS
         assert np.all(np.diff(tree.edges) > 0.0)
         # Every leaf is final: at most epsilon wide.
-        assert tree.depth.size == 2**14 and np.all(tree.depth == 14)
+        assert tree.edges.size == 2**14 + 1 and leaf_depths(EPS) == {14}
         assert np.all(np.diff(tree.edges) <= EPS)
         # Deeper than the cap: every leaf is cut off there.
         tree = allocation._share_tree(1e-6)
-        assert tree.depth.size == 2**16 and np.all(tree.depth == 16)
+        assert tree.edges.size == 2**16 + 1 and leaf_depths(1e-6) == {16}
         assert np.all(np.diff(tree.edges) > 1e-6)
 
     @pytest.mark.parametrize("epsilon", [0.4, 0.2, 1e-2, EPS, 3e-5, 1e-6, EPSILON_MIN])
@@ -1638,7 +1721,7 @@ class TestConventionalShareLookup:
             np.random.default_rng(7).uniform(0.0, 1.0, 5000),
             tree.edges, np.nextafter(tree.edges, 0.0), np.nextafter(tree.edges, 1.0),
         ])
-        binary = np.searchsorted(tree.edges, shares).clip(1, tree.depth.size) - 1
+        binary = np.searchsorted(tree.edges, shares).clip(1, tree.edges.size - 1) - 1
         assert np.array_equal(tree.leaf_of(shares), binary)
 
     def test_batch_lookups_rarely_run_the_loop_on_the_default_scenario(self, loop_starts):
@@ -1664,7 +1747,7 @@ class TestConventionalShareLookup:
 
     @pytest.mark.parametrize("node", [1024, 2731, 5000])
     def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
-        self, node, loop_starts, every_batch_target
+        self, node, loop_starts, half_the_top_first
     ):
         # UAV 0 is the weaker one, so it alone sets tau and the first target;
         # UAV 1's gain puts its rate at the tree node's share on that target.
@@ -1681,16 +1764,18 @@ class TestConventionalShareLookup:
         assert loop_starts[0] == 1
         assert_per_draw_equals_the_reference(gains, EPS)
 
-    def test_low_snr_pairs_always_run_the_loop(self, loop_starts, every_batch_target):
+    def test_low_snr_pairs_always_run_the_loop(
+        self, loop_starts, batch_evaluations, half_the_top_first
+    ):
         # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
         # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
         gains, epsilon = np.array([[5e-5, 6e-5]]), 2e-5
         assert_batch_replays_scalar(
             conventional_allocate, conventional_allocate_batch, gains, epsilon
         )
-        result = conventional_allocate(gains[0], epsilon)
-        inner = result.inner_iters_beta
-        assert inner > 0 and 16 * sum(loop_starts) == inner
+        # Both pairs of the row run the loop at each target evaluated.
+        assert sum(batch_evaluations) > 0
+        assert sum(loop_starts) == 2 * sum(batch_evaluations)
         assert_per_draw_equals_the_reference(gains, epsilon)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, EPSILON_MIN])
