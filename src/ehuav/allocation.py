@@ -49,13 +49,14 @@ those two targets of all rows in two calls, and each row they leave
 undecided is its per-draw call.  The batch baseline does not step through
 its inner share bisections at those two targets: each one's final bracket
 is looked up in the bisection's midpoint tree (:func:`_share_tree`) and
-certified by the rates at its two ends, and the pairs that cannot be
-certified run the loop (:func:`_inner_shares`).  The per-draw baseline
-runs the loop itself, and rates only the midpoints that the targets
-already evaluated leave undecided.  In both forms ``inner_iters_beta`` and
-``op_count`` still count every step of the nested bisection, as
-:func:`exhaustive_optimal` counts its enumeration.  The plain loop stays
-in the tests as the reference.  The batch phase 1 decides each
+certified by the rates at its two ends (:func:`_inner_shares`), and a row
+with a pair that cannot be certified is its per-draw call too: a certified
+lookup, or the per-draw call.  The per-draw baseline runs the loop itself,
+and rates only the midpoints that the targets already evaluated leave
+undecided.  In both forms ``inner_iters_beta`` and ``op_count`` still
+count every step of the nested bisection, as :func:`exhaustive_optimal`
+counts its enumeration.  The plain loop stays in the tests as the
+reference.  The batch phase 1 decides each
 step's sign with ``np.log2`` and recomputes only the near-zero slopes
 exactly (:func:`_slope_rises`).  Every rate is one call of
 :func:`ehuav.outage._rate`, and the rate slope of phase 1 and the update
@@ -93,7 +94,7 @@ _GRID_BLOCK_ELEMENTS = 1 << 18
 
 # The batch baseline looks its inner share bisections up in their midpoint
 # tree (:func:`_share_tree`), tabulated to this depth: at most 2**16 leaves.
-# Deeper levels run the bisection loop.
+# Where the inner bisection goes deeper, every row is its per-draw call.
 _SHARE_TREE_DEPTH = 16
 # Newton steps towards each inner bisection's share threshold per target.
 _SHARE_NEWTON_STEPS = 4
@@ -121,8 +122,8 @@ _BATCH_FLIP_STOP = 2.0**-6
 # below 6e-14, and where q at the smallest share is at most _LOOKUP_MAX_SNR,
 # no share's q overflows.  Within that range, the relative margin
 # _LOOKUP_MARGIN covers the rounding of every share's rate:
-# * the batch baseline's leaf certification (:func:`_inner_shares`) uses a
-#   tabulated leaf only where the rates at its ends clear the target by the
+# * the batch baseline's leaf certification (:func:`_inner_shares`) certifies
+#   a tabulated leaf only where the rates at its ends clear the target by the
 #   margin, so every other share's rate is decided as the loop decides it;
 # * the grid search's row bound (:func:`_row_bound`) takes each UAV's rate at
 #   the largest share it bounds, times 1 + margin.  The exact rate rises with
@@ -315,8 +316,7 @@ def _slope_rises(b: float, g: np.ndarray, tau: np.ndarray) -> np.ndarray:
     ``np.log2`` is within a few ulps of ``math.log2``, so the slope's sign
     can differ from the exact one only where the slope is within a few ulps
     of its log term ``b * log2(...)``; slopes within 1e-12 of that term
-    (relative) are recomputed with :func:`_log2_exact`, as :func:`_reaches`
-    recomputes rates near a target.
+    (relative) are recomputed with :func:`_log2_exact`.
     """
     log_term = []
 
@@ -853,22 +853,6 @@ def proposed_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     )
 
 
-def _reaches(share, one_minus_tau, tau_gam, target_col) -> np.ndarray:
-    """``rate >= target`` elementwise, decided exactly as the baseline's
-    per-draw bisection (:func:`conventional_allocate`, ``math.log2``)
-    decides it.
-
-    ``np.log2`` is within a few ulps of ``math.log2``, so only rates within
-    1e-12 (relative) of the target are recomputed with :func:`_log2_exact`.
-    """
-    eff = share * one_minus_tau
-    rates = _rate(eff, tau_gam)
-    near = np.abs(rates - target_col) <= 1e-12 * target_col
-    if near.any():
-        rates[near] = _rate(eff[near], tau_gam[near], log2=_log2_exact)
-    return rates >= target_col
-
-
 @dataclass(frozen=True)
 class _ShareTree:
     """The leaves of the baseline's inner share bisection, down to a depth cap.
@@ -884,7 +868,9 @@ class _ShareTree:
     ``first_leaf`` maps equal buckets of the bracket, each narrower than
     every leaf, to the leaf holding the bucket's start, so :meth:`leaf_of`
     finds a leaf with one comparison: a binary search per share mispredicts
-    a branch at nearly every level.  Only the batch baseline reads the tree.
+    a branch at nearly every level.  Only the batch baseline reads the tree,
+    and only where every leaf is final: a certified lookup, or the per-draw
+    call.
     """
 
     edges: np.ndarray
@@ -942,32 +928,20 @@ def _share_threshold(one_minus_tau, tau_gam, target_col) -> np.ndarray:
     return x / one_minus_tau
 
 
-def _bisect_shares(lo, hi, bisecting, one_minus_tau, tau_gam, target_col, epsilon):
-    """The baseline's inner share bisection on the ``bisecting`` pairs, from
-    their ``lo``/``hi`` brackets: the final ``hi``."""
-    while True:
-        bisecting = bisecting & (hi - lo > epsilon)
-        if not bisecting.any():
-            return hi
-        mid = 0.5 * (lo + hi)
-        up = _reaches(mid, one_minus_tau, tau_gam, target_col)
-        hi = np.where(bisecting & up, mid, hi)
-        lo = np.where(bisecting & ~up, mid, lo)
-
-
 def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup):
-    """Each inner bisection's final ``hi`` at the targets ``target_col``.
+    """Each inner bisection's final ``hi`` at the targets ``target_col``,
+    looked up, and whether every pair of each row is certified.
 
     A pair's bisection ends in the leaf of :func:`_share_tree` that holds its
     share threshold, where the rate reaches the target.  Newton
     (:func:`_share_threshold`) locates the threshold and
-    :meth:`_ShareTree.leaf_of` its leaf.  The leaf is taken where the pair
-    is in ``lookup`` and the rates at both its ends clear the target by
+    :meth:`_ShareTree.leaf_of` its leaf.  The leaf is certified where the
+    pair is in ``lookup`` and the rates at both its ends clear the target by
     :data:`_LOOKUP_MARGIN`: then every midpoint the loop tests above the
     leaf reaches the target and every one below misses it, as the loop
-    decides them.  The other pairs run the loop from the whole bracket, and
-    those whose leaf is wider than epsilon (cut off at the tree's depth
-    cap) from that leaf.
+    decides them, and the leaf's upper end is the loop's final ``hi``.  The
+    caller reads a row's shares only where it is certified, and only where
+    every leaf of the tree is final.
     """
     tree = _share_tree(epsilon)
     edges = tree.edges
@@ -977,26 +951,19 @@ def _inner_shares(one_minus_tau, tau_gam, target_col, epsilon, lookup):
         a, b = edges[leaf], edges[leaf + 1]
         above = _rate(b * one_minus_tau, tau_gam) >= target_col * (1.0 + _LOOKUP_MARGIN)
         below = _rate(a * one_minus_tau, tau_gam) <= target_col * (1.0 - _LOOKUP_MARGIN)
-    found = lookup & (above | (leaf == edges.size - 2)) & (below | (leaf == 0))
-    lo = np.where(found, a, epsilon)
-    hi = np.where(found, b, 1.0 - epsilon)
-    pending = hi - lo > epsilon
-    redo = np.flatnonzero(pending.any(axis=1))
-    if redo.size:
-        hi[redo] = _bisect_shares(
-            lo[redo], hi[redo], pending[redo], one_minus_tau[redo], tau_gam[redo],
-            target_col[redo], epsilon,
-        )
-    return hi
+    certified = lookup & (above | (leaf == edges.size - 2)) & (below | (leaf == 0))
+    return b, certified.all(axis=1)
 
 
 def _predicted_flips(tau_gam, one_minus_tau, epsilon: float, depth: int) -> np.ndarray:
     """:func:`_predicted_flip` on every row of ``tau_gam`` (shape ``(n, K)``,
     with ``one_minus_tau`` of shape ``(n, 1)``): the same steps on arrays,
     with ``np.log2``, and up to :data:`_BATCH_FLIP_NEWTON_STEPS` Newton
-    steps; NaN or inf where the arithmetic fails.  A prediction only picks
-    the targets evaluated first, so its bits need not be the per-draw
-    form's."""
+    steps; NaN or inf where the arithmetic fails.  Each share's leaf ends
+    are the share tree's (:func:`_share_tree`), not ``epsilon + w * i``, so
+    the sum of leaf ends tested against 1 is the bisection's own.  A
+    prediction only picks the targets evaluated first, so its bits need not
+    be the per-draw form's."""
     K = tau_gam.shape[1]
     w = math.ldexp((1.0 - epsilon) - epsilon, -depth)
     budget = one_minus_tau[:, 0] * (1.0 - K * w / 2.0)
@@ -1016,25 +983,31 @@ def _predicted_flips(tau_gam, one_minus_tau, epsilon: float, depth: int) -> np.n
                 target = target + shift
                 if not (np.abs(shift) > _BATCH_FLIP_STOP * epsilon).any():
                     break
-        ends = epsilon + w * (np.floor((xs / one_minus_tau - epsilon) / w) + 1.0)
-        fits = ends.sum(axis=1) <= 1.0
-        move = np.where(fits, w, -w)
+        # Each share's leaf end, as the index of an edge of the share tree.
+        tree = _share_tree(epsilon)
+        edges = tree.edges
+        ends = tree.leaf_of(xs / one_minus_tau) + 1
+        fits = edges[ends].sum(axis=1) <= 1.0
+        move = np.where(fits, 1, -1)
         # Each share's next crossing: the rate at its leaf's end if the sum
         # fits (T may grow to it), else at the leaf's start.
-        start = np.where(fits, 0.0, w)
-        cross = _rate((ends - start[:, np.newaxis]) * one_minus_tau, tau_gam)
+        start = np.where(fits, 0, 1)
+        cross = _rate(edges[ends - start[:, np.newaxis]] * one_minus_tau, tau_gam)
         rows = np.arange(target.size)  # the rows whose sum has not passed 1
         for _ in range(_FLIP_LEAF_STEPS):
             here = cross[rows]
             k = np.where(fits[rows], here.argmin(axis=1), here.argmax(axis=1))
             target[rows] = cross[rows, k]
             ends[rows, k] += move[rows]
-            going = (ends[rows].sum(axis=1) <= 1.0) == fits[rows]
+            # A share stepped past the tree's first or last leaf takes its
+            # outermost edge.
+            going = (edges.take(ends[rows], mode="clip").sum(axis=1) <= 1.0) == fits[rows]
             rows, k = rows[going], k[going]
             if not rows.size:
                 break
             cross[rows, k] = _rate(
-                (ends[rows, k] - start[rows]) * one_minus_tau[rows, 0], tau_gam[rows, k]
+                edges.take(ends[rows, k] - start[rows], mode="clip") * one_minus_tau[rows, 0],
+                tau_gam[rows, k],
             )
     return target
 
@@ -1060,19 +1033,20 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     """:func:`conventional_allocate` on every row of a ``(T, K)`` draw matrix.
 
     Where :func:`_uniform_depth` proves that every inner share bisection
-    takes D steps, each row's flip is predicted (:func:`_predicted_flips`)
-    and the two ends of the outer leaf that holds it are evaluated, in two
-    :func:`_inner_shares` calls over all rows.  Every UAV reaches every
-    target with the whole band (the targets lie below the smallest
-    whole-band rate), so every (draw, UAV) pair bisects.  Feasibility is
-    monotone in the target, as :func:`conventional_allocate` shows, so a
-    row whose lower end is 0 or feasible and whose upper end is the top or
-    infeasible is decided: its path is the route to that leaf, its
-    ``iters_beta`` the leaf's depth, ``best`` the shares at the lower end
-    and ``inner_iters_beta`` ``iters_beta * K * D``.  Every other row (a
-    wrong or NaN prediction, a top that is not finite, or no proved depth)
-    is the per-draw call on its draw.  Errors as in
-    :func:`proposed_allocate_batch`.
+    takes D steps, D at most :data:`_SHARE_TREE_DEPTH`, each row's flip is
+    predicted (:func:`_predicted_flips`) and the two ends of the outer leaf
+    that holds it are evaluated, in two :func:`_inner_shares` calls over all
+    rows.  Every UAV reaches every target with the whole band (the targets
+    lie below the smallest whole-band rate), so every (draw, UAV) pair
+    bisects.  Feasibility is monotone in the target, as
+    :func:`conventional_allocate` shows, so a row whose lower end is 0 or
+    feasible and whose upper end is the top or infeasible, every pair
+    certified at each end evaluated, is decided: its path is the route to
+    that leaf, its ``iters_beta`` the leaf's depth, ``best`` the shares at
+    the lower end and ``inner_iters_beta`` ``iters_beta * K * D``.  Every
+    other row (a wrong or NaN prediction, a pair that cannot be certified,
+    a top that is not finite, or no proved depth within the tree) is the
+    per-draw call on its draw.  Errors as in :func:`proposed_allocate_batch`.
     """
     gam, errors = _as_gain_matrix(gains, epsilon)
     T, K = gam.shape
@@ -1087,7 +1061,7 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
     iters_beta = zeros.copy()
     inner_total = zeros.copy()
     depth = _uniform_depth(epsilon)
-    if depth is not None:
+    if depth is not None and depth <= _SHARE_TREE_DEPTH:  # every leaf of the tree is final
         one_minus_tau = 1.0 - tau[:, np.newaxis]
         tau_gam = tau[:, np.newaxis] * gam
         eff = (1.0 - epsilon) * one_minus_tau
@@ -1104,11 +1078,11 @@ def conventional_allocate_batch(gains, epsilon: float) -> BatchAllocation:
         # A decided row is feasible at its leaf's lower end, infeasible at its upper.
         for node, wanted in ((lo, True), (hi, False)):
             rows = np.flatnonzero(decided & (node > 0.0) & (node < target_hi))
-            shares = _inner_shares(
+            shares, certified = _inner_shares(
                 one_minus_tau[rows], tau_gam[rows], node[rows, np.newaxis], epsilon, lookup[rows]
             )
             feasible = shares.sum(axis=1) <= 1.0
-            decided[rows[feasible != wanted]] = False
+            decided[rows[~certified | (feasible != wanted)]] = False
             if wanted:
                 best[rows] = shares
         iters_beta[decided] = steps[decided]

@@ -910,15 +910,16 @@ def test_batch_baseline_evaluates_two_targets_per_fig4_draw(batch_evaluations, p
 
 def test_batch_baseline_evaluates_two_targets_per_fig3_draw(batch_evaluations, per_draw_rows):
     # fig3's nine batch calls, K = 2..10 with 200 draws each.  The two
-    # predicted targets of each call decide all but 10 of the 1800 rows,
-    # all at K = 2, which are their per-draw calls.
+    # predicted targets of each call decide all 1800 rows: the prediction
+    # sums the share tree's own leaf ends, so the K = 2 rows whose two ends
+    # at the flip sum to 1 + 2**-52 land in the right leaf.
     spec = load_config(TABLE1)
     for point, K in enumerate(spec.k_values):
         config = experiments._config_for_k(spec.network, K)
         gains = experiments._point_draws(experiments.link_budgets(config), config, spec, point)
         assert not conventional_allocate_batch(gains, spec.network.epsilon).errors
     assert len(spec.k_values) == 9 and len(batch_evaluations) == 18
-    assert per_draw_rows == [2] * 10
+    assert per_draw_rows == []
 
 
 def test_a_delegated_row_that_raises_holds_its_error(per_draw_rows, monkeypatch):
@@ -1537,6 +1538,12 @@ class TestBatchAllocators:
                 (conventional_allocate, conventional_allocate_batch),
             ):
                 assert_batch_replays_scalar(scalar, batch, gains, EPS)
+            # At 0.3 the share tree has two leaves, and from K = 3 even the
+            # lower one's ends sum above 1, so the batch's predictions step
+            # shares below the tree's first leaf.
+            assert_batch_replays_scalar(
+                conventional_allocate, conventional_allocate_batch, gains, 0.3
+            )
 
     def test_phase1_slopes_within_ulps_of_zero_are_decided_exactly(self, monkeypatch):
         # K -> (bisection midpoint, smallest gain): the smallest gain's rate
@@ -1664,17 +1671,19 @@ class TestBatchAllocators:
 
 
 @pytest.fixture
-def loop_starts(monkeypatch):
-    """The number of pairs each call of the baseline's bisection loop starts."""
-    starts = []
-    bisect = allocation._bisect_shares
+def uncertified(monkeypatch):
+    """The number of rows with a pair that each ``_inner_shares`` call
+    cannot certify."""
+    counts = []
+    inner = allocation._inner_shares
 
-    def recording(lo, hi, bisecting, *args):
-        starts.append(int(np.count_nonzero(bisecting)))
-        return bisect(lo, hi, bisecting, *args)
+    def counting(*args):
+        shares, certified = inner(*args)
+        counts.append(int(np.count_nonzero(~certified)))
+        return shares, certified
 
-    monkeypatch.setattr(allocation, "_bisect_shares", recording)
-    return starts
+    monkeypatch.setattr(allocation, "_inner_shares", counting)
+    return counts
 
 
 @pytest.fixture
@@ -1698,9 +1707,10 @@ def assert_per_draw_equals_the_reference(gains, epsilon):
 
 
 class TestConventionalShareLookup:
-    """The batch baseline looks each inner bisection up in its midpoint tree
-    and runs the loop wherever the leaf cannot be certified.  The per-draw
-    form, which runs the loop, is checked against the reference alongside."""
+    """The batch baseline looks each inner bisection up in its midpoint tree,
+    and a row with a leaf that cannot be certified is its per-draw call.  The
+    per-draw form, which runs the loop, is checked against the reference
+    alongside."""
 
     def test_tree_leaves_partition_the_share_bracket(self):
         tree = allocation._share_tree(EPS)
@@ -1724,15 +1734,15 @@ class TestConventionalShareLookup:
         binary = np.searchsorted(tree.edges, shares).clip(1, tree.edges.size - 1) - 1
         assert np.array_equal(tree.leaf_of(shares), binary)
 
-    def test_batch_lookups_rarely_run_the_loop_on_the_default_scenario(self, loop_starts):
+    def test_batch_lookups_decide_every_default_scenario_row(self, per_draw_rows):
         gains = default_scenario_draws(6, 40, 9)
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
-        assert sum(loop_starts) <= 0.01 * pairs_of(gains, EPS)
+        assert per_draw_rows == []
         assert_per_draw_equals_the_reference(gains, EPS)
 
     @pytest.mark.parametrize("leaves", [-1, 1])
-    def test_a_threshold_one_leaf_off_falls_back_to_the_loop(
-        self, leaves, loop_starts, monkeypatch
+    def test_a_threshold_one_leaf_off_makes_rows_per_draw_calls(
+        self, leaves, per_draw_rows, uncertified, monkeypatch
     ):
         edges = allocation._share_tree(EPS).edges
         width = edges[1] - edges[0]
@@ -1742,12 +1752,12 @@ class TestConventionalShareLookup:
         )
         gains = 10.0 ** np.random.default_rng(5).uniform(-1.0, 3.0, size=(40, 6))
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
-        assert sum(loop_starts) > 0
+        assert sum(uncertified) > 0 and per_draw_rows
         assert_per_draw_equals_the_reference(gains, EPS)
 
     @pytest.mark.parametrize("node", [1024, 2731, 5000])
-    def test_a_threshold_within_the_margin_of_a_node_falls_back_to_the_loop(
-        self, node, loop_starts, half_the_top_first
+    def test_a_threshold_within_the_margin_of_a_node_makes_a_per_draw_call(
+        self, node, per_draw_rows, uncertified, half_the_top_first
     ):
         # UAV 0 is the weaker one, so it alone sets tau and the first target;
         # UAV 1's gain puts its rate at the tree node's share on that target.
@@ -1761,11 +1771,14 @@ class TestConventionalShareLookup:
         assert abs(x * math.log2(1.0 + tau * g1 / x) / target - 1.0) < 1e-14
         gains = np.array([[g0, g1]])
         assert_batch_replays_scalar(conventional_allocate, conventional_allocate_batch, gains, EPS)
-        assert loop_starts[0] == 1
+        # The first target, where UAV 1's rate is that node's, is not
+        # certified.
+        assert uncertified[0] == 1
+        assert per_draw_rows == [2]
         assert_per_draw_equals_the_reference(gains, EPS)
 
-    def test_low_snr_pairs_always_run_the_loop(
-        self, loop_starts, batch_evaluations, half_the_top_first
+    def test_low_snr_rows_are_per_draw_calls(
+        self, per_draw_rows, batch_evaluations, uncertified, half_the_top_first
     ):
         # Both pairs' SNR at the whole band is below 0.01, and at epsilon =
         # 2e-5 the tree ends within the cap, every leaf 16 levels deep.
@@ -1773,13 +1786,17 @@ class TestConventionalShareLookup:
         assert_batch_replays_scalar(
             conventional_allocate, conventional_allocate_batch, gains, epsilon
         )
-        # Both pairs of the row run the loop at each target evaluated.
-        assert sum(batch_evaluations) > 0
-        assert sum(loop_starts) == 2 * sum(batch_evaluations)
+        # The row's first target is looked up but not certified, so the
+        # second target has no row left.
+        assert batch_evaluations == [1, 0] and uncertified == [1, 0]
+        assert per_draw_rows == [2]
         assert_per_draw_equals_the_reference(gains, epsilon)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, EPSILON_MIN])
-    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon):
+    def test_trees_deeper_than_the_cap_replay_per_draw_calls(self, epsilon, batch_evaluations):
+        # A proved depth beyond the cap: nothing is looked up in the cut-off
+        # tree, and every row is its per-draw call.
+        assert allocation._uniform_depth(epsilon) > allocation._SHARE_TREE_DEPTH
         rng = np.random.default_rng(23)
         for K in (2, 6):
             gains = 10.0 ** rng.uniform(-1.0, 3.0, size=(60, K))
@@ -1787,3 +1804,4 @@ class TestConventionalShareLookup:
                 conventional_allocate, conventional_allocate_batch, gains, epsilon
             )
             assert_per_draw_equals_the_reference(gains, epsilon)
+        assert not batch_evaluations

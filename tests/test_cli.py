@@ -813,3 +813,60 @@ class TestTextOutput:
         assert captured.err == ""
         digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
         assert digest == TEXT_SHA256[name], captured.out
+
+
+# The input domain: each network, environment and timing scalar of the
+# shipped scenario is set in turn to each of these values.
+DOMAIN_FIELDS = [
+    *(("network", name) for name in NETWORK),
+    *(("environment", name) for name in ENVIRONMENT),
+    ("timing", "t_op"),
+]
+DOMAIN_VALUES = [0, 5e-324, 1e-300, 1e-30, 1e-8, 0.5, 1, 2, 170, 1e8, 1e30, 1e300, -1]
+
+
+class TestInputDomain:
+    """Whatever ``validate`` accepts, ``allocate`` and ``outage`` end with a
+    documented exit code, and nothing ends in a traceback."""
+
+    def test_one_field_mutations_end_with_a_documented_code(self, tmp_path, capsys):
+        assert len(DOMAIN_FIELDS) == 20
+        with open(TABLE1, encoding="utf-8") as handle:
+            scenario = yaml.safe_load(handle)
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        path = str(tmp_path / "table1.yaml")
+        violations = []
+        runs = 0
+
+        def run(argv, case):
+            nonlocal runs
+            runs += 1
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback: exit 1
+                violations.append((*case, argv[0], repr(exc)))
+                return None
+            if rc not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC):
+                violations.append((*case, argv[0], rc))
+            return rc
+
+        for section, field in DOMAIN_FIELDS:
+            for value in DOMAIN_VALUES:
+                case = (f"{section}.{field}", value)
+                data = {**scenario, section: {**scenario[section], field: value}}
+                with open(path, "w", encoding="utf-8") as handle:
+                    yaml.dump(data, handle, Dumper=dumper)
+                if run(["validate", path], case) != EXIT_OK:
+                    continue
+                later = [
+                    *(["allocate", path, "--seed", "1", "--algorithm", algorithm]
+                      for algorithm in ("proposed", "conventional", "equal_bandwidth")),
+                    ["outage", path, "--trials", "2000"],
+                ]
+                for argv in later:
+                    if run(argv, case) == EXIT_CONFIG:
+                        violations.append((*case, " ".join(argv[2:]), EXIT_CONFIG))
+        capsys.readouterr()
+        assert violations == []
+        # 260 configs, 125 of them valid: four more runs each.
+        assert runs == 760
